@@ -58,7 +58,6 @@ from .exact_charpoly import (
     bareiss_determinant,
     char_poly,
     charpoly_by_faddeev_leverrier,
-    charpoly_by_interpolation,
     dary_determinant_check,
     eval_det_shift,
     gamma_coefficients,
@@ -82,7 +81,9 @@ from .tree_core import (
     complete_dary,
     generate,
     greedy_caterpillar,
+    leaf_counts,
     path_broom,
+    preorder,
     star,
     star_plus_path,
     structural_stats,

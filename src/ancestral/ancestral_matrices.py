@@ -8,8 +8,9 @@ needs arbitrary precision, so nothing here ever converts to floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .tree_core import RootedTree, ancestral_level, branch_leaf_groups
+from .tree_core import RootedTree, branch_leaf_groups
 
 
 @dataclass(frozen=True)
@@ -39,17 +40,66 @@ class PathIncidenceMatrix:
 
 
 def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
-    """c_ij = ancestral level of leaves i and j (in leaf_order)."""
-    leaves = tree.leaf_order
-    n = len(leaves)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = tree.level[leaves[i]]
-        for j in range(i + 1, n):
-            a = ancestral_level(tree, leaves[i], leaves[j])
-            rows[i][j] = a
-            rows[j][i] = a
-    return AncestralMatrix(n=n, rows=tuple(tuple(r) for r in rows))
+    """c_ij = ancestral level of leaves i and j (in leaf_order).
+
+    Filled top-down in O(L^2) list-slice writes instead of one ancestor walk
+    per pair.  In preorder the leaves below a vertex v form a contiguous
+    range, and every leaf in that range shares v as a common ancestor with
+    every leaf below v.  So each vertex carries a row template: its parent's
+    template with v's own leaf range set to level(v).  A leaf's template is
+    its row.  The last child of a vertex takes the template over; the other
+    children copy it, so there are L - 1 copies in all.
+    """
+    children = tree.children
+    level = tree.level
+    leaf_order = tree.leaf_order
+    n = len(leaf_order)
+    if n == 1:
+        return AncestralMatrix(n=1, rows=((level[leaf_order[0]],),))
+    # preorder (children in stored order), the first preorder leaf position
+    # below each vertex, and the leaves in preorder, in one pass: class
+    # sweeps call this on thousands of tiny trees, where a second pass
+    # would cost more than the per-pair walk it replaces
+    order = []
+    start = [0] * len(children)
+    dfs_leaves = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        start[v] = len(dfs_leaves)
+        kids = children[v]
+        if kids:
+            stack.extend(reversed(kids))
+        else:
+            dfs_leaves.append(v)
+    stop = start[:]  # one past the last leaf position below v
+    for v in reversed(order):
+        kids = children[v]
+        stop[v] = stop[kids[-1]] if kids else start[v] + 1
+
+    parent = tree.parent
+    template: list = [None] * len(order)
+    template[tree.root] = [0] * n
+    rows = []  # in preorder leaf order
+    for v in order[1:]:
+        p = parent[v]
+        row = template[p] if children[p][-1] == v else template[p][:]
+        a = start[v]
+        if children[v]:
+            b = stop[v]
+            row[a:b] = [level[v]] * (b - a)
+            template[v] = row
+        else:
+            row[a] = level[v]
+            rows.append(row)
+    if tuple(dfs_leaves) == leaf_order:
+        return AncestralMatrix(n=n, rows=tuple(map(tuple, rows)))
+    # vertex numbering is not a preorder: permute back to leaf_order
+    where = {v: i for i, v in enumerate(dfs_leaves)}
+    perm = [where[v] for v in leaf_order]
+    pick = itemgetter(*perm)
+    return AncestralMatrix(n=n, rows=tuple(pick(rows[i]) for i in perm))
 
 
 def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:

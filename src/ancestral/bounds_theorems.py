@@ -1,8 +1,12 @@
 """Bound quantities for the ancestral spectral radius and their verdicts.
 
-Every bound quantity is kept as an exact integer or rational; only the final
-comparison against the numeric spectral radius uses floats, so rounding can
-never flip a verdict on its own.
+Every bound quantity is kept as an exact integer or rational and comes from
+one O(V) pass over the tree, never from the matrix: with k_e the number of
+leaves below edge e, C = I_p I_p^T gives row sums as sums of k_e along root
+paths, the entry sum q = sum k_e^2 and the terminal Wiener index
+sum k_e (L - k_e).  Only the spectral radius needs C, built once inside
+``spectral_radius``.  The final comparison of each bound against that
+numeric rho uses floats, with the margin BOUND_TOL.
 """
 
 from __future__ import annotations
@@ -11,10 +15,16 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ancestral_matrices import ancestral_matrix
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import DEFAULT_TOL, spectral_radius
-from .tree_core import RootedTree, branch_children, structural_stats, subtree
+from .tree_core import (
+    RootedTree,
+    branch_children,
+    leaf_counts,
+    preorder,
+    structural_stats,
+    subtree,
+)
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
@@ -43,29 +53,56 @@ def leaf_distance_sum(tree: RootedTree, v: int) -> int:
     return sum(dist[w] for w in tree.leaf_order)
 
 
+def _edge_leaf_counts(tree: RootedTree) -> list[int]:
+    """k_e for the edge e from each vertex to its parent: the vertex's leaf
+    count, or 0 at the root, which has no such edge.
+
+    Since C = I_p I_p^T, every quantity below is a sum over edges: the
+    entry sum is sum k_e^2, a leaf's row sum is the sum of k_e along its
+    root path, and e separates k_e (L - k_e) pairs of leaves.
+    """
+    k = leaf_counts(tree)
+    k[tree.root] = 0
+    return k
+
+
+def _row_sums(tree: RootedTree, k: list[int]) -> list[int]:
+    """Row sums of C in leaf_order, from the edge leaf counts k."""
+    parent = tree.parent
+    path = [0] * tree.n_vertices
+    for v in preorder(tree)[1:]:
+        path[v] = path[parent[v]] + k[v]
+    return [path[v] for v in tree.leaf_order]
+
+
+def _wiener(k: list[int], n_leaves: int) -> int:
+    return sum(x * (n_leaves - x) for x in k)
+
+
 def total_ancestral_depth(tree: RootedTree, v: int) -> int:
     """Row sum of v's row of the ancestral matrix: sum over leaves w of the
-    ancestral level of v and w."""
+    ancestral level of v and w, i.e. the sum of k_e over the edges on v's
+    root path."""
     if v < 0 or v >= tree.n_vertices or tree.children[v]:
         raise NotALeaf(f"{v} is not a leaf")
-    i = tree.leaf_order.index(v)
-    return sum(ancestral_matrix(tree).rows[i])
-
-
-def terminal_wiener(tree: RootedTree) -> int:
-    """Sum of pairwise distances between leaves, by breadth-first search."""
-    leaves = tree.leaf_order
+    k = _edge_leaf_counts(tree)
     total = 0
-    for idx, v in enumerate(leaves):
-        dist = _distances_from(tree, v)
-        for w in leaves[idx + 1:]:
-            total += dist[w]
+    while tree.parent[v] is not None:
+        total += k[v]
+        v = tree.parent[v]
     return total
 
 
+def terminal_wiener(tree: RootedTree) -> int:
+    """Sum of pairwise distances between leaves: each edge e lies on the
+    path of k_e (L - k_e) leaf pairs."""
+    return _wiener(_edge_leaf_counts(tree), tree.n_leaves)
+
+
 def q_value(tree: RootedTree) -> int:
-    """Sum of all entries of the ancestral matrix."""
-    return sum(sum(row) for row in ancestral_matrix(tree).rows)
+    """Sum of all entries of the ancestral matrix, sum of k_e^2 over the
+    edges."""
+    return sum(k * k for k in _edge_leaf_counts(tree))
 
 
 def q_recursion_check(tree: RootedTree) -> bool:
@@ -110,11 +147,12 @@ def bound_report(tree: RootedTree, tol: float = BOUND_TOL,
     if tree.n_vertices == 1:
         raise SingleVertexTree("bounds are vacuous on a single vertex")
     stats = structural_stats(tree)
-    rows = ancestral_matrix(tree).rows
-    row_sums = [sum(r) for r in rows]
+    k = _edge_leaf_counts(tree)
+    row_sums = _row_sums(tree, k)
     avg_ad = Fraction(sum(row_sums), stats.L)
     max_ad = max(row_sums)
-    tw_bound = Fraction(stats.D_root) - Fraction(terminal_wiener(tree), stats.L)
+    tw_bound = (Fraction(stats.D_root)
+                - Fraction(_wiener(k, stats.L), stats.L))
     if tw_bound != avg_ad:
         raise AssertionError("the two lower-bound derivations disagree")
     height_bound = stats.h

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -234,18 +235,18 @@ def _cmd_caterpillar(args) -> int:
     n = args.n
     poly = caterpillar_charpoly(n)
     numeric = spectral_radius(binary_caterpillar(n), args.tol).rho
-    trig = _fmt(trig_spectral_radius(n).rho) if n >= 3 else "n/a"
+    trig = trig_spectral_radius(n).rho if n >= 3 else None
     if args.json:
         _emit_json({
             "n": n,
             "coefficients": poly.highest_first(),
-            "trig_rho": None if n < 3 else trig_spectral_radius(n).rho,
+            "trig_rho": trig,
             "numeric_rho": numeric,
             "asymptotic": asymptotic_rho(n),
         })
         return 0
     print("coefficients=" + " ".join(str(c) for c in poly.highest_first()))
-    print(f"trig_rho={trig}")
+    print(f"trig_rho={'n/a' if trig is None else _fmt(trig)}")
     print(f"numeric_rho={_fmt(numeric)}")
     print(f"asymptotic={_fmt(asymptotic_rho(n))}")
     return 0
@@ -428,20 +429,9 @@ def _suite_broom(corpus, tol, budget, max_leaves: int) -> bool:
     return True
 
 
-def _partitions_of(m: int, max_part: Optional[int] = None):
-    if max_part is None or max_part > m:
-        max_part = m
-    if m == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in _partitions_of(m - first, first):
-            yield (first,) + rest
-
-
 def _suite_greedy(corpus, tol, budget, max_leaves: int) -> bool:
     for n_vertices in range(2, max_leaves + 2):
-        for seq in _partitions_of(n_vertices - 1):
+        for seq in enumeration._partitions(n_vertices - 1):
             cls = enumeration.by_outdegree_sequence(seq)
             report = enumeration.verify_extremal(cls, greedy_caterpillar(seq),
                                                  tol=1e-7, eig_tol=tol)
@@ -578,16 +568,45 @@ def _add_source_flags(sub, with_gen_only: bool = False) -> None:
     group.add_argument("--gen", help="family spec, e.g. broom:2,3")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, like every other error, and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
+
+
+def _max_leaves(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def _add_common_flags(sub) -> None:
     sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="numeric tolerance (default 1e-10)")
+    sub.add_argument("--tol", type=_positive_tol, default=DEFAULT_TOL,
+                     help="numeric tolerance, positive (default 1e-10)")
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="enumeration budget for collections")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ancestral",
         description="Ancestral matrices of rooted trees: exact charpolys, "
                     "spectra, bounds, and theorem checkers.")
@@ -644,8 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-all",
                           help="run every theorem suite up to a size bound")
-    sub.add_argument("--max-leaves", type=int, default=7,
-                     help="leaf-count bound for the enumerated corpus")
+    sub.add_argument("--max-leaves", type=_max_leaves, default=7,
+                     help="leaf-count bound for the enumerated corpus, "
+                          "at least 2")
     _add_common_flags(sub)
     sub.set_defaults(func=_cmd_verify_all)
     return parser

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import DEFAULT_TOL, spectral_radius
-from .tree_core import RootedTree, build_tree, subtree
+from .tree_core import RootedTree, build_tree, preorder, subtree
 
 DEFAULT_CAP = 10 ** 6
 
@@ -26,22 +26,27 @@ Encoding = tuple
 
 
 def canonical_encoding(tree: RootedTree) -> Encoding:
-    def enc(v: int) -> Encoding:
-        return tuple(sorted(enc(c) for c in tree.children[v]))
-
-    return enc(tree.root)
+    """Sorted-tuple encoding of the tree, built bottom-up without recursion."""
+    children = tree.children
+    enc: list = [None] * tree.n_vertices
+    for v in reversed(preorder(tree)):
+        enc[v] = tuple(sorted(enc[c] for c in children[v]))
+    return enc[tree.root]
 
 
 def encoding_to_tree(enc: Encoding) -> RootedTree:
+    """The tree of an encoding, vertices numbered in preorder, built without
+    recursion."""
     parents: list[Optional[int]] = []
-
-    def walk(node: Encoding, parent: Optional[int]) -> None:
+    stack = [enc]
+    above: list[Optional[int]] = [None]  # parent of each node on the stack
+    while stack:
+        node = stack.pop()
         idx = len(parents)
-        parents.append(parent)
-        for child in node:
-            walk(child, idx)
-
-    walk(enc, None)
+        parents.append(above.pop())
+        if node:
+            stack.extend(node[::-1])
+            above.extend([idx] * len(node))
     return build_tree(parents)
 
 

@@ -46,9 +46,14 @@ class TrailingGarbage(AncestralError):
 # spectral
 
 class NoConvergence(AncestralError):
-    def __init__(self, sweeps: int):
-        self.sweeps = sweeps
-        super().__init__(f"residual target not met after {sweeps} sweep(s)")
+    """The eigensolver's residual exceeds its bound; the residual is inf
+    when the solver itself failed."""
+
+    def __init__(self, residual: float, bound: float):
+        self.residual = residual
+        self.bound = bound
+        super().__init__(f"eigensolver residual {residual:.3g} exceeds "
+                         f"the bound {bound:.3g}")
 
 
 class SingleVertexTree(AncestralError):

@@ -1,15 +1,18 @@
 """Exact characteristic polynomial of the ancestral matrix over big integers.
 
-Two genuinely independent exact pipelines are kept side by side:
+Two genuinely independent exact routes are kept side by side:
 
-* the primary route evaluates det(xI - C) at n+1 integer points by
-  fraction-free (Bareiss) elimination and interpolates, which is exact
-  because the polynomial is monic with integer coefficients;
-* the cross-check route is Faddeev-LeVerrier, whose per-step division by k
-  is exact for integer matrices.
+* the primary route, ``char_poly``, is a dynamic program over the tree that
+  never builds C: it uses the block structure C(T) = sum over branches B_i
+  of (C(B_i) + J), with the matrix determinant lemma and Sherman-Morrison
+  for the rank-one J, and costs O(L^2) big-integer products for L leaves;
+* the cross-check route is Faddeev-LeVerrier on the matrix itself, whose
+  per-step division by k is exact for integer matrices.
 
 Collapsing these into one would silently drop a built-in oracle, so both are
 public and the test suite compares them coefficient by coefficient.
+Fraction-free (Bareiss) elimination serves the determinant checks
+``eval_det_shift`` and ``dary_determinant_check``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 
 from .ancestral_matrices import ancestral_matrix
 from .errors import NotDary
-from .tree_core import RootedTree
+from .tree_core import RootedTree, preorder
 
 
 @dataclass(frozen=True)
@@ -70,47 +73,22 @@ def bareiss_determinant(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _poly_mul_linear(coeffs: list, root) -> list:
-    """Multiply a lowest-first coefficient list by (x - root)."""
-    out = [0] * (len(coeffs) + 1)
-    for t, c in enumerate(coeffs):
-        out[t] -= root * c
-        out[t + 1] += c
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two lowest-first coefficient lists, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 
-def charpoly_by_interpolation(rows) -> tuple[int, ...]:
-    """det(xI - M) for an integer matrix M via n+1 evaluations at x = 0..n
-    and exact Lagrange interpolation.  Coefficients lowest first."""
-    n = len(rows)
-    if n == 0:
-        return (1,)
-    points = list(range(n + 1))
-    values = []
-    for x in points:
-        shifted = [[(x if i == j else 0) - rows[i][j] for j in range(n)]
-                   for i in range(n)]
-        values.append(bareiss_determinant(shifted))
-    coeffs = [Fraction(0)] * (n + 1)
-    for i in points:
-        denom = 1
-        num = [1]
-        for j in points:
-            if j == i:
-                continue
-            denom *= i - j
-            num = _poly_mul_linear(num, j)
-        scale = Fraction(values[i], denom)
-        for t, c in enumerate(num):
-            coeffs[t] += scale * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("interpolation produced a non-integer")
-        out.append(int(c))
-    if out[-1] != 1:
-        raise AssertionError("characteristic polynomial is not monic")
-    return tuple(out)
+def _poly_sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for lowest-first lists with len(a) >= len(b)."""
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out
 
 
 def _mat_mul(a, b):
@@ -153,8 +131,45 @@ def charpoly_by_faddeev_leverrier(rows) -> tuple[int, ...]:
 
 
 def char_poly(tree: RootedTree) -> IntPolynomial:
-    """Exact det(xI - C(T)); independent of the leaf order."""
-    return IntPolynomial(charpoly_by_interpolation(ancestral_matrix(tree).rows))
+    """Exact det(xI - C(T)) from the tree's block structure, without building
+    C; independent of the leaf order.
+
+    For the subtree at v, with levels counted from v, let A_v be its
+    ancestral matrix, P_v = det(xI - A_v) and S_v = 1^T adj(xI - A_v) 1.  A
+    leaf has A = [0], so (P, S) = (x, 1).  Below an internal vertex, A_v is
+    the direct sum over children c of A_c + J (J all ones).  By the matrix
+    determinant lemma det(xI - A_c - J) = P_c - S_c, and by Sherman-Morrison
+    that block's S is still S_c.  Hence, with F_c = P_c - S_c,
+
+        P_v = prod_c F_c,    S_v = sum_c S_c prod_{c' != c} F_c'.
+
+    Both are folded over the children in one pass that keeps the running
+    product, so a vertex with k children costs O(k) polynomial products and
+    the whole tree O(L^2) coefficient products.  The traversal is iterative,
+    so depth is unbounded.  The root's P is the answer.
+    """
+    children = tree.children
+    p_of: list = [None] * tree.n_vertices
+    s_of: list = [None] * tree.n_vertices
+    for v in reversed(preorder(tree)):
+        kids = children[v]
+        if not kids:
+            p_of[v], s_of[v] = [0, 1], [1]
+            continue
+        # fold the children in one at a time: two diagonal blocks with
+        # (P1, S1) and (P2, S2) give (P1 P2, S1 P2 + P1 S2); both products
+        # have the same length, since deg S = deg P - 1
+        c = kids[0]
+        p_acc, s_acc = _poly_sub(p_of[c], s_of[c]), s_of[c]
+        for c in kids[1:]:
+            f = _poly_sub(p_of[c], s_of[c])
+            s_acc = [a + b for a, b in zip(_poly_mul(s_acc, f),
+                                           _poly_mul(p_acc, s_of[c]))]
+            p_acc = _poly_mul(p_acc, f)
+        p_of[v], s_of[v] = p_acc, s_acc
+        for c in kids:  # children are done with; free their polynomials
+            p_of[c] = s_of[c] = None
+    return IntPolynomial(tuple(p_of[tree.root]))
 
 
 def gamma_coefficients(tree: RootedTree) -> list[int]:

@@ -46,22 +46,39 @@ class _Parser:
             self.pos += 1
         return self.text[start:self.pos]
 
-    def subtree(self, parents: list[Optional[int]], labels: dict[int, str],
-                parent: Optional[int]) -> None:
-        me = len(parents)
-        parents.append(parent)
-        if self.peek() == "(":
-            self.pos += 1
-            self.subtree(parents, labels, me)
-            while self.peek() == ",":
+    def tree(self, parents: list[Optional[int]], labels: dict[int, str]) -> None:
+        """Read one subtree, appending its vertices in preorder.
+
+        Iterative: ``open_`` holds the internal vertices whose ")" is still
+        to come, so nesting depth is bounded only by memory.
+        """
+        open_: list[int] = []
+        while True:
+            # at the start of a subtree
+            me = len(parents)
+            parents.append(open_[-1] if open_ else None)
+            if self.peek() == "(":
                 self.pos += 1
-                self.subtree(parents, labels, me)
-            if self.peek() != ")":
-                raise NewickSyntaxError(self.pos, "expected ',' or ')'")
-            self.pos += 1
-        label = self.take_label()
-        if label:
-            labels[me] = label
+                open_.append(me)
+                continue
+            label = self.take_label()
+            if label:
+                labels[me] = label
+            # a subtree just ended: start a sibling, or close parents
+            while open_:
+                c = self.peek()
+                if c == ",":
+                    self.pos += 1
+                    break
+                if c != ")":
+                    raise NewickSyntaxError(self.pos, "expected ',' or ')'")
+                self.pos += 1
+                v = open_.pop()
+                label = self.take_label()
+                if label:
+                    labels[v] = label
+            else:
+                return
 
 
 def parse_newick(text: str) -> RootedTree:
@@ -82,7 +99,7 @@ def parse_newick_with_labels(text: str) -> tuple[RootedTree, dict[int, str]]:
         raise EmptyInput("no tree in input")
     parents: list[Optional[int]] = []
     labels: dict[int, str] = {}
-    p.subtree(parents, labels, None)
+    p.tree(parents, labels)
     if p.peek() != ";":
         raise NewickSyntaxError(p.pos, "expected ';'")
     p.pos += 1
@@ -96,19 +113,23 @@ def serialize_newick(tree: RootedTree, labels: Optional[dict[int, str]] = None) 
     """Canonical text form: children in stored order, no whitespace, leaves
     unlabeled unless a label map is supplied, terminated by ";"."""
     parts: list[str] = []
-
-    def emit(v: int) -> None:
-        kids = tree.children[v]
-        if kids:
-            parts.append("(")
-            for i, c in enumerate(kids):
-                if i:
-                    parts.append(",")
-                emit(c)
-            parts.append(")")
-        if labels and v in labels:
-            parts.append(labels[v])
-
-    emit(tree.root)
+    # pending items: a vertex to emit, or literal text; no recursion
+    stack: list = [tree.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        label = labels.get(item, "") if labels else ""
+        kids = tree.children[item]
+        if not kids:
+            parts.append(label)
+            continue
+        parts.append("(")
+        stack.append(")" + label)
+        for i, c in enumerate(reversed(kids)):
+            if i:
+                stack.append(",")
+            stack.append(c)
     parts.append(";")
     return "".join(parts)

@@ -8,6 +8,7 @@ the residual is checked after the fact rather than trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,17 @@ def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
     a = _as_array(m)
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
+    bound = tol * max(1.0, float(np.linalg.norm(a, "fro")))
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(sweeps=1) from exc
+        raise NoConvergence(residual=math.inf, bound=bound) from exc
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
     residual = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
-    bound = tol * max(1.0, float(np.linalg.norm(a, "fro")))
     if residual > bound:
-        raise NoConvergence(sweeps=1)
+        raise NoConvergence(residual=residual, bound=bound)
     return Spectrum(eigenvalues=tuple(float(v) for v in vals),
                     eigenvectors=vecs, residual=residual)
 
@@ -119,15 +120,15 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
     basis: list[tuple[int, ...]] = []
     for parent in sorted(groups):
         members = groups[parent]
-        first = members[0]
+        first = pos[members[0]]
         for other in members[1:]:
             vec = [0] * n
-            vec[pos[first]] = 1
+            vec[first] = 1
             vec[pos[other]] = -1
             basis.append(tuple(vec))
         if parent == tree.root:
             vec = [0] * n
-            vec[pos[first]] = 1
+            vec[first] = 1
             basis.append(tuple(vec))
 
     leaf_adjacent = {tree.parent[v] for v in leaves}
@@ -136,10 +137,13 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
     if multiplicity != len(basis):
         raise AssertionError("basis size disagrees with the counting formula")
 
+    # C is symmetric, so C vec combines the rows at vec's 1-2 nonzero entries
     rows = ancestral_matrix(tree).rows
     for vec in basis:
-        for i in range(n):
-            image = sum(rows[i][j] * vec[j] for j in range(n))
-            if image != vec[i]:
-                raise AssertionError("constructed vector is not fixed by C")
+        image = [0] * n
+        for j, x in enumerate(vec):
+            if x:
+                image = [a + x * b for a, b in zip(image, rows[j])]
+        if tuple(image) != vec:
+            raise AssertionError("constructed vector is not fixed by C")
     return EigenOneCertificate(multiplicity=multiplicity, basis=tuple(basis))

@@ -118,8 +118,11 @@ def _check_vertex(tree: RootedTree, v: int) -> None:
 def ancestral_level(tree: RootedTree, u: int, v: int) -> int:
     """Level of the lowest common ancestor of u and v.
 
-    Symmetric, and ancestral_level(v, v) is the level of v itself.  Trees are
-    desk scale, so a plain parent walk with level alignment suffices.
+    Symmetric, and ancestral_level(v, v) is the level of v itself.  This is
+    the per-pair query, a parent walk with level alignment costing O(height);
+    whole matrices are filled from the leaf ranges of ``preorder`` instead
+    (see ``ancestral_matrices.ancestral_matrix``), and tests use this
+    function as their oracle.
     """
     _check_vertex(tree, u)
     _check_vertex(tree, v)
@@ -135,6 +138,38 @@ def ancestral_level(tree: RootedTree, u: int, v: int) -> int:
         v = tree.parent[v]
         lu -= 1
     return lu
+
+
+def preorder(tree: RootedTree) -> list[int]:
+    """Every vertex once, parents before children, children in stored order.
+
+    The leaves of any subtree are contiguous in this order, and it is
+    computed without recursion, so trees of any depth are fine.
+    """
+    children = tree.children
+    order = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = children[v]
+        if kids:
+            stack.extend(reversed(kids))
+    return order
+
+
+def leaf_counts(tree: RootedTree) -> list[int]:
+    """Number of leaves in the subtree of each vertex.
+
+    For v other than the root this is k_e, the number of leaves below the
+    edge e from v to its parent.
+    """
+    children = tree.children
+    count = [0] * tree.n_vertices
+    for v in reversed(preorder(tree)):
+        kids = children[v]
+        count[v] = sum(count[c] for c in kids) if kids else 1
+    return count
 
 
 def branch_children(tree: RootedTree) -> tuple[int, ...]:
@@ -265,17 +300,16 @@ def complete_dary(d: int, h: int) -> RootedTree:
     """Every internal vertex has d children and all leaves sit at level h."""
     if d < 1 or h < 0:
         raise InvalidParameter("need d >= 1 and h >= 0")
-    parents: list[Optional[int]] = [None]
-
-    # depth-first so vertex numbers follow preorder, like every other family
-    def grow(v: int, depth: int) -> None:
-        if depth == h:
-            return
-        for _ in range(d):
-            parents.append(v)
-            grow(len(parents) - 1, depth + 1)
-
-    grow(0, 0)
+    parents: list[Optional[int]] = []
+    # depth-first so vertex numbers follow preorder, like every other family;
+    # siblings are interchangeable, so one stack entry per pending child
+    stack: list[tuple[Optional[int], int]] = [(None, 0)]
+    while stack:
+        parent, depth = stack.pop()
+        v = len(parents)
+        parents.append(parent)
+        if depth < h:
+            stack.extend([(v, depth + 1)] * d)
     return build_tree(parents)
 
 

@@ -169,3 +169,16 @@ def poly_eval_fraction(coeffs_lowest_first, x: Fraction) -> Fraction:
 
 def seeded_rng(salt: int = 0) -> random.Random:
     return random.Random(987654321 + salt)
+
+
+def shuffled_random_tree(n_vertices: int, rng: random.Random) -> RootedTree:
+    """Random attachment tree whose vertex numbers are shuffled before
+    build_tree, so the numbering is in general not a preorder: parents may
+    carry larger numbers than their children, and leaf_order differs from
+    the left-to-right order of a depth-first walk."""
+    label = list(range(n_vertices))
+    rng.shuffle(label)
+    parents = [None] * n_vertices
+    for v in range(1, n_vertices):
+        parents[label[v]] = label[rng.randrange(v)]
+    return build_tree(parents)

@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ancestral import (
+    ancestral_level,
     ancestral_matrix,
     block_reconstruction,
     build_tree,
     gram_check,
     gram_product,
     path_incidence_matrix,
+    preorder,
     subtree,
 )
 from ancestral.ancestral_matrices import format_matrix
@@ -19,6 +21,8 @@ from helpers import (
     corpus,
     example_tree,
     lca_level_oracle,
+    seeded_rng,
+    shuffled_random_tree,
 )
 
 
@@ -41,6 +45,23 @@ def test_entries_are_lca_levels():
         for i, u in enumerate(t.leaf_order):
             for j, v in enumerate(t.leaf_order):
                 assert rows[i][j] == lca_level_oracle(t, u, v)
+
+
+def test_matrix_on_shuffled_numberings():
+    # vertex numbers are shuffled, so preorder leaf positions differ from
+    # leaf_order and the filled matrix has to be permuted back
+    rng = seeded_rng(31)
+    permuted = 0
+    for _ in range(120):
+        t = shuffled_random_tree(rng.randint(1, 60), rng)
+        rows = ancestral_matrix(t).rows
+        leaves = t.leaf_order
+        assert rows == tuple(tuple(ancestral_level(t, u, v) for v in leaves)
+                             for u in leaves)
+        assert rows == gram_product(path_incidence_matrix(t))
+        if [v for v in preorder(t) if t.is_leaf(v)] != list(leaves):
+            permuted += 1
+    assert permuted > 50
 
 
 def test_diagonal_is_strict_row_maximum():

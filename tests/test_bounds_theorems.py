@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ancestral import (
+    ancestral_matrix,
     bound_report,
     broom,
     build_tree,
@@ -25,6 +26,8 @@ from helpers import (
     bfs_distances,
     corpus,
     example_tree,
+    seeded_rng,
+    shuffled_random_tree,
 )
 
 
@@ -52,6 +55,20 @@ def test_terminal_wiener_against_bfs():
             dist = bfs_distances(t, u)
             expected += sum(dist[v] for v in leaves[i + 1:])
         assert terminal_wiener(t) == expected
+
+
+def test_edge_count_quantities_match_the_matrix():
+    rng = seeded_rng(43)
+    for _ in range(60):
+        t = shuffled_random_tree(rng.randint(2, 60), rng)
+        rows = ancestral_matrix(t).rows
+        row_sums = [sum(r) for r in rows]
+        assert q_value(t) == sum(row_sums)
+        for i, v in enumerate(t.leaf_order):
+            assert total_ancestral_depth(t, v) == row_sums[i]
+        rep = bound_report(t)
+        assert rep.max_ad == max(row_sums)
+        assert rep.avg_ad == Fraction(sum(row_sums), t.n_leaves)
 
 
 def test_q_recursion_on_corpus():

@@ -240,3 +240,45 @@ def test_verify_all_smoke(capsys):
     assert len(lines) == 17
     assert lines[0] == "gram-identity: VERIFIED"
     assert all(line.endswith(": VERIFIED") for line in lines)
+
+
+@pytest.mark.parametrize("value", ["0", "1", "-3", "two"])
+def test_verify_all_rejects_bad_max_leaves(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-all", "--max-leaves", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument --max-leaves:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "x"])
+def test_tol_must_be_positive_and_finite(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--gen", "star:3", "--tol", value])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: argument --tol:")
+    assert err.count("\n") == 1
+
+
+def test_missed_residual_reports_residual_and_bound(capsys):
+    code, out, err = run(capsys, "spectrum", "--newick", EX, "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eigensolver residual ")
+    assert "exceeds the bound" in err and "sweep" not in err
+
+
+def test_deep_inputs_do_not_recurse(capsys, tmp_path):
+    depth = 3000
+    code, out, _ = run(capsys, "gen", "--gen", f"dary:1,{depth}")
+    assert code == 0
+    assert out == "(" * depth + ")" * depth + ";\n"
+    path = tmp_path / "deep.nwk"
+    path.write_text(out, encoding="utf-8")
+    code, out, _ = run(capsys, "charpoly", "--file", str(path))
+    assert code == 0
+    assert out == f"1 -{depth}\n"

@@ -152,3 +152,10 @@ def test_random_tree_is_seeded_and_preorder():
     rng = seeded_rng(7)
     shapes = {canonical_encoding(random_tree(6, rng)) for _ in range(50)}
     assert len(shapes) > 3
+
+
+def test_deep_encoding_round_trip():
+    depth = 10 ** 5
+    t = broom(depth, 2)
+    back = encoding_to_tree(canonical_encoding(t))
+    assert back.parent_list() == t.parent_list()

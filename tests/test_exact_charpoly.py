@@ -1,5 +1,6 @@
-"""Exact characteristic polynomial: two in-package routes that must agree,
-plus an external computer-algebra oracle on a spot-check set."""
+"""Exact characteristic polynomial: two in-package routes that must agree
+(the tree dynamic program behind char_poly, and Faddeev-LeVerrier on the
+matrix), plus an external computer-algebra oracle on a spot-check set."""
 
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from ancestral import (
     broom,
     char_poly,
     charpoly_by_faddeev_leverrier,
-    charpoly_by_interpolation,
     complete_dary,
     dary_determinant_check,
     eval_det_shift,
@@ -20,7 +20,7 @@ from ancestral import (
     greedy_caterpillar,
     star,
 )
-from ancestral import ancestral_matrix, leaf_distance_sum
+from ancestral import ancestral_matrix, build_tree, leaf_distance_sum
 from ancestral.errors import NotDary
 
 from helpers import (
@@ -30,6 +30,8 @@ from helpers import (
     corpus,
     example_tree,
     poly_eval_fraction,
+    seeded_rng,
+    shuffled_random_tree,
 )
 
 
@@ -66,7 +68,20 @@ def test_gamma_signs_alternate_and_are_nonnegative():
 def test_two_routes_agree_on_corpus():
     for t in corpus(8):
         rows = ancestral_matrix(t).rows
-        assert charpoly_by_interpolation(rows) == charpoly_by_faddeev_leverrier(rows)
+        assert char_poly(t).coeffs == charpoly_by_faddeev_leverrier(rows)
+
+
+def test_two_routes_agree_on_random_trees():
+    # shuffled vertex numbers, so children and leaves are not in preorder,
+    # and a few high-degree vertices among the random attachments
+    rng = seeded_rng(17)
+    for _ in range(60):
+        t = shuffled_random_tree(rng.randint(1, 40), rng)
+        rows = ancestral_matrix(t).rows
+        assert char_poly(t).coeffs == charpoly_by_faddeev_leverrier(rows)
+    for t in (star(25), build_tree([None, 0] + [1] * 20 + [0] * 5)):
+        rows = ancestral_matrix(t).rows
+        assert char_poly(t).coeffs == charpoly_by_faddeev_leverrier(rows)
 
 
 def test_against_sympy_oracle():
@@ -109,7 +124,7 @@ def test_dary_determinant_check():
 def test_big_integer_coefficients_stay_exact():
     t = binary_caterpillar(24)
     rows = ancestral_matrix(t).rows
-    a = charpoly_by_interpolation(rows)
+    a = char_poly(t).coeffs
     b = charpoly_by_faddeev_leverrier(rows)
     assert a == b
     assert a[-1] == 1  # monic
@@ -124,3 +139,9 @@ def test_polynomial_callable():
     assert poly(1) == 0
     assert poly(0) == -1
     assert poly(Fraction(3, 2)) == Fraction(1, 8)
+
+
+def test_deep_path_charpoly():
+    # C = [[L]] for a path with its one leaf at level L
+    depth = 10 ** 5
+    assert char_poly(broom(depth - 1, 1)).highest_first() == (1, -depth)

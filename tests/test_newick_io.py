@@ -106,3 +106,15 @@ def test_round_trip_property(data):
     parents = [None] + [data.draw(st.integers(0, v - 1)) for v in range(1, n)]
     t = subtree(build_tree(parents), 0)
     assert parse_newick(serialize_newick(t)).parent_list() == t.parent_list()
+
+
+def test_deep_nesting_round_trip():
+    depth = 10 ** 5
+    text = "(" * depth + ")" * depth + ";"
+    t = parse_newick(text)
+    assert t.n_vertices == depth + 1 and t.height == depth
+    assert serialize_newick(t) == text
+    labelled = "(" * depth + "a" + ")b" * depth + ";"
+    t, labels = parse_newick_with_labels(labelled)
+    assert labels[depth] == "a" and labels[0] == "b" and len(labels) == depth + 1
+    assert serialize_newick(t, labels) == labelled

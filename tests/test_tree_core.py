@@ -9,7 +9,9 @@ from ancestral import (
     complete_dary,
     generate,
     greedy_caterpillar,
+    leaf_counts,
     path_broom,
+    preorder,
     star,
     star_plus_path,
     structural_stats,
@@ -116,6 +118,20 @@ def test_complete_dary():
     assert complete_dary(3, 2).n_leaves == 9
     with pytest.raises(InvalidParameter):
         complete_dary(0, 2)
+
+
+def test_complete_dary_deep():
+    depth = 10 ** 5
+    t = complete_dary(1, depth)
+    assert t.parent_list() == [None] + list(range(depth))
+    assert t.height == depth
+
+
+def test_preorder_and_leaf_counts_example():
+    t = example_tree()
+    assert preorder(t) == [0, 2, 1, 3, 4, 5, 6, 7, 8, 9]
+    assert leaf_counts(t) == [6, 1, 2, 1, 4, 1, 1, 2, 1, 1]
+    assert leaf_counts(build_tree([None])) == [1]
 
 
 def test_greedy_caterpillar_orders_outdegrees_ascending():
