@@ -83,7 +83,6 @@ from .tree_core import (
     greedy_caterpillar,
     leaf_counts,
     path_broom,
-    preorder,
     star,
     star_plus_path,
     structural_stats,

@@ -43,46 +43,26 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
     """c_ij = ancestral level of leaves i and j (in leaf_order).
 
     Filled top-down in O(L^2) list-slice writes instead of one ancestor walk
-    per pair.  In preorder the leaves below a vertex v form a contiguous
-    range, and every leaf in that range shares v as a common ancestor with
-    every leaf below v.  So each vertex carries a row template: its parent's
-    template with v's own leaf range set to level(v).  A leaf's template is
-    its row.  The last child of a vertex takes the template over; the other
-    children copy it, so there are L - 1 copies in all.
+    per pair.  In the tree's preorder the leaves below a vertex v form the
+    contiguous range [leaf_start[v], leaf_stop[v]), and every leaf in that
+    range shares v as a common ancestor with every leaf below v.  So each
+    vertex carries a row template: its parent's template with v's own leaf
+    range set to level(v).  A leaf's template is its row.  The last child of
+    a vertex takes the template over; the other children copy it, so there
+    are L - 1 copies in all.
     """
     children = tree.children
     level = tree.level
+    parent = tree.parent
+    start, stop = tree.leaf_start, tree.leaf_stop
     leaf_order = tree.leaf_order
     n = len(leaf_order)
     if n == 1:
         return AncestralMatrix(n=1, rows=((level[leaf_order[0]],),))
-    # preorder (children in stored order), the first preorder leaf position
-    # below each vertex, and the leaves in preorder, in one pass: class
-    # sweeps call this on thousands of tiny trees, where a second pass
-    # would cost more than the per-pair walk it replaces
-    order = []
-    start = [0] * len(children)
-    dfs_leaves = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        start[v] = len(dfs_leaves)
-        kids = children[v]
-        if kids:
-            stack.extend(reversed(kids))
-        else:
-            dfs_leaves.append(v)
-    stop = start[:]  # one past the last leaf position below v
-    for v in reversed(order):
-        kids = children[v]
-        stop[v] = stop[kids[-1]] if kids else start[v] + 1
-
-    parent = tree.parent
-    template: list = [None] * len(order)
+    template: list = [None] * len(children)
     template[tree.root] = [0] * n
     rows = []  # in preorder leaf order
-    for v in order[1:]:
+    for v in tree.preorder[1:]:
         p = parent[v]
         row = template[p] if children[p][-1] == v else template[p][:]
         a = start[v]
@@ -93,11 +73,10 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
         else:
             row[a] = level[v]
             rows.append(row)
-    if tuple(dfs_leaves) == leaf_order:
+    perm = [start[v] for v in leaf_order]
+    if perm == list(range(n)):
         return AncestralMatrix(n=n, rows=tuple(map(tuple, rows)))
     # vertex numbering is not a preorder: permute back to leaf_order
-    where = {v: i for i, v in enumerate(dfs_leaves)}
-    perm = [where[v] for v in leaf_order]
     pick = itemgetter(*perm)
     return AncestralMatrix(n=n, rows=tuple(pick(rows[i]) for i in perm))
 

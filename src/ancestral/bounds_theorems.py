@@ -17,14 +17,7 @@ from fractions import Fraction
 
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import DEFAULT_TOL, spectral_radius
-from .tree_core import (
-    RootedTree,
-    branch_children,
-    leaf_counts,
-    preorder,
-    structural_stats,
-    subtree,
-)
+from .tree_core import RootedTree, leaf_counts, structural_stats
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
@@ -70,7 +63,7 @@ def _row_sums(tree: RootedTree, k: list[int]) -> list[int]:
     """Row sums of C in leaf_order, from the edge leaf counts k."""
     parent = tree.parent
     path = [0] * tree.n_vertices
-    for v in preorder(tree)[1:]:
+    for v in tree.preorder[1:]:
         path[v] = path[parent[v]] + k[v]
     return [path[v] for v in tree.leaf_order]
 
@@ -108,18 +101,17 @@ def q_value(tree: RootedTree) -> int:
 def q_recursion_check(tree: RootedTree) -> bool:
     """Branch recursion for the matrix-entry sum: the value for the whole
     tree equals the sum over branches of (branch value + branch leaf count
-    squared), recursively down to single vertices."""
+    squared), recursively down to single vertices.
 
-    def recurse(t: RootedTree) -> int:
-        if t.n_vertices == 1:
-            return 0
-        total = 0
-        for c in branch_children(t):
-            sub = subtree(t, c)
-            total += recurse(sub) + sub.n_leaves ** 2
-        return total
-
-    return recurse(tree) == q_value(tree)
+    The recursion q_v = sum over children c of (q_c + k_c^2), with q = 0 at a
+    leaf, is evaluated bottom-up over the preorder, so depth is unbounded.
+    """
+    children = tree.children
+    k = leaf_counts(tree)
+    q = [0] * tree.n_vertices
+    for v in reversed(tree.preorder):
+        q[v] = sum(q[c] + k[c] * k[c] for c in children[v])
+    return q[tree.root] == q_value(tree)
 
 
 @dataclass(frozen=True)

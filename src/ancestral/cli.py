@@ -353,16 +353,16 @@ def _corpus(max_leaves: int) -> list[RootedTree]:
     return trees
 
 
-def _suite_gram(corpus, tol, budget) -> bool:
+def _suite_gram(corpus, tol, budget, max_leaves: int) -> bool:
     return all(gram_check(t) for t in corpus)
 
 
-def _suite_blocks(corpus, tol, budget) -> bool:
+def _suite_blocks(corpus, tol, budget, max_leaves: int) -> bool:
     return all(block_reconstruction(t) == ancestral_matrix(t).rows
                for t in corpus)
 
 
-def _suite_eigenvalue_one(corpus, tol, budget) -> bool:
+def _suite_eigenvalue_one(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         if t.n_vertices == 1:
             continue
@@ -374,17 +374,17 @@ def _suite_eigenvalue_one(corpus, tol, budget) -> bool:
     return True
 
 
-def _suite_bounds(corpus, tol, budget) -> bool:
+def _suite_bounds(corpus, tol, budget, max_leaves: int) -> bool:
     return all(bound_report(t, eig_tol=tol).all_satisfied
                for t in corpus if t.n_vertices > 1)
 
 
-def _suite_delta_equality(corpus, tol, budget) -> bool:
+def _suite_delta_equality(corpus, tol, budget, max_leaves: int) -> bool:
     return all(delta_equality_holds(t, eig_tol=tol) == is_complete_dary(t)
                for t in corpus if t.n_vertices > 1)
 
 
-def _suite_trace(corpus, tol, budget) -> bool:
+def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         highest = char_poly(t).highest_first()
         trace = -highest[1] if len(highest) > 1 else 0
@@ -393,7 +393,7 @@ def _suite_trace(corpus, tol, budget) -> bool:
     return True
 
 
-def _suite_collections(corpus, tol, budget) -> bool:
+def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         poly = char_poly(t)
         highest = poly.highest_first()
@@ -407,7 +407,7 @@ def _suite_collections(corpus, tol, budget) -> bool:
     return True
 
 
-def _suite_dary_det(corpus, tol, budget) -> bool:
+def _suite_dary_det(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         degs = {len(c) for c in t.children if c}
         for d in (2, 3):
@@ -523,35 +523,32 @@ def _suite_round_trip(corpus, tol, budget, max_leaves: int) -> bool:
 
 
 _SUITES = (
-    ("gram-identity", _suite_gram, False),
-    ("block-structure", _suite_blocks, False),
-    ("eigenvalue-one", _suite_eigenvalue_one, False),
-    ("bounds", _suite_bounds, False),
-    ("delta-equality", _suite_delta_equality, False),
-    ("trace-identity", _suite_trace, False),
-    ("collection-coefficients", _suite_collections, False),
-    ("dary-determinant", _suite_dary_det, False),
-    ("broom-extremality", _suite_broom, True),
-    ("greedy-extremality", _suite_greedy, True),
-    ("series-reduced-extremality", _suite_series_reduced, True),
-    ("caterpillar-recursion", _suite_caterpillar_recursion, True),
-    ("chebyshev-closed-form", _suite_chebyshev, True),
-    ("trig-spectral-radius", _suite_trig, True),
-    ("asymptotic-window", _suite_asymptotic, True),
-    ("monotonicity", _suite_monotonicity, True),
-    ("newick-round-trip", _suite_round_trip, True),
+    ("gram-identity", _suite_gram),
+    ("block-structure", _suite_blocks),
+    ("eigenvalue-one", _suite_eigenvalue_one),
+    ("bounds", _suite_bounds),
+    ("delta-equality", _suite_delta_equality),
+    ("trace-identity", _suite_trace),
+    ("collection-coefficients", _suite_collections),
+    ("dary-determinant", _suite_dary_det),
+    ("broom-extremality", _suite_broom),
+    ("greedy-extremality", _suite_greedy),
+    ("series-reduced-extremality", _suite_series_reduced),
+    ("caterpillar-recursion", _suite_caterpillar_recursion),
+    ("chebyshev-closed-form", _suite_chebyshev),
+    ("trig-spectral-radius", _suite_trig),
+    ("asymptotic-window", _suite_asymptotic),
+    ("monotonicity", _suite_monotonicity),
+    ("newick-round-trip", _suite_round_trip),
 )
 
 
 def _cmd_verify_all(args) -> int:
     corpus = _corpus(args.max_leaves)
     code = 0
-    for name, func, wants_size in _SUITES:
+    for name, func in _SUITES:
         try:
-            if wants_size:
-                ok = func(corpus, args.tol, args.budget, args.max_leaves)
-            else:
-                ok = func(corpus, args.tol, args.budget)
+            ok = func(corpus, args.tol, args.budget, args.max_leaves)
         except (AncestralError, AssertionError):
             ok = False
         if not ok:
@@ -664,8 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify-all",
                           help="run every theorem suite up to a size bound")
     sub.add_argument("--max-leaves", type=_max_leaves, default=7,
-                     help="leaf-count bound for the enumerated corpus, "
-                          "at least 2")
+                     metavar="N",
+                     help="size bound, at least 2: the corpus is every tree "
+                          "with at most N+1 vertices, not N leaves")
     _add_common_flags(sub)
     sub.set_defaults(func=_cmd_verify_all)
     return parser

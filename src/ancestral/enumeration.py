@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import DEFAULT_TOL, spectral_radius
-from .tree_core import RootedTree, build_tree, preorder, subtree
+from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
 
@@ -29,7 +29,7 @@ def canonical_encoding(tree: RootedTree) -> Encoding:
     """Sorted-tuple encoding of the tree, built bottom-up without recursion."""
     children = tree.children
     enc: list = [None] * tree.n_vertices
-    for v in reversed(preorder(tree)):
+    for v in reversed(tree.preorder):
         enc[v] = tuple(sorted(enc[c] for c in children[v]))
     return enc[tree.root]
 

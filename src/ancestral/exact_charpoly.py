@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .ancestral_matrices import ancestral_matrix
 from .errors import NotDary
-from .tree_core import RootedTree, preorder
+from .tree_core import RootedTree
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def char_poly(tree: RootedTree) -> IntPolynomial:
     children = tree.children
     p_of: list = [None] * tree.n_vertices
     s_of: list = [None] * tree.n_vertices
-    for v in reversed(preorder(tree)):
+    for v in reversed(tree.preorder):
         kids = children[v]
         if not kids:
             p_of[v], s_of[v] = [0, 1], [1]

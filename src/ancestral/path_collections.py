@@ -34,18 +34,6 @@ def upward_paths(tree: RootedTree, v: int) -> int:
     return tree.level[v] + 1
 
 
-def _preorder_leaves(tree: RootedTree) -> list[int]:
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        if tree.is_leaf(v):
-            order.append(v)
-        for c in reversed(tree.children[v]):
-            stack.append(c)
-    return order
-
-
 def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
                       want_witnesses: bool = False) -> CollectionCount:
     """Exhaustive scan of the per-leaf upward-path choices.
@@ -64,7 +52,7 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
         if size > budget:
             raise BudgetExceeded(size)
 
-    leaves = _preorder_leaves(tree)
+    leaves = [v for v in tree.preorder if tree.is_leaf(v)]
     # options[i][j] = bitmask of the first j edges going up from leaf i
     options: list[list[int]] = []
     for v in leaves:

@@ -3,10 +3,15 @@
 Vertices are dense 0-based indices in an arena.  A tree is immutable after
 construction; every operation below is a pure function.  The canonical row and
 column order for all leaf-indexed matrices is ``leaf_order``.
+
+``build_tree`` makes the one depth-first walk over a tree and keeps its
+preorder and the preorder leaf range below each vertex on the tree; every
+other layer reads those arrays instead of walking the tree again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,6 +39,16 @@ class RootedTree:
         every childless vertex exactly once; row/column order for matrices.
     level : tuple of int
         level[v] is the distance from the root to v.
+    preorder : tuple of int
+        every vertex once, parents before children, children in stored
+        order.  The leaves below any vertex are contiguous in it.
+    leaf_start, leaf_stop : tuple of int
+        the leaves below v are the preorder leaves at positions
+        leaf_start[v] up to, but excluding, leaf_stop[v]; their number is
+        leaf_stop[v] - leaf_start[v].
+
+    The last three are derived from ``children`` and take no part in
+    equality or repr.
     """
 
     parent: tuple[Optional[int], ...]
@@ -41,6 +56,9 @@ class RootedTree:
     root: int
     leaf_order: tuple[int, ...]
     level: tuple[int, ...]
+    preorder: tuple[int, ...] = field(repr=False, compare=False)
+    leaf_start: tuple[int, ...] = field(repr=False, compare=False)
+    leaf_stop: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -87,18 +105,31 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
             raise IndexOutOfRange(f"parent of {v} is {p!r}, not a vertex index")
         children[p].append(v)
 
-    level = [-1] * n
-    level[root] = 0
+    # the one depth-first walk: preorder, levels and the first preorder leaf
+    # position below each vertex; vertices on a cycle are never reached
+    level = [0] * n
+    order = []
+    start = [0] * n
+    n_leaves = 0
     stack = [root]
-    seen = 1
     while stack:
         v = stack.pop()
-        for c in children[v]:
-            level[c] = level[v] + 1
-            seen += 1
-            stack.append(c)
-    if seen != n:
+        order.append(v)
+        start[v] = n_leaves
+        kids = children[v]
+        if kids:
+            below = level[v] + 1
+            for c in kids:
+                level[c] = below
+            stack.extend(reversed(kids))
+        else:
+            n_leaves += 1
+    if len(order) != n:
         raise CycleDetected("graph is not connected to the root")
+    stop = start[:]
+    for v in reversed(order):
+        kids = children[v]
+        stop[v] = stop[kids[-1]] if kids else start[v] + 1
 
     leaf_order = tuple(v for v in range(n) if not children[v])
     return RootedTree(
@@ -107,6 +138,9 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
         root=root,
         leaf_order=leaf_order,
         level=tuple(level),
+        preorder=tuple(order),
+        leaf_start=tuple(start),
+        leaf_stop=tuple(stop),
     )
 
 
@@ -120,7 +154,7 @@ def ancestral_level(tree: RootedTree, u: int, v: int) -> int:
 
     Symmetric, and ancestral_level(v, v) is the level of v itself.  This is
     the per-pair query, a parent walk with level alignment costing O(height);
-    whole matrices are filled from the leaf ranges of ``preorder`` instead
+    whole matrices are filled from the tree's preorder leaf ranges instead
     (see ``ancestral_matrices.ancestral_matrix``), and tests use this
     function as their oracle.
     """
@@ -140,41 +174,13 @@ def ancestral_level(tree: RootedTree, u: int, v: int) -> int:
     return lu
 
 
-def preorder(tree: RootedTree) -> list[int]:
-    """Every vertex once, parents before children, children in stored order.
-
-    The leaves of any subtree are contiguous in this order, and it is
-    computed without recursion, so trees of any depth are fine.
-    """
-    children = tree.children
-    order = []
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        kids = children[v]
-        if kids:
-            stack.extend(reversed(kids))
-    return order
-
-
 def leaf_counts(tree: RootedTree) -> list[int]:
     """Number of leaves in the subtree of each vertex.
 
     For v other than the root this is k_e, the number of leaves below the
     edge e from v to its parent.
     """
-    children = tree.children
-    count = [0] * tree.n_vertices
-    for v in reversed(preorder(tree)):
-        kids = children[v]
-        count[v] = sum(count[c] for c in kids) if kids else 1
-    return count
-
-
-def branch_children(tree: RootedTree) -> tuple[int, ...]:
-    """Roots of the branches, i.e. the children of the root."""
-    return tree.children[tree.root]
+    return [b - a for a, b in zip(tree.leaf_start, tree.leaf_stop)]
 
 
 def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, ...]]:
@@ -182,19 +188,17 @@ def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, .
     of each new vertex.  New vertices are numbered in preorder of the subtree,
     preserving children order."""
     _check_vertex(tree, v)
-    index = {}
-    order = []
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        index[w] = len(order)
-        order.append(w)
-        for c in reversed(tree.children[w]):
-            stack.append(c)
-    parents: list[Optional[int]] = [None] * len(order)
-    for w in order[1:]:
-        parents[index[w]] = index[tree.parent[w]]
-    return build_tree(parents), tuple(order)
+    # the subtree is the run of the preorder from v up to the first vertex
+    # whose first leaf lies past v's leaf range; leaf_start never decreases
+    # along the preorder
+    order = tree.preorder
+    first = order.index(v)
+    end = bisect_left(order, tree.leaf_stop[v], first + 1,
+                      key=tree.leaf_start.__getitem__)
+    run = order[first:end]
+    index = {w: i for i, w in enumerate(run)}
+    parents = [None] + [index[tree.parent[w]] for w in run[1:]]
+    return build_tree(parents), run
 
 
 def subtree(tree: RootedTree, v: int) -> RootedTree:
@@ -208,22 +212,20 @@ def branch_leaf_groups(tree: RootedTree) -> list[tuple[int, list[int]]]:
     Groups follow the order in which branches first appear in leaf_order, so
     downstream tie-breaking over branches is deterministic.
     """
-    top: dict[int, int] = {}
-    for c in branch_children(tree):
-        stack = [c]
-        while stack:
-            w = stack.pop()
-            top[w] = c
-            stack.extend(tree.children[w])
+    root = tree.root
+    parent = tree.parent
+    top = [root] * tree.n_vertices  # the branch root above each vertex
+    for v in tree.preorder[1:]:
+        p = parent[v]
+        top[v] = v if p == root else top[p]
     groups: dict[int, list[int]] = {}
-    order: list[int] = []
     for pos, v in enumerate(tree.leaf_order):
         b = top[v]
-        if b not in groups:
-            groups[b] = []
-            order.append(b)
-        groups[b].append(pos)
-    return [(b, groups[b]) for b in order]
+        if b in groups:
+            groups[b].append(pos)
+        else:
+            groups[b] = [pos]
+    return list(groups.items())
 
 
 @dataclass(frozen=True)

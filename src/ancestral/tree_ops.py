@@ -49,6 +49,11 @@ def _check_path(tree: RootedTree, path: Sequence[int]) -> None:
             raise InvalidPath(f"{b} is not a child of {a}")
 
 
+def _is_child(tree: RootedTree, v: Optional[int], p: int) -> bool:
+    """Whether v is a vertex index whose parent is p."""
+    return v is not None and 0 <= v < tree.n_vertices and tree.parent[v] == p
+
+
 def branch_shift(tree: RootedTree, spec: OpSpec) -> RootedTree:
     """Move the branch rooted at a child of the first path vertex so that it
     hangs from the last path vertex instead.  Levels of common ancestors
@@ -59,7 +64,7 @@ def branch_shift(tree: RootedTree, spec: OpSpec) -> RootedTree:
     if tree.is_leaf(vk):
         raise VkIsLeaf(f"{vk} is a leaf")
     b = spec.branch_root
-    if b is None or tree.parent[b] != v1:
+    if not _is_child(tree, b, v1):
         raise InvalidPath(f"branch root {b} is not a child of {v1}")
     if b == path[1]:
         raise BranchOnPath("the branch contains the path")
@@ -98,9 +103,9 @@ def leaf_swap(tree: RootedTree, spec: OpSpec) -> RootedTree:
     if tree.is_leaf(vk):
         raise VkIsLeaf(f"{vk} is a leaf")
     w1, w2 = spec.branch_root, spec.leaf
-    if w1 is None or tree.parent[w1] != v1:
+    if not _is_child(tree, w1, v1):
         raise InvalidPath(f"{w1} is not a child of {v1}")
-    if w2 is None or tree.parent[w2] != vk:
+    if not _is_child(tree, w2, vk):
         raise InvalidPath(f"{w2} is not a child of {vk}")
     if tree.is_leaf(w1):
         raise W1IsLeaf(f"{w1} is a leaf")
@@ -174,11 +179,5 @@ def witness_leaves(tree: RootedTree, spec: OpSpec) -> tuple[int, ...]:
     if spec.kind is OpKind.STAR_SHIFT:
         return tuple(tree.children[spec.path[0]])
     vk = spec.path[-1]
-    out = []
-    stack = [vk]
-    while stack:
-        v = stack.pop()
-        if tree.is_leaf(v):
-            out.append(v)
-        stack.extend(reversed(tree.children[v]))
-    return tuple(out)
+    leaves = [v for v in tree.preorder if tree.is_leaf(v)]
+    return tuple(leaves[tree.leaf_start[vk]:tree.leaf_stop[vk]])

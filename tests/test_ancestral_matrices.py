@@ -9,7 +9,6 @@ from ancestral import (
     gram_check,
     gram_product,
     path_incidence_matrix,
-    preorder,
     subtree,
 )
 from ancestral.ancestral_matrices import format_matrix
@@ -59,7 +58,7 @@ def test_matrix_on_shuffled_numberings():
         assert rows == tuple(tuple(ancestral_level(t, u, v) for v in leaves)
                              for u in leaves)
         assert rows == gram_product(path_incidence_matrix(t))
-        if [v for v in preorder(t) if t.is_leaf(v)] != list(leaves):
+        if [v for v in t.preorder if t.is_leaf(v)] != list(leaves):
             permuted += 1
     assert permuted > 50
 

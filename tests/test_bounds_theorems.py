@@ -76,6 +76,14 @@ def test_q_recursion_on_corpus():
         assert q_recursion_check(t)
 
 
+def test_q_recursion_deep():
+    # every path edge has both leaves below it
+    depth = 10 ** 5
+    t = broom(depth, 2)
+    assert q_value(t) == 4 * depth + 2
+    assert q_recursion_check(t)
+
+
 def test_example_bound_report():
     rep = bound_report(example_tree())
     assert rep.avg_ad == Fraction(5)

@@ -227,6 +227,23 @@ def test_bad_path_integer_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("newick, op, flag, value", [
+    ("((,),(,));", "branch-shift", "--branch", "99"),
+    ("((,),(,),);", "branch-shift", "--branch", "-1"),
+    ("((,),(,),);", "leaf-swap", "--leaf", "99"),
+    ("((,),(,),);", "leaf-swap", "--leaf", "-2"),
+])
+def test_transform_rejects_out_of_range_vertices(capsys, newick, op, flag, value):
+    # a negative index must not wrap around to a real vertex
+    extra = ["--branch", "1"] if flag == "--leaf" else []
+    code, out, err = run(capsys, "transform", "--newick", newick, "--op", op,
+                         "--path", "0,4", flag, value, *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_missing_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["matrix"])

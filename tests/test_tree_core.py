@@ -11,7 +11,6 @@ from ancestral import (
     greedy_caterpillar,
     leaf_counts,
     path_broom,
-    preorder,
     star,
     star_plus_path,
     structural_stats,
@@ -25,7 +24,15 @@ from ancestral.errors import (
 )
 from ancestral.tree_core import branch_leaf_groups, subtree_with_map
 
-from helpers import EXAMPLE_PARENTS, corpus, example_tree, lca_level_oracle
+from helpers import (
+    EXAMPLE_PARENTS,
+    ancestor_chain,
+    corpus,
+    example_tree,
+    lca_level_oracle,
+    seeded_rng,
+    shuffled_random_tree,
+)
 
 
 def test_build_tree_example_structure():
@@ -129,9 +136,73 @@ def test_complete_dary_deep():
 
 def test_preorder_and_leaf_counts_example():
     t = example_tree()
-    assert preorder(t) == [0, 2, 1, 3, 4, 5, 6, 7, 8, 9]
+    assert t.preorder == (0, 2, 1, 3, 4, 5, 6, 7, 8, 9)
     assert leaf_counts(t) == [6, 1, 2, 1, 4, 1, 1, 2, 1, 1]
     assert leaf_counts(build_tree([None])) == [1]
+
+
+def _walk(tree, v):
+    """Vertices below v in preorder, by an explicit walk over children."""
+    out, stack = [], [v]
+    while stack:
+        w = stack.pop()
+        out.append(w)
+        stack.extend(reversed(tree.children[w]))
+    return out
+
+
+def _preorder_field_trees():
+    # corpus trees are numbered in preorder; shuffled ones are not
+    rng = seeded_rng(53)
+    shuffled = [shuffled_random_tree(rng.randint(1, 40), rng) for _ in range(80)]
+    return list(corpus(8)) + shuffled
+
+
+def test_preorder_and_leaf_ranges_match_a_walk():
+    for t in _preorder_field_trees():
+        order = t.preorder
+        assert sorted(order) == list(range(t.n_vertices))
+        pos = {v: i for i, v in enumerate(order)}
+        assert all(pos[p] < pos[v] for v, p in enumerate(t.parent)
+                   if p is not None)
+        assert list(order) == _walk(t, t.root)
+        leaves = [v for v in order if t.is_leaf(v)]
+        counts = leaf_counts(t)
+        for v in range(t.n_vertices):
+            below = [w for w in _walk(t, v) if t.is_leaf(w)]
+            assert leaves[t.leaf_start[v]:t.leaf_stop[v]] == below
+            brute = sum(1 for w in t.leaf_order if v in ancestor_chain(t, w))
+            assert counts[v] == t.leaf_stop[v] - t.leaf_start[v] == brute
+
+
+def test_subtree_and_branch_groups_on_shuffled_numberings():
+    for t in _preorder_field_trees():
+        for v in range(t.n_vertices):
+            sub, orig = subtree_with_map(t, v)
+            assert orig == tuple(_walk(t, v))
+            assert [None if p is None else orig[p] for p in sub.parent] == \
+                [None] + [t.parent[w] for w in orig[1:]]
+        if t.n_vertices == 1:
+            continue
+        expected = {}
+        for pos, w in enumerate(t.leaf_order):
+            expected.setdefault(ancestor_chain(t, w)[1], []).append(pos)
+        assert branch_leaf_groups(t) == list(expected.items())
+
+
+def test_build_tree_deep_preorder_fields():
+    depth = 10 ** 5
+    n = depth + 1
+    t = binary_caterpillar(n)
+    assert t.height == depth
+    assert t.preorder == tuple(range(2 * n - 1))
+    spine = range(0, 2 * n - 2, 2)
+    assert [t.leaf_start[v] for v in spine] == list(range(n - 1))
+    assert all(t.leaf_stop[v] == n for v in spine)
+    assert leaf_counts(t)[t.root] == n
+    sub, orig = subtree_with_map(t, 2 * (n - 2))
+    assert orig == (2 * n - 4, 2 * n - 3, 2 * n - 2)
+    assert sub.parent_list() == [None, 0, 0]
 
 
 def test_greedy_caterpillar_orders_outdegrees_ascending():
