@@ -5,6 +5,18 @@ its children's encodings, a leaf is the empty tuple.  Two rooted trees are
 isomorphic (respecting the root, ignoring children order) exactly when their
 encodings are equal, so each class is emitted without duplicates by
 construction.
+
+Every class is generated directly, never by filtering a larger one.  Each
+kind has a cached pool per key -- the vertex count, the pair (vertices,
+leaves), the sorted outdegree multiset, the leaf count -- and a root's
+children are drawn from the pools of the keys that add up to the root's own.
+Pools are sorted, so a class comes out in the order a filter over the sorted
+vertex-count pools would give.
+
+The extremality search reads the spectral radius off the block structure:
+C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
+the root, so rho(T) is the largest rho(C(B_i) + J), and each distinct branch
+is solved once per search.
 """
 
 from __future__ import annotations
@@ -16,8 +28,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
+from .ancestral_matrices import ancestral_matrix
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, eigen_decompose, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -50,12 +63,6 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
     return build_tree(parents)
 
 
-def _leaf_count(enc: Encoding) -> int:
-    if not enc:
-        return 1
-    return sum(_leaf_count(c) for c in enc)
-
-
 def _partitions(m: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Partitions of m into positive parts, descending within each tuple."""
     if max_part is None or max_part > m:
@@ -69,11 +76,11 @@ def _partitions(m: int, max_part: Optional[int] = None) -> Iterator[tuple[int, .
 
 
 def _multiset_children(part: tuple[int, ...], pool) -> Iterator[Encoding]:
-    """All sorted children tuples whose subtree sizes realize ``part``.
+    """All sorted children tuples whose subtree keys realize ``part``.
 
-    ``pool(s)`` supplies the candidate encodings of size s.  Groups equal
-    part sizes and draws multisets per group, so no deduplication pass is
-    needed afterwards.
+    ``pool(key)`` supplies the candidate encodings of one key, such as a
+    size.  Groups equal keys and draws multisets per group, so no
+    deduplication pass is needed afterwards.
     """
     groups = sorted(Counter(part).items(), reverse=True)
     pools = []
@@ -97,6 +104,98 @@ def _by_vertices(n: int) -> tuple[Encoding, ...]:
         out.extend(_multiset_children(part, _by_vertices))
     out.sort()
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _by_vertices_and_leaves(n: int, leaves: int) -> tuple[Encoding, ...]:
+    """Encodings with n vertices of which exactly ``leaves`` are leaves."""
+    if n == 1 and leaves == 1:
+        return ((),)
+    if not 1 <= leaves < n:
+        return ()
+    out: list[Encoding] = []
+    for part in _pair_partitions(n - 1, leaves):
+        out.extend(_multiset_children(
+            part, lambda key: _by_vertices_and_leaves(*key)))
+    out.sort()
+    return tuple(out)
+
+
+def _pair_partitions(n: int, leaves: int, top: Optional[tuple[int, int]] = None
+                     ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Multisets of (vertices, leaves) pairs of trees, descending, whose
+    vertices sum to n and whose leaves sum to ``leaves``; every pair is at
+    most ``top``."""
+    if n == 0:
+        if leaves == 0:
+            yield ()
+        return
+    if top is None:
+        top = (n, leaves)
+    for size in range(min(n, top[0]), 0, -1):
+        # a tree of size > 1 has between 1 and size - 1 leaves
+        most = min(leaves, max(1, size - 1))
+        if size == top[0]:
+            most = min(most, top[1])
+        for k in range(most, 0, -1):
+            rest_n, rest_leaves = n - size, leaves - k
+            # every further part is a tree with at least one leaf and at
+            # most as many leaves as vertices
+            if (rest_n == 0) != (rest_leaves == 0) or rest_leaves > rest_n:
+                continue
+            for rest in _pair_partitions(rest_n, rest_leaves, (size, k)):
+                yield ((size, k),) + rest
+
+
+@lru_cache(maxsize=None)
+def _by_outdegrees(degrees: tuple[int, ...]) -> tuple[Encoding, ...]:
+    """Encodings whose outdegree multiset, one entry per vertex and sorted
+    descending, is ``degrees``."""
+    if degrees == (0,):
+        return ((),)
+    if len(degrees) != 1 + sum(degrees):
+        return ()
+    out: list[Encoding] = []
+    for k in set(degrees) - {0}:
+        # the root takes one outdegree k; its k children share the rest
+        i = degrees.index(k)
+        for blocks in _outdegree_splits(degrees[:i] + degrees[i + 1:], k):
+            out.extend(_multiset_children(blocks, _by_outdegrees))
+    out.sort()
+    return tuple(out)
+
+
+def _outdegree_splits(rest: tuple[int, ...], k: int,
+                      top: Optional[tuple[int, ...]] = None
+                      ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Ways to split the descending multiset ``rest`` into k unordered parts,
+    each the outdegree multiset of a tree (m entries summing to m - 1).
+
+    Parts are descending tuples, listed in descending order and each at
+    most ``top``, so every split comes out once.  ``rest`` is assumed to
+    have k more entries than its sum, as k such parts together do.
+    """
+    if k == 1:
+        if top is None or rest <= top:
+            yield (rest,)
+        return
+    counts = Counter(rest)
+    zeros = counts.pop(0, 0)
+    values = sorted(counts, reverse=True)
+    for picks in itertools.product(*(range(counts[v] + 1) for v in values)):
+        # the part's leaves are fixed by its other entries
+        z = 1 + sum((v - 1) * c for v, c in zip(values, picks))
+        if z > zeros:
+            continue
+        part = tuple(itertools.chain.from_iterable(
+            [v] * c for v, c in zip(values, picks))) + (0,) * z
+        if top is not None and part > top:
+            continue
+        left = tuple(itertools.chain.from_iterable(
+            [v] * (counts[v] - c) for v, c in zip(values, picks)))
+        left += (0,) * (zeros - z)
+        for more in _outdegree_splits(left, k - 1, part):
+            yield (part,) + more
 
 
 @lru_cache(maxsize=None)
@@ -191,61 +290,42 @@ def dary_by_leaves(d: int, n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
 
 
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
+    """The encodings of cls, ascending (for "by-leaf-count", ascending per
+    vertex count, smallest first); raises ClassTooLarge once more than
+    ``cls.cap`` of them have come out."""
+    source: Iterable[Encoding]
     if cls.kind == "by-vertex-count":
         (n,) = cls.params
-        yield from _by_vertices(n)
+        source = _by_vertices(n)
     elif cls.kind == "by-leaf-count":
         n, max_vertices = cls.params
-        for size in range(1, max_vertices + 1):
-            for enc in _by_vertices(size):
-                if _leaf_count(enc) == n:
-                    yield enc
+        source = itertools.chain.from_iterable(
+            _by_vertices_and_leaves(size, n) for size in range(1, max_vertices + 1))
     elif cls.kind == "by-vertices-and-leaves":
-        n_vertices, n_leaves = cls.params
-        for enc in _by_vertices(n_vertices):
-            if _leaf_count(enc) == n_leaves:
-                yield enc
+        source = _by_vertices_and_leaves(*cls.params)
     elif cls.kind == "by-outdegree-sequence":
-        want = tuple(sorted(cls.params, reverse=True))
-        n_vertices = 1 + sum(want)
-
-        def outdegrees(enc: Encoding, acc: list[int]) -> None:
-            acc.append(len(enc))
-            for c in enc:
-                outdegrees(c, acc)
-
-        for enc in _by_vertices(n_vertices):
-            acc: list[int] = []
-            outdegrees(enc, acc)
-            if tuple(sorted(acc, reverse=True)) == want:
-                yield enc
+        source = _by_outdegrees(tuple(sorted(cls.params, reverse=True)))
     elif cls.kind == "series-reduced":
         (n,) = cls.params
-        yield from _series_reduced(n)
+        source = _series_reduced(n)
     elif cls.kind == "dary-by-leaves":
-        d, n = cls.params
-        yield from _dary_by_leaves(d, n)
+        source = _dary_by_leaves(*cls.params)
     else:
         raise InvalidParameter(f"unknown tree class kind: {cls.kind}")
+    for count, enc in enumerate(source, 1):
+        if count > cls.cap:
+            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
+        yield enc
 
 
 def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
     """Yield one representative per isomorphism class, in encoding order."""
-    count = 0
     for enc in _class_encodings(cls):
-        count += 1
-        if count > cls.cap:
-            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
         yield encoding_to_tree(enc)
 
 
 def class_size(cls: TreeClass) -> int:
-    count = 0
-    for _ in _class_encodings(cls):
-        count += 1
-        if count > cls.cap:
-            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
-    return count
+    return sum(1 for _ in _class_encodings(cls))
 
 
 @dataclass(frozen=True)
@@ -258,6 +338,28 @@ class ExtremalReport:
     ties: tuple[RootedTree, ...] = field(repr=False, default=())
 
 
+def _class_rhos(cls: TreeClass, eig_tol: float) -> list[tuple[float, Encoding]]:
+    """(rho, encoding) for every tree of cls, in encoding order.
+
+    rho(T) is the largest rho(C(B) + J) over the branches B below the root,
+    and 0 for the single vertex.  Each distinct branch is solved once, with
+    the residual check of ``eigen_decompose``.  C(B) + J is, entry for entry
+    and in the same preorder leaf order, the block that ``spectral_radius``
+    cuts from C(T), so each rho is the very float it returns.
+    """
+    branch_rho: dict[Encoding, float] = {}
+
+    def solve(branch: Encoding) -> float:
+        if branch not in branch_rho:
+            rows = ancestral_matrix(encoding_to_tree(branch)).rows
+            block = [[c + 1 for c in row] for row in rows]
+            branch_rho[branch] = eigen_decompose(block, eig_tol).eigenvalues[0]
+        return branch_rho[branch]
+
+    return [(max(map(solve, enc), default=0.0), enc)
+            for enc in _class_encodings(cls)]
+
+
 def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
                     tol: float = 1e-7, eig_tol: float = DEFAULT_TOL) -> ExtremalReport:
     """Check that claimed_max attains the maximum spectral radius over cls.
@@ -267,13 +369,7 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
     that does.  The reported argmax is deterministic: exact-float ties are
     broken by canonical encoding order.
     """
-    scored: list[tuple[float, Encoding]] = []
-    count = 0
-    for enc in _class_encodings(cls):
-        count += 1
-        if count > cls.cap:
-            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
-        scored.append((spectral_radius(encoding_to_tree(enc), eig_tol).rho, enc))
+    scored = _class_rhos(cls, eig_tol)
     if not scored:
         raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
     rho_max = max(rho for rho, _ in scored)

@@ -123,6 +123,8 @@ def apply_op(tree: RootedTree, spec: OpSpec) -> RootedTree:
     if spec.kind is OpKind.BRANCH_SHIFT:
         return branch_shift(tree, spec)
     if spec.kind is OpKind.STAR_SHIFT:
+        if len(spec.path) != 1:
+            raise InvalidPath("a star shift takes a path of exactly one vertex")
         return star_shift(tree, spec.path[0], spec.leaf)
     return leaf_swap(tree, spec)
 

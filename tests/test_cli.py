@@ -244,6 +244,16 @@ def test_transform_rejects_out_of_range_vertices(capsys, newick, op, flag, value
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("path", ["0,99", "0,1"])
+def test_star_shift_path_must_be_one_vertex_of_the_star(capsys, path):
+    code, out, err = run(capsys, "transform", "--gen", "star:3",
+                         "--op", "star-shift", "--path", path, "--leaf", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_missing_source_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["matrix"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ancestral import enumeration
 from ancestral import (
     broom,
     by_leaf_count,
@@ -16,10 +17,12 @@ from ancestral import (
     random_tree,
     rho,
     series_reduced,
+    spectral_radius,
     star,
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
+from ancestral.spectral import DEFAULT_TOL
 
 from helpers import (
     BINARY_BY_LEAVES,
@@ -108,6 +111,80 @@ def test_vertices_and_leaves_class():
     reference = [t for t in enumerate_class(by_vertex_count(7)) if t.n_leaves == 3]
     assert len(trees) == len(reference)
     assert all(t.n_vertices == 7 and t.n_leaves == 3 for t in trees)
+
+
+def _leaves_of(enc):
+    count, stack = 0, [enc]
+    while stack:
+        node = stack.pop()
+        count += not node
+        stack.extend(node)
+    return count
+
+
+def _outdegrees_of(enc):
+    degrees, stack = [], [enc]
+    while stack:
+        node = stack.pop()
+        degrees.append(len(node))
+        stack.extend(node)
+    return tuple(sorted(degrees, reverse=True))
+
+
+def test_direct_generators_match_filtered_vertex_classes():
+    # oracle: filter every tree with n vertices by leaves or outdegrees
+    for n in range(1, 12):
+        every = enumeration._by_vertices(n)
+        for leaves in range(n + 2):
+            want = [enc for enc in every if _leaves_of(enc) == leaves]
+            cls = by_vertices_and_leaves(n, leaves)
+            assert list(enumeration._class_encodings(cls)) == want, (n, leaves)
+        by_degrees = {}
+        for enc in every:
+            by_degrees.setdefault(_outdegrees_of(enc), []).append(enc)
+        covered = 0
+        for part in enumeration._partitions(n - 1):
+            cls = by_outdegree_sequence(part)
+            got = list(enumeration._class_encodings(cls))
+            assert got == by_degrees.get(cls.params, []), part
+            covered += len(got)
+        assert covered == len(every)
+    for leaves in range(1, 7):
+        want = [enc for size in range(1, 12) for enc in enumeration._by_vertices(size)
+                if _leaves_of(enc) == leaves]
+        assert list(enumeration._class_encodings(by_leaf_count(leaves, 11))) == want
+
+
+def test_one_tree_classes_skip_the_vertex_pool():
+    before = enumeration._by_vertices.cache_info()
+    assert class_size(by_vertices_and_leaves(16, 15)) == 1
+    assert class_size(by_outdegree_sequence((15,))) == 1
+    assert class_size(by_leaf_count(15, 16)) == 1
+    after = enumeration._by_vertices.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("cls", [
+    by_vertices_and_leaves(10, 5),
+    by_outdegree_sequence((2, 2, 2, 1, 1)),
+    series_reduced(7),
+], ids=lambda cls: cls.kind)
+def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
+    solved = []
+    solve = enumeration.eigen_decompose
+
+    def counting_solve(m, tol):
+        solved.append(m)
+        return solve(m, tol)
+
+    monkeypatch.setattr(enumeration, "eigen_decompose", counting_solve)
+    scored = enumeration._class_rhos(cls, DEFAULT_TOL)
+    encs = list(enumeration._class_encodings(cls))
+    assert [enc for _, enc in scored] == encs
+    for value, enc in scored:
+        assert value == spectral_radius(encoding_to_tree(enc)).rho
+    # one eigensolve per distinct branch below a root
+    assert len(solved) == len({branch for enc in encs for branch in enc})
 
 
 def test_extremal_search_confirms_broom():

@@ -157,3 +157,9 @@ def test_apply_op_dispatch():
     t = star(3)
     out = apply_op(t, OpSpec(OpKind.STAR_SHIFT, (0,), leaf=1))
     assert out.n_vertices == 5
+
+
+@pytest.mark.parametrize("path", [(), (0, 99), (0, 1)])
+def test_star_shift_path_is_one_vertex(path):
+    with pytest.raises(InvalidPath):
+        apply_op(star(3), OpSpec(OpKind.STAR_SHIFT, path, leaf=1))
