@@ -97,64 +97,35 @@ def _trees_from_args(args) -> list[RootedTree]:
     return [generate(args.gen)]
 
 
-def _print_blocks(blocks: list[list[str]]) -> None:
-    for i, block in enumerate(blocks):
-        if i:
-            print()
-        for line in block:
-            print(line)
+def _per_tree(compute, as_json, as_text, holds=lambda result: True):
+    """Handler that runs compute(tree, args) on each input tree and prints
+    each result at once: as_json(result) as one JSON line, or the lines of
+    as_text(result) as a block, with a blank line between blocks.  Exits 1
+    when some result does not hold."""
+    def handler(args) -> int:
+        code = 0
+        for i, tree in enumerate(_trees_from_args(args)):
+            result = compute(tree, args)
+            if args.json:
+                _emit_json(as_json(result))
+            else:
+                if i:
+                    print()
+                for line in as_text(result):
+                    print(line)
+            if not holds(result):
+                code = 1
+        return code
+    return handler
 
 
-# subcommand handlers; each returns the process exit code
-
-def _cmd_matrix(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        mat = ancestral_matrix(tree)
-        if args.json:
-            _emit_json({"n": mat.n, "rows": mat.rows})
-        else:
-            blocks.append([" ".join(str(x) for x in row) for row in mat.rows])
-    _print_blocks(blocks)
-    return 0
+def _rows_text(rows) -> list[str]:
+    return [" ".join(str(x) for x in row) for row in rows]
 
 
-def _cmd_incidence(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        inc = path_incidence_matrix(tree)
-        if args.json:
-            _emit_json({"n": inc.n, "m": inc.m, "rows": inc.rows})
-        else:
-            blocks.append([" ".join(str(x) for x in row) for row in inc.rows])
-    _print_blocks(blocks)
-    return 0
-
-
-def _cmd_charpoly(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        poly = char_poly(tree)
-        highest = poly.highest_first()
-        if args.json:
-            gamma = [c if k % 2 == 0 else -c for k, c in enumerate(highest)]
-            _emit_json({"monic_degree": poly.degree, "gamma": gamma})
-        else:
-            blocks.append([" ".join(str(c) for c in highest)])
-    _print_blocks(blocks)
-    return 0
-
-
-def _cmd_spectrum(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        spec = eigen_decompose(ancestral_matrix(tree), args.tol)
-        if args.json:
-            _emit_json({"eigenvalues": list(spec.eigenvalues)})
-        else:
-            blocks.append([_fmt(v) for v in spec.eigenvalues])
-    _print_blocks(blocks)
-    return 0
+def _gamma(highest) -> list[int]:
+    """The non-negative counts gamma_k from det(xI - C), highest first."""
+    return [c if k % 2 == 0 else -c for k, c in enumerate(highest)]
 
 
 _BOUND_LINES = (
@@ -166,70 +137,76 @@ _BOUND_LINES = (
 )
 
 
-def _cmd_bounds(args) -> int:
-    code = 0
-    blocks = []
-    for tree in _trees_from_args(args):
-        rep = bound_report(tree, eig_tol=args.tol)
-        if not rep.all_satisfied:
-            code = 1
-        if args.json:
-            _emit_json({
-                "rho": rep.rho,
-                "avg_ad": rep.avg_ad,
-                "max_ad": rep.max_ad,
-                "tw_bound": rep.tw_bound,
-                "height": rep.height_bound,
-                "delta_bound": rep.delta_bound,
-                "satisfied": {key: rep.margins[key] >= -BOUND_TOL
-                              for _, key in _BOUND_LINES},
-                "all_satisfied": rep.all_satisfied,
-            })
-            continue
-        lines = [
-            f"rho={_fmt(rep.rho)}",
-            f"avg_ad={rep.avg_ad}",
-            f"max_ad={rep.max_ad}",
-            f"tw_bound={rep.tw_bound}",
-            f"height={rep.height_bound}",
-            f"delta_bound={rep.delta_bound}",
-        ]
-        for label, key in _BOUND_LINES:
-            verdict = "SATISFIED" if rep.margins[key] >= -BOUND_TOL else "VIOLATED"
-            lines.append(f"{label}: {verdict}")
-        blocks.append(lines)
-    _print_blocks(blocks)
-    return code
+def _satisfied(rep) -> dict[str, bool]:
+    return {key: rep.margins[key] >= -BOUND_TOL for _, key in _BOUND_LINES}
 
 
-def _cmd_certificate(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        cert = eigenvalue_one_certificate(tree)
-        if args.json:
-            _emit_json({"multiplicity": cert.multiplicity,
-                        "basis": [list(b) for b in cert.basis]})
-        else:
-            lines = [f"multiplicity={cert.multiplicity}"]
-            lines.extend(str(tuple(b)) for b in cert.basis)
-            blocks.append(lines)
-    _print_blocks(blocks)
-    return 0
+def _bounds_json(rep) -> dict:
+    return {
+        "rho": rep.rho,
+        "avg_ad": rep.avg_ad,
+        "max_ad": rep.max_ad,
+        "tw_bound": rep.tw_bound,
+        "height": rep.height_bound,
+        "delta_bound": rep.delta_bound,
+        "satisfied": _satisfied(rep),
+        "all_satisfied": rep.all_satisfied,
+    }
 
 
-def _cmd_collections(args) -> int:
-    blocks = []
-    for tree in _trees_from_args(args):
-        result = count_collections(tree, budget=args.budget)
-        if args.json:
-            _emit_json({"counts": list(result.counts), "total": result.total})
-        else:
-            lines = [f"counts[{k}]={c}" for k, c in enumerate(result.counts)]
-            lines.append(f"total={result.total}")
-            blocks.append(lines)
-    _print_blocks(blocks)
-    return 0
+def _bounds_text(rep) -> list[str]:
+    satisfied = _satisfied(rep)
+    return [
+        f"rho={_fmt(rep.rho)}",
+        f"avg_ad={rep.avg_ad}",
+        f"max_ad={rep.max_ad}",
+        f"tw_bound={rep.tw_bound}",
+        f"height={rep.height_bound}",
+        f"delta_bound={rep.delta_bound}",
+        *(f"{label}: {'SATISFIED' if satisfied[key] else 'VIOLATED'}"
+          for label, key in _BOUND_LINES),
+    ]
 
+
+# the per-tree subcommands: name, help, extra flags, then the arguments of
+# _per_tree (compute step, JSON form, text form and, for bounds, the verdict)
+_PER_TREE = (
+    ("matrix", "print the ancestral matrix", (),
+     lambda tree, args: ancestral_matrix(tree),
+     lambda mat: {"n": mat.n, "rows": mat.rows},
+     lambda mat: _rows_text(mat.rows)),
+    ("incidence", "print the path incidence matrix", (),
+     lambda tree, args: path_incidence_matrix(tree),
+     lambda inc: {"n": inc.n, "m": inc.m, "rows": inc.rows},
+     lambda inc: _rows_text(inc.rows)),
+    ("charpoly", "exact characteristic polynomial", (),
+     lambda tree, args: char_poly(tree).highest_first(),
+     lambda highest: {"monic_degree": len(highest) - 1,
+                      "gamma": _gamma(highest)},
+     lambda highest: [" ".join(str(c) for c in highest)]),
+    ("spectrum", "numeric eigenvalues, descending", ("--tol",),
+     lambda tree, args: eigen_decompose(ancestral_matrix(tree),
+                                        args.tol).eigenvalues,
+     lambda eig: {"eigenvalues": list(eig)},
+     lambda eig: [_fmt(v) for v in eig]),
+    ("bounds", "spectral-radius bounds report", ("--tol",),
+     lambda tree, args: bound_report(tree, eig_tol=args.tol),
+     _bounds_json, _bounds_text, lambda rep: rep.all_satisfied),
+    ("certificate", "eigenvalue-1 multiplicity and basis", (),
+     lambda tree, args: eigenvalue_one_certificate(tree),
+     lambda cert: {"multiplicity": cert.multiplicity,
+                   "basis": [list(b) for b in cert.basis]},
+     lambda cert: [f"multiplicity={cert.multiplicity}",
+                   *(str(tuple(b)) for b in cert.basis)]),
+    ("collections", "edge-disjoint path collection counts", ("--budget",),
+     lambda tree, args: count_collections(tree, budget=args.budget),
+     lambda res: {"counts": list(res.counts), "total": res.total},
+     lambda res: [*(f"counts[{k}]={c}" for k, c in enumerate(res.counts)),
+                  f"total={res.total}"]),
+)
+
+
+# the other subcommand handlers; each returns the process exit code
 
 def _cmd_caterpillar(args) -> int:
     n = args.n
@@ -312,7 +289,7 @@ def _claimed_for_check(check: str, cls: enumeration.TreeClass) -> RootedTree:
     if check == "greedy":
         if cls.kind != "by-outdegree-sequence":
             raise InvalidParameter("--check greedy needs an outdegrees: class")
-        return greedy_caterpillar([s for s in cls.params if s > 0])
+        return greedy_caterpillar(cls.params)
     if check == "broom":
         if cls.kind != "by-vertices-and-leaves":
             raise InvalidParameter("--check broom needs a vertices-leaves: class")
@@ -396,10 +373,8 @@ def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
 def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         poly = char_poly(t)
-        highest = poly.highest_first()
-        gamma = [c if k % 2 == 0 else -c for k, c in enumerate(highest)]
         result = count_collections(t, budget=budget)
-        if list(result.counts) != gamma:
+        if list(result.counts) != _gamma(poly.highest_first()):
             return False
         sign = 1 if t.n_leaves % 2 == 0 else -1
         if result.total != sign * poly(-1):
@@ -420,9 +395,8 @@ def _suite_broom(corpus, tol, budget, max_leaves: int) -> bool:
     for n_vertices in range(3, max_leaves + 2):
         for n_leaves in range(2, n_vertices):
             cls = enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
-            claimed = broom(n_vertices - n_leaves - 1, n_leaves)
-            report = enumeration.verify_extremal(cls, claimed, tol=1e-6,
-                                                 eig_tol=tol)
+            report = enumeration.verify_extremal(
+                cls, _claimed_for_check("broom", cls), tol=1e-6, eig_tol=tol)
             expected = n_leaves * (n_vertices - n_leaves - 1) + 1
             if not report.holds or abs(report.rho_max - expected) > 1e-6:
                 return False
@@ -433,8 +407,8 @@ def _suite_greedy(corpus, tol, budget, max_leaves: int) -> bool:
     for n_vertices in range(2, max_leaves + 2):
         for seq in enumeration._partitions(n_vertices - 1):
             cls = enumeration.by_outdegree_sequence(seq)
-            report = enumeration.verify_extremal(cls, greedy_caterpillar(seq),
-                                                 tol=1e-7, eig_tol=tol)
+            report = enumeration.verify_extremal(
+                cls, _claimed_for_check("greedy", cls), tol=1e-7, eig_tol=tol)
             if not report.holds:
                 return False
     return True
@@ -443,8 +417,9 @@ def _suite_greedy(corpus, tol, budget, max_leaves: int) -> bool:
 def _suite_series_reduced(corpus, tol, budget, max_leaves: int) -> bool:
     for n in range(2, max_leaves + 1):
         cls = enumeration.series_reduced(n)
-        report = enumeration.verify_extremal(cls, binary_caterpillar(n),
-                                             tol=1e-7, eig_tol=tol)
+        report = enumeration.verify_extremal(
+            cls, _claimed_for_check("binary-caterpillar", cls), tol=1e-7,
+            eig_tol=tol)
         if not report.holds:
             return False
     return True
@@ -549,7 +524,9 @@ def _cmd_verify_all(args) -> int:
     for name, func in _SUITES:
         try:
             ok = func(corpus, args.tol, args.budget, args.max_leaves)
-        except (AncestralError, AssertionError):
+        except AssertionError:
+            # a failed internal check refutes the suite; an AncestralError
+            # (budget, convergence) is not a refutation and exits 2 in main
             ok = False
         if not ok:
             code = 1
@@ -557,11 +534,10 @@ def _cmd_verify_all(args) -> int:
     return code
 
 
-def _add_source_flags(sub, with_gen_only: bool = False) -> None:
+def _add_source_flags(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
-    if not with_gen_only:
-        group.add_argument("--newick", help="tree as a Newick string")
-        group.add_argument("--file", help="UTF-8 file, one Newick tree per line")
+    group.add_argument("--newick", help="tree as a Newick string")
+    group.add_argument("--file", help="UTF-8 file, one Newick tree per line")
     group.add_argument("--gen", help="family spec, e.g. broom:2,3")
 
 
@@ -594,12 +570,19 @@ def _max_leaves(text: str) -> int:
     return value
 
 
-def _add_common_flags(sub) -> None:
-    sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument("--tol", type=_positive_tol, default=DEFAULT_TOL,
-                     help="numeric tolerance, positive (default 1e-10)")
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                     help="enumeration budget for collections")
+_FLAGS = {
+    "--json": dict(action="store_true", help="JSON output"),
+    "--tol": dict(type=_positive_tol, default=DEFAULT_TOL,
+                  help="numeric tolerance, positive (default 1e-10)"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="enumeration budget for collections"),
+}
+
+
+def _add_flags(sub, *names: str) -> None:
+    """Give sub the shared flags it reads, and no others."""
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,30 +592,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "spectra, bounds, and theorem checkers.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    specs = [
-        ("matrix", _cmd_matrix, "print the ancestral matrix"),
-        ("incidence", _cmd_incidence, "print the path incidence matrix"),
-        ("charpoly", _cmd_charpoly, "exact characteristic polynomial"),
-        ("spectrum", _cmd_spectrum, "numeric eigenvalues, descending"),
-        ("bounds", _cmd_bounds, "spectral-radius bounds report"),
-        ("certificate", _cmd_certificate, "eigenvalue-1 multiplicity and basis"),
-        ("collections", _cmd_collections, "edge-disjoint path collection counts"),
-    ]
-    for name, func, help_text in specs:
+    for name, help_text, flags, *steps in _PER_TREE:
         sub = subs.add_parser(name, help=help_text)
         _add_source_flags(sub)
-        _add_common_flags(sub)
-        sub.set_defaults(func=func)
+        _add_flags(sub, "--json", *flags)
+        sub.set_defaults(func=_per_tree(*steps))
 
     sub = subs.add_parser("caterpillar",
                           help="binary caterpillar charpoly and spectral radius")
     sub.add_argument("--n", type=int, required=True, help="number of leaves")
-    _add_common_flags(sub)
+    _add_flags(sub, "--json", "--tol")
     sub.set_defaults(func=_cmd_caterpillar)
 
     sub = subs.add_parser("transform", help="apply a tree operation")
     _add_source_flags(sub)
-    _add_common_flags(sub)
+    _add_flags(sub, "--json", "--tol")
     sub.add_argument("--op", required=True, choices=sorted(_OPS),
                      help="operation kind")
     sub.add_argument("--path", required=True,
@@ -650,12 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", required=True,
                      choices=["greedy", "broom", "binary-caterpillar"],
                      help="which extremal family to test")
-    _add_common_flags(sub)
+    _add_flags(sub, "--json", "--tol")
     sub.set_defaults(func=_cmd_search)
 
     sub = subs.add_parser("gen", help="emit a family tree as Newick")
     sub.add_argument("--gen", required=True, help="family spec, e.g. dary:3,2")
-    _add_common_flags(sub)
+    _add_flags(sub, "--json")
     sub.set_defaults(func=_cmd_gen)
 
     sub = subs.add_parser("verify-all",
@@ -664,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N",
                      help="size bound, at least 2: the corpus is every tree "
                           "with at most N+1 vertices, not N leaves")
-    _add_common_flags(sub)
+    _add_flags(sub, "--tol", "--budget")
     sub.set_defaults(func=_cmd_verify_all)
     return parser
 

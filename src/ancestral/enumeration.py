@@ -290,9 +290,12 @@ def dary_by_leaves(d: int, n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
 
 
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
-    """The encodings of cls, ascending (for "by-leaf-count", ascending per
-    vertex count, smallest first); raises ClassTooLarge once more than
-    ``cls.cap`` of them have come out."""
+    """The encodings of cls in class order; raises ClassTooLarge once more
+    than ``cls.cap`` of them have come out.
+
+    Class order is ascending encoding order, except for "by-leaf-count":
+    that class comes out one vertex count at a time, smallest first, each
+    count ascending, and so is not sorted as a whole."""
     source: Iterable[Encoding]
     if cls.kind == "by-vertex-count":
         (n,) = cls.params
@@ -319,7 +322,8 @@ def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
 
 
 def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
-    """Yield one representative per isomorphism class, in encoding order."""
+    """Yield one representative per isomorphism class, in class order (see
+    ``_class_encodings``)."""
     for enc in _class_encodings(cls):
         yield encoding_to_tree(enc)
 
@@ -339,7 +343,7 @@ class ExtremalReport:
 
 
 def _class_rhos(cls: TreeClass, eig_tol: float) -> list[tuple[float, Encoding]]:
-    """(rho, encoding) for every tree of cls, in encoding order.
+    """(rho, encoding) for every tree of cls, in class order.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
     and 0 for the single vertex.  Each distinct branch is solved once, with

@@ -184,6 +184,15 @@ def gamma_coefficients(tree: RootedTree) -> list[int]:
     return [highest[k] if k % 2 == 0 else -highest[k] for k in range(n + 1)]
 
 
+def _scaled_shift_det(tree: RootedTree, p: int, q: int) -> int:
+    """Exact det(qC(T) + pI) by one fraction-free elimination."""
+    rows = ancestral_matrix(tree).rows
+    n = len(rows)
+    return bareiss_determinant(
+        [[q * rows[i][j] + (p if i == j else 0) for j in range(n)]
+         for i in range(n)])
+
+
 def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:
     """Exact det(cI + C(T)) for any rational c.
 
@@ -192,12 +201,8 @@ def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:
     suffices.
     """
     c = Fraction(c)
-    rows = ancestral_matrix(tree).rows
-    n = len(rows)
     p, q = c.numerator, c.denominator
-    scaled = [[q * rows[i][j] + (p if i == j else 0) for j in range(n)]
-              for i in range(n)]
-    return Fraction(bareiss_determinant(scaled), q ** n)
+    return Fraction(_scaled_shift_det(tree, p, q), q ** tree.n_leaves)
 
 
 @dataclass(frozen=True)
@@ -222,10 +227,6 @@ def dary_determinant_check(tree: RootedTree, d: int) -> DaryCheck:
         if k != d:
             raise NotDary(v)
         int_count += 1
-    rows = ancestral_matrix(tree).rows
-    n = len(rows)
-    shifted = [[(d - 1) * rows[i][j] + (1 if i == j else 0) for j in range(n)]
-               for i in range(n)]
-    lhs = bareiss_determinant(shifted)
+    lhs = _scaled_shift_det(tree, 1, d - 1)
     rhs = d ** (d * int_count)
     return DaryCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)

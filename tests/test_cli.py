@@ -309,3 +309,147 @@ def test_deep_inputs_do_not_recurse(capsys, tmp_path):
     code, out, _ = run(capsys, "charpoly", "--file", str(path))
     assert code == 0
     assert out == f"1 -{depth}\n"
+
+
+THREE_TREES = "((,),(,,(,)));\n(,,);\n((,),);\n"
+
+BOUNDS_SATISFIED = (
+    "avg_ad<=rho: SATISFIED\n"
+    "rho<=max_ad: SATISFIED\n"
+    "tw_bound<=rho: SATISFIED\n"
+    "height<=rho: SATISFIED\n"
+    "delta_bound<=rho: SATISFIED\n"
+)
+ALL_TRUE = ('"satisfied": {"avg_ad": true, "max_ad": true, "tw_bound": true, '
+            '"height": true, "delta": true}, "all_satisfied": true}\n')
+
+# output of each per-tree command on THREE_TREES, text then JSON
+THREE_TREE_OUTPUT = {
+    "matrix": (
+        "2 1 0 0 0 0\n1 2 0 0 0 0\n0 0 2 1 1 1\n0 0 1 2 1 1\n"
+        "0 0 1 1 3 2\n0 0 1 1 2 3\n"
+        "\n1 0 0\n0 1 0\n0 0 1\n"
+        "\n2 1 0\n1 2 0\n0 0 1\n",
+        '{"n": 6, "rows": [[2, 1, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], '
+        '[0, 0, 2, 1, 1, 1], [0, 0, 1, 2, 1, 1], [0, 0, 1, 1, 3, 2], '
+        '[0, 0, 1, 1, 2, 3]]}\n'
+        '{"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}\n'
+        '{"n": 3, "rows": [[2, 1, 0], [1, 2, 0], [0, 0, 1]]}\n',
+    ),
+    "incidence": (
+        "1 1 0 0 0 0 0 0 0\n1 0 1 0 0 0 0 0 0\n0 0 0 1 1 0 0 0 0\n"
+        "0 0 0 1 0 1 0 0 0\n0 0 0 1 0 0 1 1 0\n0 0 0 1 0 0 1 0 1\n"
+        "\n1 0 0\n0 1 0\n0 0 1\n"
+        "\n1 1 0 0\n1 0 1 0\n0 0 0 1\n",
+        '{"n": 6, "m": 9, "rows": [[1, 1, 0, 0, 0, 0, 0, 0, 0], '
+        '[1, 0, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0, 0, 0], '
+        '[0, 0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0, 1, 1, 0], '
+        '[0, 0, 0, 1, 0, 0, 1, 0, 1]]}\n'
+        '{"n": 3, "m": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}\n'
+        '{"n": 3, "m": 4, "rows": [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]}\n',
+    ),
+    "charpoly": (
+        "1 -14 71 -172 215 -134 33\n\n1 -3 3 -1\n\n1 -5 7 -3\n",
+        '{"monic_degree": 6, "gamma": [1, 14, 71, 172, 215, 134, 33]}\n'
+        '{"monic_degree": 3, "gamma": [1, 3, 3, 1]}\n'
+        '{"monic_degree": 3, "gamma": [1, 5, 7, 3]}\n',
+    ),
+    "spectrum": (
+        "6.2360679775\n3\n1.7639320225\n1\n1\n1\n\n1\n1\n1\n\n3\n1\n1\n",
+        '{"eigenvalues": [6.2360679775, 3.0, 1.7639320225, 1.0, 1.0, 1.0]}\n'
+        '{"eigenvalues": [1.0, 1.0, 1.0]}\n'
+        '{"eigenvalues": [3.0, 1.0, 1.0]}\n',
+    ),
+    "bounds": (
+        "rho=6.2360679775\navg_ad=5\nmax_ad=7\ntw_bound=5\nheight=3\n"
+        "delta_bound=5/2\n" + BOUNDS_SATISFIED
+        + "\nrho=1\navg_ad=1\nmax_ad=1\ntw_bound=1\nheight=1\n"
+        "delta_bound=1\n" + BOUNDS_SATISFIED
+        + "\nrho=3\navg_ad=7/3\nmax_ad=3\ntw_bound=7/3\nheight=2\n"
+        "delta_bound=2\n" + BOUNDS_SATISFIED,
+        '{"rho": 6.2360679775, "avg_ad": "5", "max_ad": 7, "tw_bound": "5", '
+        '"height": 3, "delta_bound": "5/2", ' + ALL_TRUE
+        + '{"rho": 1.0, "avg_ad": "1", "max_ad": 1, "tw_bound": "1", '
+        '"height": 1, "delta_bound": "1", ' + ALL_TRUE
+        + '{"rho": 3.0, "avg_ad": "7/3", "max_ad": 3, "tw_bound": "7/3", '
+        '"height": 2, "delta_bound": "2", ' + ALL_TRUE,
+    ),
+    "certificate": (
+        "multiplicity=3\n(1, -1, 0, 0, 0, 0)\n(0, 0, 1, -1, 0, 0)\n"
+        "(0, 0, 0, 0, 1, -1)\n"
+        "\nmultiplicity=3\n(1, -1, 0)\n(1, 0, -1)\n(1, 0, 0)\n"
+        "\nmultiplicity=2\n(0, 0, 1)\n(1, -1, 0)\n",
+        '{"multiplicity": 3, "basis": [[1, -1, 0, 0, 0, 0], '
+        '[0, 0, 1, -1, 0, 0], [0, 0, 0, 0, 1, -1]]}\n'
+        '{"multiplicity": 3, "basis": [[1, -1, 0], [1, 0, -1], [1, 0, 0]]}\n'
+        '{"multiplicity": 2, "basis": [[0, 0, 1], [1, -1, 0]]}\n',
+    ),
+    "collections": (
+        "counts[0]=1\ncounts[1]=14\ncounts[2]=71\ncounts[3]=172\n"
+        "counts[4]=215\ncounts[5]=134\ncounts[6]=33\ntotal=640\n"
+        "\ncounts[0]=1\ncounts[1]=3\ncounts[2]=3\ncounts[3]=1\ntotal=8\n"
+        "\ncounts[0]=1\ncounts[1]=5\ncounts[2]=7\ncounts[3]=3\ntotal=16\n",
+        '{"counts": [1, 14, 71, 172, 215, 134, 33], "total": 640}\n'
+        '{"counts": [1, 3, 3, 1], "total": 8}\n'
+        '{"counts": [1, 5, 7, 3], "total": 16}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(THREE_TREE_OUTPUT))
+def test_per_tree_commands_on_a_three_tree_file(capsys, tmp_path, command,
+                                                as_json):
+    path = tmp_path / "three.nwk"
+    path.write_text(THREE_TREES, encoding="utf-8")
+    argv = [command, "--file", str(path)] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out == THREE_TREE_OUTPUT[command][as_json]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_failure_mid_file_keeps_the_blocks_before_it(capsys, tmp_path, as_json):
+    path = tmp_path / "mid.nwk"
+    path.write_text("(,);\n;\n", encoding="utf-8")
+    argv = ["certificate", "--file", str(path)] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ('{"multiplicity": 2, "basis": [[1, -1], [1, 0]]}\n' if as_json
+                   else "multiplicity=2\n(1, -1)\n(1, 0)\n")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["matrix", "--gen", "star:2", "--tol", "1"],
+    ["charpoly", "--gen", "star:2", "--budget", "5"],
+    ["gen", "--gen", "star:2", "--tol", "1"],
+    ["verify-all", "--json"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, verified, message", [
+    (["--max-leaves", "4", "--budget", "3"], 6,
+     "error: enumeration size 4 exceeds the budget\n"),
+    (["--max-leaves", "3", "--tol", "1e-300"], 13,
+     "error: eigensolver residual "),
+], ids=["budget", "tol"])
+def test_verify_all_errors_are_not_refutations(capsys, argv, verified, message):
+    # a budget or convergence failure exits 2, after the suites already run
+    code, out, err = run(capsys, "verify-all", *argv)
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == verified
+    assert all(line.endswith(": VERIFIED") for line in lines)
+    assert err.startswith(message)
+    assert err.count("\n") == 1
