@@ -20,7 +20,6 @@ from .bounds_theorems import (
     bound_report,
     delta_equality_holds,
     is_complete_dary,
-    leaf_distance_sum,
     q_recursion_check,
     q_value,
     terminal_wiener,
@@ -55,7 +54,6 @@ from .enumeration import (
 from .errors import AncestralError
 from .exact_charpoly import (
     IntPolynomial,
-    bareiss_determinant,
     char_poly,
     charpoly_by_faddeev_leverrier,
     dary_determinant_check,

@@ -144,7 +144,3 @@ def block_reconstruction(tree: RootedTree) -> tuple[tuple[int, ...], ...]:
                 out[pa][pb] = sub_matrix.rows[a][b] + 1
     return tuple(tuple(r) for r in out)
 
-
-def format_matrix(rows) -> str:
-    """Rows as space-separated integers, one row per line."""
-    return "\n".join(" ".join(str(x) for x in row) for row in rows)

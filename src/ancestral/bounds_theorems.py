@@ -4,14 +4,14 @@ Every bound quantity is kept as an exact integer or rational and comes from
 one O(V) pass over the tree, never from the matrix: with k_e the number of
 leaves below edge e, C = I_p I_p^T gives row sums as sums of k_e along root
 paths, the entry sum q = sum k_e^2 and the terminal Wiener index
-sum k_e (L - k_e).  Only the spectral radius needs C, built once inside
-``spectral_radius``.  The final comparison of each bound against that
-numeric rho uses floats, with the margin BOUND_TOL.
+sum k_e (L - k_e).  The spectral radius needs no matrix either:
+``spectral_radius`` solves the pivot recurrence of each branch in O(V) per
+step.  The final comparison of each bound against that numeric rho uses
+floats, with the margin BOUND_TOL.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,29 +21,6 @@ from .tree_core import RootedTree, leaf_counts, structural_stats
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
-
-
-def _distances_from(tree: RootedTree, source: int) -> list[int]:
-    """Breadth-first distances in the underlying undirected tree."""
-    dist = [-1] * tree.n_vertices
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        neighbours = list(tree.children[v])
-        if tree.parent[v] is not None:
-            neighbours.append(tree.parent[v])
-        for w in neighbours:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def leaf_distance_sum(tree: RootedTree, v: int) -> int:
-    """Sum of distances from v to every leaf."""
-    dist = _distances_from(tree, v)
-    return sum(dist[w] for w in tree.leaf_order)
 
 
 def _edge_leaf_counts(tree: RootedTree) -> list[int]:

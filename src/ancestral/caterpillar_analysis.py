@@ -16,25 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter, NoSignChange, PoleArgument
-from .exact_charpoly import IntPolynomial
+from .exact_charpoly import IntPolynomial, _poly_mul, _poly_sub
 
 BISECT_EPS = 1e-12
 BISECT_MAX_ITER = 200
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)]
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def caterpillar_charpoly(n: int) -> IntPolynomial:
@@ -46,9 +31,9 @@ def caterpillar_charpoly(n: int) -> IntPolynomial:
         return IntPolynomial(tuple(p_prev))
     p_cur = [1, -2, 1]  # P_2 = (x - 1)^2
     for _ in range(n - 2):
-        term1 = _poly_mul([-3, 2], p_cur)
-        term2 = _poly_mul([1, -2, 1], p_prev)
-        p_prev, p_cur = p_cur, _poly_add(term1, [-c for c in term2])
+        # the two terms have equal length, as _poly_sub needs
+        p_prev, p_cur = p_cur, _poly_sub(_poly_mul([-3, 2], p_cur),
+                                         _poly_mul([1, -2, 1], p_prev))
     return IntPolynomial(tuple(p_cur))
 
 

@@ -29,7 +29,6 @@ from .bounds_theorems import (
     bound_report,
     delta_equality_holds,
     is_complete_dary,
-    leaf_distance_sum,
 )
 from .caterpillar_analysis import (
     asymptotic_rho,
@@ -53,6 +52,7 @@ from .tree_core import (
     broom,
     generate,
     greedy_caterpillar,
+    structural_stats,
 )
 from .tree_ops import OpKind, OpSpec, apply_op, valid_specs, witness_leaves
 
@@ -90,10 +90,17 @@ def _trees_from_args(args) -> list[RootedTree]:
         return [parse_newick(args.newick)]
     if args.file is not None:
         text = Path(args.file).read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        trees = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                trees.append(parse_newick(line))
+            except AncestralError as exc:
+                raise InvalidParameter(f"line {number}: {exc}") from exc
+        if not trees:
             raise InvalidParameter(f"no trees in {args.file}")
-        return [parse_newick(line) for line in lines]
+        return trees
     return [generate(args.gen)]
 
 
@@ -365,7 +372,7 @@ def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         highest = char_poly(t).highest_first()
         trace = -highest[1] if len(highest) > 1 else 0
-        if trace != leaf_distance_sum(t, t.root):
+        if trace != structural_stats(t).D_root:
             return False
     return True
 

@@ -16,7 +16,8 @@ vertex-count pools would give.
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
 the root, so rho(T) is the largest rho(C(B_i) + J), and each distinct branch
-is solved once per search.
+is solved once per search, by the matrix-free branch routine of
+``spectral``, straight from its encoding: no tree and no matrix is built.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .ancestral_matrices import ancestral_matrix
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, eigen_decompose, spectral_radius
+from .spectral import DEFAULT_TOL, _branch_rho, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -47,12 +47,13 @@ def canonical_encoding(tree: RootedTree) -> Encoding:
     return enc[tree.root]
 
 
-def encoding_to_tree(enc: Encoding) -> RootedTree:
-    """The tree of an encoding, vertices numbered in preorder, built without
-    recursion."""
-    parents: list[Optional[int]] = []
+def _preorder_parents(enc: Encoding) -> list[int]:
+    """The parent of each vertex of an encoding's tree, numbered in
+    preorder with children in encoding order; -1 for the root.  Built with
+    an explicit stack, without recursion."""
+    parents: list[int] = []
     stack = [enc]
-    above: list[Optional[int]] = [None]  # parent of each node on the stack
+    above = [-1]  # parent of each node on the stack
     while stack:
         node = stack.pop()
         idx = len(parents)
@@ -60,7 +61,12 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
         if node:
             stack.extend(node[::-1])
             above.extend([idx] * len(node))
-    return build_tree(parents)
+    return parents
+
+
+def encoding_to_tree(enc: Encoding) -> RootedTree:
+    """The tree of an encoding, vertices numbered in preorder."""
+    return build_tree([None] + _preorder_parents(enc)[1:])
 
 
 def _partitions(m: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
@@ -346,18 +352,18 @@ def _class_rhos(cls: TreeClass, eig_tol: float) -> list[tuple[float, Encoding]]:
     """(rho, encoding) for every tree of cls, in class order.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
-    and 0 for the single vertex.  Each distinct branch is solved once, with
-    the residual check of ``eigen_decompose``.  C(B) + J is, entry for entry
-    and in the same preorder leaf order, the block that ``spectral_radius``
-    cuts from C(T), so each rho is the very float it returns.
+    and 0 for the single vertex.  Each distinct branch is solved once by
+    ``_branch_rho``, with its residual check, straight from the encoding.
+    The preorder arrays are those ``spectral_radius`` passes for the same
+    branch of ``encoding_to_tree(enc)``, so each rho is the very float it
+    returns.
     """
     branch_rho: dict[Encoding, float] = {}
 
     def solve(branch: Encoding) -> float:
         if branch not in branch_rho:
-            rows = ancestral_matrix(encoding_to_tree(branch)).rows
-            block = [[c + 1 for c in row] for row in rows]
-            branch_rho[branch] = eigen_decompose(block, eig_tol).eigenvalues[0]
+            branch_rho[branch] = _branch_rho(_preorder_parents(branch),
+                                             eig_tol)[0]
         return branch_rho[branch]
 
     return [(max(map(solve, enc), default=0.0), enc)

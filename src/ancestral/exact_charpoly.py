@@ -10,9 +10,10 @@ Two genuinely independent exact routes are kept side by side:
   per-step division by k is exact for integer matrices.
 
 Collapsing these into one would silently drop a built-in oracle, so both are
-public and the test suite compares them coefficient by coefficient.
-Fraction-free (Bareiss) elimination serves the determinant checks
-``eval_det_shift`` and ``dary_determinant_check``.
+public and the test suite compares them coefficient by coefficient.  The
+determinant checks ``eval_det_shift`` and ``dary_determinant_check`` read
+their values off the primary route's polynomial, since
+det(pI + qC) = (-q)^L P(-p/q) for P = det(xI - C).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ancestral_matrices import ancestral_matrix
 from .errors import NotDary
 from .tree_core import RootedTree
 
@@ -43,34 +43,6 @@ class IntPolynomial:
 
     def highest_first(self) -> tuple[int, ...]:
         return tuple(reversed(self.coeffs))
-
-
-def bareiss_determinant(rows) -> int:
-    """Exact determinant of a square integer matrix by fraction-free
-    elimination.  Every division below is exact by the Bareiss identity.
-    The empty matrix has determinant 1."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -184,25 +156,10 @@ def gamma_coefficients(tree: RootedTree) -> list[int]:
     return [highest[k] if k % 2 == 0 else -highest[k] for k in range(n + 1)]
 
 
-def _scaled_shift_det(tree: RootedTree, p: int, q: int) -> int:
-    """Exact det(qC(T) + pI) by one fraction-free elimination."""
-    rows = ancestral_matrix(tree).rows
-    n = len(rows)
-    return bareiss_determinant(
-        [[q * rows[i][j] + (p if i == j else 0) for j in range(n)]
-         for i in range(n)])
-
-
 def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:
-    """Exact det(cI + C(T)) for any rational c.
-
-    Scales to an integer matrix first: det(cI + C) = det(pI + qC) / q^n
-    with c = p/q in lowest terms, so a single fraction-free elimination
-    suffices.
-    """
-    c = Fraction(c)
-    p, q = c.numerator, c.denominator
-    return Fraction(_scaled_shift_det(tree, p, q), q ** tree.n_leaves)
+    """Exact det(cI + C(T)) for any rational c: (-1)^L P(-c) for the
+    characteristic polynomial P = det(xI - C(T)), evaluated in Fractions."""
+    return (-1) ** tree.n_leaves * char_poly(tree)(-Fraction(c))
 
 
 @dataclass(frozen=True)
@@ -227,6 +184,10 @@ def dary_determinant_check(tree: RootedTree, d: int) -> DaryCheck:
         if k != d:
             raise NotDary(v)
         int_count += 1
-    lhs = _scaled_shift_det(tree, 1, d - 1)
+    # det(I + qC) = (-q)^L P(-1/q) = sum_k a_k (-q)^(L-k) for
+    # P = sum_k a_k x^k, in integers; here q = d - 1
+    coeffs = char_poly(tree).coeffs
+    n = len(coeffs) - 1
+    lhs = sum(a * (1 - d) ** (n - k) for k, a in enumerate(coeffs))
     rhs = d ** (d * int_count)
     return DaryCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)

@@ -2,22 +2,34 @@
 
 The eigensolver contract is: residual max_i ||M x_i - lambda_i x_i|| at most
 tol * max(1, ||M||_F), eigenvalues descending, eigenvectors orthonormal.  Any
-solver meeting it qualifies; LAPACK's symmetric solver via numpy is used and
-the residual is checked after the fact rather than trusted.
+solver meeting it qualifies; LAPACK's symmetric solver via numpy is used for
+the full spectrum and the residual is checked after the fact rather than
+trusted.
+
+The spectral radius needs no matrix.  C(T) is the direct sum of the blocks
+C(B) + J over the branches B below the root, and the largest eigenvalue of
+one block comes from a pivot recurrence over B's vertices (the analogue,
+for C(T), of Jacobs and Trevisan's eigenvalue location in trees), solved by
+Laguerre's method in O(V) per step.  Its Perron vector and the residual of
+the contract above come from the same pivots, again in O(V).  The
+eigensolver is left to ``spectrum`` and the eigenvalue-one checks, which
+need every eigenvalue.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .ancestral_matrices import AncestralMatrix, ancestral_matrix
 from .errors import NoConvergence, SingleVertexTree
-from .tree_core import RootedTree, branch_leaf_groups
+from .tree_core import RootedTree
 
 DEFAULT_TOL = 1e-10
+LAGUERRE_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -65,33 +77,186 @@ class SpectralRadius:
     perron: np.ndarray  # non-negative unit vector over leaf_order
 
 
+def _pivots(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
+            x: float):
+    """The pivots of a branch at x, bottom-up, with G = F'/F and
+    H = -(log F)'' for F = det(xI - C(B) - J).
+
+    The pivot of vertex i is d_i = 1 - r_i, where r_i(x) = 1^T (xI - A_i)^-1 1
+    for the ancestral matrix A_i of the subtree at i: r = 1/x at a leaf,
+    else the sum over children c of r_c / d_c (Sherman-Morrison on the
+    block A_c + J).  F is x^L times the product of all pivots, so
+    G = L/x + sum of -r_i'/d_i and H = L/x^2 + sum of r_i''/d_i + (r_i'/d_i)^2,
+    with r' = -1/x^2, r'' = 2/x^3 at a leaf and r' = sum r_c'/d_c^2,
+    r'' = sum r_c''/d_c^2 + 2 r_c'^2/d_c^3 above.
+
+    The branch root must be internal.  Returns None when a pivot below it
+    is not positive: x is then below that subtree's own largest eigenvalue.
+    The root's pivot may be <= 0, and then G and H are meaningless.
+    """
+    m = len(parent)
+    inv = 1.0 / x
+    leaf_r, leaf_dr, leaf_ddr = inv, -inv * inv, 2.0 * inv * inv * inv
+    r = [0.0] * m
+    dr = [0.0] * m
+    ddr = [0.0] * m
+    d = [0.0] * m
+    g = n_leaves * inv
+    h = g * inv
+    for i in range(m - 1, 0, -1):
+        if is_leaf[i]:
+            ri, dri, ddri = leaf_r, leaf_dr, leaf_ddr
+        else:
+            ri, dri, ddri = r[i], dr[i], ddr[i]
+        di = 1.0 - ri
+        if di <= 0.0:
+            return None
+        d[i] = di
+        a = dri / di
+        g -= a
+        h += ddri / di + a * a
+        p = parent[i]
+        r[p] += ri / di
+        b = a / di
+        dr[p] += b
+        ddr[p] += ddri / (di * di) + 2.0 * a * b
+    d[0] = d0 = 1.0 - r[0]
+    if d0 > 0.0:
+        a = dr[0] / d0
+        g -= a
+        h += ddr[0] / d0 + a * a
+    return d, g, h
+
+
+def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
+                  x: float) -> tuple[float, list[float]]:
+    """Largest root of F = det(xI - C(B) - J) from an upper bound x, with
+    the pivots there.
+
+    F is real-rooted of degree L, so Laguerre's step
+    x - L / (G + sqrt((L - 1)(L H - G^2))) from above its largest root stays
+    above it, converges cubically, and is never shorter than Newton's step
+    1/G; every pivot is positive above the root.  The iteration stops once a
+    step no longer decreases x or the branch root's pivot reaches <= 0; x is
+    then the root, since only rounding can carry a step from above past it.
+    After LAGUERRE_MAX_STEPS steps the caller's residual check decides.
+    """
+    found = _pivots(parent, is_leaf, n_leaves, x)
+    if found is None:  # only rounding at an astronomically large start
+        raise NoConvergence(residual=math.inf, bound=0.0)
+    d, g, h = found
+    for _ in range(LAGUERRE_MAX_STEPS):
+        if d[0] <= 0.0:
+            break
+        # L H >= G^2 by Cauchy-Schwarz; rounding may break it near a root
+        spread = (n_leaves - 1) * (n_leaves * h - g * g)
+        x_next = x - n_leaves / (g + math.sqrt(spread) if spread > 0.0 else g)
+        if not x_next < x:
+            break
+        found = _pivots(parent, is_leaf, n_leaves, x_next)
+        if found is None:
+            break
+        x = x_next
+        d, g, h = found
+    return x, d
+
+
+def _branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
+    """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
+    vector over B's leaves in preorder, without building the matrix.
+
+    ``parent`` lists B in preorder: entry 0 is B's root and is ignored, and
+    every other entry is the position of the vertex's parent, which comes
+    earlier.  The largest row sum bounds the eigenvalue from above.  When
+    every row sum is the same, it is the eigenvalue, exactly, with the
+    all-ones direction as its vector (complete d-ary branches, brooms).
+    Otherwise ``_largest_root`` descends from it, and the Perron vector is
+    y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product of 1/d
+    over the vertices below B's root on its path.
+
+    The eigensolver contract is checked on (x, y) as ``eigen_decompose``
+    does, with (C(B) + J) y from one pass of subtree sums and one of prefix
+    sums, and ||C(B) + J||_F^2 = sum over vertices of k^2 (2 depth + 1) for
+    k leaves below the vertex at that depth below B's root.  Raises
+    NoConvergence when the residual exceeds the bound.
+    """
+    m = len(parent)
+    is_leaf = [True] * m
+    for i in range(1, m):
+        is_leaf[parent[i]] = False
+    k = [1 if leaf else 0 for leaf in is_leaf]
+    for i in range(m - 1, 0, -1):
+        k[parent[i]] += k[i]
+    n_leaves = k[0]
+    # row sum of a leaf: the leaf counts along its path from B's root
+    depth = [0] * m
+    row = [0] * m
+    row[0] = n_leaves
+    for i in range(1, m):
+        p = parent[i]
+        depth[i] = depth[p] + 1
+        row[i] = row[p] + k[i]
+    leaves = [i for i in range(m) if is_leaf[i]]
+    rows = [row[i] for i in leaves]
+
+    x = max(rows)
+    if min(rows) == x:
+        x = float(x)
+        y = [1.0 / math.sqrt(n_leaves)] * n_leaves
+    else:
+        x, d = _largest_root(parent, is_leaf, n_leaves, float(x))
+        q = [0.0] * m
+        q[0] = 1.0 / x
+        for i in range(1, m):
+            q[i] = q[parent[i]] / d[i]
+        norm = math.sqrt(sum(q[i] * q[i] for i in leaves))
+        y = [q[i] / norm for i in leaves]
+
+    s = [0.0] * m
+    for i, v in zip(leaves, y):
+        s[i] = v
+    for i in range(m - 1, 0, -1):
+        s[parent[i]] += s[i]
+    for i in range(1, m):
+        s[i] += s[parent[i]]
+    residual = math.sqrt(sum((s[i] - x * v) ** 2 for i, v in zip(leaves, y)))
+    fro = math.sqrt(sum(c * c * (2 * e + 1) for c, e in zip(k, depth)))
+    bound = tol * max(1.0, fro)
+    if not residual <= bound:
+        raise NoConvergence(residual=residual, bound=bound)
+    return x, y
+
+
 def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
     """Largest eigenvalue of C(T) with a non-negative eigenvector.
 
-    Computed branch by branch: the submatrix of C(T) on one branch's leaves
-    has all entries positive, so its top eigenvector is simple and strictly
-    positive.  The winning branch's vector is padded with zeros; when several
-    branches tie exactly, the first in leaf order wins.
+    Computed branch by branch with ``_branch_rho``, on each root child's run
+    of the tree's preorder: the block of C(T) on one branch's leaves,
+    C(B) + J, has all entries positive, so its top eigenvector is simple and
+    strictly positive.  The winning branch's vector is padded with zeros;
+    when several branches tie exactly, the first root child in stored order
+    wins.  No matrix is built.
     """
-    n = tree.n_leaves
     if tree.n_vertices == 1:
         return SpectralRadius(rho=0.0, perron=np.ones(1))
-    full = _as_array(ancestral_matrix(tree))
-    best_rho = None
-    best_vec = None
-    best_positions = None
-    for _branch_root, positions in branch_leaf_groups(tree):
-        sub = full[np.ix_(positions, positions)]
-        spec = eigen_decompose(sub, tol)
-        rho = spec.eigenvalues[0]
-        if best_rho is None or rho > best_rho:
-            vec = spec.eigenvectors[:, 0]
-            if vec.sum() < 0:
-                vec = -vec
-            best_rho, best_vec, best_positions = rho, vec, positions
-    perron = np.zeros(n)
-    perron[list(best_positions)] = best_vec
-    return SpectralRadius(rho=float(best_rho), perron=perron)
+    order = tree.preorder
+    parent = tree.parent
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    kids = tree.children[tree.root]
+    ends = [pos[c] for c in kids] + [len(order)]
+    best_rho = best_vec = best_run = None
+    for a, b in zip(ends, ends[1:]):
+        run = order[a:b]
+        value, vec = _branch_rho([-1] + [pos[parent[v]] - a for v in run[1:]],
+                                 tol)
+        if best_rho is None or value > best_rho:
+            best_rho, best_vec, best_run = value, vec, run
+    column = {v: i for i, v in enumerate(tree.leaf_order)}
+    perron = np.zeros(tree.n_leaves)
+    perron[[column[v] for v in best_run if not tree.children[v]]] = best_vec
+    return SpectralRadius(rho=best_rho, perron=perron)
 
 
 def rho(tree: RootedTree, tol: float = DEFAULT_TOL) -> float:

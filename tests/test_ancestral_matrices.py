@@ -11,7 +11,6 @@ from ancestral import (
     path_incidence_matrix,
     subtree,
 )
-from ancestral.ancestral_matrices import format_matrix
 
 from helpers import (
     EXAMPLE_C_ROWS,
@@ -120,10 +119,6 @@ def test_single_vertex_matrices():
     inc = path_incidence_matrix(t)
     assert inc.n == 1 and inc.m == 0
     assert gram_check(t)
-
-
-def test_format_matrix():
-    assert format_matrix(((1, 2), (3, 4))) == "1 2\n3 4"
 
 
 @given(st.data())

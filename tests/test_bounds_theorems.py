@@ -10,11 +10,11 @@ from ancestral import (
     complete_dary,
     delta_equality_holds,
     is_complete_dary,
-    leaf_distance_sum,
     q_recursion_check,
     q_value,
     rho,
     star,
+    structural_stats,
     terminal_wiener,
     total_ancestral_depth,
 )
@@ -35,7 +35,7 @@ def test_example_quantities():
     ex = example_tree()
     assert q_value(ex) == EXAMPLE_Q
     assert terminal_wiener(ex) == EXAMPLE_TERMINAL_WIENER
-    assert leaf_distance_sum(ex, ex.root) == 14
+    assert structural_stats(ex).D_root == 14
     # row sum of the deeper cherry leaf
     assert total_ancestral_depth(ex, 8) == 7
     # Q = L * D(root) - TW ties the three quantities together

@@ -214,6 +214,20 @@ def test_file_with_no_trees(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("(,);\n((,)\n", 2),
+    ("(,);\n\n  \n((,)\n(,,);\n", 4),
+], ids=["second", "after-blank-lines"])
+def test_file_parse_error_names_the_line(capsys, tmp_path, text, line):
+    # physical line numbers, blank lines counted; nothing is printed first
+    path = tmp_path / "bad.nwk"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "matrix", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {line}: at position 4: expected ',' or ')'\n"
+
+
 def test_bad_newick_exits_2(capsys):
     code, _, err = run(capsys, "matrix", "--newick", "((,)")
     assert code == 2

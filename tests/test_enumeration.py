@@ -171,19 +171,19 @@ def test_one_tree_classes_skip_the_vertex_pool():
 ], ids=lambda cls: cls.kind)
 def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
     solved = []
-    solve = enumeration.eigen_decompose
+    solve = enumeration._branch_rho
 
-    def counting_solve(m, tol):
-        solved.append(m)
-        return solve(m, tol)
+    def counting_solve(parent, tol):
+        solved.append(parent)
+        return solve(parent, tol)
 
-    monkeypatch.setattr(enumeration, "eigen_decompose", counting_solve)
+    monkeypatch.setattr(enumeration, "_branch_rho", counting_solve)
     scored = enumeration._class_rhos(cls, DEFAULT_TOL)
     encs = list(enumeration._class_encodings(cls))
     assert [enc for _, enc in scored] == encs
     for value, enc in scored:
         assert value == spectral_radius(encoding_to_tree(enc)).rho
-    # one eigensolve per distinct branch below a root
+    # one solve per distinct branch below a root
     assert len(solved) == len({branch for enc in encs for branch in enc})
 
 

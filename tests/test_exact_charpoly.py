@@ -8,7 +8,6 @@ import pytest
 import sympy
 
 from ancestral import (
-    bareiss_determinant,
     binary_caterpillar,
     broom,
     char_poly,
@@ -19,8 +18,9 @@ from ancestral import (
     gamma_coefficients,
     greedy_caterpillar,
     star,
+    structural_stats,
 )
-from ancestral import ancestral_matrix, build_tree, leaf_distance_sum
+from ancestral import ancestral_matrix, build_tree
 from ancestral.errors import NotDary
 
 from helpers import (
@@ -35,14 +35,20 @@ from helpers import (
 )
 
 
-def test_bareiss_determinant_small_cases():
-    assert bareiss_determinant(((2, 1), (1, 2))) == 3
-    assert bareiss_determinant(((1, 2), (2, 4))) == 0
-    assert bareiss_determinant(((7,),)) == 7
-    assert bareiss_determinant(()) == 1
-    # a pivot swap is needed here
-    assert bareiss_determinant(((0, 1), (1, 0))) == -1
-    assert bareiss_determinant(((0, 1, 2), (3, 4, 5), (6, 7, 8))) == 0
+def test_eval_det_shift_matches_faddeev_leverrier():
+    # det(cI + C) = (-1)^L FL(-c), with FL's polynomial from the matrix itself
+    shifts = (Fraction(1), Fraction(1, 2), Fraction(-2, 3), Fraction(7, 3),
+              Fraction(-5))
+    for t in corpus(8):
+        fl = charpoly_by_faddeev_leverrier(ancestral_matrix(t).rows)
+        sign = (-1) ** t.n_leaves
+        for c in shifts:
+            assert eval_det_shift(t, c) == sign * poly_eval_fraction(fl, -c)
+        for d in (2, 3):
+            if {len(k) for k in t.children if k} <= {d}:
+                q = d - 1
+                want = sign * q ** t.n_leaves * poly_eval_fraction(fl, Fraction(-1, q))
+                assert dary_determinant_check(t, d).lhs == want
 
 
 def test_example_charpoly_and_gamma():
@@ -97,7 +103,7 @@ def test_trace_coefficient_is_total_leaf_depth():
     for t in corpus(9):
         gamma = gamma_coefficients(t)
         trace = gamma[1] if len(gamma) > 1 else 0
-        assert trace == leaf_distance_sum(t, t.root)
+        assert trace == structural_stats(t).D_root
 
 
 def test_eval_det_shift():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from ancestral import (
     ancestral_matrix,
     binary_caterpillar,
+    bound_report,
     broom,
     build_tree,
     complete_dary,
@@ -15,7 +18,9 @@ from ancestral import (
     star,
     star_plus_path,
 )
+from ancestral import ancestral_matrices, spectral
 from ancestral.errors import NoConvergence, SingleVertexTree
+from ancestral.tree_core import branch_leaf_groups
 
 from helpers import (
     EXAMPLE_EIGENVALUES,
@@ -23,6 +28,7 @@ from helpers import (
     example_tree,
     power_iteration_rho,
     seeded_rng,
+    shuffled_random_tree,
 )
 
 
@@ -44,10 +50,86 @@ def test_residual_contract():
         eigen_decompose(m, tol=0.0)
 
 
+def _random_trees(salt: int, count: int, max_vertices: int):
+    """Seeded random trees of at most 400 leaves, half of them numbered in
+    preorder and half with shuffled vertex numbers."""
+    rng = seeded_rng(salt)
+    trees = []
+    while len(trees) < count:
+        n = rng.randint(2, max_vertices)
+        make = random_tree if len(trees) % 2 else shuffled_random_tree
+        t = make(n, rng)
+        if t.n_leaves <= 400:
+            trees.append(t)
+    return trees
+
+
 def test_spectral_radius_is_max_eigenvalue():
-    for t in corpus(9):
+    # the matrix-free rho against the dense eigensolver
+    trees = [t for t in corpus(9) if t.n_vertices > 1]
+    trees += _random_trees(61, 12, 800)
+    for t in trees:
         full = eigen_decompose(ancestral_matrix(t)).eigenvalues[0]
-        assert abs(spectral_radius(t).rho - full) < 1e-9
+        assert abs(spectral_radius(t).rho - full) <= 1e-12 * full
+
+
+def test_perron_vector_matches_the_dense_top_vector_of_its_branch():
+    trees = [t for t in corpus(8) if t.n_vertices > 1]
+    trees += _random_trees(62, 12, 300)
+    for t in trees:
+        sr = spectral_radius(t)
+        assert abs(math.fsum(v * v for v in sr.perron) - 1.0) < 1e-12
+        full = np.array(ancestral_matrix(t).rows, dtype=float)
+        for _, positions in branch_leaf_groups(t):
+            if sr.perron[positions[0]] > 0:
+                break
+        outside = np.delete(sr.perron, positions)
+        assert not outside.any()
+        top = eigen_decompose(full[np.ix_(positions, positions)]).eigenvectors[:, 0]
+        top = top if top.sum() > 0 else -top
+        assert np.max(np.abs(sr.perron[positions] - top)) < 1e-9
+
+
+def test_matrix_free_rho_keeps_the_residual_check():
+    t = binary_caterpillar(5)
+    assert spectral_radius(t, tol=1e-10).rho > 0
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radius(t, tol=0.0)
+    assert exc.value.residual > 0.0
+    # the bound is tol * ||C(B) + J||_F of the failing branch, the block of
+    # C(T) on the four leaves below the root's second child
+    block = np.array(ancestral_matrix(t).rows, dtype=float)[1:, 1:]
+    with pytest.raises(NoConvergence) as exc:
+        spectral_radius(t, tol=1e-300)
+    assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(block))
+
+
+def test_equal_row_sums_give_rho_exactly():
+    # every row sum of a branch block equal: that sum is rho, exactly
+    assert spectral_radius(complete_dary(2, 9)).rho == 511.0
+    assert spectral_radius(complete_dary(3, 4)).rho == 40.0
+    assert spectral_radius(broom(5, 4)).rho == 21.0
+
+
+def test_rho_of_deep_trees():
+    depth = 10 ** 4
+    assert spectral_radius(broom(depth, 3)).rho == 3.0 * depth + 1
+    # a depth-10^4 path ending in a three-leaf caterpillar: C is 3 x 3
+    parents = [None] + list(range(depth)) + [depth, depth, depth + 2, depth + 2]
+    t = build_tree(parents)
+    full = eigen_decompose(ancestral_matrix(t)).eigenvalues[0]
+    assert abs(rho(t) - full) <= 1e-12 * full
+
+
+def test_bound_report_builds_no_matrix(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("the ancestral matrix was built")
+
+    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
+    monkeypatch.setattr(ancestral_matrices, "ancestral_matrix", refuse)
+    report = bound_report(complete_dary(2, 12))
+    assert report.rho == 4095.0
+    assert report.all_satisfied
 
 
 def test_perron_vector_is_zero_outside_winning_branch():
