@@ -99,12 +99,16 @@ class BoundReport:
     tw_bound: Fraction
     height_bound: int
     delta_bound: Fraction
-    all_satisfied: bool
     margins: dict[str, float]
+    # per bound, whether its margin is at least -BOUND_TOL
+    satisfied: dict[str, bool]
+
+    @property
+    def all_satisfied(self) -> bool:
+        return all(self.satisfied.values())
 
 
-def bound_report(tree: RootedTree, tol: float = BOUND_TOL,
-                 eig_tol: float = DEFAULT_TOL) -> BoundReport:
+def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate every spectral-radius bound on one tree.
 
     Bounds: average row sum <= rho <= max row sum; rho >= (sum of leaf
@@ -135,11 +139,11 @@ def bound_report(tree: RootedTree, tol: float = BOUND_TOL,
         "height": rho - float(height_bound),
         "delta": rho - float(delta_bound),
     }
-    all_satisfied = all(m >= -tol for m in margins.values())
     return BoundReport(rho=rho, avg_ad=avg_ad, max_ad=max_ad,
                        tw_bound=tw_bound, height_bound=height_bound,
-                       delta_bound=delta_bound, all_satisfied=all_satisfied,
-                       margins=margins)
+                       delta_bound=delta_bound, margins=margins,
+                       satisfied={key: m >= -BOUND_TOL
+                                  for key, m in margins.items()})
 
 
 def is_complete_dary(tree: RootedTree) -> bool:
@@ -152,12 +156,12 @@ def is_complete_dary(tree: RootedTree) -> bool:
     return len(levels) == 1
 
 
-def delta_equality_holds(tree: RootedTree, window: float = EQUALITY_WINDOW,
-                         eig_tol: float = DEFAULT_TOL) -> bool:
-    """Whether rho equals (L-1)/(Delta-1) within the clustering window.
+def delta_equality_holds(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> bool:
+    """Whether rho equals (L-1)/(Delta-1) within EQUALITY_WINDOW.
     Only meaningful when the maximum outdegree is at least 2."""
     stats = structural_stats(tree)
     if stats.delta < 2:
         return False
     bound = Fraction(stats.L - 1, stats.delta - 1)
-    return abs(spectral_radius(tree, eig_tol).rho - float(bound)) <= window
+    return (abs(spectral_radius(tree, eig_tol).rho - float(bound))
+            <= EQUALITY_WINDOW)

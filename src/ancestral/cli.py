@@ -25,7 +25,6 @@ from .ancestral_matrices import (
     path_incidence_matrix,
 )
 from .bounds_theorems import (
-    BOUND_TOL,
     bound_report,
     delta_equality_holds,
     is_complete_dary,
@@ -144,10 +143,6 @@ _BOUND_LINES = (
 )
 
 
-def _satisfied(rep) -> dict[str, bool]:
-    return {key: rep.margins[key] >= -BOUND_TOL for _, key in _BOUND_LINES}
-
-
 def _bounds_json(rep) -> dict:
     return {
         "rho": rep.rho,
@@ -156,13 +151,12 @@ def _bounds_json(rep) -> dict:
         "tw_bound": rep.tw_bound,
         "height": rep.height_bound,
         "delta_bound": rep.delta_bound,
-        "satisfied": _satisfied(rep),
+        "satisfied": rep.satisfied,
         "all_satisfied": rep.all_satisfied,
     }
 
 
 def _bounds_text(rep) -> list[str]:
-    satisfied = _satisfied(rep)
     return [
         f"rho={_fmt(rep.rho)}",
         f"avg_ad={rep.avg_ad}",
@@ -170,7 +164,7 @@ def _bounds_text(rep) -> list[str]:
         f"tw_bound={rep.tw_bound}",
         f"height={rep.height_bound}",
         f"delta_bound={rep.delta_bound}",
-        *(f"{label}: {'SATISFIED' if satisfied[key] else 'VIOLATED'}"
+        *(f"{label}: {'SATISFIED' if rep.satisfied[key] else 'VIOLATED'}"
           for label, key in _BOUND_LINES),
     ]
 

@@ -6,12 +6,16 @@ isomorphic (respecting the root, ignoring children order) exactly when their
 encodings are equal, so each class is emitted without duplicates by
 construction.
 
-Every class is generated directly, never by filtering a larger one.  Each
-kind has a cached pool per key -- the vertex count, the pair (vertices,
-leaves), the sorted outdegree multiset, the leaf count -- and a root's
-children are drawn from the pools of the keys that add up to the root's own.
-Pools are sorted, so a class comes out in the order a filter over the sorted
-vertex-count pools would give.
+Every class is generated directly, never by filtering a larger one.  A
+class is a list of keys of one kind -- the vertex count, the pair
+(vertices, leaves), the sorted outdegree multiset, the leaf count of a
+series-reduced or d-ary tree -- and ``_RULES`` gives, for each kind, the
+ways a root's children split its key.  One walk, ``_walk``, computes a key
+either as its sorted pool, drawing the root's children from the pools of
+their keys, or as its count, with C(s + m - 1, m) multisets of m equal
+keys drawn from a pool of s.  A class is counted, and checked against its
+cap, before any pool is built.  Pools are sorted, so a class comes out in
+the order a filter over the sorted vertex-count pools would give.
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
@@ -26,7 +30,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
@@ -99,32 +103,18 @@ def _multiset_children(part: tuple[int, ...], pool) -> Iterator[Encoding]:
         yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
 
-@lru_cache(maxsize=None)
-def _by_vertices(n: int) -> tuple[Encoding, ...]:
-    if n <= 0:
-        return ()
+def _vertex_parts(n: int) -> Iterator[tuple[int, ...]]:
+    """A root of n vertices: its children's vertex counts partition n - 1."""
+    return _partitions(n - 1)
+
+
+def _pair_parts(key: tuple[int, int]) -> Iterable[tuple[tuple[int, int], ...]]:
+    """A root of n vertices and l leaves: its children's (vertices, leaves)
+    pairs add up to (n - 1, l), unless the root is itself the one leaf."""
+    n, leaves = key
     if n == 1:
-        return ((),)
-    out: list[Encoding] = []
-    for part in _partitions(n - 1):
-        out.extend(_multiset_children(part, _by_vertices))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _by_vertices_and_leaves(n: int, leaves: int) -> tuple[Encoding, ...]:
-    """Encodings with n vertices of which exactly ``leaves`` are leaves."""
-    if n == 1 and leaves == 1:
-        return ((),)
-    if not 1 <= leaves < n:
-        return ()
-    out: list[Encoding] = []
-    for part in _pair_partitions(n - 1, leaves):
-        out.extend(_multiset_children(
-            part, lambda key: _by_vertices_and_leaves(*key)))
-    out.sort()
-    return tuple(out)
+        return [()] if leaves == 1 else []
+    return _pair_partitions(n - 1, leaves)
 
 
 def _pair_partitions(n: int, leaves: int, top: Optional[tuple[int, int]] = None
@@ -153,22 +143,16 @@ def _pair_partitions(n: int, leaves: int, top: Optional[tuple[int, int]] = None
                 yield ((size, k),) + rest
 
 
-@lru_cache(maxsize=None)
-def _by_outdegrees(degrees: tuple[int, ...]) -> tuple[Encoding, ...]:
-    """Encodings whose outdegree multiset, one entry per vertex and sorted
-    descending, is ``degrees``."""
+def _outdegree_parts(degrees: tuple[int, ...]
+                     ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """A root of a tree whose descending outdegree multiset is ``degrees``:
+    the root takes one outdegree k, and its k children share the rest."""
     if degrees == (0,):
-        return ((),)
-    if len(degrees) != 1 + sum(degrees):
-        return ()
-    out: list[Encoding] = []
-    for k in set(degrees) - {0}:
-        # the root takes one outdegree k; its k children share the rest
-        i = degrees.index(k)
-        for blocks in _outdegree_splits(degrees[:i] + degrees[i + 1:], k):
-            out.extend(_multiset_children(blocks, _by_outdegrees))
-    out.sort()
-    return tuple(out)
+        yield ()
+    elif len(degrees) == 1 + sum(degrees):
+        for k in set(degrees) - {0}:
+            i = degrees.index(k)
+            yield from _outdegree_splits(degrees[:i] + degrees[i + 1:], k)
 
 
 def _outdegree_splits(rest: tuple[int, ...], k: int,
@@ -204,38 +188,89 @@ def _outdegree_splits(rest: tuple[int, ...], k: int,
             yield (part,) + more
 
 
-@lru_cache(maxsize=None)
-def _series_reduced(n: int) -> tuple[Encoding, ...]:
-    """Encodings with exactly n leaves and no outdegree-1 vertex."""
-    if n <= 0:
-        return ()
+def _leaf_parts(key: tuple[Optional[int], int]
+                ) -> Iterator[tuple[tuple[Optional[int], int], ...]]:
+    """A root of n leaves and no outdegree-1 vertex: its children's leaf
+    counts partition n into at least 2 parts when d is None
+    (series-reduced), into exactly d parts otherwise (d-ary, which needs
+    d - 1 to divide n - 1)."""
+    d, n = key
     if n == 1:
-        return ((),)
-    out: list[Encoding] = []
-    for part in _partitions(n):
-        if len(part) < 2:
-            continue
-        out.extend(_multiset_children(part, _series_reduced))
-    out.sort()
-    return tuple(out)
+        yield ()
+    elif n > 1 and (d is None or (n - 1) % (d - 1) == 0):
+        for part in _partitions(n):
+            if len(part) >= 2 if d is None else len(part) == d:
+                yield tuple((d, s) for s in part)
 
 
-@lru_cache(maxsize=None)
-def _dary_by_leaves(d: int, n: int) -> tuple[Encoding, ...]:
-    """Encodings with n leaves where every internal vertex has outdegree d."""
-    if n <= 0:
-        return ()
-    if n == 1:
-        return ((),)
-    if (n - 1) % (d - 1) != 0:
-        return ()
-    out: list[Encoding] = []
-    for part in _partitions(n):
-        if len(part) != d:
-            continue
-        out.extend(_multiset_children(part, lambda s: _dary_by_leaves(d, s)))
-    out.sort()
-    return tuple(out)
+# the rule of each kind of key: the ways a root's children split its key,
+# each a descending tuple of the children's keys
+_RULES = {
+    "vertices": _vertex_parts,
+    "pairs": _pair_parts,
+    "outdegrees": _outdegree_parts,
+    "leaves": _leaf_parts,
+}
+
+# (kind, None) -> {key: sorted pool}; (kind, cap) -> {key: count, saturated
+# at cap + 1}
+_MEMO: dict[tuple[str, Optional[int]], dict] = {}
+
+
+def _part_count(part: tuple, counts: dict) -> int:
+    """The children tuples that realize ``part``: m equal keys drawn from a
+    pool of s encodings give C(s + m - 1, m) multisets, as in Otter's count
+    of rooted trees."""
+    total = 1
+    for key, m in Counter(part).items():
+        total *= comb(counts[key] + m - 1, m)
+    return total
+
+
+def _walk(kind: str, key, cap: Optional[int] = None):
+    """The sorted pool of one key of ``kind`` or, given a cap, the size of
+    that pool, saturated at cap + 1.  Each key is computed once into
+    ``_MEMO``.
+
+    The keys are walked with an explicit stack, so a deep key needs no
+    recursion.  A frame holds a key, its lazy iterator of parts, the part
+    it waits on while that part's missing keys are pushed above it, and the
+    pool or count so far.  A pool is the sorted union over the parts of
+    ``_multiset_children``; a count is the sum over the parts of
+    ``_part_count``, and stops at the first part that takes it past the cap.
+    """
+    rule = _RULES[kind]
+    memo = _MEMO.setdefault((kind, cap), {})
+    stack: list[list] = []
+
+    def push(top) -> None:
+        stack.append([top, iter(rule(top)), None, [] if cap is None else 0])
+
+    if key not in memo:
+        push(key)
+    while stack:
+        frame = stack[-1]
+        top, parts, part, acc = frame
+        if part is None:
+            if cap is None or acc <= cap:
+                part = next(parts, None)
+            if part is None:
+                memo[top] = (tuple(sorted(acc)) if cap is None
+                             else min(acc, cap + 1))
+                stack.pop()
+                continue
+            frame[2] = part
+        for sub in part:
+            if sub not in memo:
+                push(sub)
+                break
+        else:
+            frame[2] = None
+            if cap is None:
+                acc.extend(_multiset_children(part, memo.__getitem__))
+            else:
+                frame[3] = acc + _part_count(part, memo)
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -295,36 +330,43 @@ def dary_by_leaves(d: int, n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
     return TreeClass("dary-by-leaves", (d, n_leaves), cap)
 
 
+# each kind of class as the (kind, key) pairs whose pools, chained, are
+# the class
+_CLASS_KEYS = {
+    "by-vertex-count": lambda n: [("vertices", n)],
+    "by-leaf-count": lambda leaves, max_vertices: [
+        ("pairs", (size, leaves)) for size in range(1, max_vertices + 1)],
+    "by-vertices-and-leaves": lambda n, leaves: [("pairs", (n, leaves))],
+    "by-outdegree-sequence": lambda *degrees: [
+        ("outdegrees", tuple(sorted(degrees, reverse=True)))],
+    "series-reduced": lambda n: [("leaves", (None, n))],
+    "dary-by-leaves": lambda d, n: [("leaves", (d, n))],
+}
+
+
+def _class_keys(cls: TreeClass) -> tuple[list, int]:
+    """The (kind, key) pairs of cls and its size, counted without building
+    any pool; raises ClassTooLarge when the size passes ``cls.cap``."""
+    if cls.kind not in _CLASS_KEYS:
+        raise InvalidParameter(f"unknown tree class kind: {cls.kind}")
+    keys = _CLASS_KEYS[cls.kind](*cls.params)
+    size = 0
+    for kind, key in keys:
+        size += _walk(kind, key, cls.cap)
+        if size > cls.cap:
+            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
+    return keys, size
+
+
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
-    """The encodings of cls in class order; raises ClassTooLarge once more
-    than ``cls.cap`` of them have come out.
+    """The encodings of cls in class order.  The class is counted first, so
+    ClassTooLarge comes before any pool is built.
 
     Class order is ascending encoding order, except for "by-leaf-count":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
-    source: Iterable[Encoding]
-    if cls.kind == "by-vertex-count":
-        (n,) = cls.params
-        source = _by_vertices(n)
-    elif cls.kind == "by-leaf-count":
-        n, max_vertices = cls.params
-        source = itertools.chain.from_iterable(
-            _by_vertices_and_leaves(size, n) for size in range(1, max_vertices + 1))
-    elif cls.kind == "by-vertices-and-leaves":
-        source = _by_vertices_and_leaves(*cls.params)
-    elif cls.kind == "by-outdegree-sequence":
-        source = _by_outdegrees(tuple(sorted(cls.params, reverse=True)))
-    elif cls.kind == "series-reduced":
-        (n,) = cls.params
-        source = _series_reduced(n)
-    elif cls.kind == "dary-by-leaves":
-        source = _dary_by_leaves(*cls.params)
-    else:
-        raise InvalidParameter(f"unknown tree class kind: {cls.kind}")
-    for count, enc in enumerate(source, 1):
-        if count > cls.cap:
-            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
-        yield enc
+    keys, _ = _class_keys(cls)
+    return itertools.chain.from_iterable(_walk(kind, key) for kind, key in keys)
 
 
 def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
@@ -335,7 +377,9 @@ def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
 
 
 def class_size(cls: TreeClass) -> int:
-    return sum(1 for _ in _class_encodings(cls))
+    """The number of trees in cls, counted without enumerating them;
+    raises ClassTooLarge when it passes ``cls.cap``."""
+    return _class_keys(cls)[1]
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,23 @@ def test_search_verified(capsys):
     assert out == "VERIFIED rho_max=10\n"
 
 
+def test_search_of_a_deep_class(capsys):
+    # the one tree of the class is the path of 400 vertices
+    code, out, _ = run(capsys, "search", "--class", "vertices-leaves:400,1",
+                       "--check", "broom")
+    assert code == 0
+    assert out == "VERIFIED rho_max=399\n"
+
+
+def test_search_of_an_oversized_class_exits_2(capsys):
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:26,13",
+                         "--check", "broom")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: by-vertices-and-leaves(26, 13) exceeds cap "
+                   "1000000\n")
+
+
 def test_search_counterexample(capsys, monkeypatch):
     fake = ExtremalReport(holds=False, argmax=star(2), rho_max=9.0,
                           rho_claimed=3.0)

@@ -134,7 +134,7 @@ def _outdegrees_of(enc):
 def test_direct_generators_match_filtered_vertex_classes():
     # oracle: filter every tree with n vertices by leaves or outdegrees
     for n in range(1, 12):
-        every = enumeration._by_vertices(n)
+        every = enumeration._walk("vertices", n)
         for leaves in range(n + 2):
             want = [enc for enc in every if _leaves_of(enc) == leaves]
             cls = by_vertices_and_leaves(n, leaves)
@@ -150,18 +150,53 @@ def test_direct_generators_match_filtered_vertex_classes():
             covered += len(got)
         assert covered == len(every)
     for leaves in range(1, 7):
-        want = [enc for size in range(1, 12) for enc in enumeration._by_vertices(size)
+        want = [enc for size in range(1, 12) for enc in enumeration._walk("vertices", size)
                 if _leaves_of(enc) == leaves]
         assert list(enumeration._class_encodings(by_leaf_count(leaves, 11))) == want
 
 
+def _pools():
+    """A copy of every pool built so far, by (kind, None)."""
+    return {k: dict(memo) for k, memo in enumeration._MEMO.items() if k[1] is None}
+
+
 def test_one_tree_classes_skip_the_vertex_pool():
-    before = enumeration._by_vertices.cache_info()
-    assert class_size(by_vertices_and_leaves(16, 15)) == 1
-    assert class_size(by_outdegree_sequence((15,))) == 1
-    assert class_size(by_leaf_count(15, 16)) == 1
-    after = enumeration._by_vertices.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    before = _pools().get(("vertices", None))
+    for cls in (by_vertices_and_leaves(16, 15), by_outdegree_sequence((15,)),
+                by_leaf_count(15, 16)):
+        assert class_size(cls) == 1
+        assert len(list(enumeration._class_encodings(cls))) == 1
+    assert _pools().get(("vertices", None)) == before
+
+
+def _keys_up_to_12_vertices():
+    for n in range(13):
+        yield "vertices", n
+        for leaves in range(n + 2):
+            yield "pairs", (n, leaves)
+        for part in enumeration._partitions(n - 1):
+            yield "outdegrees", part + (0,) * (n - len(part))
+    for n in range(8):
+        for d in (None, 2, 3, 4):
+            yield "leaves", (d, n)
+
+
+def test_counts_equal_pool_lengths():
+    for kind, key in _keys_up_to_12_vertices():
+        size = len(enumeration._walk(kind, key))
+        assert enumeration._walk(kind, key, 10 ** 6) == size, (kind, key)
+        # a count past the cap saturates at cap + 1
+        assert enumeration._walk(kind, key, 3) == min(size, 4), (kind, key)
+
+
+def test_vertex_counts_sum_the_pair_counts_without_pools():
+    cap = 10 ** 5  # exact up to 15 vertices, saturated above
+    before = _pools()
+    for n in range(31):
+        by_leaves = sum(enumeration._walk("pairs", (n, leaves), cap)
+                        for leaves in range(n + 1))
+        assert min(by_leaves, cap + 1) == enumeration._walk("vertices", n, cap), n
+    assert _pools() == before
 
 
 @pytest.mark.parametrize("cls", [
@@ -216,6 +251,13 @@ def test_class_cap():
         class_size(by_vertex_count(8, cap=10))
     with pytest.raises(ClassTooLarge):
         list(enumerate_class(by_vertex_count(8, cap=10)))
+    # the class is counted before it is built, so no pool is left behind
+    before = _pools()
+    with pytest.raises(ClassTooLarge):
+        class_size(by_vertex_count(40, cap=10))
+    with pytest.raises(ClassTooLarge):
+        next(enumerate_class(by_vertex_count(40, cap=10)))
+    assert _pools() == before
 
 
 def test_random_tree_is_seeded_and_preorder():
