@@ -325,6 +325,9 @@ def _cmd_search(args) -> int:
 # verify-all: one deterministic pass/fail line per theorem
 
 def _corpus(max_leaves: int) -> list[RootedTree]:
+    # count the largest class first, so one over the cap fails before any
+    # class is built
+    enumeration.class_size(enumeration.by_vertex_count(max_leaves + 1))
     trees = []
     for n in range(1, max_leaves + 2):
         trees.extend(enumeration.enumerate_class(enumeration.by_vertex_count(n)))
@@ -406,7 +409,7 @@ def _suite_broom(corpus, tol, budget, max_leaves: int) -> bool:
 
 def _suite_greedy(corpus, tol, budget, max_leaves: int) -> bool:
     for n_vertices in range(2, max_leaves + 2):
-        for seq in enumeration._partitions(n_vertices - 1):
+        for seq in enumeration.outdegree_sequences(n_vertices):
             cls = enumeration.by_outdegree_sequence(seq)
             report = enumeration.verify_extremal(
                 cls, _claimed_for_check("greedy", cls), tol=1e-7, eig_tol=tol)

@@ -9,13 +9,15 @@ construction.
 Every class is generated directly, never by filtering a larger one.  A
 class is a list of keys of one kind -- the vertex count, the pair
 (vertices, leaves), the sorted outdegree multiset, the leaf count of a
-series-reduced or d-ary tree -- and ``_RULES`` gives, for each kind, the
-ways a root's children split its key.  One walk, ``_walk``, computes a key
-either as its sorted pool, drawing the root's children from the pools of
-their keys, or as its count, with C(s + m - 1, m) multisets of m equal
-keys drawn from a pool of s.  A class is counted, and checked against its
-cap, before any pool is built.  Pools are sorted, so a class comes out in
-the order a filter over the sorted vertex-count pools would give.
+series-reduced or d-ary tree.  ``_RULES`` gives each kind a step that
+picks a root's children's keys one at a time, largest first, and one
+explicit-stack driver, ``_descending``, turns a step into every split of a
+key, with no recursion.  One walk, ``_walk``, computes a key either as its
+sorted pool, drawing the root's children from the pools of their keys, or
+as its count, with C(s + m - 1, m) multisets of m equal keys drawn from a
+pool of s.  A class is counted, and checked against its cap, before any
+pool is built.  Pools are sorted, so a class comes out in the order a
+filter over the sorted vertex-count pools would give.
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
@@ -31,6 +33,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
+from operator import mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
@@ -73,18 +76,6 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
     return build_tree([None] + _preorder_parents(enc)[1:])
 
 
-def _partitions(m: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of m into positive parts, descending within each tuple."""
-    if max_part is None or max_part > m:
-        max_part = m
-    if m == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(m - first, first):
-            yield (first,) + rest
-
-
 def _multiset_children(part: tuple[int, ...], pool) -> Iterator[Encoding]:
     """All sorted children tuples whose subtree keys realize ``part``.
 
@@ -103,114 +94,123 @@ def _multiset_children(part: tuple[int, ...], pool) -> Iterator[Encoding]:
         yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
 
-def _vertex_parts(n: int) -> Iterator[tuple[int, ...]]:
-    """A root of n vertices: its children's vertex counts partition n - 1."""
-    return _partitions(n - 1)
-
-
-def _pair_parts(key: tuple[int, int]) -> Iterable[tuple[tuple[int, int], ...]]:
-    """A root of n vertices and l leaves: its children's (vertices, leaves)
-    pairs add up to (n - 1, l), unless the root is itself the one leaf."""
-    n, leaves = key
-    if n == 1:
-        return [()] if leaves == 1 else []
-    return _pair_partitions(n - 1, leaves)
-
-
-def _pair_partitions(n: int, leaves: int, top: Optional[tuple[int, int]] = None
-                     ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Multisets of (vertices, leaves) pairs of trees, descending, whose
-    vertices sum to n and whose leaves sum to ``leaves``; every pair is at
-    most ``top``."""
-    if n == 0:
-        if leaves == 0:
-            yield ()
+def _descending(rem, step, top=None) -> Iterator[tuple]:
+    """Every descending tuple of parts, each at most ``top``, that uses up
+    ``rem`` (None gives the empty tuple).  ``step(rem, top)`` yields each
+    part that can come next with the remainder after it, None once nothing
+    remains.  An explicit stack keeps the suspended steps, one per part
+    chosen so far, so k parts cost O(k) and no recursion."""
+    if rem is None:
+        yield ()
         return
-    if top is None:
-        top = (n, leaves)
+    chosen: list = []
+    stack: list = []
+    steps = step(rem, top)
+    while True:
+        for part, rest in steps:
+            if rest is None:
+                yield (*chosen, part)
+            else:
+                stack.append(steps)
+                chosen.append(part)
+                steps = step(rest, part)
+                break
+        else:
+            if not stack:
+                return
+            steps = stack.pop()
+            chosen.pop()
+
+
+def _vertex_step(m: int, top: Optional[int]):
+    """The next child's vertex count, out of m still to place."""
+    for size in range(m if top is None else min(m, top), 0, -1):
+        yield size, m - size or None
+
+
+def _pair_step(rem: tuple[int, int], top: Optional[tuple[int, int]]):
+    """The next child's (vertices, leaves) pair, out of ``rem``."""
+    n, leaves = rem
+    top = top or rem
     for size in range(min(n, top[0]), 0, -1):
-        # a tree of size > 1 has between 1 and size - 1 leaves
-        most = min(leaves, max(1, size - 1))
+        # a tree of size > 1 has between 1 and size - 1 leaves, and the
+        # children after it between 1 and their size each
+        most = min(leaves - (size < n), size - 1 or 1)
         if size == top[0]:
             most = min(most, top[1])
-        for k in range(most, 0, -1):
-            rest_n, rest_leaves = n - size, leaves - k
-            # every further part is a tree with at least one leaf and at
-            # most as many leaves as vertices
-            if (rest_n == 0) != (rest_leaves == 0) or rest_leaves > rest_n:
-                continue
-            for rest in _pair_partitions(rest_n, rest_leaves, (size, k)):
-                yield ((size, k),) + rest
+        for k in range(most, max(1, leaves - n + size) - 1, -1):
+            yield (size, k), (n - size, leaves - k) if size < n else None
 
 
-def _outdegree_parts(degrees: tuple[int, ...]
-                     ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """A root of a tree whose descending outdegree multiset is ``degrees``:
-    the root takes one outdegree k, and its k children share the rest."""
-    if degrees == (0,):
-        yield ()
-    elif len(degrees) == 1 + sum(degrees):
-        for k in set(degrees) - {0}:
-            i = degrees.index(k)
-            yield from _outdegree_splits(degrees[:i] + degrees[i + 1:], k)
-
-
-def _outdegree_splits(rest: tuple[int, ...], k: int,
-                      top: Optional[tuple[int, ...]] = None
-                      ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ways to split the descending multiset ``rest`` into k unordered parts,
-    each the outdegree multiset of a tree (m entries summing to m - 1).
-
-    Parts are descending tuples, listed in descending order and each at
-    most ``top``, so every split comes out once.  ``rest`` is assumed to
-    have k more entries than its sum, as k such parts together do.
-    """
-    if k == 1:
-        if top is None or rest <= top:
-            yield (rest,)
-        return
-    counts = Counter(rest)
+def _outdegree_roots(degrees: tuple[int, ...]) -> list:
+    """The root takes one outdegree k, and its k children share the rest:
+    (distinct nonzero outdegrees, count of each, leaves, children left)."""
+    if len(degrees) != 1 + sum(degrees):
+        return []
+    counts = Counter(degrees)
     zeros = counts.pop(0, 0)
-    values = sorted(counts, reverse=True)
-    for picks in itertools.product(*(range(counts[v] + 1) for v in values)):
+    values = tuple(sorted(counts, reverse=True))
+    return [(values, tuple(counts[v] - (v == k) for v in values), zeros, k)
+            for k in values] or [None]
+
+
+def _outdegree_step(rem: tuple, top: Optional[tuple[int, ...]]):
+    """The next child's descending outdegree multiset (m entries summing
+    to m - 1); the last child takes all that is left."""
+    values, counts, zeros, left = rem
+    for picks in ([counts] if left == 1 else itertools.product(
+            *(range(c + 1) for c in counts))):
         # the part's leaves are fixed by its other entries
-        z = 1 + sum((v - 1) * c for v, c in zip(values, picks))
+        z = 1 + sum(map(mul, values, picks)) - sum(picks)
         if z > zeros:
             continue
         part = tuple(itertools.chain.from_iterable(
-            [v] * c for v, c in zip(values, picks))) + (0,) * z
-        if top is not None and part > top:
-            continue
-        left = tuple(itertools.chain.from_iterable(
-            [v] * (counts[v] - c) for v, c in zip(values, picks)))
-        left += (0,) * (zeros - z)
-        for more in _outdegree_splits(left, k - 1, part):
-            yield (part,) + more
+            map(itertools.repeat, values, picks))) + (0,) * z
+        if top is None or part <= top:
+            yield part, None if left == 1 else (
+                values, tuple(map(sub, counts, picks)), zeros - z, left - 1)
 
 
-def _leaf_parts(key: tuple[Optional[int], int]
-                ) -> Iterator[tuple[tuple[Optional[int], int], ...]]:
-    """A root of n leaves and no outdegree-1 vertex: its children's leaf
-    counts partition n into at least 2 parts when d is None
-    (series-reduced), into exactly d parts otherwise (d-ary, which needs
-    d - 1 to divide n - 1)."""
+def _leaf_roots(key: tuple[Optional[int], int]) -> list:
+    """n leaves, no outdegree-1 vertex: series-reduced when d is None,
+    else d-ary, which needs d - 1 to divide n - 1."""
     d, n = key
-    if n == 1:
-        yield ()
-    elif n > 1 and (d is None or (n - 1) % (d - 1) == 0):
-        for part in _partitions(n):
-            if len(part) >= 2 if d is None else len(part) == d:
-                yield tuple((d, s) for s in part)
+    fits = n > 1 and (d is None or (n - 1) % (d - 1) == 0)
+    return [None] if n == 1 else [(d, n, d or 2)] if fits else []
 
 
-# the rule of each kind of key: the ways a root's children split its key,
-# each a descending tuple of the children's keys
+def _leaf_step(rem: tuple, top: Optional[tuple[Optional[int], int]]):
+    """The next child's key (d, s), out of n leaves and ``left`` children
+    to go: exactly that many for a d-ary root, so s >= ceil(n / left); at
+    least that many for a series-reduced one (d None)."""
+    d, n, left = rem
+    lo = 1 if d is None else -(-n // left)
+    for s in range(min(n - left + 1, top[1] if top else n), lo - 1, -1):
+        yield (d, s), None if s == n else (d, n - s, max(left - 1, 1))
+
+
+# each kind's rule: the remainder of each way a root can start (None for
+# a leaf) and the step that picks its children's keys, largest first
 _RULES = {
-    "vertices": _vertex_parts,
-    "pairs": _pair_parts,
-    "outdegrees": _outdegree_parts,
-    "leaves": _leaf_parts,
+    "vertices": (lambda n: [n - 1 or None] if n > 0 else [], _vertex_step),
+    "pairs": (lambda key: [None] if key == (1, 1) else
+              [(key[0] - 1, key[1])] if key[0] > 1 else [], _pair_step),
+    "outdegrees": (_outdegree_roots, _outdegree_step),
+    "leaves": (_leaf_roots, _leaf_step),
 }
+
+
+def _parts(kind: str, key) -> Iterator[tuple]:
+    """Each split of ``key`` among a root's children: their keys, descending."""
+    roots, step = _RULES[kind]
+    for rem in roots(key):
+        yield from _descending(rem, step)
+
+
+def outdegree_sequences(n_vertices: int) -> Iterator[tuple[int, ...]]:
+    """The descending nonzero outdegree multisets of n_vertices-vertex trees."""
+    return _parts("vertices", n_vertices)
+
 
 # (kind, None) -> {key: sorted pool}; (kind, cap) -> {key: count, saturated
 # at cap + 1}
@@ -239,12 +239,11 @@ def _walk(kind: str, key, cap: Optional[int] = None):
     ``_multiset_children``; a count is the sum over the parts of
     ``_part_count``, and stops at the first part that takes it past the cap.
     """
-    rule = _RULES[kind]
     memo = _MEMO.setdefault((kind, cap), {})
     stack: list[list] = []
 
     def push(top) -> None:
-        stack.append([top, iter(rule(top)), None, [] if cap is None else 0])
+        stack.append([top, _parts(kind, top), None, [] if cap is None else 0])
 
     if key not in memo:
         push(key)

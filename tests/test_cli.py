@@ -195,6 +195,17 @@ def test_search_of_a_deep_class(capsys):
     assert out == "VERIFIED rho_max=399\n"
 
 
+@pytest.mark.parametrize("klass, check", [
+    ("vertices-leaves:1200,1199", "broom"),
+    ("outdegrees:1200", "greedy"),
+])
+def test_search_of_a_wide_class(capsys, klass, check):
+    # the one tree of the class is the star of 1199 leaves
+    code, out, _ = run(capsys, "search", "--class", klass, "--check", check)
+    assert code == 0
+    assert out == "VERIFIED rho_max=1\n"
+
+
 def test_search_of_an_oversized_class_exits_2(capsys):
     code, out, err = run(capsys, "search", "--class", "vertices-leaves:26,13",
                          "--check", "broom")
@@ -298,6 +309,14 @@ def test_verify_all_smoke(capsys):
     assert len(lines) == 17
     assert lines[0] == "gram-identity: VERIFIED"
     assert all(line.endswith(": VERIFIED") for line in lines)
+
+
+def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "17")
+    assert code == 2
+    assert out == ""
+    assert err == "error: by-vertex-count(18,) exceeds cap 1000000\n"
+    assert 17 not in cli.enumeration._MEMO.get(("vertices", None), {})
 
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "two"])

@@ -143,16 +143,28 @@ def test_direct_generators_match_filtered_vertex_classes():
         for enc in every:
             by_degrees.setdefault(_outdegrees_of(enc), []).append(enc)
         covered = 0
-        for part in enumeration._partitions(n - 1):
+        for part in enumeration.outdegree_sequences(n):
             cls = by_outdegree_sequence(part)
             got = list(enumeration._class_encodings(cls))
             assert got == by_degrees.get(cls.params, []), part
             covered += len(got)
         assert covered == len(every)
+    up_to_11 = [enc for size in range(1, 12) for enc in enumeration._walk("vertices", size)]
     for leaves in range(1, 7):
-        want = [enc for size in range(1, 12) for enc in enumeration._walk("vertices", size)
-                if _leaves_of(enc) == leaves]
+        want = [enc for enc in up_to_11 if _leaves_of(enc) == leaves]
         assert list(enumeration._class_encodings(by_leaf_count(leaves, 11))) == want
+        # a series-reduced tree of l leaves has at most 2l - 1 vertices
+        want = sorted(enc for enc in want if 1 not in _outdegrees_of(enc))
+        assert list(enumeration._class_encodings(series_reduced(leaves))) == want
+    for d in (2, 3, 4):
+        # a d-ary tree of l leaves has l + (l - 1) / (d - 1) vertices
+        for leaves in range(1, 12):
+            if leaves + (leaves - 1) // (d - 1) > 11:
+                break
+            want = sorted(enc for enc in up_to_11 if _leaves_of(enc) == leaves
+                          and set(_outdegrees_of(enc)) <= {0, d})
+            got = list(enumeration._class_encodings(dary_by_leaves(d, leaves)))
+            assert got == want, (d, leaves)
 
 
 def _pools():
@@ -162,8 +174,10 @@ def _pools():
 
 def test_one_tree_classes_skip_the_vertex_pool():
     before = _pools().get(("vertices", None))
+    # the stars of 10,000 leaves: a root that wide needs no recursion
     for cls in (by_vertices_and_leaves(16, 15), by_outdegree_sequence((15,)),
-                by_leaf_count(15, 16)):
+                by_leaf_count(15, 16), by_outdegree_sequence((10000,)),
+                by_vertices_and_leaves(10001, 10000), dary_by_leaves(10000, 10000)):
         assert class_size(cls) == 1
         assert len(list(enumeration._class_encodings(cls))) == 1
     assert _pools().get(("vertices", None)) == before
@@ -174,7 +188,7 @@ def _keys_up_to_12_vertices():
         yield "vertices", n
         for leaves in range(n + 2):
             yield "pairs", (n, leaves)
-        for part in enumeration._partitions(n - 1):
+        for part in enumeration.outdegree_sequences(n):
             yield "outdegrees", part + (0,) * (n - len(part))
     for n in range(8):
         for d in (None, 2, 3, 4):
