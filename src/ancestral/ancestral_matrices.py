@@ -8,9 +8,8 @@ needs arbitrary precision, so nothing here ever converts to floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
-from .tree_core import RootedTree, branch_leaf_groups
+from .tree_core import RootedTree, subtree
 
 
 @dataclass(frozen=True)
@@ -43,25 +42,25 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
     """c_ij = ancestral level of leaves i and j (in leaf_order).
 
     Filled top-down in O(L^2) list-slice writes instead of one ancestor walk
-    per pair.  In the tree's preorder the leaves below a vertex v form the
-    contiguous range [leaf_start[v], leaf_stop[v]), and every leaf in that
+    per pair.  The leaves below a vertex v are the contiguous range
+    [leaf_start[v], leaf_stop[v]) of leaf_order, and every leaf in that
     range shares v as a common ancestor with every leaf below v.  So each
     vertex carries a row template: its parent's template with v's own leaf
-    range set to level(v).  A leaf's template is its row.  The last child of
-    a vertex takes the template over; the other children copy it, so there
-    are L - 1 copies in all.
+    range set to level(v).  A leaf's template is its row, and the preorder
+    reaches the leaves in leaf_order.  The last child of a vertex takes the
+    template over; the other children copy it, so there are L - 1 copies in
+    all.
     """
     children = tree.children
     level = tree.level
     parent = tree.parent
     start, stop = tree.leaf_start, tree.leaf_stop
-    leaf_order = tree.leaf_order
-    n = len(leaf_order)
+    n = tree.n_leaves
     if n == 1:
-        return AncestralMatrix(n=1, rows=((level[leaf_order[0]],),))
+        return AncestralMatrix(n=1, rows=((level[tree.leaf_order[0]],),))
     template: list = [None] * len(children)
     template[tree.root] = [0] * n
-    rows = []  # in preorder leaf order
+    rows = []
     for v in tree.preorder[1:]:
         p = parent[v]
         row = template[p] if children[p][-1] == v else template[p][:]
@@ -72,13 +71,8 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
             template[v] = row
         else:
             row[a] = level[v]
-            rows.append(row)
-    perm = [start[v] for v in leaf_order]
-    if perm == list(range(n)):
-        return AncestralMatrix(n=n, rows=tuple(map(tuple, rows)))
-    # vertex numbering is not a preorder: permute back to leaf_order
-    pick = itemgetter(*perm)
-    return AncestralMatrix(n=n, rows=tuple(pick(rows[i]) for i in perm))
+            rows.append(tuple(row))
+    return AncestralMatrix(n=n, rows=tuple(rows))
 
 
 def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:
@@ -128,19 +122,10 @@ def block_reconstruction(tree: RootedTree) -> tuple[tuple[int, ...], ...]:
     branches contribute zeros.  A single-vertex tree has no branches and
     reconstructs to [[0]].
     """
-    from .tree_core import subtree_with_map
-
     n = tree.n_leaves
     out = [[0] * n for _ in range(n)]
-    if tree.n_vertices == 1:
-        return tuple(tuple(r) for r in out)
-    pos_of = {v: i for i, v in enumerate(tree.leaf_order)}
-    for branch_root, _positions in branch_leaf_groups(tree):
-        sub, orig = subtree_with_map(tree, branch_root)
-        sub_matrix = ancestral_matrix(sub)
-        positions = [pos_of[orig[v]] for v in sub.leaf_order]
-        for a, pa in enumerate(positions):
-            for b, pb in enumerate(positions):
-                out[pa][pb] = sub_matrix.rows[a][b] + 1
+    for c in tree.children[tree.root]:
+        a = tree.leaf_start[c]
+        for i, row in enumerate(ancestral_matrix(subtree(tree, c)).rows, a):
+            out[i][a:a + len(row)] = [x + 1 for x in row]
     return tuple(tuple(r) for r in out)
-

@@ -129,11 +129,6 @@ def _rows_text(rows) -> list[str]:
     return [" ".join(str(x) for x in row) for row in rows]
 
 
-def _gamma(highest) -> list[int]:
-    """The non-negative counts gamma_k from det(xI - C), highest first."""
-    return [c if k % 2 == 0 else -c for k, c in enumerate(highest)]
-
-
 _BOUND_LINES = (
     ("avg_ad<=rho", "avg_ad"),
     ("rho<=max_ad", "max_ad"),
@@ -181,10 +176,9 @@ _PER_TREE = (
      lambda inc: {"n": inc.n, "m": inc.m, "rows": inc.rows},
      lambda inc: _rows_text(inc.rows)),
     ("charpoly", "exact characteristic polynomial", (),
-     lambda tree, args: char_poly(tree).highest_first(),
-     lambda highest: {"monic_degree": len(highest) - 1,
-                      "gamma": _gamma(highest)},
-     lambda highest: [" ".join(str(c) for c in highest)]),
+     lambda tree, args: char_poly(tree),
+     lambda poly: {"monic_degree": poly.degree, "gamma": poly.gamma()},
+     lambda poly: [" ".join(str(c) for c in poly.highest_first())]),
     ("spectrum", "numeric eigenvalues, descending", ("--tol",),
      lambda tree, args: eigen_decompose(ancestral_matrix(tree),
                                         args.tol).eigenvalues,
@@ -239,8 +233,8 @@ def _cmd_transform(args) -> int:
         raise InvalidParameter("transform expects exactly one tree")
     tree = trees[0]
     kind = _OPS[args.op]
-    path = tuple(int(tok) for tok in args.path.split(","))
-    spec = OpSpec(kind=kind, path=path, branch_root=args.branch, leaf=args.leaf)
+    spec = OpSpec(kind=kind, path=args.path, branch_root=args.branch,
+                  leaf=args.leaf)
     after = apply_op(tree, spec)
     rho_before = spectral_radius(tree, args.tol).rho
     rho_after = spectral_radius(after, args.tol).rho
@@ -344,15 +338,11 @@ def _suite_blocks(corpus, tol, budget, max_leaves: int) -> bool:
 
 
 def _suite_eigenvalue_one(corpus, tol, budget, max_leaves: int) -> bool:
-    for t in corpus:
-        if t.n_vertices == 1:
-            continue
-        cert = eigenvalue_one_certificate(t)
-        eig = eigen_decompose(ancestral_matrix(t), tol).eigenvalues
-        numeric = sum(1 for v in eig if abs(v - 1.0) < 1e-6)
-        if numeric != cert.multiplicity:
-            return False
-    return True
+    # C is symmetric, so the multiplicity of 1 as a root of its
+    # characteristic polynomial is the dimension of its eigenspace
+    return all(eigenvalue_one_certificate(t).multiplicity
+               == char_poly(t).multiplicity(1)
+               for t in corpus if t.n_vertices > 1)
 
 
 def _suite_bounds(corpus, tol, budget, max_leaves: int) -> bool:
@@ -378,7 +368,7 @@ def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
     for t in corpus:
         poly = char_poly(t)
         result = count_collections(t, budget=budget)
-        if list(result.counts) != _gamma(poly.highest_first()):
+        if list(result.counts) != poly.gamma():
             return False
         sign = 1 if t.n_leaves % 2 == 0 else -1
         if result.total != sign * poly(-1):
@@ -474,8 +464,7 @@ def _suite_monotonicity(corpus, tol, budget, max_leaves: int) -> bool:
             after = spectral_radius(apply_op(t, spec), tol).rho
             if after < sr.rho - 1e-9:
                 return False
-            pos = {v: i for i, v in enumerate(t.leaf_order)}
-            witnessed = all(sr.perron[pos[v]] > 1e-6
+            witnessed = all(sr.perron[t.leaf_start[v]] > 1e-6
                             for v in witness_leaves(t, spec))
             if witnessed and after < sr.rho + 1e-9:
                 return False
@@ -563,23 +552,35 @@ def _positive_tol(text: str) -> float:
     return value
 
 
-def _max_leaves(text: str) -> int:
+def _int_at_least(low: int):
+    """An argparse type for an integer of at least low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _vertex_path(text: str) -> tuple[int, ...]:
     try:
-        value = int(text)
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of vertices: {text!r}") from None
 
 
 _FLAGS = {
     "--json": dict(action="store_true", help="JSON output"),
     "--tol": dict(type=_positive_tol, default=DEFAULT_TOL,
                   help="numeric tolerance, positive (default 1e-10)"),
-    "--budget": dict(type=int, default=DEFAULT_BUDGET,
-                     help="enumeration budget for collections"),
+    "--budget": dict(type=_int_at_least(1), default=DEFAULT_BUDGET,
+                     help="enumeration budget for collections, at least 1"),
 }
 
 
@@ -613,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(sub, "--json", "--tol")
     sub.add_argument("--op", required=True, choices=sorted(_OPS),
                      help="operation kind")
-    sub.add_argument("--path", required=True,
+    sub.add_argument("--path", type=_vertex_path, required=True,
                      help="comma-separated vertex path v1,...,vk")
     sub.add_argument("--branch", type=int,
                      help="shifted branch root, or w1 for a leaf swap")
@@ -638,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify-all",
                           help="run every theorem suite up to a size bound")
-    sub.add_argument("--max-leaves", type=_max_leaves, default=7,
+    # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
+    sub.add_argument("--max-leaves", type=_int_at_least(2), default=7,
                      metavar="N",
                      help="size bound, at least 2: the corpus is every tree "
                           "with at most N+1 vertices, not N leaves")

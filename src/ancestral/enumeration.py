@@ -37,7 +37,7 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, _branch_rho, spectral_radius
+from .spectral import DEFAULT_TOL, branch_rho, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -396,18 +396,17 @@ def _class_rhos(cls: TreeClass, eig_tol: float) -> list[tuple[float, Encoding]]:
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
     and 0 for the single vertex.  Each distinct branch is solved once by
-    ``_branch_rho``, with its residual check, straight from the encoding.
+    ``branch_rho``, with its residual check, straight from the encoding.
     The preorder arrays are those ``spectral_radius`` passes for the same
     branch of ``encoding_to_tree(enc)``, so each rho is the very float it
     returns.
     """
-    branch_rho: dict[Encoding, float] = {}
+    rho_of: dict[Encoding, float] = {}
 
     def solve(branch: Encoding) -> float:
-        if branch not in branch_rho:
-            branch_rho[branch] = _branch_rho(_preorder_parents(branch),
-                                             eig_tol)[0]
-        return branch_rho[branch]
+        if branch not in rho_of:
+            rho_of[branch] = branch_rho(_preorder_parents(branch), eig_tol)[0]
+        return rho_of[branch]
 
     return [(max(map(solve, enc), default=0.0), enc)
             for enc in _class_encodings(cls)]

@@ -44,6 +44,27 @@ class IntPolynomial:
     def highest_first(self) -> tuple[int, ...]:
         return tuple(reversed(self.coeffs))
 
+    def gamma(self) -> list[int]:
+        """gamma_k so that this is the sum of (-1)^k gamma_k x^(n-k), k from
+        0 to the degree n."""
+        return [c if k % 2 == 0 else -c
+                for k, c in enumerate(self.highest_first())]
+
+    def multiplicity(self, root: int) -> int:
+        """How often x - root divides this polynomial, by repeated exact
+        synthetic division."""
+        coeffs = self.highest_first()
+        count = 0
+        while True:
+            acc, quotient = 0, []
+            for c in coeffs:
+                acc = acc * root + c
+                quotient.append(acc)
+            if quotient.pop():  # the remainder, P(root)
+                return count
+            coeffs = quotient
+            count += 1
+
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     """Product of two lowest-first coefficient lists, schoolbook."""
@@ -150,10 +171,7 @@ def gamma_coefficients(tree: RootedTree) -> list[int]:
     gamma_1 is the trace, i.e. the sum of leaf levels; every gamma_k is a
     non-negative count (see path_collections for what it counts).
     """
-    poly = char_poly(tree)
-    n = poly.degree
-    highest = poly.highest_first()
-    return [highest[k] if k % 2 == 0 else -highest[k] for k in range(n + 1)]
+    return char_poly(tree).gamma()
 
 
 def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:

@@ -40,8 +40,8 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
 
     A path from a leaf is encoded by the number of edges ascended; its edge
     set is a bitmask keyed by child endpoints, so disjointness is one AND.
-    Leaves are visited in depth-first order, which surfaces conflicts early
-    and prunes most of the Cartesian product.
+    Leaves are visited in leaf_order, which is depth-first, so conflicts
+    surface early and most of the Cartesian product is pruned.
 
     Witnesses, when requested, are tuples of ascent counts in leaf_order.
     """
@@ -52,10 +52,9 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
         if size > budget:
             raise BudgetExceeded(size)
 
-    leaves = [v for v in tree.preorder if tree.is_leaf(v)]
     # options[i][j] = bitmask of the first j edges going up from leaf i
     options: list[list[int]] = []
-    for v in leaves:
+    for v in tree.leaf_order:
         masks = [0]
         w = v
         mask = 0
@@ -67,17 +66,13 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
 
     counts = [0] * (n + 1)
     witnesses: list[tuple[int, ...]] = []
-    pos_in_leaf_order = {v: i for i, v in enumerate(tree.leaf_order)}
     ascent = [0] * n
 
     def descend(i: int, used: int, nontrivial: int) -> None:
-        if i == len(leaves):
+        if i == n:
             counts[nontrivial] += 1
             if want_witnesses:
-                by_leaf_order = [0] * n
-                for idx, v in enumerate(leaves):
-                    by_leaf_order[pos_in_leaf_order[v]] = ascent[idx]
-                witnesses.append(tuple(by_leaf_order))
+                witnesses.append(tuple(ascent))
             return
         for j, mask in enumerate(options[i]):
             if used & mask:

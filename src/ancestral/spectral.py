@@ -12,8 +12,7 @@ one block comes from a pivot recurrence over B's vertices (the analogue,
 for C(T), of Jacobs and Trevisan's eigenvalue location in trees), solved by
 Laguerre's method in O(V) per step.  Its Perron vector and the residual of
 the contract above come from the same pivots, again in O(V).  The
-eigensolver is left to ``spectrum`` and the eigenvalue-one checks, which
-need every eigenvalue.
+eigensolver is left to ``spectrum``, which needs every eigenvalue.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
     return x, d
 
 
-def _branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
+def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
     vector over B's leaves in preorder, without building the matrix.
 
@@ -230,10 +229,11 @@ def _branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
 def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
     """Largest eigenvalue of C(T) with a non-negative eigenvector.
 
-    Computed branch by branch with ``_branch_rho``, on each root child's run
+    Computed branch by branch with ``branch_rho``, on each root child's run
     of the tree's preorder: the block of C(T) on one branch's leaves,
     C(B) + J, has all entries positive, so its top eigenvector is simple and
-    strictly positive.  The winning branch's vector is padded with zeros;
+    strictly positive.  The winning branch's vector fills its slice
+    [leaf_start, leaf_stop) of leaf_order, and every other entry is zero;
     when several branches tie exactly, the first root child in stored order
     wins.  No matrix is built.
     """
@@ -246,16 +246,15 @@ def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadiu
         pos[v] = i
     kids = tree.children[tree.root]
     ends = [pos[c] for c in kids] + [len(order)]
-    best_rho = best_vec = best_run = None
-    for a, b in zip(ends, ends[1:]):
+    best_rho = best_vec = best = None
+    for c, a, b in zip(kids, ends, ends[1:]):
         run = order[a:b]
-        value, vec = _branch_rho([-1] + [pos[parent[v]] - a for v in run[1:]],
-                                 tol)
+        value, vec = branch_rho([-1] + [pos[parent[v]] - a for v in run[1:]],
+                                tol)
         if best_rho is None or value > best_rho:
-            best_rho, best_vec, best_run = value, vec, run
-    column = {v: i for i, v in enumerate(tree.leaf_order)}
+            best_rho, best_vec, best = value, vec, c
     perron = np.zeros(tree.n_leaves)
-    perron[[column[v] for v in best_run if not tree.children[v]]] = best_vec
+    perron[tree.leaf_start[best]:tree.leaf_stop[best]] = best_vec
     return SpectralRadius(rho=best_rho, perron=perron)
 
 
@@ -275,21 +274,19 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
     if tree.n_vertices == 1:
         raise SingleVertexTree("the single-vertex tree has spectrum {0}")
     leaves = tree.leaf_order
-    pos = {v: i for i, v in enumerate(leaves)}
     n = len(leaves)
 
     groups: dict[int, list[int]] = {}
     for v in leaves:
-        groups.setdefault(tree.parent[v], []).append(v)
+        groups.setdefault(tree.parent[v], []).append(tree.leaf_start[v])
 
     basis: list[tuple[int, ...]] = []
     for parent in sorted(groups):
-        members = groups[parent]
-        first = pos[members[0]]
-        for other in members[1:]:
+        first, *others = groups[parent]
+        for other in others:
             vec = [0] * n
             vec[first] = 1
-            vec[pos[other]] = -1
+            vec[other] = -1
             basis.append(tuple(vec))
         if parent == tree.root:
             vec = [0] * n

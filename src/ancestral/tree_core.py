@@ -2,11 +2,14 @@
 
 Vertices are dense 0-based indices in an arena.  A tree is immutable after
 construction; every operation below is a pure function.  The canonical row and
-column order for all leaf-indexed matrices is ``leaf_order``.
+column order for all leaf-indexed matrices is ``leaf_order``: the leaves in
+preorder, children in stored order.
 
 ``build_tree`` makes the one depth-first walk over a tree and keeps its
-preorder and the preorder leaf range below each vertex on the tree; every
-other layer reads those arrays instead of walking the tree again.
+preorder, its leaves and the range of ``leaf_order`` below each vertex on the
+tree; every other layer reads those arrays instead of walking the tree again.
+Since every leaf order gives a permutation-similar matrix, the preorder one
+loses nothing and keeps each branch's leaves contiguous.
 """
 
 from __future__ import annotations
@@ -36,15 +39,16 @@ class RootedTree:
     root : int
         index of the unique vertex without a parent.
     leaf_order : tuple of int
-        every childless vertex exactly once; row/column order for matrices.
+        every childless vertex once, in preorder; row/column order for
+        matrices.
     level : tuple of int
         level[v] is the distance from the root to v.
     preorder : tuple of int
         every vertex once, parents before children, children in stored
-        order.  The leaves below any vertex are contiguous in it.
+        order.
     leaf_start, leaf_stop : tuple of int
-        the leaves below v are the preorder leaves at positions
-        leaf_start[v] up to, but excluding, leaf_stop[v]; their number is
+        the leaves below v are leaf_order[leaf_start[v]:leaf_stop[v]], and
+        a leaf v sits at position leaf_start[v]; their number is
         leaf_stop[v] - leaf_start[v].
 
     The last three are derived from ``children`` and take no part in
@@ -85,8 +89,10 @@ class RootedTree:
 def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
     """Build a tree from a parent list; entry None marks the root.
 
-    Leaves are ordered by vertex index.  Children are ordered by vertex index
-    as well, so the same parent list always yields the identical tree.
+    Children are ordered by vertex index and leaves by preorder, so the same
+    parent list always yields the identical tree.  For a parent list that is
+    itself numbered in preorder, as every generator and parser here makes,
+    leaf_order is ascending.
     """
     n = len(parents)
     if n == 0:
@@ -105,17 +111,17 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
             raise IndexOutOfRange(f"parent of {v} is {p!r}, not a vertex index")
         children[p].append(v)
 
-    # the one depth-first walk: preorder, levels and the first preorder leaf
+    # the one depth-first walk: preorder, leaves, levels and the first leaf
     # position below each vertex; vertices on a cycle are never reached
     level = [0] * n
     order = []
+    leaves = []
     start = [0] * n
-    n_leaves = 0
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        start[v] = n_leaves
+        start[v] = len(leaves)
         kids = children[v]
         if kids:
             below = level[v] + 1
@@ -123,7 +129,7 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
                 level[c] = below
             stack.extend(reversed(kids))
         else:
-            n_leaves += 1
+            leaves.append(v)
     if len(order) != n:
         raise CycleDetected("graph is not connected to the root")
     stop = start[:]
@@ -131,12 +137,11 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
         kids = children[v]
         stop[v] = stop[kids[-1]] if kids else start[v] + 1
 
-    leaf_order = tuple(v for v in range(n) if not children[v])
     return RootedTree(
         parent=tuple(parents),
         children=tuple(tuple(c) for c in children),
         root=root,
-        leaf_order=leaf_order,
+        leaf_order=tuple(leaves),
         level=tuple(level),
         preorder=tuple(order),
         leaf_start=tuple(start),
@@ -204,28 +209,6 @@ def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, .
 def subtree(tree: RootedTree, v: int) -> RootedTree:
     """The subtree rooted at v as a standalone tree."""
     return subtree_with_map(tree, v)[0]
-
-
-def branch_leaf_groups(tree: RootedTree) -> list[tuple[int, list[int]]]:
-    """Pairs (branch root, positions in leaf_order of the branch's leaves).
-
-    Groups follow the order in which branches first appear in leaf_order, so
-    downstream tie-breaking over branches is deterministic.
-    """
-    root = tree.root
-    parent = tree.parent
-    top = [root] * tree.n_vertices  # the branch root above each vertex
-    for v in tree.preorder[1:]:
-        p = parent[v]
-        top[v] = v if p == root else top[p]
-    groups: dict[int, list[int]] = {}
-    for pos, v in enumerate(tree.leaf_order):
-        b = top[v]
-        if b in groups:
-            groups[b].append(pos)
-        else:
-            groups[b] = [pos]
-    return list(groups.items())
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Spectral-radius-increasing tree operations.
 
 All three transforms return a new tree over the same vertex arena (star shift
-appends one vertex), so leaves keep their indices and matrices before and
-after can be compared entry by entry under the identity correspondence.
+appends one vertex), so leaves keep their indices.  The result is in general
+not numbered in preorder, and a moved branch moves its leaves within
+leaf_order, so matrices before and after are compared entry by entry through
+``leaf_correspondence``, which pairs the positions of each leaf.
 """
 
 from __future__ import annotations
@@ -181,5 +183,4 @@ def witness_leaves(tree: RootedTree, spec: OpSpec) -> tuple[int, ...]:
     if spec.kind is OpKind.STAR_SHIFT:
         return tuple(tree.children[spec.path[0]])
     vk = spec.path[-1]
-    leaves = [v for v in tree.preorder if tree.is_leaf(v)]
-    return tuple(leaves[tree.leaf_start[vk]:tree.leaf_stop[vk]])
+    return tree.leaf_order[tree.leaf_start[vk]:tree.leaf_stop[vk]]

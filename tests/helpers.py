@@ -174,8 +174,8 @@ def seeded_rng(salt: int = 0) -> random.Random:
 def shuffled_random_tree(n_vertices: int, rng: random.Random) -> RootedTree:
     """Random attachment tree whose vertex numbers are shuffled before
     build_tree, so the numbering is in general not a preorder: parents may
-    carry larger numbers than their children, and leaf_order differs from
-    the left-to-right order of a depth-first walk."""
+    carry larger numbers than their children, and leaf_order, the leaves in
+    preorder, is in general not ascending."""
     label = list(range(n_vertices))
     rng.shuffle(label)
     parents = [None] * n_vertices

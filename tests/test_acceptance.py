@@ -253,8 +253,8 @@ def test_criterion_12_monotonicity():
             sr = spectral_radius(t)
             after = rho(apply_op(t, spec))
             assert after >= sr.rho - 1e-9
-            pos = {v: i for i, v in enumerate(t.leaf_order)}
-            if all(sr.perron[pos[v]] > 1e-6 for v in witness_leaves(t, spec)):
+            if all(sr.perron[t.leaf_start[v]] > 1e-6
+                   for v in witness_leaves(t, spec)):
                 assert after > sr.rho + 1e-9
             done += 1
 

@@ -19,6 +19,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_error(capsys, *argv) -> str:
+    """The one stderr line of a command that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    return err
+
+
 def test_matrix_text(capsys):
     code, out, _ = run(capsys, "matrix", "--newick", EX)
     assert code == 0
@@ -263,10 +274,10 @@ def test_bad_newick_exits_2(capsys):
 
 
 def test_bad_path_integer_exits_2(capsys):
-    code, _, err = run(capsys, "transform", "--gen", "star:3",
-                       "--op", "star-shift", "--path", "x", "--leaf", "1")
-    assert code == 2
-    assert err.startswith("error:")
+    for path in ("x", "abc", "0,,1"):
+        err = usage_error(capsys, "transform", "--gen", "star:3",
+                          "--op", "star-shift", "--path", path, "--leaf", "1")
+        assert err.startswith("error: argument --path:")
 
 
 @pytest.mark.parametrize("newick, op, flag, value", [
@@ -321,24 +332,24 @@ def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "two"])
 def test_verify_all_rejects_bad_max_leaves(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-all", "--max-leaves", value])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    err = usage_error(capsys, "verify-all", "--max-leaves", value)
     assert err.startswith("error: argument --max-leaves:")
-    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["collections", "--gen", "star:3"],
+    ["verify-all", "--max-leaves", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_budget_below_one_names_the_flag(capsys, argv, value):
+    err = usage_error(capsys, *argv, "--budget", value)
+    assert err.startswith("error: argument --budget:")
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "x"])
 def test_tol_must_be_positive_and_finite(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--gen", "star:3", "--tol", value])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    err = usage_error(capsys, "spectrum", "--gen", "star:3", "--tol", value)
     assert err.startswith("error: argument --tol:")
-    assert err.count("\n") == 1
 
 
 def test_missed_residual_reports_residual_and_bound(capsys):

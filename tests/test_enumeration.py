@@ -220,13 +220,13 @@ def test_vertex_counts_sum_the_pair_counts_without_pools():
 ], ids=lambda cls: cls.kind)
 def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
     solved = []
-    solve = enumeration._branch_rho
+    solve = enumeration.branch_rho
 
     def counting_solve(parent, tol):
         solved.append(parent)
         return solve(parent, tol)
 
-    monkeypatch.setattr(enumeration, "_branch_rho", counting_solve)
+    monkeypatch.setattr(enumeration, "branch_rho", counting_solve)
     scored = enumeration._class_rhos(cls, DEFAULT_TOL)
     encs = list(enumeration._class_encodings(cls))
     assert [enc for _, enc in scored] == encs

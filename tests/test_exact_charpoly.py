@@ -8,6 +8,7 @@ import pytest
 import sympy
 
 from ancestral import (
+    IntPolynomial,
     binary_caterpillar,
     broom,
     char_poly,
@@ -20,7 +21,7 @@ from ancestral import (
     star,
     structural_stats,
 )
-from ancestral import ancestral_matrix, build_tree
+from ancestral import ancestral_matrix, build_tree, eigenvalue_one_certificate
 from ancestral.errors import NotDary
 
 from helpers import (
@@ -69,6 +70,20 @@ def test_gamma_signs_alternate_and_are_nonnegative():
         assert all(g >= 0 for g in gamma)
         assert [g if k % 2 == 0 else -g
                 for k, g in enumerate(gamma)] == list(highest)
+
+
+def test_root_multiplicity_by_exact_division():
+    x = sympy.symbols("x")
+    product = sympy.Poly(x ** 2 * (x - 1) ** 3 * (x + 2), x).all_coeffs()
+    poly = IntPolynomial(tuple(int(c) for c in reversed(product)))
+    assert [poly.multiplicity(r) for r in (0, 1, -2, 2)] == [2, 3, 1, 0]
+    assert IntPolynomial((1,)).multiplicity(1) == 0
+    # the eigenvalue-one suite of verify-all; the numeric count is checked
+    # against the certificate in the acceptance tests
+    for t in corpus(8):
+        if t.n_vertices > 1:
+            assert (char_poly(t).multiplicity(1)
+                    == eigenvalue_one_certificate(t).multiplicity)
 
 
 def test_two_routes_agree_on_corpus():

@@ -22,6 +22,8 @@ from helpers import (
     ancestor_chain,
     corpus,
     example_tree,
+    seeded_rng,
+    shuffled_random_tree,
 )
 
 
@@ -56,17 +58,25 @@ def _witness_edges(tree, witness):
 def test_example_witnesses_are_disjoint_and_distinct():
     ex = example_tree()
     res = count_collections(ex, want_witnesses=True)
-    assert len(res.witnesses) == res.total == EXAMPLE_TOTAL_COLLECTIONS
-    assert len(set(res.witnesses)) == res.total
+    assert res.total == EXAMPLE_TOTAL_COLLECTIONS
     assert (0, 1, 2, 0, 1, 2) in res.witnesses
 
-    by_k = [0] * (ex.n_leaves + 1)
-    for witness in res.witnesses:
-        sets = _witness_edges(ex, witness)
-        union = set().union(*sets)
-        assert len(union) == sum(len(s) for s in sets)
-        by_k[sum(1 for a in witness if a)] += 1
-    assert tuple(by_k) == res.counts
+    # shuffled vertex numbers: leaf_order is not ascending, and a witness
+    # must still follow it
+    rng = seeded_rng(83)
+    trees = [ex] + [shuffled_random_tree(rng.randint(2, 10), rng)
+                    for _ in range(30)]
+    for t in trees:
+        res = count_collections(t, want_witnesses=True)
+        assert len(res.witnesses) == res.total
+        assert len(set(res.witnesses)) == res.total
+        by_k = [0] * (t.n_leaves + 1)
+        for witness in res.witnesses:
+            sets = _witness_edges(t, witness)
+            union = set().union(*sets)
+            assert len(union) == sum(len(s) for s in sets)
+            by_k[sum(1 for a in witness if a)] += 1
+        assert tuple(by_k) == res.counts
 
 
 def test_counts_equal_charpoly_gammas():

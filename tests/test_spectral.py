@@ -20,7 +20,6 @@ from ancestral import (
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import NoConvergence, SingleVertexTree
-from ancestral.tree_core import branch_leaf_groups
 
 from helpers import (
     EXAMPLE_EIGENVALUES,
@@ -80,7 +79,8 @@ def test_perron_vector_matches_the_dense_top_vector_of_its_branch():
         sr = spectral_radius(t)
         assert abs(math.fsum(v * v for v in sr.perron) - 1.0) < 1e-12
         full = np.array(ancestral_matrix(t).rows, dtype=float)
-        for _, positions in branch_leaf_groups(t):
+        for c in t.children[t.root]:
+            positions = list(range(t.leaf_start[c], t.leaf_stop[c]))
             if sr.perron[positions[0]] > 0:
                 break
         outside = np.delete(sr.perron, positions)

@@ -22,7 +22,7 @@ from ancestral.errors import (
     InvalidParameter,
     MultipleRoots,
 )
-from ancestral.tree_core import branch_leaf_groups, subtree_with_map
+from ancestral.tree_core import subtree_with_map
 
 from helpers import (
     EXAMPLE_PARENTS,
@@ -166,28 +166,23 @@ def test_preorder_and_leaf_ranges_match_a_walk():
         assert all(pos[p] < pos[v] for v, p in enumerate(t.parent)
                    if p is not None)
         assert list(order) == _walk(t, t.root)
-        leaves = [v for v in order if t.is_leaf(v)]
+        leaves = t.leaf_order
+        assert list(leaves) == [w for w in _walk(t, t.root) if t.is_leaf(w)]
         counts = leaf_counts(t)
         for v in range(t.n_vertices):
             below = [w for w in _walk(t, v) if t.is_leaf(w)]
-            assert leaves[t.leaf_start[v]:t.leaf_stop[v]] == below
+            assert list(leaves[t.leaf_start[v]:t.leaf_stop[v]]) == below
             brute = sum(1 for w in t.leaf_order if v in ancestor_chain(t, w))
             assert counts[v] == t.leaf_stop[v] - t.leaf_start[v] == brute
 
 
-def test_subtree_and_branch_groups_on_shuffled_numberings():
+def test_subtree_on_shuffled_numberings():
     for t in _preorder_field_trees():
         for v in range(t.n_vertices):
             sub, orig = subtree_with_map(t, v)
             assert orig == tuple(_walk(t, v))
             assert [None if p is None else orig[p] for p in sub.parent] == \
                 [None] + [t.parent[w] for w in orig[1:]]
-        if t.n_vertices == 1:
-            continue
-        expected = {}
-        for pos, w in enumerate(t.leaf_order):
-            expected.setdefault(ancestor_chain(t, w)[1], []).append(pos)
-        assert branch_leaf_groups(t) == list(expected.items())
 
 
 def test_build_tree_deep_preorder_fields():
@@ -254,11 +249,6 @@ def test_subtree_renumbers_preorder():
     assert subtree(example_tree(), 4).parent_list() == sub.parent_list()
 
 
-def test_branch_leaf_groups_example():
-    groups = branch_leaf_groups(example_tree())
-    assert groups == [(2, [0, 1]), (4, [2, 3, 4, 5])]
-
-
 @given(st.data())
 def test_levels_and_leaves_consistent_on_random_parent_lists(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
@@ -268,7 +258,9 @@ def test_levels_and_leaves_consistent_on_random_parent_lists(data):
     for v, p in enumerate(t.parent):
         if p is not None:
             assert t.level[v] == t.level[p] + 1
-    assert t.leaf_order == tuple(sorted(t.leaf_order))
+    # leaf_order is the preorder's leaves, and a leaf sits at leaf_start
+    assert t.leaf_order == tuple(filter(t.is_leaf, t.preorder))
     assert t.n_leaves >= 1
-    for v in t.leaf_order:
-        assert not t.children[v]
+    for i, v in enumerate(t.leaf_order):
+        assert t.leaf_start[v] == i
+        assert t.leaf_stop[v] == i + 1

@@ -134,10 +134,10 @@ def test_strict_increase_under_perron_witness():
     checked = 0
     for t in corpus(7):
         sr = spectral_radius(t)
-        pos = {v: i for i, v in enumerate(t.leaf_order)}
         for kind in OpKind:
             for spec in valid_specs(t, kind):
-                if all(sr.perron[pos[v]] > 1e-6 for v in witness_leaves(t, spec)):
+                if all(sr.perron[t.leaf_start[v]] > 1e-6
+                       for v in witness_leaves(t, spec)):
                     assert rho(apply_op(t, spec)) > sr.rho + 1e-9
                     checked += 1
     assert checked > 50
