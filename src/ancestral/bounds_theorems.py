@@ -107,6 +107,13 @@ class BoundReport:
     def all_satisfied(self) -> bool:
         return all(self.satisfied.values())
 
+    @property
+    def delta_equality(self) -> bool:
+        """Whether rho equals the degree bound (L-1)/(Delta-1) within
+        EQUALITY_WINDOW; False when the bound is vacuous (Delta < 2)."""
+        return (self.delta_bound > 0
+                and abs(self.rho - float(self.delta_bound)) <= EQUALITY_WINDOW)
+
 
 def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate every spectral-radius bound on one tree.
@@ -157,11 +164,6 @@ def is_complete_dary(tree: RootedTree) -> bool:
 
 
 def delta_equality_holds(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> bool:
-    """Whether rho equals (L-1)/(Delta-1) within EQUALITY_WINDOW.
-    Only meaningful when the maximum outdegree is at least 2."""
-    stats = structural_stats(tree)
-    if stats.delta < 2:
-        return False
-    bound = Fraction(stats.L - 1, stats.delta - 1)
-    return (abs(spectral_radius(tree, eig_tol).rho - float(bound))
-            <= EQUALITY_WINDOW)
+    """Whether rho equals (L-1)/(Delta-1) within EQUALITY_WINDOW, as
+    ``BoundReport.delta_equality``; False on a single vertex."""
+    return tree.n_vertices > 1 and bound_report(tree, eig_tol).delta_equality

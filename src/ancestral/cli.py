@@ -24,11 +24,7 @@ from .ancestral_matrices import (
     gram_check,
     path_incidence_matrix,
 )
-from .bounds_theorems import (
-    bound_report,
-    delta_equality_holds,
-    is_complete_dary,
-)
+from .bounds_theorems import bound_report, is_complete_dary
 from .caterpillar_analysis import (
     asymptotic_rho,
     caterpillar_charpoly,
@@ -318,46 +314,81 @@ def _cmd_search(args) -> int:
 
 # verify-all: one deterministic pass/fail line per theorem
 
-def _corpus(max_leaves: int) -> list[RootedTree]:
+class _Corpus:
+    """The verify-all trees, with the per-tree quantities that several
+    suites read: the characteristic polynomial and the verdicts of the
+    bound report.  Each is computed on first use and kept for the run, so a
+    suite that stops early, or a suite error, leaves the later trees
+    uncomputed."""
+
+    def __init__(self, trees: list[RootedTree], tol: float):
+        self.trees = trees
+        self._tol = tol
+        self._polys: list = []
+        self._verdicts: list = []
+
+    def _each(self, kept: list, compute):
+        for i, t in enumerate(self.trees):
+            if i == len(kept):
+                kept.append(compute(t))
+            yield t, kept[i]
+
+    def polys(self):
+        """(tree, char_poly(tree)) for every tree."""
+        return self._each(self._polys, char_poly)
+
+    def bound_verdicts(self):
+        """(tree, every bound satisfied, rho equal to the degree bound) for
+        every tree of more than one vertex: one bound report, and so one
+        rho, per tree, of which only the two verdicts are kept."""
+        def verdicts(t):
+            if t.n_vertices == 1:
+                return None
+            rep = bound_report(t, eig_tol=self._tol)
+            return rep.all_satisfied, rep.delta_equality
+        return ((t, *pair) for t, pair in self._each(self._verdicts, verdicts)
+                if pair is not None)
+
+
+def _corpus(max_leaves: int, tol: float) -> _Corpus:
     # count the largest class first, so one over the cap fails before any
     # class is built
     enumeration.class_size(enumeration.by_vertex_count(max_leaves + 1))
     trees = []
     for n in range(1, max_leaves + 2):
         trees.extend(enumeration.enumerate_class(enumeration.by_vertex_count(n)))
-    return trees
+    return _Corpus(trees, tol)
 
 
 def _suite_gram(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(gram_check(t) for t in corpus)
+    return all(gram_check(t) for t in corpus.trees)
 
 
 def _suite_blocks(corpus, tol, budget, max_leaves: int) -> bool:
     return all(block_reconstruction(t) == ancestral_matrix(t).rows
-               for t in corpus)
+               for t in corpus.trees)
 
 
 def _suite_eigenvalue_one(corpus, tol, budget, max_leaves: int) -> bool:
     # C is symmetric, so the multiplicity of 1 as a root of its
     # characteristic polynomial is the dimension of its eigenspace
     return all(eigenvalue_one_certificate(t).multiplicity
-               == char_poly(t).multiplicity(1)
-               for t in corpus if t.n_vertices > 1)
+               == poly.multiplicity(1)
+               for t, poly in corpus.polys() if t.n_vertices > 1)
 
 
 def _suite_bounds(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(bound_report(t, eig_tol=tol).all_satisfied
-               for t in corpus if t.n_vertices > 1)
+    return all(holds for _, holds, _ in corpus.bound_verdicts())
 
 
 def _suite_delta_equality(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(delta_equality_holds(t, eig_tol=tol) == is_complete_dary(t)
-               for t in corpus if t.n_vertices > 1)
+    return all(equality == is_complete_dary(t)
+               for t, _, equality in corpus.bound_verdicts())
 
 
 def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
-    for t in corpus:
-        highest = char_poly(t).highest_first()
+    for t, poly in corpus.polys():
+        highest = poly.highest_first()
         trace = -highest[1] if len(highest) > 1 else 0
         if trace != structural_stats(t).D_root:
             return False
@@ -365,8 +396,7 @@ def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
 
 
 def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
-    for t in corpus:
-        poly = char_poly(t)
+    for t, poly in corpus.polys():
         result = count_collections(t, budget=budget)
         if list(result.counts) != poly.gamma():
             return False
@@ -377,7 +407,7 @@ def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
 
 
 def _suite_dary_det(corpus, tol, budget, max_leaves: int) -> bool:
-    for t in corpus:
+    for t in corpus.trees:
         degs = {len(c) for c in t.children if c}
         for d in (2, 3):
             if degs <= {d} and not dary_determinant_check(t, d).equal:
@@ -474,7 +504,7 @@ def _suite_monotonicity(corpus, tol, budget, max_leaves: int) -> bool:
 
 def _suite_round_trip(corpus, tol, budget, max_leaves: int) -> bool:
     rng = random.Random(1205)
-    samples = list(corpus)
+    samples = list(corpus.trees)
     samples.extend([
         generate("star:3"), generate("broom:2,3"), generate("path-broom:1,4"),
         generate("binary-caterpillar:5"), generate("dary:2,3"),
@@ -512,7 +542,7 @@ _SUITES = (
 
 
 def _cmd_verify_all(args) -> int:
-    corpus = _corpus(args.max_leaves)
+    corpus = _corpus(args.max_leaves, args.tol)
     code = 0
     for name, func in _SUITES:
         try:

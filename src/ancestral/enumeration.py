@@ -21,14 +21,18 @@ filter over the sorted vertex-count pools would give.
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
-the root, so rho(T) is the largest rho(C(B_i) + J), and each distinct branch
-is solved once per search, by the matrix-free branch routine of
-``spectral``, straight from its encoding: no tree and no matrix is built.
+the root, so rho(T) is the largest rho(C(B_i) + J).  It bounds before it
+solves: each distinct branch's largest row sum bounds its rho from above,
+and branches are solved, by the matrix-free branch routine of
+``spectral`` straight from their encodings, in descending bound order only
+while a bound can still reach the maximum within the tie window.  No tree
+and no matrix is built, and the result is that of solving every branch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,7 +41,7 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, branch_rho, spectral_radius
+from .spectral import DEFAULT_TOL, _row_bound, branch_rho, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -391,25 +395,44 @@ class ExtremalReport:
     ties: tuple[RootedTree, ...] = field(repr=False, default=())
 
 
-def _class_rhos(cls: TreeClass, eig_tol: float) -> list[tuple[float, Encoding]]:
-    """(rho, encoding) for every tree of cls, in class order.
+def _contenders(cls: TreeClass, tol: float,
+                eig_tol: float) -> list[tuple[float, Encoding]]:
+    """(rho, encoding) for every tree of cls that can come within tol of
+    the class maximum, in class order; every other tree is left out.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
-    and 0 for the single vertex.  Each distinct branch is solved once by
-    ``branch_rho``, with its residual check, straight from the encoding.
-    The preorder arrays are those ``spectral_radius`` passes for the same
-    branch of ``encoding_to_tree(enc)``, so each rho is the very float it
-    returns.
+    and 0 for the single vertex.  Each distinct branch gets its row bound
+    first, ``_row_bound``, which is also where ``branch_rho`` starts, so a
+    solved rho never exceeds it.  Branches are then solved by
+    ``branch_rho``, with its residual check, in descending bound order, until
+    a bound falls below best - tol, best the largest rho solved so far: that
+    branch and every one after it has rho < best - tol <= max - tol, so it
+    is neither a tie nor the maximum, and is never solved.  A tree is
+    scored by its solved branches only; a tree whose best branch went
+    unsolved scores below max - tol either way.  The preorder arrays are
+    those ``spectral_radius`` passes for the same branch of
+    ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
+    encs = list(_class_encodings(cls))
+    bound: dict[Encoding, float] = {}
+    for enc in encs:
+        for branch in enc:
+            if branch not in bound:
+                # the float branch_rho starts from, so rho <= bound
+                bound[branch] = float(_row_bound(_preorder_parents(branch)))
     rho_of: dict[Encoding, float] = {}
-
-    def solve(branch: Encoding) -> float:
-        if branch not in rho_of:
-            rho_of[branch] = branch_rho(_preorder_parents(branch), eig_tol)[0]
-        return rho_of[branch]
-
-    return [(max(map(solve, enc), default=0.0), enc)
-            for enc in _class_encodings(cls)]
+    best = -math.inf
+    for branch in sorted(bound, key=bound.__getitem__, reverse=True):
+        if bound[branch] < best - tol:
+            break
+        rho_of[branch] = value = branch_rho(_preorder_parents(branch), eig_tol)[0]
+        best = max(best, value)
+    scored = []
+    for enc in encs:
+        solved = [rho_of[branch] for branch in enc if branch in rho_of]
+        if solved or not enc:
+            scored.append((max(solved, default=0.0), enc))
+    return scored
 
 
 def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
@@ -420,8 +443,15 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
     tree to reach the maximum within tol, and ``ties`` lists everything
     that does.  The reported argmax is deterministic: exact-float ties are
     broken by canonical encoding order.
+
+    Only the branches whose row bound can reach the maximum within tol are
+    solved (see ``_contenders``), so the residual check of ``branch_rho``
+    runs on those alone.  tol must be finite and non-negative.
     """
-    scored = _class_rhos(cls, eig_tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidParameter(f"tie window must be finite and non-negative, "
+                               f"got {tol}")
+    scored = _contenders(cls, tol, eig_tol)
     if not scored:
         raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
     rho_max = max(rho for rho, _ in scored)

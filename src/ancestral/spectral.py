@@ -160,18 +160,44 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
     return x, d
 
 
+def _row_sums(parent: Sequence[int]) -> tuple[list[bool], list[int], list[int]]:
+    """Whether each vertex of a branch is a leaf, its leaf count k, and its
+    path sum: the sum of k from B's root down to the vertex, both included.
+    At a leaf the path sum is the leaf's row sum of C(B) + J; it grows down
+    every path, so the largest row sum is the largest path sum."""
+    m = len(parent)
+    is_leaf = [True] * m
+    for i in range(1, m):
+        is_leaf[parent[i]] = False
+    k = [1 if leaf else 0 for leaf in is_leaf]
+    for i in range(m - 1, 0, -1):
+        k[parent[i]] += k[i]
+    row = k[:]
+    for i in range(1, m):
+        row[i] += row[parent[i]]
+    return is_leaf, k, row
+
+
+def _row_bound(parent: Sequence[int]) -> int:
+    """The largest row sum of C(B) + J for the branch ``parent`` (laid out
+    as for ``branch_rho``): an upper bound on its largest eigenvalue, and
+    the point ``branch_rho`` starts from, so the eigenvalue it returns
+    never exceeds it."""
+    return max(_row_sums(parent)[2])
+
+
 def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
     vector over B's leaves in preorder, without building the matrix.
 
     ``parent`` lists B in preorder: entry 0 is B's root and is ignored, and
     every other entry is the position of the vertex's parent, which comes
-    earlier.  The largest row sum bounds the eigenvalue from above.  When
-    every row sum is the same, it is the eigenvalue, exactly, with the
-    all-ones direction as its vector (complete d-ary branches, brooms).
-    Otherwise ``_largest_root`` descends from it, and the Perron vector is
-    y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product of 1/d
-    over the vertices below B's root on its path.
+    earlier.  The largest row sum, ``_row_bound``, bounds the eigenvalue from
+    above.  When every row sum is the same, it is the eigenvalue, exactly,
+    with the all-ones direction as its vector (complete d-ary branches,
+    brooms).  Otherwise ``_largest_root`` descends from it, and the Perron
+    vector is y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product
+    of 1/d over the vertices below B's root on its path.
 
     The eigensolver contract is checked on (x, y) as ``eigen_decompose``
     does, with (C(B) + J) y from one pass of subtree sums and one of prefix
@@ -180,26 +206,12 @@ def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
     NoConvergence when the residual exceeds the bound.
     """
     m = len(parent)
-    is_leaf = [True] * m
-    for i in range(1, m):
-        is_leaf[parent[i]] = False
-    k = [1 if leaf else 0 for leaf in is_leaf]
-    for i in range(m - 1, 0, -1):
-        k[parent[i]] += k[i]
+    is_leaf, k, row = _row_sums(parent)
     n_leaves = k[0]
-    # row sum of a leaf: the leaf counts along its path from B's root
-    depth = [0] * m
-    row = [0] * m
-    row[0] = n_leaves
-    for i in range(1, m):
-        p = parent[i]
-        depth[i] = depth[p] + 1
-        row[i] = row[p] + k[i]
     leaves = [i for i in range(m) if is_leaf[i]]
-    rows = [row[i] for i in leaves]
 
-    x = max(rows)
-    if min(rows) == x:
+    x = max(row)  # _row_bound(parent)
+    if min(row[i] for i in leaves) == x:
         x = float(x)
         y = [1.0 / math.sqrt(n_leaves)] * n_leaves
     else:
@@ -219,6 +231,9 @@ def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
     for i in range(1, m):
         s[i] += s[parent[i]]
     residual = math.sqrt(sum((s[i] - x * v) ** 2 for i, v in zip(leaves, y)))
+    depth = [0] * m
+    for i in range(1, m):
+        depth[i] = depth[parent[i]] + 1
     fro = math.sqrt(sum(c * c * (2 * e + 1) for c, e in zip(k, depth)))
     bound = tol * max(1.0, fro)
     if not residual <= bound:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ancestral import ExtremalReport, caterpillar_charpoly, star
-from ancestral import cli
+from ancestral import bounds_theorems, cli
 
 from helpers import EXAMPLE_C_ROWS, EXAMPLE_GAMMA
 
@@ -226,6 +226,22 @@ def test_search_of_an_oversized_class_exits_2(capsys):
                    "1000000\n")
 
 
+def test_search_checks_residuals_only_of_the_branches_it_solves(capsys):
+    # --tol is both the eigensolver tolerance and the tie window; at 1e-300
+    # only one branch of 14,6 can reach the maximum, the broom's, and its
+    # residual meets even that bound
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:14,6",
+                         "--check", "broom", "--tol", "1e-300")
+    assert (code, out, err) == (0, "VERIFIED rho_max=43\n", "")
+    # 7,3 still solves a branch whose residual misses that bound
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:7,3",
+                         "--check", "broom", "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: eigensolver residual ")
+    assert err.count("\n") == 1
+
+
 def test_search_counterexample(capsys, monkeypatch):
     fake = ExtremalReport(holds=False, argmax=star(2), rho_max=9.0,
                           rho_claimed=3.0)
@@ -320,6 +336,28 @@ def test_verify_all_smoke(capsys):
     assert len(lines) == 17
     assert lines[0] == "gram-identity: VERIFIED"
     assert all(line.endswith(": VERIFIED") for line in lines)
+
+
+def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
+    calls = {"char_poly": 0, "spectral_radius": 0}
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "char_poly")
+    counted(bounds_theorems, "spectral_radius")
+    code, out, _ = run(capsys, "verify-all", "--max-leaves", "5")
+    assert code == 0
+    corpus = len(cli._corpus(5, 1e-10).trees)
+    # one polynomial per corpus tree, shared by three suites, plus one per
+    # caterpillar of the recursion suite; one rho per tree of more than one
+    # vertex, shared by the bounds and delta-equality suites
+    assert calls == {"char_poly": corpus + 5, "spectral_radius": corpus - 1}
 
 
 def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):

@@ -1,5 +1,7 @@
 """Exhaustive tree classes, canonical encodings and extremality search."""
 
+import math
+
 import pytest
 
 from ancestral import enumeration
@@ -22,7 +24,6 @@ from ancestral import (
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
-from ancestral.spectral import DEFAULT_TOL
 
 from helpers import (
     BINARY_BY_LEAVES,
@@ -213,12 +214,49 @@ def test_vertex_counts_sum_the_pair_counts_without_pools():
     assert _pools() == before
 
 
-@pytest.mark.parametrize("cls", [
-    by_vertices_and_leaves(10, 5),
-    by_outdegree_sequence((2, 2, 2, 1, 1)),
-    series_reduced(7),
-], ids=lambda cls: cls.kind)
-def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
+def _classes_up_to(n_max):
+    """A class of every kind whose trees have at most n_max vertices."""
+    for n in range(1, n_max + 1):
+        yield by_vertex_count(n)
+        for leaves in range(1, n + 1):
+            yield by_vertices_and_leaves(n, leaves)
+            yield by_leaf_count(leaves, n)
+        for part in enumeration.outdegree_sequences(n):
+            yield by_outdegree_sequence(part)
+    for leaves in range(1, (n_max + 1) // 2 + 1):
+        yield series_reduced(leaves)
+        for d in (2, 3, 4):
+            yield dary_by_leaves(d, leaves)
+
+
+def _brute_force_report(cls, claimed, tol):
+    """The report of verify_extremal from spectral_radius of every tree."""
+    scored = [(spectral_radius(encoding_to_tree(enc)).rho, enc)
+              for enc in enumeration._class_encodings(cls)]
+    rho_max = max(rho for rho, _ in scored)
+    rho_claimed = spectral_radius(claimed).rho
+    return (rho_claimed >= rho_max - tol,
+            min(enc for rho, enc in scored if rho == rho_max),
+            rho_max, rho_claimed,
+            sorted(enc for rho, enc in scored if rho >= rho_max - tol))
+
+
+def test_pruned_search_matches_brute_force():
+    for cls in _classes_up_to(9):
+        encs = list(enumeration._class_encodings(cls))
+        if not encs:
+            continue
+        # a claimed tree inside the class and one that is not the maximum
+        for claimed in (encoding_to_tree(encs[-1]), star(3)):
+            for tol in (1e-7, 0.5, 5.0):
+                report = verify_extremal(cls, claimed, tol=tol)
+                got = (report.holds, canonical_encoding(report.argmax),
+                       report.rho_max, report.rho_claimed,
+                       [canonical_encoding(t) for t in report.ties])
+                assert got == _brute_force_report(cls, claimed, tol), (cls, tol)
+
+
+def test_search_solves_few_branches(monkeypatch):
     solved = []
     solve = enumeration.branch_rho
 
@@ -227,13 +265,18 @@ def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
         return solve(parent, tol)
 
     monkeypatch.setattr(enumeration, "branch_rho", counting_solve)
-    scored = enumeration._class_rhos(cls, DEFAULT_TOL)
-    encs = list(enumeration._class_encodings(cls))
-    assert [enc for _, enc in scored] == encs
-    for value, enc in scored:
-        assert value == spectral_radius(encoding_to_tree(enc)).rho
-    # one solve per distinct branch below a root
-    assert len(solved) == len({branch for enc in encs for branch in enc})
+    cls = by_vertices_and_leaves(14, 6)
+    report = verify_extremal(cls, broom(7, 6))
+    assert report.holds and report.rho_max == 43.0
+    branches = {branch for enc in enumeration._class_encodings(cls)
+                for branch in enc}
+    assert 0 < 100 * len(solved) < len(branches)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, -math.inf])
+def test_tie_window_must_be_finite_and_non_negative(tol):
+    with pytest.raises(InvalidParameter):
+        verify_extremal(by_vertex_count(4), star(3), tol=tol)
 
 
 def test_extremal_search_confirms_broom():

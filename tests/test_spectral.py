@@ -111,6 +111,24 @@ def test_equal_row_sums_give_rho_exactly():
     assert spectral_radius(broom(5, 4)).rho == 21.0
 
 
+def test_branch_rho_never_exceeds_the_row_bound():
+    # each tree taken as a branch B: rho(C(B) + J) <= its largest row sum,
+    # with equality exactly when every row sum is the same
+    rng = seeded_rng(63)
+    trees = list(corpus(9))
+    while len(trees) < len(corpus(9)) + 12:
+        t = random_tree(rng.randint(2, 800), rng)  # numbered in preorder
+        if t.n_leaves <= 400:
+            trees.append(t)
+    for t in trees:
+        parent = [-1] + list(t.parent[1:])
+        rows = [sum(row) + t.n_leaves for row in ancestral_matrix(t).rows]
+        value, _ = spectral.branch_rho(parent, 1e-10)
+        assert spectral._row_bound(parent) == max(rows)
+        assert value <= max(rows)
+        assert (value == max(rows)) == (min(rows) == max(rows))
+
+
 def test_rho_of_deep_trees():
     depth = 10 ** 4
     assert spectral_radius(broom(depth, 3)).rho == 3.0 * depth + 1
