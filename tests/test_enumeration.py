@@ -24,6 +24,7 @@ from ancestral import (
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
+from ancestral.spectral import DEFAULT_TOL
 
 from helpers import (
     BINARY_BY_LEAVES,
@@ -271,6 +272,30 @@ def test_search_solves_few_branches(monkeypatch):
     branches = {branch for enc in enumeration._class_encodings(cls)
                 for branch in enc}
     assert 0 < 100 * len(solved) < len(branches)
+
+
+@pytest.mark.parametrize("cls", [
+    by_vertices_and_leaves(10, 5),
+    by_outdegree_sequence((2, 2, 2, 1, 1)),
+    series_reduced(7),
+], ids=lambda cls: cls.kind)
+def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
+    solved = []
+    solve = enumeration.branch_rho
+
+    def counting_solve(parent, tol):
+        solved.append(parent)
+        return solve(parent, tol)
+
+    monkeypatch.setattr(enumeration, "branch_rho", counting_solve)
+    # an unbounded tie window prunes nothing, so every tree is scored
+    scored = enumeration._contenders(cls, math.inf, DEFAULT_TOL)
+    encs = list(enumeration._class_encodings(cls))
+    assert [enc for _, enc in scored] == encs
+    for value, enc in scored:
+        assert value == spectral_radius(encoding_to_tree(enc)).rho
+    # one solve per distinct branch below a root
+    assert len(solved) == len({branch for enc in encs for branch in enc})
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, -math.inf])
