@@ -2,8 +2,9 @@
 
 Every subcommand is a pure function of its arguments: fixed orderings and
 fixed float formatting (12 significant digits) make repeated runs
-byte-identical.  Exit codes: 0 success/verified, 1 violated/counterexample,
-2 usage error.
+byte-identical.  Exit codes: 0 success/verified, 1 violated/counterexample
+(verify-all then names each violated suite's first failing case on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -276,27 +277,30 @@ def _parse_class(spec: str) -> enumeration.TreeClass:
     raise InvalidParameter(f"unknown class spec {spec!r}")
 
 
-def _claimed_for_check(check: str, cls: enumeration.TreeClass) -> RootedTree:
+def _extremal(check: str, cls: enumeration.TreeClass, tol: float,
+              window: float = 1e-7) -> enumeration.ExtremalReport:
+    """cls checked against the tree that check claims has the largest rho,
+    with window as the tie window."""
     if check == "greedy":
         if cls.kind != "by-outdegree-sequence":
             raise InvalidParameter("--check greedy needs an outdegrees: class")
-        return greedy_caterpillar(cls.params)
-    if check == "broom":
+        claimed = greedy_caterpillar(cls.params)
+    elif check == "broom":
         if cls.kind != "by-vertices-and-leaves":
             raise InvalidParameter("--check broom needs a vertices-leaves: class")
         n_vertices, n_leaves = cls.params
-        return broom(n_vertices - n_leaves - 1, n_leaves)
-    if cls.kind != "series-reduced":
-        raise InvalidParameter(
-            "--check binary-caterpillar needs a series-reduced: class")
-    return binary_caterpillar(cls.params[0])
+        claimed = broom(n_vertices - n_leaves - 1, n_leaves)
+    else:
+        if cls.kind != "series-reduced":
+            raise InvalidParameter(
+                "--check binary-caterpillar needs a series-reduced: class")
+        claimed = binary_caterpillar(cls.params[0])
+    return enumeration.verify_extremal(cls, claimed, tol=window, eig_tol=tol)
 
 
 def _cmd_search(args) -> int:
     cls = _parse_class(args.klass)
-    claimed = _claimed_for_check(args.check, cls)
-    report = enumeration.verify_extremal(cls, claimed, tol=args.tol,
-                                         eig_tol=args.tol)
+    report = _extremal(args.check, cls, args.tol, window=args.tol)
     if args.json:
         _emit_json({"verified": report.holds,
                     "rho_max": report.rho_max,
@@ -314,171 +318,54 @@ def _cmd_search(args) -> int:
 
 # verify-all: one deterministic pass/fail line per theorem
 
-class _Corpus:
-    """The verify-all trees, with the per-tree quantities that several
-    suites read: the characteristic polynomial and the verdicts of the
-    bound report.  Each is computed on first use and kept for the run, so a
-    suite that stops early, or a suite error, leaves the later trees
-    uncomputed."""
-
-    def __init__(self, trees: list[RootedTree], tol: float):
-        self.trees = trees
-        self._tol = tol
-        self._polys: list = []
-        self._verdicts: list = []
-
-    def _each(self, kept: list, compute):
-        for i, t in enumerate(self.trees):
-            if i == len(kept):
-                kept.append(compute(t))
-            yield t, kept[i]
-
-    def polys(self):
-        """(tree, char_poly(tree)) for every tree."""
-        return self._each(self._polys, char_poly)
-
-    def bound_verdicts(self):
-        """(tree, every bound satisfied, rho equal to the degree bound) for
-        every tree of more than one vertex: one bound report, and so one
-        rho, per tree, of which only the two verdicts are kept."""
-        def verdicts(t):
-            if t.n_vertices == 1:
-                return None
-            rep = bound_report(t, eig_tol=self._tol)
-            return rep.all_satisfied, rep.delta_equality
-        return ((t, *pair) for t, pair in self._each(self._verdicts, verdicts)
-                if pair is not None)
-
-
-def _corpus(max_leaves: int, tol: float) -> _Corpus:
+def _corpus(max_leaves: int) -> list[RootedTree]:
     # count the largest class first, so one over the cap fails before any
     # class is built
     enumeration.class_size(enumeration.by_vertex_count(max_leaves + 1))
     trees = []
     for n in range(1, max_leaves + 2):
         trees.extend(enumeration.enumerate_class(enumeration.by_vertex_count(n)))
-    return _Corpus(trees, tol)
+    return trees
 
 
-def _suite_gram(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(gram_check(t) for t in corpus.trees)
+def _per_tree_memo(compute):
+    """compute(tree) on first use, kept for the run by identity: only
+    corpus trees ask, and the corpus outlives the run, so no id is reused."""
+    kept = {}
+    def get(t):
+        if id(t) not in kept:
+            kept[id(t)] = compute(t)
+        return kept[id(t)]
+    return get
 
 
-def _suite_blocks(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(block_reconstruction(t) == ancestral_matrix(t).rows
-               for t in corpus.trees)
+def _collections_match(t: RootedTree, poly, budget: int) -> bool:
+    result = count_collections(t, budget=budget)
+    sign = 1 if t.n_leaves % 2 == 0 else -1
+    return (list(result.counts) == poly.gamma()
+            and result.total == sign * poly(-1))
 
 
-def _suite_eigenvalue_one(corpus, tol, budget, max_leaves: int) -> bool:
-    # C is symmetric, so the multiplicity of 1 as a root of its
-    # characteristic polynomial is the dimension of its eigenspace
-    return all(eigenvalue_one_certificate(t).multiplicity
-               == poly.multiplicity(1)
-               for t, poly in corpus.polys() if t.n_vertices > 1)
+def _dary_determinants_hold(t: RootedTree) -> bool:
+    degs = {len(c) for c in t.children if c}
+    return all(dary_determinant_check(t, d).equal
+               for d in (2, 3) if degs <= {d})
 
 
-def _suite_bounds(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(holds for _, holds, _ in corpus.bound_verdicts())
+def _broom_holds(cls, tol: float) -> bool:
+    n_vertices, n_leaves = cls.params
+    report = _extremal("broom", cls, tol, window=1e-6)
+    expected = n_leaves * (n_vertices - n_leaves - 1) + 1
+    return report.holds and abs(report.rho_max - expected) <= 1e-6
 
 
-def _suite_delta_equality(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(equality == is_complete_dary(t)
-               for t, _, equality in corpus.bound_verdicts())
+def _trig_matches(n: int, tol: float) -> bool:
+    numeric = spectral_radius(binary_caterpillar(n), tol).rho
+    return abs(trig_spectral_radius(n).rho - numeric) <= 1e-6 * numeric
 
 
-def _suite_trace(corpus, tol, budget, max_leaves: int) -> bool:
-    for t, poly in corpus.polys():
-        highest = poly.highest_first()
-        trace = -highest[1] if len(highest) > 1 else 0
-        if trace != structural_stats(t).D_root:
-            return False
-    return True
-
-
-def _suite_collections(corpus, tol, budget, max_leaves: int) -> bool:
-    for t, poly in corpus.polys():
-        result = count_collections(t, budget=budget)
-        if list(result.counts) != poly.gamma():
-            return False
-        sign = 1 if t.n_leaves % 2 == 0 else -1
-        if result.total != sign * poly(-1):
-            return False
-    return True
-
-
-def _suite_dary_det(corpus, tol, budget, max_leaves: int) -> bool:
-    for t in corpus.trees:
-        degs = {len(c) for c in t.children if c}
-        for d in (2, 3):
-            if degs <= {d} and not dary_determinant_check(t, d).equal:
-                return False
-    return True
-
-
-def _suite_broom(corpus, tol, budget, max_leaves: int) -> bool:
-    for n_vertices in range(3, max_leaves + 2):
-        for n_leaves in range(2, n_vertices):
-            cls = enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
-            report = enumeration.verify_extremal(
-                cls, _claimed_for_check("broom", cls), tol=1e-6, eig_tol=tol)
-            expected = n_leaves * (n_vertices - n_leaves - 1) + 1
-            if not report.holds or abs(report.rho_max - expected) > 1e-6:
-                return False
-    return True
-
-
-def _suite_greedy(corpus, tol, budget, max_leaves: int) -> bool:
-    for n_vertices in range(2, max_leaves + 2):
-        for seq in enumeration.outdegree_sequences(n_vertices):
-            cls = enumeration.by_outdegree_sequence(seq)
-            report = enumeration.verify_extremal(
-                cls, _claimed_for_check("greedy", cls), tol=1e-7, eig_tol=tol)
-            if not report.holds:
-                return False
-    return True
-
-
-def _suite_series_reduced(corpus, tol, budget, max_leaves: int) -> bool:
-    for n in range(2, max_leaves + 1):
-        cls = enumeration.series_reduced(n)
-        report = enumeration.verify_extremal(
-            cls, _claimed_for_check("binary-caterpillar", cls), tol=1e-7,
-            eig_tol=tol)
-        if not report.holds:
-            return False
-    return True
-
-
-def _suite_caterpillar_recursion(corpus, tol, budget, max_leaves: int) -> bool:
-    for n in range(1, max_leaves + 1):
-        if caterpillar_charpoly(n).coeffs != char_poly(binary_caterpillar(n)).coeffs:
-            return False
-    return True
-
-
-def _suite_chebyshev(corpus, tol, budget, max_leaves: int) -> bool:
-    for n in range(2, min(max_leaves, 8) + 1):
-        for j in range(10):
-            x = Fraction(2) + Fraction(j, 5)
-            if not chebyshev_form_check(n, x):
-                return False
-    return True
-
-
-def _suite_trig(corpus, tol, budget, max_leaves: int) -> bool:
-    for n in range(3, max(max_leaves, 8) + 1):
-        numeric = spectral_radius(binary_caterpillar(n), tol).rho
-        if abs(trig_spectral_radius(n).rho - numeric) > 1e-6 * numeric:
-            return False
-    return True
-
-
-def _suite_asymptotic(corpus, tol, budget, max_leaves: int) -> bool:
-    return all(abs(trig_spectral_radius(n).rho - asymptotic_rho(n)) <= 3.0
-               for n in range(10, 10 * max_leaves + 1))
-
-
-def _suite_monotonicity(corpus, tol, budget, max_leaves: int) -> bool:
+def _monotonicity_cases(max_leaves: int):
+    """(tree, spec): up to 60 random trees with a spec per operation kind."""
     rng = random.Random(20260814)
     for kind in OpKind:
         done = 0
@@ -487,73 +374,136 @@ def _suite_monotonicity(corpus, tol, budget, max_leaves: int) -> bool:
             attempts += 1
             t = enumeration.random_tree(rng.randint(3, max_leaves + 1), rng)
             specs = valid_specs(t, kind)
-            if not specs:
-                continue
-            spec = specs[rng.randrange(len(specs))]
-            sr = spectral_radius(t, tol)
-            after = spectral_radius(apply_op(t, spec), tol).rho
-            if after < sr.rho - 1e-9:
-                return False
-            witnessed = all(sr.perron[t.leaf_start[v]] > 1e-6
-                            for v in witness_leaves(t, spec))
-            if witnessed and after < sr.rho + 1e-9:
-                return False
-            done += 1
-    return True
+            if specs:
+                done += 1
+                yield t, specs[rng.randrange(len(specs))]
 
 
-def _suite_round_trip(corpus, tol, budget, max_leaves: int) -> bool:
+def _monotone(t: RootedTree, spec: OpSpec, tol: float) -> bool:
+    """rho never decreases, and grows when the Perron vector is positive on
+    every witness leaf."""
+    sr = spectral_radius(t, tol)
+    after = spectral_radius(apply_op(t, spec), tol).rho
+    if after < sr.rho - 1e-9:
+        return False
+    witnessed = all(sr.perron[t.leaf_start[v]] > 1e-6
+                    for v in witness_leaves(t, spec))
+    return not (witnessed and after < sr.rho + 1e-9)
+
+
+def _round_trip_samples(trees: list[RootedTree], max_leaves: int):
+    yield from trees
+    for spec in ("star:3", "broom:2,3", "path-broom:1,4",
+                 "binary-caterpillar:5", "dary:2,3", "greedy:3,2,2",
+                 "star-plus-path:3,4"):
+        yield generate(spec)
     rng = random.Random(1205)
-    samples = list(corpus.trees)
-    samples.extend([
-        generate("star:3"), generate("broom:2,3"), generate("path-broom:1,4"),
-        generate("binary-caterpillar:5"), generate("dary:2,3"),
-        generate("greedy:3,2,2"), generate("star-plus-path:3,4"),
-    ])
-    samples.extend(enumeration.random_tree(rng.randint(1, 2 * max_leaves), rng)
-                   for _ in range(200))
-    for t in samples:
-        text = serialize_newick(t)
-        back = parse_newick(text)
-        if back.parent_list() != t.parent_list() or serialize_newick(back) != text:
-            return False
-    return True
+    for _ in range(200):
+        yield enumeration.random_tree(rng.randint(1, 2 * max_leaves), rng)
 
 
-_SUITES = (
-    ("gram-identity", _suite_gram),
-    ("block-structure", _suite_blocks),
-    ("eigenvalue-one", _suite_eigenvalue_one),
-    ("bounds", _suite_bounds),
-    ("delta-equality", _suite_delta_equality),
-    ("trace-identity", _suite_trace),
-    ("collection-coefficients", _suite_collections),
-    ("dary-determinant", _suite_dary_det),
-    ("broom-extremality", _suite_broom),
-    ("greedy-extremality", _suite_greedy),
-    ("series-reduced-extremality", _suite_series_reduced),
-    ("caterpillar-recursion", _suite_caterpillar_recursion),
-    ("chebyshev-closed-form", _suite_chebyshev),
-    ("trig-spectral-radius", _suite_trig),
-    ("asymptotic-window", _suite_asymptotic),
-    ("monotonicity", _suite_monotonicity),
-    ("newick-round-trip", _suite_round_trip),
-)
+def _round_trips(t: RootedTree) -> bool:
+    text = serialize_newick(t)
+    back = parse_newick(text)
+    return back.parent_list() == t.parent_list() and serialize_newick(back) == text
+
+
+def _suites(max_leaves: int, tol: float, budget: int):
+    """The (name, cases, check) row of each theorem, one at a time in output
+    order: the theorem holds when check(case) is true for every case."""
+    trees = _corpus(max_leaves)
+    branching = [t for t in trees if t.n_vertices > 1]
+    # per corpus tree, one polynomial and one bound report's two verdicts
+    poly = _per_tree_memo(char_poly)
+
+    def bound_verdicts(t):
+        rep = bound_report(t, eig_tol=tol)
+        return rep.all_satisfied, rep.delta_equality
+    verdicts = _per_tree_memo(bound_verdicts)
+
+    yield "gram-identity", trees, gram_check
+    yield ("block-structure", trees,
+           lambda t: block_reconstruction(t) == ancestral_matrix(t).rows)
+    # C is symmetric, so the multiplicity of 1 as a root of its
+    # characteristic polynomial is the dimension of its eigenspace
+    yield ("eigenvalue-one", branching,
+           lambda t: eigenvalue_one_certificate(t).multiplicity
+           == poly(t).multiplicity(1))
+    yield "bounds", branching, lambda t: verdicts(t)[0]
+    yield ("delta-equality", branching,
+           lambda t: verdicts(t)[1] == is_complete_dary(t))
+    yield ("trace-identity", trees,
+           lambda t: -poly(t).coeffs[-2] == structural_stats(t).D_root)
+    yield ("collection-coefficients", trees,
+           lambda t: _collections_match(t, poly(t), budget))
+    # no later suite reads the memos: free them before the run's peak memory
+    del poly, verdicts
+    yield "dary-determinant", trees, _dary_determinants_hold
+    yield ("broom-extremality",
+           (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
+            for n_vertices in range(3, max_leaves + 2)
+            for n_leaves in range(2, n_vertices)),
+           lambda cls: _broom_holds(cls, tol))
+    yield ("greedy-extremality",
+           (enumeration.by_outdegree_sequence(seq)
+            for n_vertices in range(2, max_leaves + 2)
+            for seq in enumeration.outdegree_sequences(n_vertices)),
+           lambda cls: _extremal("greedy", cls, tol).holds)
+    yield ("series-reduced-extremality",
+           map(enumeration.series_reduced, range(2, max_leaves + 1)),
+           lambda cls: _extremal("binary-caterpillar", cls, tol).holds)
+    yield ("caterpillar-recursion", range(1, max_leaves + 1),
+           lambda n: caterpillar_charpoly(n).coeffs
+           == char_poly(binary_caterpillar(n)).coeffs)
+    yield ("chebyshev-closed-form",
+           ((n, Fraction(2) + Fraction(j, 5))
+            for n in range(2, min(max_leaves, 8) + 1) for j in range(10)),
+           lambda case: chebyshev_form_check(*case))
+    yield ("trig-spectral-radius", range(3, max(max_leaves, 8) + 1),
+           lambda n: _trig_matches(n, tol))
+    yield ("asymptotic-window", range(10, 10 * max_leaves + 1),
+           lambda n: abs(trig_spectral_radius(n).rho - asymptotic_rho(n)) <= 3.0)
+    yield ("monotonicity", _monotonicity_cases(max_leaves),
+           lambda case: _monotone(*case, tol))
+    yield ("newick-round-trip", _round_trip_samples(trees, max_leaves),
+           _round_trips)
+
+
+def _case_text(case) -> str:
+    """How stderr names a case: Newick for a tree, kind(params) for a class,
+    the transform flags of an operation, and otherwise the value itself."""
+    if isinstance(case, RootedTree):
+        return serialize_newick(case)
+    if isinstance(case, enumeration.TreeClass):
+        return f"{case.kind}{case.params}"
+    if isinstance(case, OpSpec):
+        flags = (("--op", case.kind.value),
+                 ("--path", ",".join(str(v) for v in case.path)),
+                 ("--branch", case.branch_root), ("--leaf", case.leaf))
+        return " ".join(f"{flag} {value}" for flag, value in flags
+                        if value is not None)
+    if isinstance(case, tuple):
+        return " ".join(_case_text(part) for part in case)
+    return str(case)
 
 
 def _cmd_verify_all(args) -> int:
-    corpus = _corpus(args.max_leaves, args.tol)
     code = 0
-    for name, func in _SUITES:
-        try:
-            ok = func(corpus, args.tol, args.budget, args.max_leaves)
-        except AssertionError:
-            # a failed internal check refutes the suite; an AncestralError
-            # (budget, convergence) is not a refutation and exits 2 in main
-            ok = False
-        if not ok:
-            code = 1
-        print(f"{name}: {'VERIFIED' if ok else 'VIOLATED'}")
+    for name, cases, check in _suites(args.max_leaves, args.tol, args.budget):
+        for case in cases:
+            try:
+                holds = check(case)
+            except AssertionError:
+                # a failed internal check refutes the case; an AncestralError
+                # (budget, convergence) is not a refutation and exits 2 in main
+                holds = False
+            if not holds:
+                code = 1
+                print(f"{name}: VIOLATED")
+                print(f"{name}: fails on {_case_text(case)}", file=sys.stderr)
+                break
+        else:
+            print(f"{name}: VERIFIED")
     return code
 
 

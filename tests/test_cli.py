@@ -1,11 +1,13 @@
 """Front-end behavior: frozen text output, JSON forms, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from ancestral import ExtremalReport, caterpillar_charpoly, star
+from ancestral import (ExtremalReport, caterpillar_charpoly, serialize_newick,
+                       series_reduced, star)
 from ancestral import bounds_theorems, cli
 
 from helpers import EXAMPLE_C_ROWS, EXAMPLE_GAMMA
@@ -353,11 +355,72 @@ def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
     counted(bounds_theorems, "spectral_radius")
     code, out, _ = run(capsys, "verify-all", "--max-leaves", "5")
     assert code == 0
-    corpus = len(cli._corpus(5, 1e-10).trees)
+    corpus = len(cli._corpus(5))
     # one polynomial per corpus tree, shared by three suites, plus one per
     # caterpillar of the recursion suite; one rho per tree of more than one
     # vertex, shared by the bounds and delta-equality suites
     assert calls == {"char_poly": corpus + 5, "spectral_radius": corpus - 1}
+
+
+def verdicts(out: str) -> dict:
+    return dict(line.split(": ") for line in out.splitlines())
+
+
+def test_verify_all_names_the_first_failing_tree(capsys, monkeypatch):
+    bad = "(,(,));"
+    assert bad in [serialize_newick(t) for t in cli._corpus(4)]
+    monkeypatch.setattr(cli, "gram_check",
+                        lambda t: serialize_newick(t) != bad)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
+    assert code == 1
+    lines = verdicts(out)
+    assert len(lines) == 17
+    assert {name for name, verdict in lines.items()
+            if verdict != "VERIFIED"} == {"gram-identity"}
+    assert lines["gram-identity"] == "VIOLATED"
+    assert err == f"gram-identity: fails on {bad}\n"
+
+
+def test_verify_all_reads_an_assertion_as_violated(capsys, monkeypatch):
+    def refuted(tree):
+        raise AssertionError("blocks disagree")
+    monkeypatch.setattr(cli, "block_reconstruction", refuted)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "2")
+    assert code == 1
+    assert verdicts(out)["block-structure"] == "VIOLATED"
+    first = serialize_newick(cli._corpus(2)[0])
+    assert err == f"block-structure: fails on {first}\n"
+
+
+def test_verify_all_names_the_failing_class(capsys, monkeypatch):
+    real = cli.enumeration.verify_extremal
+    bad = series_reduced(3)
+
+    def refuted(cls, claimed, **kwargs):
+        report = real(cls, claimed, **kwargs)
+        return dataclasses.replace(report, holds=False) if cls == bad else report
+    monkeypatch.setattr(cli.enumeration, "verify_extremal", refuted)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
+    assert code == 1
+    assert verdicts(out)["series-reduced-extremality"] == "VIOLATED"
+    assert err == "series-reduced-extremality: fails on series-reduced(3,)\n"
+
+
+def test_verify_all_names_a_failing_operation_as_transform_flags(
+        capsys, monkeypatch):
+    tree, spec = next(cli._monotonicity_cases(4))
+    monkeypatch.setattr(cli, "_monotone", lambda tree, spec, tol: False)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
+    assert code == 1
+    assert verdicts(out)["monotonicity"] == "VIOLATED"
+    prefix = f"monotonicity: fails on {serialize_newick(tree)} "
+    assert err.startswith(prefix) and err.endswith("\n")
+    flags = err[len(prefix):].split()
+    assert flags[:2] == ["--op", spec.kind.value]
+    code, out, _ = run(capsys, "transform", "--newick",
+                       serialize_newick(tree), *flags)
+    assert code == 0
+    assert out.startswith("newick=")
 
 
 def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
