@@ -164,6 +164,10 @@ def test_caterpillar_small_text(capsys):
         "numeric_rho=1",
         f"asymptotic={8 / math.pi ** 2:.12g}",
     ]
+    code, out, _ = run(capsys, "caterpillar", "--n", "2", "--json")
+    assert code == 0
+    assert out == ('{"n": 2, "coefficients": [1, -2, 1], "trig_rho": null, '
+                   f'"numeric_rho": 1.0, "asymptotic": {8 / math.pi ** 2:.12g}}}\n')
 
 
 def test_caterpillar_json(capsys):
@@ -180,6 +184,11 @@ def test_transform_star_shift(capsys):
                        "--op", "star-shift", "--path", "0", "--leaf", "1")
     assert code == 0
     assert out.splitlines() == ["newick=(,(,,));", "rho_before=1", "rho_after=4"]
+    code, out, _ = run(capsys, "transform", "--gen", "star:4", "--op",
+                       "star-shift", "--path", "0", "--leaf", "1", "--json")
+    assert code == 0
+    assert out == ('{"newick": "(,(,,));", "rho_before": 1.0, '
+                   '"rho_after": 4.0}\n')
 
 
 def test_gen_text_and_json(capsys):
@@ -198,6 +207,11 @@ def test_search_verified(capsys):
                        "--check", "broom")
     assert code == 0
     assert out == "VERIFIED rho_max=10\n"
+    code, out, _ = run(capsys, "search", "--class", "vertices-leaves:7,3",
+                       "--check", "broom", "--json")
+    assert code == 0
+    assert out == ('{"verified": true, "rho_max": 10.0, "rho_claimed": 10.0, '
+                   '"argmax": "((((,,))));"}\n')
 
 
 def test_search_of_a_deep_class(capsys):
@@ -217,6 +231,17 @@ def test_search_of_a_wide_class(capsys, klass, check):
     code, out, _ = run(capsys, "search", "--class", klass, "--check", check)
     assert code == 0
     assert out == "VERIFIED rho_max=1\n"
+
+
+@pytest.mark.parametrize("spec", [
+    "vertices:x", "nope:3", "vertices-leaves:1,2,3",
+], ids=["bad-integer", "unknown-name", "wrong-arity"])
+def test_bad_class_spec_names_the_spec(capsys, spec):
+    code, out, err = run(capsys, "search", "--class", spec, "--check", "broom")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and repr(spec) in err
+    assert err.count("\n") == 1
 
 
 def test_search_of_an_oversized_class_exits_2(capsys):
@@ -253,6 +278,11 @@ def test_search_counterexample(capsys, monkeypatch):
                        "--check", "broom")
     assert code == 1
     assert out == "COUNTEREXAMPLE rho_max=9 rho_claimed=3 argmax=(,);\n"
+    code, out, _ = run(capsys, "search", "--class", "vertices-leaves:7,3",
+                       "--check", "broom", "--json")
+    assert code == 1
+    assert out == ('{"verified": false, "rho_max": 9.0, "rho_claimed": 3.0, '
+                   '"argmax": "(,);"}\n')
 
 
 def test_file_input_multiple_blocks(capsys, tmp_path):
