@@ -2,9 +2,11 @@
 
 Every subcommand is a pure function of its arguments: fixed orderings and
 fixed float formatting (12 significant digits) make repeated runs
-byte-identical.  Exit codes: 0 success/verified, 1 violated/counterexample
-(verify-all then names each violated suite's first failing case on
-stderr), 2 usage error.
+byte-identical.  Each subcommand is one row of ``_COMMANDS``.  Every
+single-result command (all but verify-all) prints one text block or one
+JSON line per case and exits 1 only when its verdict fails.  Exit codes:
+0 success/verified, 1 violated/counterexample (verify-all then names each
+violated suite's first failing case on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .tree_core import (
     broom,
     generate,
     greedy_caterpillar,
+    parse_spec,
     structural_stats,
 )
 from .tree_ops import OpKind, OpSpec, apply_op, valid_specs, witness_leaves
@@ -100,15 +103,15 @@ def _trees_from_args(args) -> list[RootedTree]:
     return [generate(args.gen)]
 
 
-def _per_tree(compute, as_json, as_text, holds=lambda result: True):
-    """Handler that runs compute(tree, args) on each input tree and prints
-    each result at once: as_json(result) as one JSON line, or the lines of
-    as_text(result) as a block, with a blank line between blocks.  Exits 1
-    when some result does not hold."""
+def _per_case(cases, compute, as_json, as_text, holds=lambda result: True):
+    """Handler that runs compute(case, args) on each case of cases(args) and
+    prints each result at once: as_json(result) as one JSON line, or the
+    lines of as_text(result) as a block, with a blank line between blocks.
+    Exits 1 when some result does not hold."""
     def handler(args) -> int:
         code = 0
-        for i, tree in enumerate(_trees_from_args(args)):
-            result = compute(tree, args)
+        for i, case in enumerate(cases(args)):
+            result = compute(case, args)
             if args.json:
                 _emit_json(as_json(result))
             else:
@@ -161,159 +164,95 @@ def _bounds_text(rep) -> list[str]:
     ]
 
 
-# the per-tree subcommands: name, help, extra flags, then the arguments of
-# _per_tree (compute step, JSON form, text form and, for bounds, the verdict)
-_PER_TREE = (
-    ("matrix", "print the ancestral matrix", (),
-     lambda tree, args: ancestral_matrix(tree),
-     lambda mat: {"n": mat.n, "rows": mat.rows},
-     lambda mat: _rows_text(mat.rows)),
-    ("incidence", "print the path incidence matrix", (),
-     lambda tree, args: path_incidence_matrix(tree),
-     lambda inc: {"n": inc.n, "m": inc.m, "rows": inc.rows},
-     lambda inc: _rows_text(inc.rows)),
-    ("charpoly", "exact characteristic polynomial", (),
-     lambda tree, args: char_poly(tree),
-     lambda poly: {"monic_degree": poly.degree, "gamma": poly.gamma()},
-     lambda poly: [" ".join(str(c) for c in poly.highest_first())]),
-    ("spectrum", "numeric eigenvalues, descending", ("--tol",),
-     lambda tree, args: eigen_decompose(ancestral_matrix(tree),
-                                        args.tol).eigenvalues,
-     lambda eig: {"eigenvalues": list(eig)},
-     lambda eig: [_fmt(v) for v in eig]),
-    ("bounds", "spectral-radius bounds report", ("--tol",),
-     lambda tree, args: bound_report(tree, eig_tol=args.tol),
-     _bounds_json, _bounds_text, lambda rep: rep.all_satisfied),
-    ("certificate", "eigenvalue-1 multiplicity and basis", (),
-     lambda tree, args: eigenvalue_one_certificate(tree),
-     lambda cert: {"multiplicity": cert.multiplicity,
-                   "basis": [list(b) for b in cert.basis]},
-     lambda cert: [f"multiplicity={cert.multiplicity}",
-                   *(str(tuple(b)) for b in cert.basis)]),
-    ("collections", "edge-disjoint path collection counts", ("--budget",),
-     lambda tree, args: count_collections(tree, budget=args.budget),
-     lambda res: {"counts": list(res.counts), "total": res.total},
-     lambda res: [*(f"counts[{k}]={c}" for k, c in enumerate(res.counts)),
-                  f"total={res.total}"]),
-)
-
-
-# the other subcommand handlers; each returns the process exit code
-
-def _cmd_caterpillar(args) -> int:
-    n = args.n
+def _caterpillar(n: int, args) -> dict:
     poly = caterpillar_charpoly(n)
     numeric = spectral_radius(binary_caterpillar(n), args.tol).rho
-    trig = trig_spectral_radius(n).rho if n >= 3 else None
-    if args.json:
-        _emit_json({
-            "n": n,
-            "coefficients": poly.highest_first(),
-            "trig_rho": trig,
-            "numeric_rho": numeric,
-            "asymptotic": asymptotic_rho(n),
-        })
-        return 0
-    print("coefficients=" + " ".join(str(c) for c in poly.highest_first()))
-    print(f"trig_rho={'n/a' if trig is None else _fmt(trig)}")
-    print(f"numeric_rho={_fmt(numeric)}")
-    print(f"asymptotic={_fmt(asymptotic_rho(n))}")
-    return 0
+    return {"n": n, "coefficients": poly.highest_first(),
+            "trig_rho": trig_spectral_radius(n).rho if n >= 3 else None,
+            "numeric_rho": numeric, "asymptotic": asymptotic_rho(n)}
 
 
-_OPS = {kind.value: kind for kind in OpKind}
+def _caterpillar_text(res: dict) -> list[str]:
+    trig = res["trig_rho"]
+    return ["coefficients=" + " ".join(str(c) for c in res["coefficients"]),
+            f"trig_rho={'n/a' if trig is None else _fmt(trig)}",
+            f"numeric_rho={_fmt(res['numeric_rho'])}",
+            f"asymptotic={_fmt(res['asymptotic'])}"]
 
 
-def _cmd_transform(args) -> int:
+def _one_tree(args) -> list[RootedTree]:
     trees = _trees_from_args(args)
     if len(trees) != 1:
         raise InvalidParameter("transform expects exactly one tree")
-    tree = trees[0]
-    kind = _OPS[args.op]
-    spec = OpSpec(kind=kind, path=args.path, branch_root=args.branch,
-                  leaf=args.leaf)
-    after = apply_op(tree, spec)
-    rho_before = spectral_radius(tree, args.tol).rho
-    rho_after = spectral_radius(after, args.tol).rho
-    if args.json:
-        _emit_json({"newick": serialize_newick(after),
-                    "rho_before": rho_before, "rho_after": rho_after})
-        return 0
-    print(f"newick={serialize_newick(after)}")
-    print(f"rho_before={_fmt(rho_before)}")
-    print(f"rho_after={_fmt(rho_after)}")
-    return 0
+    return trees
 
 
-def _cmd_gen(args) -> int:
-    tree = generate(args.gen)
-    if args.json:
-        _emit_json({"newick": serialize_newick(tree),
-                    "parents": list(tree.parent)})
-        return 0
-    print(serialize_newick(tree))
-    return 0
+# the flags each operation reads besides --path, by argparse dest
+_OP_FLAGS = {OpKind.BRANCH_SHIFT: ("branch",), OpKind.STAR_SHIFT: ("leaf",),
+             OpKind.LEAF_SWAP: ("branch", "leaf")}
 
 
-def _parse_class(spec: str) -> enumeration.TreeClass:
-    name, _, rest = spec.partition(":")
-    try:
-        params = [int(tok) for tok in rest.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise InvalidParameter(f"bad integer in class spec {spec!r}") from exc
-    name = name.strip()
-    if name == "vertices" and len(params) == 1:
-        return enumeration.by_vertex_count(params[0])
-    if name == "leaves" and len(params) == 2:
-        return enumeration.by_leaf_count(params[0], params[1])
-    if name == "vertices-leaves" and len(params) == 2:
-        return enumeration.by_vertices_and_leaves(params[0], params[1])
-    if name == "outdegrees" and params:
-        return enumeration.by_outdegree_sequence(params)
-    if name == "series-reduced" and len(params) == 1:
-        return enumeration.series_reduced(params[0])
-    if name == "dary" and len(params) == 2:
-        return enumeration.dary_by_leaves(params[0], params[1])
-    raise InvalidParameter(f"unknown class spec {spec!r}")
+def _transform(tree: RootedTree, args) -> dict:
+    kind = OpKind(args.op)
+    for dest in _OP_FLAGS[kind]:
+        if getattr(args, dest) is None:
+            raise InvalidParameter(f"--op {args.op} needs --{dest}")
+    after = apply_op(tree, OpSpec(kind, args.path, args.branch, args.leaf))
+    return {"newick": serialize_newick(after),
+            "rho_before": spectral_radius(tree, args.tol).rho,
+            "rho_after": spectral_radius(after, args.tol).rho}
 
 
-def _extremal(check: str, cls: enumeration.TreeClass, tol: float,
-              window: float = 1e-7) -> enumeration.ExtremalReport:
+# each --class name: its constructor and how many integers it takes
+# (None: any number, as one list)
+_CLASSES = {
+    "vertices": (enumeration.by_vertex_count, 1),
+    "leaves": (enumeration.by_leaf_count, 2),
+    "vertices-leaves": (enumeration.by_vertices_and_leaves, 2),
+    "outdegrees": (enumeration.by_outdegree_sequence, None),
+    "series-reduced": (enumeration.series_reduced, 1),
+    "dary": (enumeration.dary_by_leaves, 2),
+}
+
+# each --check: the class kind it is about, that kind as --class names it,
+# and the claimed tree built from the class parameters
+_CLAIMS = {
+    "greedy": ("by-outdegree-sequence", "an outdegrees:",
+               lambda *outdegrees: greedy_caterpillar(outdegrees)),
+    "broom": ("by-vertices-and-leaves", "a vertices-leaves:",
+              lambda n_vertices, n_leaves:
+              broom(n_vertices - n_leaves - 1, n_leaves)),
+    "binary-caterpillar": ("series-reduced", "a series-reduced:",
+                           binary_caterpillar),
+}
+
+
+def _search_class(args) -> list[enumeration.TreeClass]:
+    cls = parse_spec(args.klass, _CLASSES, "class")
+    kind, named, _ = _CLAIMS[args.check]
+    if cls.kind != kind:
+        raise InvalidParameter(f"--check {args.check} needs {named} class")
+    # an empty class's parameters may admit no claimed tree, so count first
+    if enumeration.class_size(cls) == 0:
+        raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
+    return [cls]
+
+
+def _extremal(check: str, cls: enumeration.TreeClass, eig_tol: float,
+              tol: float = 1e-7) -> enumeration.ExtremalReport:
     """cls checked against the tree that check claims has the largest rho,
-    with window as the tie window."""
-    if check == "greedy":
-        if cls.kind != "by-outdegree-sequence":
-            raise InvalidParameter("--check greedy needs an outdegrees: class")
-        claimed = greedy_caterpillar(cls.params)
-    elif check == "broom":
-        if cls.kind != "by-vertices-and-leaves":
-            raise InvalidParameter("--check broom needs a vertices-leaves: class")
-        n_vertices, n_leaves = cls.params
-        claimed = broom(n_vertices - n_leaves - 1, n_leaves)
-    else:
-        if cls.kind != "series-reduced":
-            raise InvalidParameter(
-                "--check binary-caterpillar needs a series-reduced: class")
-        claimed = binary_caterpillar(cls.params[0])
-    return enumeration.verify_extremal(cls, claimed, tol=window, eig_tol=tol)
+    with tol as the tie window."""
+    _, _, claim = _CLAIMS[check]
+    return enumeration.verify_extremal(cls, claim(*cls.params), tol=tol,
+                                       eig_tol=eig_tol)
 
 
-def _cmd_search(args) -> int:
-    cls = _parse_class(args.klass)
-    report = _extremal(args.check, cls, args.tol, window=args.tol)
-    if args.json:
-        _emit_json({"verified": report.holds,
-                    "rho_max": report.rho_max,
-                    "rho_claimed": report.rho_claimed,
-                    "argmax": serialize_newick(report.argmax)})
-        return 0 if report.holds else 1
-    if report.holds:
-        print(f"VERIFIED rho_max={_fmt(report.rho_max)}")
-        return 0
-    print(f"COUNTEREXAMPLE rho_max={_fmt(report.rho_max)} "
-          f"rho_claimed={_fmt(report.rho_claimed)} "
-          f"argmax={serialize_newick(report.argmax)}")
-    return 1
+def _search_text(rep) -> list[str]:
+    if rep.holds:
+        return [f"VERIFIED rho_max={_fmt(rep.rho_max)}"]
+    return [f"COUNTEREXAMPLE rho_max={_fmt(rep.rho_max)} "
+            f"rho_claimed={_fmt(rep.rho_claimed)} "
+            f"argmax={serialize_newick(rep.argmax)}"]
 
 
 # verify-all: one deterministic pass/fail line per theorem
@@ -354,7 +293,7 @@ def _dary_determinants_hold(t: RootedTree) -> bool:
 
 def _broom_holds(cls, tol: float) -> bool:
     n_vertices, n_leaves = cls.params
-    report = _extremal("broom", cls, tol, window=1e-6)
+    report = _extremal("broom", cls, eig_tol=tol, tol=1e-6)
     expected = n_leaves * (n_vertices - n_leaves - 1) + 1
     return report.holds and abs(report.rho_max - expected) <= 1e-6
 
@@ -507,13 +446,6 @@ def _cmd_verify_all(args) -> int:
     return code
 
 
-def _add_source_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--newick", help="tree as a Newick string")
-    group.add_argument("--file", help="UTF-8 file, one Newick tree per line")
-    group.add_argument("--gen", help="family spec, e.g. broom:2,3")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line, like every other error, and exit 2."""
 
@@ -561,13 +493,115 @@ _FLAGS = {
                   help="numeric tolerance, positive (default 1e-10)"),
     "--budget": dict(type=_int_at_least(1), default=DEFAULT_BUDGET,
                      help="enumeration budget for collections, at least 1"),
+    "--n": dict(type=int, required=True, help="number of leaves"),
+    "--op": dict(required=True, choices=sorted(kind.value for kind in OpKind),
+                 help="operation kind"),
+    "--path": dict(type=_vertex_path, required=True,
+                   help="comma-separated vertex path v1,...,vk"),
+    "--branch": dict(
+        type=int, help="shifted branch root, or w1 for a leaf swap"),
+    "--leaf": dict(
+        type=int, help="kept child u for a star shift, or w2 for a leaf swap"),
+    "--class": dict(dest="klass", required=True,
+                    help="tree class, e.g. outdegrees:3,2,2 or "
+                         "vertices-leaves:7,3 or series-reduced:5"),
+    "--check": dict(required=True, choices=list(_CLAIMS),
+                    help="which extremal family to test"),
+    "--gen": dict(required=True, help="family spec, e.g. dary:3,2"),
+    # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
+    "--max-leaves": dict(type=_int_at_least(2), default=7, metavar="N",
+                         help="size bound, at least 2: the corpus is every "
+                              "tree with at most N+1 vertices, not N leaves"),
 }
 
 
-def _add_flags(sub, *names: str) -> None:
-    """Give sub the shared flags it reads, and no others."""
+def _add_flags(sub, names) -> None:
+    """Give sub the flags it reads, and no others; "source" is the required
+    choice of --newick, --file or --gen."""
     for name in names:
-        sub.add_argument(name, **_FLAGS[name])
+        if name == "source":
+            group = sub.add_mutually_exclusive_group(required=True)
+            group.add_argument("--newick", help="tree as a Newick string")
+            group.add_argument("--file",
+                               help="UTF-8 file, one Newick tree per line")
+            group.add_argument("--gen", help="family spec, e.g. broom:2,3")
+        else:
+            sub.add_argument(name, **_FLAGS[name])
+
+
+# every subcommand: name, help, flags, handler.  All but verify-all run
+# through _per_case: cases, compute step, JSON form, text form and, where
+# one exists, the verdict
+_COMMANDS = (
+    ("matrix", "print the ancestral matrix", ("source", "--json"),
+     _per_case(_trees_from_args, lambda tree, args: ancestral_matrix(tree),
+               lambda mat: {"n": mat.n, "rows": mat.rows},
+               lambda mat: _rows_text(mat.rows))),
+    ("incidence", "print the path incidence matrix", ("source", "--json"),
+     _per_case(_trees_from_args,
+               lambda tree, args: path_incidence_matrix(tree),
+               lambda inc: {"n": inc.n, "m": inc.m, "rows": inc.rows},
+               lambda inc: _rows_text(inc.rows))),
+    ("charpoly", "exact characteristic polynomial", ("source", "--json"),
+     _per_case(_trees_from_args, lambda tree, args: char_poly(tree),
+               lambda poly: {"monic_degree": poly.degree,
+                             "gamma": poly.gamma()},
+               lambda poly: [" ".join(str(c) for c in poly.highest_first())])),
+    ("spectrum", "numeric eigenvalues, descending",
+     ("source", "--json", "--tol"),
+     _per_case(_trees_from_args,
+               lambda tree, args: eigen_decompose(ancestral_matrix(tree),
+                                                  args.tol).eigenvalues,
+               lambda eig: {"eigenvalues": list(eig)},
+               lambda eig: [_fmt(v) for v in eig])),
+    ("bounds", "spectral-radius bounds report",
+     ("source", "--json", "--tol"),
+     _per_case(_trees_from_args,
+               lambda tree, args: bound_report(tree, eig_tol=args.tol),
+               _bounds_json, _bounds_text, lambda rep: rep.all_satisfied)),
+    ("certificate", "eigenvalue-1 multiplicity and basis",
+     ("source", "--json"),
+     _per_case(_trees_from_args,
+               lambda tree, args: eigenvalue_one_certificate(tree),
+               lambda cert: {"multiplicity": cert.multiplicity,
+                             "basis": [list(b) for b in cert.basis]},
+               lambda cert: [f"multiplicity={cert.multiplicity}",
+                             *(str(tuple(b)) for b in cert.basis)])),
+    ("collections", "edge-disjoint path collection counts",
+     ("source", "--json", "--budget"),
+     _per_case(_trees_from_args,
+               lambda tree, args: count_collections(tree, budget=args.budget),
+               lambda res: {"counts": list(res.counts), "total": res.total},
+               lambda res: [*(f"counts[{k}]={c}"
+                              for k, c in enumerate(res.counts)),
+                            f"total={res.total}"])),
+    ("caterpillar", "binary caterpillar charpoly and spectral radius",
+     ("--n", "--json", "--tol"),
+     _per_case(lambda args: [args.n], _caterpillar, lambda res: res,
+               _caterpillar_text)),
+    ("transform", "apply a tree operation",
+     ("source", "--json", "--tol", "--op", "--path", "--branch", "--leaf"),
+     _per_case(_one_tree, _transform, lambda res: res,
+               lambda res: [f"newick={res['newick']}",
+                            f"rho_before={_fmt(res['rho_before'])}",
+                            f"rho_after={_fmt(res['rho_after'])}"])),
+    ("search", "exhaustive extremality check",
+     ("--class", "--check", "--json", "--tol"),
+     _per_case(_search_class,
+               lambda cls, args: _extremal(args.check, cls, args.tol,
+                                           tol=args.tol),
+               lambda rep: {"verified": rep.holds, "rho_max": rep.rho_max,
+                            "rho_claimed": rep.rho_claimed,
+                            "argmax": serialize_newick(rep.argmax)},
+               _search_text, lambda rep: rep.holds)),
+    ("gen", "emit a family tree as Newick", ("--gen", "--json"),
+     _per_case(lambda args: [generate(args.gen)], lambda tree, args: tree,
+               lambda tree: {"newick": serialize_newick(tree),
+                             "parents": list(tree.parent)},
+               lambda tree: [serialize_newick(tree)])),
+    ("verify-all", "run every theorem suite up to a size bound",
+     ("--max-leaves", "--tol", "--budget"), _cmd_verify_all),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -576,56 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ancestral matrices of rooted trees: exact charpolys, "
                     "spectra, bounds, and theorem checkers.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text, flags, *steps in _PER_TREE:
+    for name, help_text, flags, handler in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
-        _add_source_flags(sub)
-        _add_flags(sub, "--json", *flags)
-        sub.set_defaults(func=_per_tree(*steps))
-
-    sub = subs.add_parser("caterpillar",
-                          help="binary caterpillar charpoly and spectral radius")
-    sub.add_argument("--n", type=int, required=True, help="number of leaves")
-    _add_flags(sub, "--json", "--tol")
-    sub.set_defaults(func=_cmd_caterpillar)
-
-    sub = subs.add_parser("transform", help="apply a tree operation")
-    _add_source_flags(sub)
-    _add_flags(sub, "--json", "--tol")
-    sub.add_argument("--op", required=True, choices=sorted(_OPS),
-                     help="operation kind")
-    sub.add_argument("--path", type=_vertex_path, required=True,
-                     help="comma-separated vertex path v1,...,vk")
-    sub.add_argument("--branch", type=int,
-                     help="shifted branch root, or w1 for a leaf swap")
-    sub.add_argument("--leaf", type=int,
-                     help="kept child u for a star shift, or w2 for a leaf swap")
-    sub.set_defaults(func=_cmd_transform)
-
-    sub = subs.add_parser("search", help="exhaustive extremality check")
-    sub.add_argument("--class", dest="klass", required=True,
-                     help="tree class, e.g. outdegrees:3,2,2 or "
-                          "vertices-leaves:7,3 or series-reduced:5")
-    sub.add_argument("--check", required=True,
-                     choices=["greedy", "broom", "binary-caterpillar"],
-                     help="which extremal family to test")
-    _add_flags(sub, "--json", "--tol")
-    sub.set_defaults(func=_cmd_search)
-
-    sub = subs.add_parser("gen", help="emit a family tree as Newick")
-    sub.add_argument("--gen", required=True, help="family spec, e.g. dary:3,2")
-    _add_flags(sub, "--json")
-    sub.set_defaults(func=_cmd_gen)
-
-    sub = subs.add_parser("verify-all",
-                          help="run every theorem suite up to a size bound")
-    # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
-    sub.add_argument("--max-leaves", type=_int_at_least(2), default=7,
-                     metavar="N",
-                     help="size bound, at least 2: the corpus is every tree "
-                          "with at most N+1 vertices, not N leaves")
-    _add_flags(sub, "--tol", "--budget")
-    sub.set_defaults(func=_cmd_verify_all)
+        _add_flags(sub, flags)
+        sub.set_defaults(func=handler)
     return parser
 
 

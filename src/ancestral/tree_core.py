@@ -351,20 +351,29 @@ _FAMILIES = {
 }
 
 
-def generate(spec: str) -> RootedTree:
-    """Build a family tree from a ``name:comma-separated-ints`` spec string,
-    e.g. ``broom:2,3`` or ``greedy:5,5,3,1,1``."""
+def parse_spec(spec: str, table: dict, what: str):
+    """Build from a ``name:comma-separated-ints`` spec string: table maps
+    each name to (constructor, arity), and the constructor takes the
+    integers one by one, or as one list when arity is None.  Errors name
+    the spec as a ``what`` spec."""
     name, _, rest = spec.partition(":")
     name = name.strip()
-    if name not in _FAMILIES:
-        raise InvalidParameter(f"unknown family {name!r}")
-    func, arity = _FAMILIES[name]
+    if name not in table:
+        raise InvalidParameter(f"{what} spec {spec!r}: unknown name {name!r}")
+    func, arity = table[name]
     try:
         args = [int(tok) for tok in rest.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise InvalidParameter(f"bad integer in {rest!r}") from exc
+        raise InvalidParameter(f"{what} spec {spec!r}: bad integer") from exc
     if arity is None:
         return func(args)
     if len(args) != arity:
-        raise InvalidParameter(f"{name} takes {arity} integer(s)")
+        raise InvalidParameter(
+            f"{what} spec {spec!r}: {name} takes {arity} integer(s)")
     return func(*args)
+
+
+def generate(spec: str) -> RootedTree:
+    """Build a family tree from a ``name:comma-separated-ints`` spec string,
+    e.g. ``broom:2,3`` or ``greedy:5,5,3,1,1``."""
+    return parse_spec(spec, _FAMILIES, "family")

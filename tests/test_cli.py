@@ -167,7 +167,8 @@ def test_caterpillar_small_text(capsys):
     code, out, _ = run(capsys, "caterpillar", "--n", "2", "--json")
     assert code == 0
     assert out == ('{"n": 2, "coefficients": [1, -2, 1], "trig_rho": null, '
-                   f'"numeric_rho": 1.0, "asymptotic": {8 / math.pi ** 2:.12g}}}\n')
+                   '"numeric_rho": 1.0, '
+                   f'"asymptotic": {8 / math.pi ** 2:.12g}}}\n')
 
 
 def test_caterpillar_json(capsys):
@@ -233,15 +234,32 @@ def test_search_of_a_wide_class(capsys, klass, check):
     assert out == "VERIFIED rho_max=1\n"
 
 
-@pytest.mark.parametrize("spec", [
-    "vertices:x", "nope:3", "vertices-leaves:1,2,3",
-], ids=["bad-integer", "unknown-name", "wrong-arity"])
-def test_bad_class_spec_names_the_spec(capsys, spec):
-    code, out, err = run(capsys, "search", "--class", spec, "--check", "broom")
+@pytest.mark.parametrize("command, spec", [
+    (["search", "--check", "broom", "--class"], "vertices:x"),
+    (["search", "--check", "broom", "--class"], "nope:3"),
+    (["search", "--check", "broom", "--class"], "vertices-leaves:1,2,3"),
+    (["gen", "--gen"], "star:x"),
+    (["gen", "--gen"], "nope:3"),
+    (["gen", "--gen"], "broom:1"),
+], ids=["class-bad-integer", "class-unknown-name", "class-wrong-arity",
+        "family-bad-integer", "family-unknown-name", "family-wrong-arity"])
+def test_bad_spec_names_the_spec(capsys, command, spec):
+    # class and family specs share one parser
+    code, out, err = run(capsys, *command, spec)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and repr(spec) in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("klass, check, named", [
+    ("vertices-leaves:3,5", "broom", "by-vertices-and-leaves(3, 5)"),
+    ("series-reduced:0", "binary-caterpillar", "series-reduced(0,)"),
+], ids=["vertices-leaves", "series-reduced"])
+def test_search_names_an_empty_class(capsys, klass, check, named):
+    # no claimed tree exists for these parameters; the class is named first
+    code, out, err = run(capsys, "search", "--class", klass, "--check", check)
+    assert (code, out, err) == (2, "", f"error: class {named} is empty\n")
 
 
 def test_search_of_an_oversized_class_exits_2(capsys):
@@ -343,6 +361,21 @@ def test_transform_rejects_out_of_range_vertices(capsys, newick, op, flag, value
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("newick, op, given, missing", [
+    ("((,(,)),(,));", "branch-shift", [], "--branch"),
+    ("((,(,)),(,));", "leaf-swap", [], "--branch"),
+    ("((,(,)),(,));", "leaf-swap", ["--branch", "6"], "--leaf"),
+    ("(,,);", "star-shift", [], "--leaf"),
+], ids=["branch-shift", "leaf-swap", "leaf-swap-with-branch", "star-shift"])
+def test_transform_names_a_missing_flag(capsys, newick, op, given, missing):
+    path = "0" if op == "star-shift" else "0,1,3"
+    code, out, err = run(capsys, "transform", "--newick", newick, "--op", op,
+                         "--path", path, *given)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --op {op} needs {missing}\n"
 
 
 @pytest.mark.parametrize("path", ["0,99", "0,1"])
