@@ -194,9 +194,11 @@ _OP_FLAGS = {OpKind.BRANCH_SHIFT: ("branch",), OpKind.STAR_SHIFT: ("leaf",),
 
 def _transform(tree: RootedTree, args) -> dict:
     kind = OpKind(args.op)
-    for dest in _OP_FLAGS[kind]:
-        if getattr(args, dest) is None:
-            raise InvalidParameter(f"--op {args.op} needs --{dest}")
+    for dest in ("branch", "leaf"):
+        given = getattr(args, dest) is not None
+        if given != (dest in _OP_FLAGS[kind]):
+            raise InvalidParameter(f"--op {args.op} "
+                                   f"{'does not read' if given else 'needs'} --{dest}")
     after = apply_op(tree, OpSpec(kind, args.path, args.branch, args.leaf))
     return {"newick": serialize_newick(after),
             "rho_before": spectral_radius(tree, args.tol).rho,

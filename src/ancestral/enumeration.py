@@ -22,26 +22,32 @@ filter over the sorted vertex-count pools would give.
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
 the root, so rho(T) is the largest rho(C(B_i) + J).  It bounds before it
-solves: each distinct branch's largest row sum bounds its rho from above,
-and branches are solved, by the matrix-free branch routine of
-``spectral`` straight from their encodings, in descending bound order only
-while a bound can still reach the maximum within the tie window.  No tree
-and no matrix is built, and the result is that of solving every branch.
+builds: a branch's largest row sum, its row bound, bounds its rho from
+above and is a recurrence on encodings, and a key alone bounds the row
+bounds of its pool, exactly.  So ``_Branches`` generates, best first, only
+the branches of a key whose row bound reaches a threshold, from the same
+kind of call on one child key and the full pools of the others.  Branches are
+solved, by the matrix-free branch routine of ``spectral`` straight from
+their encodings, in descending bound order only while a bound can still
+reach the maximum within the tie window, and only the trees that hold a
+branch within the window are built.  No matrix is built, and the result is
+that of solving every branch of every tree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, _row_bound, branch_rho, spectral_radius
+from .spectral import DEFAULT_TOL, branch_rho, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -80,20 +86,29 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
     return build_tree([None] + _preorder_parents(enc)[1:])
 
 
-def _multiset_children(part: tuple[int, ...], pool) -> Iterator[Encoding]:
+def _multiset_children(part: tuple[int, ...], pool,
+                       lead: Optional[tuple] = None) -> Iterator[Encoding]:
     """All sorted children tuples whose subtree keys realize ``part``.
 
     ``pool(key)`` supplies the candidate encodings of one key, such as a
     size.  Groups equal keys and draws multisets per group, so no
-    deduplication pass is needed afterwards.
+    deduplication pass is needed afterwards.  Given ``lead`` = (key,
+    encodings), one child of that key is drawn from those encodings and
+    only its siblings from pools, so a tuple holding two of them comes
+    more than once.
     """
     groups = sorted(Counter(part).items(), reverse=True)
     pools = []
     for s, count in groups:
-        candidates = pool(s)
-        if not candidates:
+        if lead is not None and s == lead[0]:
+            rest = (list(itertools.combinations_with_replacement(pool(s), count - 1))
+                    if count > 1 else [()])
+            draws = [(first, *more) for first in lead[1] for more in rest]
+        else:
+            draws = list(itertools.combinations_with_replacement(pool(s), count))
+        if not draws:
             return
-        pools.append(list(itertools.combinations_with_replacement(candidates, count)))
+        pools.append(draws)
     for combo in itertools.product(*pools):
         yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
@@ -276,6 +291,151 @@ def _walk(kind: str, key, cap: Optional[int] = None):
     return memo[key]
 
 
+def _spine_bound(outdegrees: Iterable[int]) -> int:
+    """The row bound of the caterpillar whose spine takes these nonzero
+    outdegrees in ascending order from its root."""
+    return 1 + sum(1 + (d - 1) * i for i, d in enumerate(sorted(outdegrees), 1))
+
+
+def _key_bound_of_leaves(key: tuple[Optional[int], int]) -> tuple[int, int]:
+    """The key bound of n leaves, no outdegree-1 vertex: the caterpillar of
+    (n - 1) / (d - 1) vertices of outdegree d, 2 for a series-reduced tree
+    (d None)."""
+    d, n = key
+    d = d or 2
+    if n < 1 or (n - 1) % (d - 1):
+        return 0, n
+    return _spine_bound([d] * ((n - 1) // (d - 1))), n
+
+
+# each kind's key bound: (the largest row bound in the key's pool, 0 for an
+# empty pool; the most leaves an encoding of the key has).  A vertex has
+# k = 1 + the sum of d - 1 over the internal vertices of its subtree, d
+# their outdegree, leaves below it.  So a root-to-leaf path through p of
+# the m internal vertices has row sum 1 + p + the sum of (d - 1) c, c the
+# number of those p at or above each internal vertex; by rearrangement that
+# is at most c = 1, ..., m against the d - 1 in ascending order.  This is
+# the row bound of the caterpillar whose spine takes the outdegrees in
+# ascending order from the root, a tree of every nonempty pool: the broom,
+# l(n - l) + 1, for n vertices and l leaves, and for a vertex count the
+# broom of the best l, n // 2.
+_KEY_BOUNDS = {
+    "vertices": lambda n: ((n // 2) * ((n + 1) // 2) + 1 if n > 1 else n,
+                           max(n - 1, 1)),
+    "pairs": lambda key: (key[1] * (key[0] - key[1]) + 1 if 0 < key[1] < key[0]
+                          else int(key == (1, 1)), key[1]),
+    "outdegrees": lambda key: (
+        _spine_bound(d for d in key if d) if len(key) == 1 + sum(key) else 0,
+        key.count(0)),
+    "leaves": _key_bound_of_leaves,
+}
+
+# (kind, key) -> the key's parts, and each child key's key bound
+_PARTS: dict[tuple, tuple[tuple, dict]] = {}
+
+
+def _key_parts(kind: str, key) -> tuple[tuple, dict]:
+    """The parts of ``key`` and the key bound of each child key in them,
+    walked once and kept."""
+    got = _PARTS.get((kind, key))
+    if got is None:
+        parts = tuple(_parts(kind, key))
+        children = dict.fromkeys(child for part in parts for child in part)
+        got = _PARTS[kind, key] = (
+            parts, {child: _KEY_BOUNDS[kind](child)[0] for child in children})
+    return got
+
+
+class _Branches:
+    """The branch encodings one extremality search generates: their row
+    bounds and, per key and threshold, those of a key that reach it.  One
+    per search, so all it keeps alive goes with the search; the pools,
+    counts and parts it draws on stay in ``_MEMO`` and ``_PARTS``."""
+
+    def __init__(self) -> None:
+        # id(enc) -> (row bound, leaves, enc).  Pools share their
+        # sub-encodings, so a lookup by id costs O(1) where one by value
+        # costs O(size); the entry keeps enc alive, so its id is its own.
+        self._rb: dict[int, tuple[int, int, Encoding]] = {}
+        # (kind, key, theta) -> the sorted encodings of key with rb >= theta
+        self._above: dict[tuple, tuple] = {}
+
+    def rb(self, enc: Encoding) -> tuple[int, int]:
+        """The row bound of a branch encoding and its leaf count.
+
+        rb(leaf) = 1 and rb(e) = leaves(e) + the largest rb(c) over the
+        children c of e: the largest row sum of C(B) + J, B the branch of e,
+        which ``spectral._row_bound`` reads off its preorder array.  Children
+        come first, on an explicit stack, so a deep encoding needs no
+        recursion.
+        """
+        memo = self._rb
+        stack = [enc]
+        while stack:
+            node = stack[-1]
+            if id(node) in memo:
+                stack.pop()
+                continue
+            missing = [c for c in node if id(c) not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if node:
+                below = [memo[id(c)] for c in node]
+                leaves = sum(b[1] for b in below)
+                memo[id(node)] = (leaves + max(b[0] for b in below), leaves, node)
+            else:
+                memo[id(node)] = (1, 1, node)
+        return memo[id(enc)][:2]
+
+    def above(self, kind: str, key, theta: int) -> tuple:
+        """The sorted encodings of ``key`` whose row bound is at least theta.
+
+        The full pool when theta <= 1, nothing when the key bound is below
+        theta.  Otherwise an encoding of l <= most leaves reaches theta only
+        through a child of row bound at least theta - most.  So for each part
+        and each child key there whose bound reaches that, the child comes
+        from this very call on its key at theta - most and its siblings from
+        full pools; the results are merged and filtered by their exact row
+        bound.  Each (kind, key, theta) is computed once, with the child
+        keys' calls on an explicit stack, so a deep key needs no recursion.
+        """
+        if theta <= 1:
+            return _walk(kind, key)
+        if _KEY_BOUNDS[kind](key)[0] < theta:
+            return ()
+        memo = self._above
+        stack = [(key, theta)]
+        while stack:
+            top, at = stack[-1]
+            if (kind, top, at) in memo:
+                stack.pop()
+                continue
+            below = at - _KEY_BOUNDS[kind](top)[1]
+            if below <= 1:
+                found = _walk(kind, top)
+            else:
+                parts, children = _key_parts(kind, top)
+                missing = [(child, below) for child, bound in children.items()
+                           if bound >= below and (kind, child, below) not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                found = []
+                pool = functools.partial(_walk, kind)
+                for part in parts:
+                    for child in dict.fromkeys(part):
+                        if children[child] >= below:
+                            found.extend(_multiset_children(
+                                part, pool, (child, memo[kind, child, below])))
+                found.sort()
+            stack.pop()
+            memo[kind, top, at] = tuple(enc for enc, _ in itertools.groupby(found)
+                                        if self.rb(enc)[0] >= at)
+        return memo[kind, key, theta]
+
+
 @dataclass(frozen=True)
 class TreeClass:
     """A finite family of rooted trees, given up to isomorphism.
@@ -397,41 +557,69 @@ class ExtremalReport:
 
 def _contenders(cls: TreeClass, tol: float,
                 eig_tol: float) -> list[tuple[float, Encoding]]:
-    """(rho, encoding) for every tree of cls that can come within tol of
-    the class maximum, in class order; every other tree is left out.
+    """(rho, encoding) for every tree of cls within tol of the class
+    maximum, in class order; no other tree is built.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
-    and 0 for the single vertex.  Each distinct branch gets its row bound
-    first, ``_row_bound``, which is also where ``branch_rho`` starts, so a
-    solved rho never exceeds it.  Branches are then solved by
-    ``branch_rho``, with its residual check, in descending bound order, until
-    a bound falls below best - tol, best the largest rho solved so far: that
-    branch and every one after it has rho < best - tol <= max - tol, so it
-    is neither a tie nor the maximum, and is never solved.  A tree is
-    scored by its solved branches only; a tree whose best branch went
-    unsolved scores below max - tol either way.  The preorder arrays are
+    and 0 for the single vertex.  The branches are those of the child keys
+    of the class's root parts, drawn best first by ``_Branches.above``.  The
+    largest key bound among those keys is attained, so the first threshold,
+    that bound, already yields a branch.  Branches are solved by
+    ``branch_rho``, with its residual check, in descending row bound order
+    until a bound falls below best - tol, best the largest rho solved so
+    far.  Then the threshold drops to ceil(best - tol), the branches between
+    the two thresholds are solved the same way, and so on until the
+    threshold stops falling.  Every branch left unsolved has a row bound,
+    and so a rho, below best - tol <= max - tol.  A tree is therefore within
+    tol of the maximum exactly when it holds a solved branch that is.  Those
+    trees are built from such a branch and the full pools of its siblings,
+    and each is scored by its solved branches.  The preorder arrays are
     those ``spectral_radius`` passes for the same branch of
     ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
-    encs = list(_class_encodings(cls))
-    bound: dict[Encoding, float] = {}
-    for enc in encs:
-        for branch in enc:
-            if branch not in bound:
-                # the float branch_rho starts from, so rho <= bound
-                bound[branch] = float(_row_bound(_preorder_parents(branch)))
+    keys, _ = _class_keys(cls)
+    branches = _Branches()
+    # each class key's kind and the parts of its root that some tree realizes
+    roots = [(kind, [part for part in _key_parts(kind, key)[0]
+                     if all(_walk(kind, child, cls.cap) for child in part)])
+             for kind, key in keys]
+    # each (kind, child key) of those parts and its solved branches
+    solved: dict[tuple, list] = {(kind, child): [] for kind, parts in roots
+                                 for part in parts for child in part}
     rho_of: dict[Encoding, float] = {}
-    best = -math.inf
-    for branch in sorted(bound, key=bound.__getitem__, reverse=True):
-        if bound[branch] < best - tol:
-            break
-        rho_of[branch] = value = branch_rho(_preorder_parents(branch), eig_tol)[0]
-        best = max(best, value)
+    best, top = -math.inf, math.inf
+    theta = max((_KEY_BOUNDS[kind](child)[0] for kind, child in solved), default=1)
+    while theta < top:
+        # the branches with theta <= rb < top, best first
+        fresh = []
+        for slot in solved:
+            for branch in branches.above(*slot, theta):
+                bound = branches.rb(branch)[0]
+                if bound < top:
+                    fresh.append((bound, branch, slot))
+        fresh.sort(key=itemgetter(0), reverse=True)
+        for bound, branch, slot in fresh:
+            if bound < best - tol:
+                break
+            rho_of[branch] = value = branch_rho(_preorder_parents(branch), eig_tol)[0]
+            solved[slot].append(branch)
+            best = max(best, value)
+        top, theta = theta, math.ceil(best - tol) if best - tol > 1 else 1
+    rho_max = max(best, 0.0) if any(() in parts for _, parts in roots) else best
     scored = []
-    for enc in encs:
-        solved = [rho_of[branch] for branch in enc if branch in rho_of]
-        if solved or not enc:
-            scored.append((max(solved, default=0.0), enc))
+    for kind, parts in roots:
+        trees = []
+        for part in parts:
+            if not part and 0.0 >= rho_max - tol:
+                trees.append(())
+            for child in dict.fromkeys(part):
+                lead = [b for b in solved[kind, child] if rho_of[b] >= rho_max - tol]
+                if lead:
+                    trees.extend(_multiset_children(
+                        part, functools.partial(_walk, kind), (child, lead)))
+        trees.sort()
+        scored.extend((max((rho_of[b] for b in enc if b in rho_of), default=0.0), enc)
+                      for enc, _ in itertools.groupby(trees))
     return scored
 
 
@@ -444,9 +632,11 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
     that does.  The reported argmax is deterministic: exact-float ties are
     broken by canonical encoding order.
 
-    Only the branches whose row bound can reach the maximum within tol are
-    solved (see ``_contenders``), so the residual check of ``branch_rho``
-    runs on those alone.  tol must be finite and non-negative.
+    The class is counted against its cap first.  Then only the branches
+    whose row bound can reach the maximum within tol are generated and
+    solved, and only the trees within tol of the maximum are built (see
+    ``_contenders``), so the residual check of ``branch_rho`` runs on those
+    branches alone.  tol must be finite and non-negative.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameter(f"tie window must be finite and non-negative, "

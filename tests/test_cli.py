@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from ancestral import (ExtremalReport, caterpillar_charpoly, serialize_newick,
-                       series_reduced, star)
+from ancestral import (ExtremalReport, caterpillar_charpoly, parse_newick,
+                       serialize_newick, series_reduced, star)
 from ancestral import bounds_theorems, cli
+from ancestral.tree_ops import OpKind, valid_specs
 
 from helpers import EXAMPLE_C_ROWS, EXAMPLE_GAMMA
 
@@ -223,6 +224,20 @@ def test_search_of_a_deep_class(capsys):
     assert out == "VERIFIED rho_max=399\n"
 
 
+def test_search_of_a_deeper_class_needs_no_recursion(capsys):
+    # the path of 1,200 vertices: its branches are drawn through 1,199 keys
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:1200,1",
+                         "--check", "broom")
+    assert (code, out, err) == (0, "VERIFIED rho_max=1199\n", "")
+
+
+def test_search_builds_only_the_contenders_of_a_large_class(capsys):
+    # 414,116 trees: only the branches whose row bound reaches 73 are built
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:18,8",
+                         "--check", "broom")
+    assert (code, out, err) == (0, "VERIFIED rho_max=73\n", "")
+
+
 @pytest.mark.parametrize("klass, check", [
     ("vertices-leaves:1200,1199", "broom"),
     ("outdegrees:1200", "greedy"),
@@ -376,6 +391,21 @@ def test_transform_names_a_missing_flag(capsys, newick, op, given, missing):
     assert code == 2
     assert out == ""
     assert err == f"error: --op {op} needs {missing}\n"
+
+
+@pytest.mark.parametrize("op", [kind.value for kind in OpKind])
+def test_transform_rejects_a_flag_its_op_does_not_read(capsys, op):
+    newick = "((,(,)),(,));"
+    spec = valid_specs(parse_newick(newick), OpKind(op))[0]
+    flags = cli._case_text(spec).split()
+    code, out, err = run(capsys, "transform", "--newick", newick, *flags)
+    assert code == 0 and out.startswith("newick=") and err == ""
+    # a leaf swap reads both flags, so only the other ops have one to reject
+    for unread in [flag for flag in ("--branch", "--leaf") if flag not in flags]:
+        code, out, err = run(capsys, "transform", "--newick", newick,
+                             *flags, unread, "99")
+        assert (code, out, err) == (
+            2, "", f"error: --op {op} does not read {unread}\n")
 
 
 @pytest.mark.parametrize("path", ["0,99", "0,1"])

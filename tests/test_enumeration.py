@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ancestral import enumeration
+from ancestral import enumeration, spectral
 from ancestral import (
     broom,
     by_leaf_count,
@@ -185,20 +185,20 @@ def test_one_tree_classes_skip_the_vertex_pool():
     assert _pools().get(("vertices", None)) == before
 
 
-def _keys_up_to_12_vertices():
-    for n in range(13):
+def _keys_up_to(n_max):
+    for n in range(n_max + 1):
         yield "vertices", n
         for leaves in range(n + 2):
             yield "pairs", (n, leaves)
         for part in enumeration.outdegree_sequences(n):
             yield "outdegrees", part + (0,) * (n - len(part))
-    for n in range(8):
+    for n in range(n_max // 2 + 2):
         for d in (None, 2, 3, 4):
             yield "leaves", (d, n)
 
 
 def test_counts_equal_pool_lengths():
-    for kind, key in _keys_up_to_12_vertices():
+    for kind, key in _keys_up_to(12):
         size = len(enumeration._walk(kind, key))
         assert enumeration._walk(kind, key, 10 ** 6) == size, (kind, key)
         # a count past the cap saturates at cap + 1
@@ -242,8 +242,41 @@ def _brute_force_report(cls, claimed, tol):
             sorted(enc for rho, enc in scored if rho >= rho_max - tol))
 
 
+def test_row_bound_recurrence_is_the_largest_row_sum():
+    # every branch of at most 12 vertices
+    branches = enumeration._Branches()
+    for n in range(1, 13):
+        for enc in enumeration._walk("vertices", n):
+            parents = enumeration._preorder_parents(enc)
+            assert branches.rb(enc) == (spectral._row_bound(parents),
+                                        _leaves_of(enc)), enc
+
+
+def test_key_bound_is_the_largest_row_bound_of_its_pool():
+    # so a solved rho, at most its row bound, never exceeds its key's bound
+    branches = enumeration._Branches()
+    for kind, key in _keys_up_to(12):
+        bound, most = enumeration._KEY_BOUNDS[kind](key)
+        pool = enumeration._walk(kind, key)
+        for enc in pool:
+            assert branches.rb(enc)[0] <= bound, (kind, key, enc)
+            assert _leaves_of(enc) <= most, (kind, key, enc)
+        # the caterpillar of the key attains it
+        assert bound == max((branches.rb(enc)[0] for enc in pool), default=0)
+
+
+def test_above_is_the_pool_filtered_by_row_bound():
+    branches = enumeration._Branches()
+    for kind, key in _keys_up_to(10):
+        pool = enumeration._walk(kind, key)
+        for theta in range(enumeration._KEY_BOUNDS[kind](key)[0] + 2):
+            want = [enc for enc in pool if branches.rb(enc)[0] >= theta]
+            assert list(branches.above(kind, key, theta)) == want, (
+                kind, key, theta)
+
+
 def test_pruned_search_matches_brute_force():
-    for cls in _classes_up_to(9):
+    for cls in _classes_up_to(10):
         encs = list(enumeration._class_encodings(cls))
         if not encs:
             continue
@@ -272,6 +305,13 @@ def test_search_solves_few_branches(monkeypatch):
     branches = {branch for enc in enumeration._class_encodings(cls)
                 for branch in enc}
     assert 0 < 100 * len(solved) < len(branches)
+
+
+def test_search_builds_no_pool_of_the_class(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    report = verify_extremal(by_vertices_and_leaves(14, 6), broom(7, 6))
+    assert report.holds and len(report.ties) == 1
+    assert (14, 6) not in enumeration._MEMO.get(("pairs", None), {})
 
 
 @pytest.mark.parametrize("cls", [
