@@ -37,24 +37,25 @@ def caterpillar_charpoly(n: int) -> IntPolynomial:
     return IntPolynomial(tuple(p_cur))
 
 
-def chebyshev_t(n: int, x):
-    """First-kind Chebyshev value by the recurrence; exact on rationals."""
+def _chebyshev(n: int, x, first):
+    """The n-th term of c_{k+1} = 2x c_k - c_{k-1} with c_0 = 1 and
+    c_1 = first; exact on rationals."""
     if n == 0:
         return x * 0 + 1
-    prev, cur = x * 0 + 1, x
+    prev, cur = x * 0 + 1, first
     for _ in range(n - 1):
         prev, cur = cur, 2 * x * cur - prev
     return cur
+
+
+def chebyshev_t(n: int, x):
+    """First-kind Chebyshev value by the recurrence; exact on rationals."""
+    return _chebyshev(n, x, x)
 
 
 def chebyshev_u(n: int, x):
     """Second-kind Chebyshev value by the recurrence; exact on rationals."""
-    if n == 0:
-        return x * 0 + 1
-    prev, cur = x * 0 + 1, 2 * x
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+    return _chebyshev(n, x, 2 * x)
 
 
 def chebyshev_closed_form(n: int, x):

@@ -9,10 +9,11 @@ construction.
 Every class is generated directly, never by filtering a larger one.  A
 class is a list of keys of one kind -- the vertex count, the pair
 (vertices, leaves), the sorted outdegree multiset, the leaf count of a
-series-reduced or d-ary tree.  ``_RULES`` gives each kind a step that
-picks a root's children's keys one at a time, largest first, and one
-explicit-stack driver, ``_descending``, turns a step into every split of a
-key, with no recursion.  One walk, ``_walk``, computes a key either as its
+series-reduced tree.  A d-ary class is the outdegree class of its profile:
+d taken (n - 1) / (d - 1) times, and n zeros.  ``_RULES`` gives each kind a
+step that picks a root's children's keys one at a time, largest first, and
+one explicit-stack driver, ``_descending``, turns a step into every split of
+a key, with no recursion.  One walk, ``_walk``, computes a key either as its
 sorted pool, drawing the root's children from the pools of their keys, or
 as its count, with C(s + m - 1, m) multisets of m equal keys drawn from a
 pool of s.  A class is counted, and checked against its cap, before any
@@ -151,7 +152,8 @@ def _pair_step(rem: tuple[int, int], top: Optional[tuple[int, int]]):
     """The next child's (vertices, leaves) pair, out of ``rem``."""
     n, leaves = rem
     top = top or rem
-    for size in range(min(n, top[0]), 0, -1):
+    # one leaf left fits one child only, of all n vertices
+    for size in range(min(n, top[0]), 0 if leaves > 1 else n - 1, -1):
         # a tree of size > 1 has between 1 and size - 1 leaves, and the
         # children after it between 1 and their size each
         most = min(leaves - (size < n), size - 1 or 1)
@@ -181,8 +183,6 @@ def _outdegree_step(rem: tuple, top: Optional[tuple[int, ...]]):
             *(range(c + 1) for c in counts))):
         # the part's leaves are fixed by its other entries
         z = 1 + sum(map(mul, values, picks)) - sum(picks)
-        if z > zeros:
-            continue
         part = tuple(itertools.chain.from_iterable(
             map(itertools.repeat, values, picks))) + (0,) * z
         if top is None or part <= top:
@@ -190,22 +190,18 @@ def _outdegree_step(rem: tuple, top: Optional[tuple[int, ...]]):
                 values, tuple(map(sub, counts, picks)), zeros - z, left - 1)
 
 
-def _leaf_roots(key: tuple[Optional[int], int]) -> list:
-    """n leaves, no outdegree-1 vertex: series-reduced when d is None,
-    else d-ary, which needs d - 1 to divide n - 1."""
-    d, n = key
-    fits = n > 1 and (d is None or (n - 1) % (d - 1) == 0)
-    return [None] if n == 1 else [(d, n, d or 2)] if fits else []
+def _leaf_roots(n: int) -> list:
+    """n leaves, no outdegree-1 vertex: a series-reduced tree, whose root
+    has at least two children."""
+    return [None] if n == 1 else [(n, 2)] if n > 1 else []
 
 
-def _leaf_step(rem: tuple, top: Optional[tuple[Optional[int], int]]):
-    """The next child's key (d, s), out of n leaves and ``left`` children
-    to go: exactly that many for a d-ary root, so s >= ceil(n / left); at
-    least that many for a series-reduced one (d None)."""
-    d, n, left = rem
-    lo = 1 if d is None else -(-n // left)
-    for s in range(min(n - left + 1, top[1] if top else n), lo - 1, -1):
-        yield (d, s), None if s == n else (d, n - s, max(left - 1, 1))
+def _leaf_step(rem: tuple[int, int], top: Optional[int]):
+    """The next child's leaf count s, out of n leaves and at least ``left``
+    children to go."""
+    n, left = rem
+    for s in range(min(n - left + 1, top or n), 0, -1):
+        yield s, None if s == n else (n - s, max(left - 1, 1))
 
 
 # each kind's rule: the remainder of each way a root can start (None for
@@ -297,17 +293,6 @@ def _spine_bound(outdegrees: Iterable[int]) -> int:
     return 1 + sum(1 + (d - 1) * i for i, d in enumerate(sorted(outdegrees), 1))
 
 
-def _key_bound_of_leaves(key: tuple[Optional[int], int]) -> tuple[int, int]:
-    """The key bound of n leaves, no outdegree-1 vertex: the caterpillar of
-    (n - 1) / (d - 1) vertices of outdegree d, 2 for a series-reduced tree
-    (d None)."""
-    d, n = key
-    d = d or 2
-    if n < 1 or (n - 1) % (d - 1):
-        return 0, n
-    return _spine_bound([d] * ((n - 1) // (d - 1))), n
-
-
 # each kind's key bound: (the largest row bound in the key's pool, 0 for an
 # empty pool; the most leaves an encoding of the key has).  A vertex has
 # k = 1 + the sum of d - 1 over the internal vertices of its subtree, d
@@ -317,8 +302,9 @@ def _key_bound_of_leaves(key: tuple[Optional[int], int]) -> tuple[int, int]:
 # is at most c = 1, ..., m against the d - 1 in ascending order.  This is
 # the row bound of the caterpillar whose spine takes the outdegrees in
 # ascending order from the root, a tree of every nonempty pool: the broom,
-# l(n - l) + 1, for n vertices and l leaves, and for a vertex count the
-# broom of the best l, n // 2.
+# l(n - l) + 1, for n vertices and l leaves, for a vertex count the broom
+# of the best l, n // 2, and for n leaves the binary caterpillar,
+# n(n + 1) / 2.
 _KEY_BOUNDS = {
     "vertices": lambda n: ((n // 2) * ((n + 1) // 2) + 1 if n > 1 else n,
                            max(n - 1, 1)),
@@ -327,7 +313,7 @@ _KEY_BOUNDS = {
     "outdegrees": lambda key: (
         _spine_bound(d for d in key if d) if len(key) == 1 + sum(key) else 0,
         key.count(0)),
-    "leaves": _key_bound_of_leaves,
+    "leaves": lambda n: (n * (n + 1) // 2, n),
 }
 
 # (kind, key) -> the key's parts, and each child key's key bound
@@ -445,7 +431,8 @@ class TreeClass:
     "dary-by-leaves".  ``params`` carries the kind-specific integers; for
     "by-leaf-count" a max_vertices bound is mandatory because the class is
     otherwise infinite (chains of outdegree-1 vertices preserve the leaf
-    count).
+    count).  A "dary-by-leaves" class (d, n) is generated as the
+    outdegree class of d taken (n - 1) / (d - 1) times and n zeros.
     """
 
     kind: str
@@ -488,6 +475,9 @@ def series_reduced(n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
 
 
 def dary_by_leaves(d: int, n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
+    """Trees with n_leaves leaves whose internal vertices all have d
+    children: the outdegree class of d taken (n_leaves - 1) / (d - 1)
+    times, empty unless d - 1 divides n_leaves - 1."""
     if d < 2:
         raise InvalidParameter("d must be at least 2")
     return TreeClass("dary-by-leaves", (d, n_leaves), cap)
@@ -502,8 +492,10 @@ _CLASS_KEYS = {
     "by-vertices-and-leaves": lambda n, leaves: [("pairs", (n, leaves))],
     "by-outdegree-sequence": lambda *degrees: [
         ("outdegrees", tuple(sorted(degrees, reverse=True)))],
-    "series-reduced": lambda n: [("leaves", (None, n))],
-    "dary-by-leaves": lambda d, n: [("leaves", (d, n))],
+    "series-reduced": lambda n: [("leaves", n)],
+    "dary-by-leaves": lambda d, n: [
+        ("outdegrees", (d,) * ((n - 1) // (d - 1)) + (0,) * n)
+    ] if n > 0 and (n - 1) % (d - 1) == 0 else [],
 }
 
 
@@ -579,10 +571,9 @@ def _contenders(cls: TreeClass, tol: float,
     """
     keys, _ = _class_keys(cls)
     branches = _Branches()
-    # each class key's kind and the parts of its root that some tree realizes
-    roots = [(kind, [part for part in _key_parts(kind, key)[0]
-                     if all(_walk(kind, child, cls.cap) for child in part)])
-             for kind, key in keys]
+    # each class key's kind and the parts of its root; every child key of a
+    # part has a nonempty pool, so some tree realizes each part
+    roots = [(kind, _key_parts(kind, key)[0]) for kind, key in keys]
     # each (kind, child key) of those parts and its solved branches
     solved: dict[tuple, list] = {(kind, child): [] for kind, parts in roots
                                  for part in parts for child in part}

@@ -240,21 +240,18 @@ def structural_stats(tree: RootedTree) -> StructuralStats:
 
 
 def star(n: int) -> RootedTree:
-    """Root with n leaf children."""
+    """Root with n leaf children: the greedy caterpillar of the outdegree n."""
     if n < 1:
         raise InvalidParameter("star needs at least one leaf")
-    return build_tree([None] + [0] * n)
+    return greedy_caterpillar([n])
 
 
 def broom(m: int, n: int) -> RootedTree:
-    """n leaves attached to the far end of a length-m path from the root."""
+    """n leaves attached to the far end of a length-m path from the root:
+    the greedy caterpillar of the outdegrees 1 (m times) and n."""
     if m < 0 or n < 1:
         raise InvalidParameter("broom needs m >= 0 and n >= 1")
-    parents: list[Optional[int]] = [None]
-    for i in range(m):
-        parents.append(i)
-    parents.extend([m] * n)
-    return build_tree(parents)
+    return greedy_caterpillar([1] * m + [n])
 
 
 def path_broom(h: int, n: int) -> RootedTree:
@@ -264,21 +261,13 @@ def path_broom(h: int, n: int) -> RootedTree:
 
 def binary_caterpillar(n: int) -> RootedTree:
     """Backbone of n-1 internal vertices from the root, each with two
-    children; n leaves in total.  n = 1 is the single-vertex tree."""
+    children; n leaves in total.  This is the greedy caterpillar of the
+    outdegree 2 taken n - 1 times; n = 1 is the single-vertex tree."""
     if n < 1:
         raise InvalidParameter("need at least one leaf")
     if n == 1:
         return build_tree([None])
-    parents: list[Optional[int]] = [None]
-    spine = 0
-    for i in range(n - 1):
-        parents.append(spine)  # leaf child
-        if i < n - 2:
-            parents.append(spine)  # next spine vertex
-            spine = len(parents) - 1
-        else:
-            parents.append(spine)  # second leaf of the last spine vertex
-    return build_tree(parents)
+    return greedy_caterpillar([2] * (n - 1))
 
 
 def complete_dary(d: int, h: int) -> RootedTree:
@@ -313,13 +302,10 @@ def greedy_caterpillar(outdegrees: Sequence[int]) -> RootedTree:
         raise InvalidParameter("outdegrees must be non-negative")
     parents: list[Optional[int]] = [None]
     spine = 0
-    for i, s in enumerate(seq):
-        n_leaves = s if i == len(seq) - 1 else s - 1
-        for _ in range(n_leaves):
-            parents.append(spine)
-        if i < len(seq) - 1:
-            parents.append(spine)
-            spine = len(parents) - 1
+    for s in seq:
+        # s children, leaves first; the last is the next backbone vertex
+        parents.extend([spine] * s)
+        spine = len(parents) - 1
     tree = build_tree(parents)
     got = sorted(len(c) for c in tree.children if c)
     if got != seq:

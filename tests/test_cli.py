@@ -225,10 +225,10 @@ def test_search_of_a_deep_class(capsys):
 
 
 def test_search_of_a_deeper_class_needs_no_recursion(capsys):
-    # the path of 1,200 vertices: its branches are drawn through 1,199 keys
-    code, out, err = run(capsys, "search", "--class", "vertices-leaves:1200,1",
+    # the path of 3,000 vertices: its branches are drawn through 2,999 keys
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:3000,1",
                          "--check", "broom")
-    assert (code, out, err) == (0, "VERIFIED rho_max=1199\n", "")
+    assert (code, out, err) == (0, "VERIFIED rho_max=2999\n", "")
 
 
 def test_search_builds_only_the_contenders_of_a_large_class(capsys):

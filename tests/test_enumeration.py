@@ -192,9 +192,9 @@ def _keys_up_to(n_max):
             yield "pairs", (n, leaves)
         for part in enumeration.outdegree_sequences(n):
             yield "outdegrees", part + (0,) * (n - len(part))
+    # a d-ary class is the outdegree key of its profile, yielded above
     for n in range(n_max // 2 + 2):
-        for d in (None, 2, 3, 4):
-            yield "leaves", (d, n)
+        yield "leaves", n
 
 
 def test_counts_equal_pool_lengths():
@@ -203,6 +203,15 @@ def test_counts_equal_pool_lengths():
         assert enumeration._walk(kind, key, 10 ** 6) == size, (kind, key)
         # a count past the cap saturates at cap + 1
         assert enumeration._walk(kind, key, 3) == min(size, 4), (kind, key)
+
+
+def test_every_child_key_has_a_nonempty_pool():
+    # so every part of a key is realized by some tree, and the search needs
+    # no count to drop a part
+    for kind, key in _keys_up_to(14):
+        for part in enumeration._parts(kind, key):
+            for child in part:
+                assert enumeration._walk(kind, child, 1) > 0, (kind, key, child)
 
 
 def test_vertex_counts_sum_the_pair_counts_without_pools():
@@ -305,6 +314,38 @@ def test_search_solves_few_branches(monkeypatch):
     branches = {branch for enc in enumeration._class_encodings(cls)
                 for branch in enc}
     assert 0 < 100 * len(solved) < len(branches)
+
+
+def test_search_stops_once_a_bound_falls_below_the_best(monkeypatch):
+    # a fake rho, never above the branch's row bound, that puts the
+    # branches of maximal row bound 3 below it: the second round then finds
+    # a better branch and stops before it reaches the threshold
+    cls = by_vertices_and_leaves(10, 5)
+    encs = list(enumeration._class_encodings(cls))
+    row_bounds = enumeration._Branches()
+    top = max(row_bounds.rb(branch)[0] for enc in encs for branch in enc)
+
+    def fake_rho(parent):
+        bound = spectral._row_bound(parent)
+        return bound - 3 if bound == top else bound
+
+    solved = []
+
+    def fake_solve(parent, tol):
+        solved.append(parent)
+        return fake_rho(parent), []
+
+    monkeypatch.setattr(enumeration, "branch_rho", fake_solve)
+    tol = 1e-7
+    scored = enumeration._contenders(cls, tol, DEFAULT_TOL)
+    reaching = {branch for enc in encs for branch in enc
+                if row_bounds.rb(branch)[0] >= top - 3}
+    assert 0 < len(solved) < len(reaching)
+    brute = [(max(fake_rho(enumeration._preorder_parents(branch))
+                  for branch in enc), enc) for enc in encs]
+    rho_max = max(value for value, _ in brute)
+    assert scored == [(value, enc) for value, enc in brute
+                      if value >= rho_max - tol]
 
 
 def test_search_builds_no_pool_of_the_class(monkeypatch):
