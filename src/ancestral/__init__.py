@@ -67,6 +67,7 @@ from .spectral import (
     Spectrum,
     eigen_decompose,
     eigenvalue_one_certificate,
+    eigenvalues,
     rho,
     spectral_radius,
 )

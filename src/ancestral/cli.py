@@ -40,8 +40,8 @@ from .newick_io import parse_newick, serialize_newick
 from .path_collections import DEFAULT_BUDGET, count_collections
 from .spectral import (
     DEFAULT_TOL,
-    eigen_decompose,
     eigenvalue_one_certificate,
+    eigenvalues,
     spectral_radius,
 )
 from .tree_core import (
@@ -216,35 +216,53 @@ _CLASSES = {
     "dary": (enumeration.dary_by_leaves, 2),
 }
 
-# each --check: the class kind it is about, that kind as --class names it,
-# and the claimed tree built from the class parameters
+# each --check: the --class names it searches, each with the claimed tree
+# built from the class parameters
 _CLAIMS = {
-    "greedy": ("by-outdegree-sequence", "an outdegrees:",
-               lambda *outdegrees: greedy_caterpillar(outdegrees)),
-    "broom": ("by-vertices-and-leaves", "a vertices-leaves:",
-              lambda n_vertices, n_leaves:
-              broom(n_vertices - n_leaves - 1, n_leaves)),
-    "binary-caterpillar": ("series-reduced", "a series-reduced:",
-                           binary_caterpillar),
+    "greedy": {
+        "outdegrees": lambda *outdegrees: greedy_caterpillar(outdegrees),
+        # the d-ary class is the outdegree class of d taken (n - 1)/(d - 1) times
+        "dary": lambda d, n_leaves:
+        greedy_caterpillar([d] * ((n_leaves - 1) // (d - 1))),
+    },
+    "broom": {
+        "vertices-leaves": lambda n_vertices, n_leaves:
+        broom(n_vertices - n_leaves - 1, n_leaves),
+    },
+    "binary-caterpillar": {"series-reduced": binary_caterpillar},
 }
 
 
-def _search_class(args) -> list[enumeration.TreeClass]:
+def _class_names(names) -> str:
+    """The --class names given, as 'an outdegrees: or dary:'."""
+    *rest, last = [f"{name}:" for name in names]
+    text = f"{', '.join(rest)} or {last}" if rest else last
+    return ("an " if text[0] in "aeiou" else "a ") + text
+
+
+def _search_class(args) -> list[tuple]:
+    """The one (claim, class) case of a search: the class must be of a
+    --class name that --check makes a claim about."""
     cls = parse_spec(args.klass, _CLASSES, "class")
-    kind, named, _ = _CLAIMS[args.check]
-    if cls.kind != kind:
-        raise InvalidParameter(f"--check {args.check} needs {named} class")
+    name = args.klass.partition(":")[0].strip()
+    claims = _CLAIMS[args.check]
+    if name not in claims:
+        searched = [known for by_name in _CLAIMS.values() for known in by_name]
+        if name in searched:
+            raise InvalidParameter(f"--check {args.check} needs "
+                                   f"{_class_names(claims)} class")
+        raise InvalidParameter(f"search takes {_class_names(searched)} "
+                               f"class, not {name}:")
     # an empty class's parameters may admit no claimed tree, so count first
     if enumeration.class_size(cls) == 0:
         raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
-    return [cls]
+    return [(claims[name], cls)]
 
 
-def _extremal(check: str, cls: enumeration.TreeClass, eig_tol: float,
+def _extremal(claim, cls: enumeration.TreeClass, eig_tol: float,
               tol: float = 1e-7) -> enumeration.ExtremalReport:
-    """cls checked against the tree that check claims has the largest rho,
-    with tol as the tie window."""
-    _, _, claim = _CLAIMS[check]
+    """cls checked against claim(*cls.params), the tree claimed to have the
+    largest rho, with tol as the tie window."""
     return enumeration.verify_extremal(cls, claim(*cls.params), tol=tol,
                                        eig_tol=eig_tol)
 
@@ -295,7 +313,8 @@ def _dary_determinants_hold(t: RootedTree) -> bool:
 
 def _broom_holds(cls, tol: float) -> bool:
     n_vertices, n_leaves = cls.params
-    report = _extremal("broom", cls, eig_tol=tol, tol=1e-6)
+    report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls, eig_tol=tol,
+                       tol=1e-6)
     expected = n_leaves * (n_vertices - n_leaves - 1) + 1
     return report.holds and abs(report.rho_max - expected) <= 1e-6
 
@@ -389,10 +408,12 @@ def _suites(max_leaves: int, tol: float, budget: int):
            (enumeration.by_outdegree_sequence(seq)
             for n_vertices in range(2, max_leaves + 2)
             for seq in enumeration.outdegree_sequences(n_vertices)),
-           lambda cls: _extremal("greedy", cls, tol).holds)
+           lambda cls: _extremal(_CLAIMS["greedy"]["outdegrees"], cls,
+                                 tol).holds)
     yield ("series-reduced-extremality",
            map(enumeration.series_reduced, range(2, max_leaves + 1)),
-           lambda cls: _extremal("binary-caterpillar", cls, tol).holds)
+           lambda cls: _extremal(_CLAIMS["binary-caterpillar"]["series-reduced"],
+                                 cls, tol).holds)
     yield ("caterpillar-recursion", range(1, max_leaves + 1),
            lambda n: caterpillar_charpoly(n).coeffs
            == char_poly(binary_caterpillar(n)).coeffs)
@@ -505,7 +526,7 @@ _FLAGS = {
     "--leaf": dict(
         type=int, help="kept child u for a star shift, or w2 for a leaf swap"),
     "--class": dict(dest="klass", required=True,
-                    help="tree class, e.g. outdegrees:3,2,2 or "
+                    help="tree class, e.g. outdegrees:3,2,2 or dary:3,7 or "
                          "vertices-leaves:7,3 or series-reduced:5"),
     "--check": dict(required=True, choices=list(_CLAIMS),
                     help="which extremal family to test"),
@@ -552,8 +573,7 @@ _COMMANDS = (
     ("spectrum", "numeric eigenvalues, descending",
      ("source", "--json", "--tol"),
      _per_case(_trees_from_args,
-               lambda tree, args: eigen_decompose(ancestral_matrix(tree),
-                                                  args.tol).eigenvalues,
+               lambda tree, args: eigenvalues(tree, args.tol),
                lambda eig: {"eigenvalues": list(eig)},
                lambda eig: [_fmt(v) for v in eig])),
     ("bounds", "spectral-radius bounds report",
@@ -590,8 +610,7 @@ _COMMANDS = (
     ("search", "exhaustive extremality check",
      ("--class", "--check", "--json", "--tol"),
      _per_case(_search_class,
-               lambda cls, args: _extremal(args.check, cls, args.tol,
-                                           tol=args.tol),
+               lambda case, args: _extremal(*case, args.tol, tol=args.tol),
                lambda rep: {"verified": rep.holds, "rho_max": rep.rho_max,
                             "rho_claimed": rep.rho_claimed,
                             "argmax": serialize_newick(rep.argmax)},

@@ -6,13 +6,19 @@ solver meeting it qualifies; LAPACK's symmetric solver via numpy is used for
 the full spectrum and the residual is checked after the fact rather than
 trusted.
 
-The spectral radius needs no matrix.  C(T) is the direct sum of the blocks
-C(B) + J over the branches B below the root, and the largest eigenvalue of
-one block comes from a pivot recurrence over B's vertices (the analogue,
-for C(T), of Jacobs and Trevisan's eigenvalue location in trees), solved by
-Laguerre's method in O(V) per step.  Its Perron vector and the residual of
-the contract above come from the same pivots, again in O(V).  The
-eigensolver is left to ``spectrum``, which needs every eigenvalue.
+C(T) is the direct sum of the blocks C(B) + J over the branches B below the
+root, so the full spectrum is solved one block at a time.  Each block is
+filled in numpy from O(V) tree arrays, never from the L x L matrix: leaves
+sit in preorder, so a block's entries are running minima of the levels of
+the common ancestors of consecutive leaves.  Blocks of one size share one
+stacked solve, and the residual of every block is held to the bound of the
+whole of C(T), whose Frobenius norm is again an O(V) sum.
+
+The spectral radius needs no matrix and no eigensolver.  The largest
+eigenvalue of one block comes from a pivot recurrence over B's vertices (the
+analogue, for C(T), of Jacobs and Trevisan's eigenvalue location in trees),
+solved by Laguerre's method in O(V) per step.  Its Perron vector and the
+residual of the contract above come from the same pivots, again in O(V).
 """
 
 from __future__ import annotations
@@ -50,30 +56,102 @@ def _as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
+def _dense_solve(a: np.ndarray, bound: float):
+    """Symmetric eigensolve of one matrix or of a stack of equal-sized ones:
+    eigenvalues ascending, orthonormal eigenvectors, and the largest residual
+    ||A x - lambda x|| over all of them.  A solver failure raises
+    NoConvergence with an infinite residual and the caller's bound."""
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(residual=math.inf, bound=bound) from exc
+    misses = np.linalg.norm(a @ vecs - vecs * vals[..., None, :], axis=-2)
+    return vals, vecs, float(np.max(misses))
+
+
 def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full symmetric eigendecomposition with a residual certificate."""
     a = _as_array(m)
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
     bound = tol * max(1.0, float(np.linalg.norm(a, "fro")))
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(residual=math.inf, bound=bound) from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    residual = float(np.max(np.linalg.norm(a @ vecs - vecs * vals, axis=0)))
-    if residual > bound:
+    vals, vecs, residual = _dense_solve(a, bound)
+    if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)
-    return Spectrum(eigenvalues=tuple(float(v) for v in vals),
-                    eigenvectors=vecs, residual=residual)
+    return Spectrum(eigenvalues=tuple(vals[::-1].tolist()),
+                    eigenvectors=vecs[:, ::-1], residual=residual)
+
+
+def _branch_blocks(tree: RootedTree):
+    """The blocks C(B) + J of C(T), one per branch B below the root, stacked
+    by size: (starts, stack) per leaf count n, where stack[i] is the n x n
+    float block on leaf_order[starts[i]:starts[i] + n].
+
+    Let h[i] be the level of the common ancestor of leaves i and i + 1.  A
+    vertex v is that ancestor exactly when leaf i + 1 is the first leaf of a
+    child of v other than the first, so one pass over the children fills h.
+    Then C[i][j] = min(h[i..j-1]) for i < j, and a row of a block is one
+    running minimum over h: O(L_B) numpy calls and O(L_B^2) entries per
+    block.  The diagonal holds the leaves' levels.  The single vertex has
+    no branch and so no block.
+    """
+    level = tree.level
+    start, stop = tree.leaf_start, tree.leaf_stop
+    gaps = [0] * tree.n_leaves  # the last entry is never read
+    for v, kids in enumerate(tree.children):
+        for c in kids[1:]:
+            gaps[start[c] - 1] = level[v]
+    h = np.array(gaps, dtype=float)
+    diag = np.array([level[v] for v in tree.leaf_order], dtype=float)
+    by_size: dict[int, list[int]] = {}
+    for c in tree.children[tree.root]:
+        by_size.setdefault(stop[c] - start[c], []).append(start[c])
+    for n, starts in by_size.items():
+        at = np.arange(n)
+        leaves = np.add.outer(starts, at)  # (k, n) leaf positions
+        stack = np.empty((len(starts), n, n))
+        stack[:, at, at] = diag[leaves]
+        gap = h[leaves[:, :-1]]
+        for i in range(n - 1):
+            run = np.minimum.accumulate(gap[:, i:], axis=1)
+            stack[:, i, i + 1:] = run
+            stack[:, i + 1:, i] = run
+        yield starts, stack
+
+
+def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+    """Every eigenvalue of C(T), descending, solved block by block.
+
+    Each block C(B) + J from ``_branch_blocks`` is solved by the same dense
+    solver as ``eigen_decompose``, equal-sized blocks in one stacked call,
+    so no solve is larger than the largest branch and no L x L matrix is
+    built.  The contract holds for C(T) as a whole: the largest residual of
+    any block is compared with tol * max(1, ||C(T)||_F), where
+    ||C(T)||_F^2 = sum over non-root v of k_v^2 (2 level(v) - 1) for the
+    k_v leaves below v.  Raises NoConvergence when it misses that bound.
+    The single vertex has the spectrum (0,).
+    """
+    if tree.n_vertices == 1:
+        return (0.0,)
+    start, stop, level = tree.leaf_start, tree.leaf_stop, tree.level
+    fro_sq = sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1)
+                 for v in tree.preorder[1:])
+    bound = tol * max(1.0, math.sqrt(fro_sq))
+    residual = 0.0
+    parts = []
+    for _, stack in _branch_blocks(tree):
+        vals, _, miss = _dense_solve(stack, bound)
+        residual = max(residual, miss)
+        parts.append(vals.ravel())
+    if not residual <= bound:
+        raise NoConvergence(residual=residual, bound=bound)
+    return tuple(np.sort(np.concatenate(parts))[::-1].tolist())
 
 
 @dataclass(frozen=True)
 class SpectralRadius:
     rho: float
-    perron: np.ndarray  # non-negative unit vector over leaf_order
+    perron: tuple[float, ...]  # non-negative unit vector over leaf_order
 
 
 def _pivots(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
@@ -253,7 +331,7 @@ def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadiu
     wins.  No matrix is built.
     """
     if tree.n_vertices == 1:
-        return SpectralRadius(rho=0.0, perron=np.ones(1))
+        return SpectralRadius(rho=0.0, perron=(1.0,))
     order = tree.preorder
     parent = tree.parent
     pos = [0] * len(order)
@@ -268,9 +346,9 @@ def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadiu
                                 tol)
         if best_rho is None or value > best_rho:
             best_rho, best_vec, best = value, vec, c
-    perron = np.zeros(tree.n_leaves)
+    perron = [0.0] * tree.n_leaves
     perron[tree.leaf_start[best]:tree.leaf_stop[best]] = best_vec
-    return SpectralRadius(rho=best_rho, perron=perron)
+    return SpectralRadius(rho=best_rho, perron=tuple(perron))
 
 
 def rho(tree: RootedTree, tol: float = DEFAULT_TOL) -> float:

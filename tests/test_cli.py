@@ -249,6 +249,42 @@ def test_search_of_a_wide_class(capsys, klass, check):
     assert out == "VERIFIED rho_max=1\n"
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("dary, outdegrees", [
+    ("dary:3,7", "outdegrees:3,3,3"),
+    ("dary:2,8", "outdegrees:2,2,2,2,2,2,2"),
+])
+def test_search_of_a_dary_class_is_its_outdegree_class(capsys, dary, outdegrees,
+                                                       as_json):
+    # a d-ary class with n leaves is the outdegree class of d taken
+    # (n - 1)/(d - 1) times, and greedy claims the same caterpillar for both
+    flags = ["--check", "greedy"] + (["--json"] if as_json else [])
+    got = run(capsys, "search", "--class", dary, *flags)
+    want = run(capsys, "search", "--class", outdegrees, *flags)
+    assert got == want
+    assert got[0] == 0 and got[2] == ""
+
+
+@pytest.mark.parametrize("klass", ["vertices:5", "leaves:3,6"])
+def test_search_names_the_classes_it_takes(capsys, klass):
+    code, out, err = run(capsys, "search", "--class", klass, "--check", "greedy")
+    name = klass.partition(":")[0]
+    assert (code, out) == (2, "")
+    assert err == ("error: search takes an outdegrees:, dary:, "
+                   f"vertices-leaves: or series-reduced: class, not {name}:\n")
+
+
+def test_search_names_the_classes_of_its_check(capsys):
+    code, out, err = run(capsys, "search", "--class", "vertices-leaves:7,3",
+                         "--check", "greedy")
+    assert (code, out, err) == (2, "", "error: --check greedy needs an "
+                                "outdegrees: or dary: class\n")
+    code, out, err = run(capsys, "search", "--class", "dary:3,7",
+                         "--check", "broom")
+    assert (code, out, err) == (2, "", "error: --check broom needs a "
+                                "vertices-leaves: class\n")
+
+
 @pytest.mark.parametrize("command, spec", [
     (["search", "--check", "broom", "--class"], "vertices:x"),
     (["search", "--check", "broom", "--class"], "nope:3"),
@@ -270,7 +306,8 @@ def test_bad_spec_names_the_spec(capsys, command, spec):
 @pytest.mark.parametrize("klass, check, named", [
     ("vertices-leaves:3,5", "broom", "by-vertices-and-leaves(3, 5)"),
     ("series-reduced:0", "binary-caterpillar", "series-reduced(0,)"),
-], ids=["vertices-leaves", "series-reduced"])
+    ("dary:3,8", "greedy", "dary-by-leaves(3, 8)"),
+], ids=["vertices-leaves", "series-reduced", "dary"])
 def test_search_names_an_empty_class(capsys, klass, check, named):
     # no claimed tree exists for these parameters; the class is named first
     code, out, err = run(capsys, "search", "--class", klass, "--check", check)

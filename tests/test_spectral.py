@@ -12,6 +12,7 @@ from ancestral import (
     complete_dary,
     eigen_decompose,
     eigenvalue_one_certificate,
+    eigenvalues,
     random_tree,
     rho,
     spectral_radius,
@@ -80,14 +81,13 @@ def test_perron_vector_matches_the_dense_top_vector_of_its_branch():
         assert abs(math.fsum(v * v for v in sr.perron) - 1.0) < 1e-12
         full = np.array(ancestral_matrix(t).rows, dtype=float)
         for c in t.children[t.root]:
-            positions = list(range(t.leaf_start[c], t.leaf_stop[c]))
-            if sr.perron[positions[0]] > 0:
+            a, b = t.leaf_start[c], t.leaf_stop[c]
+            if sr.perron[a] > 0:
                 break
-        outside = np.delete(sr.perron, positions)
-        assert not outside.any()
-        top = eigen_decompose(full[np.ix_(positions, positions)]).eigenvectors[:, 0]
+        assert not any(sr.perron[:a] + sr.perron[b:])
+        top = eigen_decompose(full[a:b, a:b]).eigenvectors[:, 0]
         top = top if top.sum() > 0 else -top
-        assert np.max(np.abs(sr.perron[positions] - top)) < 1e-9
+        assert np.max(np.abs(np.array(sr.perron[a:b]) - top)) < 1e-9
 
 
 def test_matrix_free_rho_keeps_the_residual_check():
@@ -102,6 +102,73 @@ def test_matrix_free_rho_keeps_the_residual_check():
     with pytest.raises(NoConvergence) as exc:
         spectral_radius(t, tol=1e-300)
     assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(block))
+
+
+def _block_route_trees():
+    """corpus(8), random trees, and a star, a root with a single child, a
+    path and the single vertex."""
+    trees = list(corpus(8)) + _random_trees(64, 12, 300)
+    trees += [star(40), build_tree([None, 0, 1, 1, 2, 2, 1]),
+              build_tree([None, 0, 1, 2, 3]), build_tree([None])]
+    return trees
+
+
+def test_block_route_matches_the_dense_oracle():
+    for t in _block_route_trees():
+        want = eigen_decompose(ancestral_matrix(t)).eigenvalues
+        got = eigenvalues(t)
+        assert len(got) == len(want) == t.n_leaves
+        assert list(got) == sorted(got, reverse=True)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
+
+
+def test_block_builder_equals_the_slices_of_the_matrix():
+    for t in _block_route_trees():
+        rows = ancestral_matrix(t).rows
+        covered = []
+        for starts, stack in spectral._branch_blocks(t):
+            n = stack.shape[-1]
+            for a, block in zip(starts, stack):
+                assert block.tolist() == [list(row[a:a + n])
+                                          for row in rows[a:a + n]]
+                covered.extend(range(a, a + n))
+        # the blocks tile the leaves, except the single vertex's [[0]]
+        if t.n_vertices > 1:
+            assert sorted(covered) == list(range(t.n_leaves))
+
+
+def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("the ancestral matrix was built")
+
+    shapes = []
+    solve = np.linalg.eigh
+
+    def record(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", record)
+    for t in (complete_dary(2, 9), star(300), star_plus_path(30, 6),
+              broom(3, 50), binary_caterpillar(40)):
+        shapes.clear()
+        eigenvalues(t)
+        largest = max(t.leaf_stop[c] - t.leaf_start[c]
+                      for c in t.children[t.root])
+        assert shapes and all(shape[-1] <= largest for shape in shapes)
+        # each leaf is a row of exactly one solve
+        assert sum(math.prod(shape[:-1]) for shape in shapes) == t.n_leaves
+
+
+def test_block_route_holds_all_of_c_to_its_residual_bound():
+    t = example_tree()
+    with pytest.raises(NoConvergence) as exc:
+        eigenvalues(t, tol=1e-300)
+    # the bound is tol * ||C(T)||_F, from the O(V) sum, not from the blocks
+    full = np.array(ancestral_matrix(t).rows, dtype=float)
+    assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(full))
+    assert exc.value.residual > 0.0
 
 
 def test_equal_row_sums_give_rho_exactly():
@@ -173,7 +240,7 @@ def test_equal_branches_tie_deterministically():
 def test_single_vertex_spectral_radius():
     t = build_tree([None])
     sr = spectral_radius(t)
-    assert sr.rho == 0.0 and list(sr.perron) == [1.0]
+    assert sr.rho == 0.0 and sr.perron == (1.0,)
 
 
 def test_rho_against_power_iteration():
