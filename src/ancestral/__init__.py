@@ -82,6 +82,7 @@ from .tree_core import (
     greedy_caterpillar,
     leaf_counts,
     path_broom,
+    row_sums,
     star,
     star_plus_path,
     structural_stats,

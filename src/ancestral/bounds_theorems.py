@@ -1,13 +1,14 @@
 """Bound quantities for the ancestral spectral radius and their verdicts.
 
 Every bound quantity is kept as an exact integer or rational and comes from
-one O(V) pass over the tree, never from the matrix: with k_e the number of
-leaves below edge e, C = I_p I_p^T gives row sums as sums of k_e along root
-paths, the entry sum q = sum k_e^2 and the terminal Wiener index
-sum k_e (L - k_e).  The spectral radius needs no matrix either:
-``spectral_radius`` solves the pivot recurrence of each branch in O(V) per
-step.  The final comparison of each bound against that numeric rho uses
-floats, with the margin BOUND_TOL.
+one O(V) pass over the tree's arrays, never from the matrix: with k_e the
+number of leaves below edge e, C = I_p I_p^T gives row sums as sums of k_e
+along root paths (``tree_core.row_sums``, the same array that
+``spectral_radius`` starts each branch from), the entry sum q = sum k_e^2
+and the terminal Wiener index sum k_e (L - k_e).  The spectral radius needs
+no matrix either: ``spectral_radius`` solves the pivot recurrence of each
+branch in O(V) per step.  The final comparison of each bound against that
+numeric rho uses floats, with the margin BOUND_TOL.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import DEFAULT_TOL, spectral_radius
-from .tree_core import RootedTree, leaf_counts, structural_stats
+from .tree_core import RootedTree, leaf_counts, row_sums, structural_stats
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
@@ -36,37 +37,20 @@ def _edge_leaf_counts(tree: RootedTree) -> list[int]:
     return k
 
 
-def _row_sums(tree: RootedTree, k: list[int]) -> list[int]:
-    """Row sums of C in leaf_order, from the edge leaf counts k."""
-    parent = tree.parent
-    path = [0] * tree.n_vertices
-    for v in tree.preorder[1:]:
-        path[v] = path[parent[v]] + k[v]
-    return [path[v] for v in tree.leaf_order]
-
-
-def _wiener(k: list[int], n_leaves: int) -> int:
-    return sum(x * (n_leaves - x) for x in k)
-
-
 def total_ancestral_depth(tree: RootedTree, v: int) -> int:
     """Row sum of v's row of the ancestral matrix: sum over leaves w of the
     ancestral level of v and w, i.e. the sum of k_e over the edges on v's
     root path."""
     if v < 0 or v >= tree.n_vertices or tree.children[v]:
         raise NotALeaf(f"{v} is not a leaf")
-    k = _edge_leaf_counts(tree)
-    total = 0
-    while tree.parent[v] is not None:
-        total += k[v]
-        v = tree.parent[v]
-    return total
+    return row_sums(tree)[v]
 
 
 def terminal_wiener(tree: RootedTree) -> int:
     """Sum of pairwise distances between leaves: each edge e lies on the
     path of k_e (L - k_e) leaf pairs."""
-    return _wiener(_edge_leaf_counts(tree), tree.n_leaves)
+    n_leaves = tree.n_leaves
+    return sum(k * (n_leaves - k) for k in _edge_leaf_counts(tree))
 
 
 def q_value(tree: RootedTree) -> int:
@@ -127,12 +111,12 @@ def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     if tree.n_vertices == 1:
         raise SingleVertexTree("bounds are vacuous on a single vertex")
     stats = structural_stats(tree)
-    k = _edge_leaf_counts(tree)
-    row_sums = _row_sums(tree, k)
-    avg_ad = Fraction(sum(row_sums), stats.L)
-    max_ad = max(row_sums)
+    row = row_sums(tree)
+    leaf_rows = [row[v] for v in tree.leaf_order]
+    avg_ad = Fraction(sum(leaf_rows), stats.L)
+    max_ad = max(leaf_rows)
     tw_bound = (Fraction(stats.D_root)
-                - Fraction(_wiener(k, stats.L), stats.L))
+                - Fraction(terminal_wiener(tree), stats.L))
     if tw_bound != avg_ad:
         raise AssertionError("the two lower-bound derivations disagree")
     height_bound = stats.h

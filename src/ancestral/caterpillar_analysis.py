@@ -19,7 +19,9 @@ from .errors import InvalidParameter, NoSignChange, PoleArgument
 from .exact_charpoly import IntPolynomial, _poly_mul, _poly_sub
 
 BISECT_EPS = 1e-12
+BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
+CLOSED_FORM_TOL = 1e-9
 
 
 def caterpillar_charpoly(n: int) -> IntPolynomial:
@@ -71,16 +73,17 @@ def chebyshev_closed_form(n: int, x):
     return (x - 1) ** n * ((2 * x) / (2 * x - 3) * t_val - 3 / (2 * x - 3) * u_val)
 
 
-def chebyshev_form_check(n: int, x, tol: float = 1e-9) -> bool:
+def chebyshev_form_check(n: int, x) -> bool:
     """Closed form against the recursion at one sample point.  Rational
-    input is compared exactly; floats within tol."""
+    input is compared exactly; floats within
+    CLOSED_FORM_TOL * max(1, |P_n(x)|)."""
     if isinstance(x, int):
         x = Fraction(x)
     lhs = caterpillar_charpoly(n)(x)
     rhs = chebyshev_closed_form(n, x)
     if isinstance(x, Fraction):
         return lhs == rhs
-    return abs(lhs - rhs) <= tol * max(1.0, abs(lhs))
+    return abs(lhs - rhs) <= CLOSED_FORM_TOL * max(1.0, abs(lhs))
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,9 @@ class TrigRoot:
     rho: float
 
 
-def trig_spectral_radius(n: int, tol: float = 1e-12) -> TrigRoot:
-    """Smallest positive root of cot((n-2)t) = 3 tan(t/2) by bisection.
+def trig_spectral_radius(n: int) -> TrigRoot:
+    """Smallest positive root of cot((n-2)t) = 3 tan(t/2) by bisection, to
+    a bracket no wider than BISECT_TOL * max(1, t).
 
     The bracket is (eps, pi/(2(n-2))): the left side falls from +inf to 0 on
     it while the right side grows, so the sign change is guaranteed.  The
@@ -110,7 +114,7 @@ def trig_spectral_radius(n: int, tol: float = 1e-12) -> TrigRoot:
         raise NoSignChange(f"no bracket for n = {n}")
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, abs(mid)):
+        if hi - lo <= BISECT_TOL * max(1.0, abs(mid)):
             break
         if f(mid) > 0:
             lo = mid

@@ -48,6 +48,7 @@ from .tree_core import (
     RootedTree,
     binary_caterpillar,
     broom,
+    build_tree,
     generate,
     greedy_caterpillar,
     parse_spec,
@@ -216,18 +217,28 @@ _CLASSES = {
     "dary": (enumeration.dary_by_leaves, 2),
 }
 
+
+def _greedy_claim(outdegrees) -> RootedTree:
+    """The greedy caterpillar of an outdegree profile, or the single vertex,
+    the one tree of a class without a non-zero outdegree."""
+    return (greedy_caterpillar(outdegrees) if any(outdegrees)
+            else build_tree([None]))
+
+
 # each --check: the --class names it searches, each with the claimed tree
-# built from the class parameters
+# built from the class parameters of a class that is not empty
 _CLAIMS = {
     "greedy": {
-        "outdegrees": lambda *outdegrees: greedy_caterpillar(outdegrees),
+        "outdegrees": lambda *outdegrees: _greedy_claim(outdegrees),
         # the d-ary class is the outdegree class of d taken (n - 1)/(d - 1) times
         "dary": lambda d, n_leaves:
-        greedy_caterpillar([d] * ((n_leaves - 1) // (d - 1))),
+        _greedy_claim([d] * ((n_leaves - 1) // (d - 1))),
     },
     "broom": {
+        # the class of one vertex holds only the single vertex
         "vertices-leaves": lambda n_vertices, n_leaves:
-        broom(n_vertices - n_leaves - 1, n_leaves),
+        broom(n_vertices - n_leaves - 1, n_leaves) if n_vertices > 1
+        else build_tree([None]),
     },
     "binary-caterpillar": {"series-reduced": binary_caterpillar},
 }

@@ -28,11 +28,11 @@ above and is a recurrence on encodings, and a key alone bounds the row
 bounds of its pool, exactly.  So ``_Branches`` generates, best first, only
 the branches of a key whose row bound reaches a threshold, from the same
 kind of call on one child key and the full pools of the others.  Branches are
-solved, by the matrix-free branch routine of ``spectral`` straight from
-their encodings, in descending bound order only while a bound can still
-reach the maximum within the tie window, and only the trees that hold a
-branch within the window are built.  No matrix is built, and the result is
-that of solving every branch of every tree.
+solved in descending bound order only while a bound can still reach the
+maximum within the tie window, each as the one branch of a tree by
+``spectral_radius``, and only the trees that hold a branch within the window
+are built.  No matrix is built, and the result is that of solving every
+branch of every tree.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, branch_rho, spectral_radius
+from .spectral import DEFAULT_TOL, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
@@ -65,13 +65,12 @@ def canonical_encoding(tree: RootedTree) -> Encoding:
     return enc[tree.root]
 
 
-def _preorder_parents(enc: Encoding) -> list[int]:
-    """The parent of each vertex of an encoding's tree, numbered in
-    preorder with children in encoding order; -1 for the root.  Built with
-    an explicit stack, without recursion."""
-    parents: list[int] = []
+def encoding_to_tree(enc: Encoding) -> RootedTree:
+    """The tree of an encoding, vertices numbered in preorder with children
+    in encoding order.  Built with an explicit stack, without recursion."""
+    parents: list[Optional[int]] = []
     stack = [enc]
-    above = [-1]  # parent of each node on the stack
+    above: list[Optional[int]] = [None]  # parent of each node on the stack
     while stack:
         node = stack.pop()
         idx = len(parents)
@@ -79,12 +78,7 @@ def _preorder_parents(enc: Encoding) -> list[int]:
         if node:
             stack.extend(node[::-1])
             above.extend([idx] * len(node))
-    return parents
-
-
-def encoding_to_tree(enc: Encoding) -> RootedTree:
-    """The tree of an encoding, vertices numbered in preorder."""
-    return build_tree([None] + _preorder_parents(enc)[1:])
+    return build_tree(parents)
 
 
 def _multiset_children(part: tuple[int, ...], pool,
@@ -351,9 +345,9 @@ class _Branches:
 
         rb(leaf) = 1 and rb(e) = leaves(e) + the largest rb(c) over the
         children c of e: the largest row sum of C(B) + J, B the branch of e,
-        which ``spectral._row_bound`` reads off its preorder array.  Children
-        come first, on an explicit stack, so a deep encoding needs no
-        recursion.
+        which ``tree_core.row_sums`` gives at B's leaves in any tree that
+        holds B below its root.  Children come first, on an explicit stack,
+        so a deep encoding needs no recursion.
         """
         memo = self._rb
         stack = [enc]
@@ -557,7 +551,8 @@ def _contenders(cls: TreeClass, tol: float,
     of the class's root parts, drawn best first by ``_Branches.above``.  The
     largest key bound among those keys is attained, so the first threshold,
     that bound, already yields a branch.  Branches are solved by
-    ``branch_rho``, with its residual check, in descending row bound order
+    ``spectral_radius`` of the tree whose root has the branch as its one
+    child, with its residual check, in descending row bound order
     until a bound falls below best - tol, best the largest rho solved so
     far.  Then the threshold drops to ceil(best - tol), the branches between
     the two thresholds are solved the same way, and so on until the
@@ -565,9 +560,9 @@ def _contenders(cls: TreeClass, tol: float,
     and so a rho, below best - tol <= max - tol.  A tree is therefore within
     tol of the maximum exactly when it holds a solved branch that is.  Those
     trees are built from such a branch and the full pools of its siblings,
-    and each is scored by its solved branches.  The preorder arrays are
-    those ``spectral_radius`` passes for the same branch of
-    ``encoding_to_tree(enc)``, so each rho is the very float it returns.
+    and each is scored by its solved branches.  The branch's arrays in the
+    one-branch tree are those ``spectral_radius`` reads for the same branch
+    of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
     keys, _ = _class_keys(cls)
     branches = _Branches()
@@ -592,7 +587,8 @@ def _contenders(cls: TreeClass, tol: float,
         for bound, branch, slot in fresh:
             if bound < best - tol:
                 break
-            rho_of[branch] = value = branch_rho(_preorder_parents(branch), eig_tol)[0]
+            rho_of[branch] = value = spectral_radius(
+                encoding_to_tree((branch,)), eig_tol).rho
             solved[slot].append(branch)
             best = max(best, value)
         top, theta = theta, math.ceil(best - tol) if best - tol > 1 else 1
@@ -626,8 +622,8 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
     The class is counted against its cap first.  Then only the branches
     whose row bound can reach the maximum within tol are generated and
     solved, and only the trees within tol of the maximum are built (see
-    ``_contenders``), so the residual check of ``branch_rho`` runs on those
-    branches alone.  tol must be finite and non-negative.
+    ``_contenders``), so the residual check of ``spectral_radius`` runs on
+    those branches alone.  tol must be finite and non-negative.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidParameter(f"tie window must be finite and non-negative, "

@@ -17,21 +17,24 @@ whole of C(T), whose Frobenius norm is again an O(V) sum.
 The spectral radius needs no matrix and no eigensolver.  The largest
 eigenvalue of one block comes from a pivot recurrence over B's vertices (the
 analogue, for C(T), of Jacobs and Trevisan's eigenvalue location in trees),
-solved by Laguerre's method in O(V) per step.  Its Perron vector and the
-residual of the contract above come from the same pivots, again in O(V).
+solved by Laguerre's method in O(V) per step from the block's largest row
+sum.  Its Perron vector and the residual of the contract above come from
+the same pivots, again in O(V).  Row sums, leaf counts, levels and the
+Frobenius norm are read off the tree's own arrays (``tree_core.row_sums``
+and the leaf ranges), once per tree, never re-derived per branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ancestral_matrices import AncestralMatrix, ancestral_matrix
 from .errors import NoConvergence, SingleVertexTree
-from .tree_core import RootedTree
+from .tree_core import RootedTree, row_sums
 
 DEFAULT_TOL = 1e-10
 LAGUERRE_MAX_STEPS = 100
@@ -119,6 +122,14 @@ def _branch_blocks(tree: RootedTree):
         yield starts, stack
 
 
+def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
+    """||.||_F^2 of the block of C(T) on the leaves below the vertices of
+    ``run``, one or more whole branches below the root: the sum over its
+    vertices v of k_v^2 (2 level(v) - 1) for the k_v leaves below v."""
+    start, stop, level = tree.leaf_start, tree.leaf_stop, tree.level
+    return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
+
+
 def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Every eigenvalue of C(T), descending, solved block by block.
 
@@ -126,17 +137,13 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
     solver as ``eigen_decompose``, equal-sized blocks in one stacked call,
     so no solve is larger than the largest branch and no L x L matrix is
     built.  The contract holds for C(T) as a whole: the largest residual of
-    any block is compared with tol * max(1, ||C(T)||_F), where
-    ||C(T)||_F^2 = sum over non-root v of k_v^2 (2 level(v) - 1) for the
-    k_v leaves below v.  Raises NoConvergence when it misses that bound.
-    The single vertex has the spectrum (0,).
+    any block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq``
+    over every non-root vertex.  Raises NoConvergence when it misses that
+    bound.  The single vertex has the spectrum (0,).
     """
     if tree.n_vertices == 1:
         return (0.0,)
-    start, stop, level = tree.leaf_start, tree.leaf_stop, tree.level
-    fro_sq = sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1)
-                 for v in tree.preorder[1:])
-    bound = tol * max(1.0, math.sqrt(fro_sq))
+    bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
     residual = 0.0
     parts = []
     for _, stack in _branch_blocks(tree):
@@ -238,58 +245,37 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
     return x, d
 
 
-def _row_sums(parent: Sequence[int]) -> tuple[list[bool], list[int], list[int]]:
-    """Whether each vertex of a branch is a leaf, its leaf count k, and its
-    path sum: the sum of k from B's root down to the vertex, both included.
-    At a leaf the path sum is the leaf's row sum of C(B) + J; it grows down
-    every path, so the largest row sum is the largest path sum."""
-    m = len(parent)
-    is_leaf = [True] * m
-    for i in range(1, m):
-        is_leaf[parent[i]] = False
-    k = [1 if leaf else 0 for leaf in is_leaf]
-    for i in range(m - 1, 0, -1):
-        k[parent[i]] += k[i]
-    row = k[:]
-    for i in range(1, m):
-        row[i] += row[parent[i]]
-    return is_leaf, k, row
-
-
-def _row_bound(parent: Sequence[int]) -> int:
-    """The largest row sum of C(B) + J for the branch ``parent`` (laid out
-    as for ``branch_rho``): an upper bound on its largest eigenvalue, and
-    the point ``branch_rho`` starts from, so the eigenvalue it returns
-    never exceeds it."""
-    return max(_row_sums(parent)[2])
-
-
-def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
+def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
+                row: Sequence[int], tol: float) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
     vector over B's leaves in preorder, without building the matrix.
 
-    ``parent`` lists B in preorder: entry 0 is B's root and is ignored, and
-    every other entry is the position of the vertex's parent, which comes
-    earlier.  The largest row sum, ``_row_bound``, bounds the eigenvalue from
-    above.  When every row sum is the same, it is the eigenvalue, exactly,
-    with the all-ones direction as its vector (complete d-ary branches,
-    brooms).  Otherwise ``_largest_root`` descends from it, and the Perron
-    vector is y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product
-    of 1/d over the vertices below B's root on its path.
+    ``run`` is B's run of the tree's preorder, ``at`` the position of each
+    vertex in that preorder and ``row`` the tree's ``row_sums``.  The
+    largest row sum of C(B) + J, read off ``row`` at B's leaves, bounds the
+    eigenvalue from above.  When every row sum is the same, it is the
+    eigenvalue, exactly, with the all-ones direction as its vector
+    (complete d-ary branches, brooms).  Otherwise ``_largest_root``
+    descends from it on the position of each vertex's parent within
+    ``run``, and the Perron vector is y = (xI - C(B))^-1 1: a leaf's entry
+    is 1/x times the product of 1/d over the vertices below B's root on its
+    path.
 
     The eigensolver contract is checked on (x, y) as ``eigen_decompose``
     does, with (C(B) + J) y from one pass of subtree sums and one of prefix
-    sums, and ||C(B) + J||_F^2 = sum over vertices of k^2 (2 depth + 1) for
-    k leaves below the vertex at that depth below B's root.  Raises
+    sums, and ||C(B) + J||_F from ``_fro_sq`` over ``run``.  Raises
     NoConvergence when the residual exceeds the bound.
     """
-    m = len(parent)
-    is_leaf, k, row = _row_sums(parent)
-    n_leaves = k[0]
+    m = len(run)
+    first = at[run[0]]
+    parent = [-1] + [at[tree.parent[v]] - first for v in run[1:]]
+    is_leaf = [not tree.children[v] for v in run]
     leaves = [i for i in range(m) if is_leaf[i]]
+    n_leaves = len(leaves)
 
-    x = max(row)  # _row_bound(parent)
-    if min(row[i] for i in leaves) == x:
+    sums = [row[run[i]] for i in leaves]
+    x = max(sums)
+    if min(sums) == x:
         x = float(x)
         y = [1.0 / math.sqrt(n_leaves)] * n_leaves
     else:
@@ -309,11 +295,7 @@ def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
     for i in range(1, m):
         s[i] += s[parent[i]]
     residual = math.sqrt(sum((s[i] - x * v) ** 2 for i, v in zip(leaves, y)))
-    depth = [0] * m
-    for i in range(1, m):
-        depth[i] = depth[parent[i]] + 1
-    fro = math.sqrt(sum(c * c * (2 * e + 1) for c, e in zip(k, depth)))
-    bound = tol * max(1.0, fro)
+    bound = tol * max(1.0, math.sqrt(_fro_sq(tree, run)))
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)
     return x, y
@@ -322,28 +304,26 @@ def branch_rho(parent: Sequence[int], tol: float) -> tuple[float, list[float]]:
 def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
     """Largest eigenvalue of C(T) with a non-negative eigenvector.
 
-    Computed branch by branch with ``branch_rho``, on each root child's run
-    of the tree's preorder: the block of C(T) on one branch's leaves,
-    C(B) + J, has all entries positive, so its top eigenvector is simple and
-    strictly positive.  The winning branch's vector fills its slice
-    [leaf_start, leaf_stop) of leaf_order, and every other entry is zero;
-    when several branches tie exactly, the first root child in stored order
-    wins.  No matrix is built.
+    Computed branch by branch with ``_branch_rho``, on each root child's run
+    of the tree's preorder, from one ``row_sums`` of the whole tree: the
+    block of C(T) on one branch's leaves, C(B) + J, has all entries
+    positive, so its top eigenvector is simple and strictly positive.  The
+    winning branch's vector fills its slice [leaf_start, leaf_stop) of
+    leaf_order, and every other entry is zero; when several branches tie
+    exactly, the first root child in stored order wins.  No matrix is built.
     """
     if tree.n_vertices == 1:
         return SpectralRadius(rho=0.0, perron=(1.0,))
     order = tree.preorder
-    parent = tree.parent
-    pos = [0] * len(order)
+    row = row_sums(tree)
+    at = [0] * len(order)
     for i, v in enumerate(order):
-        pos[v] = i
+        at[v] = i
     kids = tree.children[tree.root]
-    ends = [pos[c] for c in kids] + [len(order)]
+    ends = [at[c] for c in kids] + [len(order)]
     best_rho = best_vec = best = None
     for c, a, b in zip(kids, ends, ends[1:]):
-        run = order[a:b]
-        value, vec = branch_rho([-1] + [pos[parent[v]] - a for v in run[1:]],
-                                tol)
+        value, vec = _branch_rho(tree, order[a:b], at, row, tol)
         if best_rho is None or value > best_rho:
             best_rho, best_vec, best = value, vec, c
     perron = [0.0] * tree.n_leaves

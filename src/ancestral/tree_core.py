@@ -79,9 +79,6 @@ class RootedTree:
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
-    def outdegree(self, v: int) -> int:
-        return len(self.children[v])
-
     def parent_list(self) -> list[Optional[int]]:
         return list(self.parent)
 
@@ -186,6 +183,21 @@ def leaf_counts(tree: RootedTree) -> list[int]:
     edge e from v to its parent.
     """
     return [b - a for a, b in zip(tree.leaf_start, tree.leaf_stop)]
+
+
+def row_sums(tree: RootedTree) -> list[int]:
+    """Per vertex, the sum of the leaf counts k of the vertices on its root
+    path, the root left out: 0 at the root.
+
+    Since C(T) = I_p I_p^T, a leaf's entry is its row sum of C(T), and also
+    its row sum of C(B) + J for the branch B below the root that holds it.
+    Path sums grow down every path, so a leaf holds the largest entry.
+    """
+    parent, start, stop = tree.parent, tree.leaf_start, tree.leaf_stop
+    path = [0] * tree.n_vertices
+    for v in tree.preorder[1:]:
+        path[v] = path[parent[v]] + stop[v] - start[v]
+    return path
 
 
 def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, ...]]:

@@ -249,6 +249,24 @@ def test_search_of_a_wide_class(capsys, klass, check):
     assert out == "VERIFIED rho_max=1\n"
 
 
+@pytest.mark.parametrize("klass, check", [
+    ("dary:3,1", "greedy"),
+    ("outdegrees:", "greedy"),
+    ("vertices-leaves:1,1", "broom"),
+])
+def test_search_of_the_single_vertex_class(capsys, klass, check):
+    # the one tree of the class is the single vertex, and its claim too
+    code, out, err = run(capsys, "search", "--class", klass, "--check", check)
+    assert (code, out, err) == (0, "VERIFIED rho_max=0\n", "")
+
+
+@pytest.mark.parametrize("spec", ["greedy:", "broom:-1,1"])
+def test_gen_has_no_single_vertex_caterpillar(capsys, spec):
+    code, out, err = run(capsys, "gen", "--gen", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 @pytest.mark.parametrize("dary, outdegrees", [
     ("dary:3,7", "outdegrees:3,3,3"),

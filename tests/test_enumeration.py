@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ancestral import enumeration, spectral
+from ancestral import enumeration
 from ancestral import (
     broom,
     by_leaf_count,
@@ -18,13 +18,14 @@ from ancestral import (
     enumerate_class,
     random_tree,
     rho,
+    row_sums,
     series_reduced,
     spectral_radius,
     star,
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
-from ancestral.spectral import DEFAULT_TOL
+from ancestral.spectral import DEFAULT_TOL, SpectralRadius
 
 from helpers import (
     BINARY_BY_LEAVES,
@@ -251,13 +252,18 @@ def _brute_force_report(cls, claimed, tol):
             sorted(enc for rho, enc in scored if rho >= rho_max - tol))
 
 
+def _largest_row_sum(t):
+    row = row_sums(t)
+    return max(row[v] for v in t.leaf_order)
+
+
 def test_row_bound_recurrence_is_the_largest_row_sum():
-    # every branch of at most 12 vertices
+    # every branch of at most 12 vertices, as the one branch of a tree
     branches = enumeration._Branches()
     for n in range(1, 13):
         for enc in enumeration._walk("vertices", n):
-            parents = enumeration._preorder_parents(enc)
-            assert branches.rb(enc) == (spectral._row_bound(parents),
+            one_branch = encoding_to_tree((enc,))
+            assert branches.rb(enc) == (_largest_row_sum(one_branch),
                                         _leaves_of(enc)), enc
 
 
@@ -300,14 +306,15 @@ def test_pruned_search_matches_brute_force():
 
 
 def test_search_solves_few_branches(monkeypatch):
+    # every solve, the claimed tree's included
     solved = []
-    solve = enumeration.branch_rho
+    solve = enumeration.spectral_radius
 
-    def counting_solve(parent, tol):
-        solved.append(parent)
-        return solve(parent, tol)
+    def counting_solve(tree, tol):
+        solved.append(tree)
+        return solve(tree, tol)
 
-    monkeypatch.setattr(enumeration, "branch_rho", counting_solve)
+    monkeypatch.setattr(enumeration, "spectral_radius", counting_solve)
     cls = by_vertices_and_leaves(14, 6)
     report = verify_extremal(cls, broom(7, 6))
     assert report.holds and report.rho_max == 43.0
@@ -325,24 +332,24 @@ def test_search_stops_once_a_bound_falls_below_the_best(monkeypatch):
     row_bounds = enumeration._Branches()
     top = max(row_bounds.rb(branch)[0] for enc in encs for branch in enc)
 
-    def fake_rho(parent):
-        bound = spectral._row_bound(parent)
+    def fake_rho(tree):
+        bound = _largest_row_sum(tree)
         return bound - 3 if bound == top else bound
 
     solved = []
 
-    def fake_solve(parent, tol):
-        solved.append(parent)
-        return fake_rho(parent), []
+    def fake_solve(tree, tol):
+        solved.append(tree)
+        return SpectralRadius(rho=fake_rho(tree), perron=())
 
-    monkeypatch.setattr(enumeration, "branch_rho", fake_solve)
+    monkeypatch.setattr(enumeration, "spectral_radius", fake_solve)
     tol = 1e-7
     scored = enumeration._contenders(cls, tol, DEFAULT_TOL)
     reaching = {branch for enc in encs for branch in enc
                 if row_bounds.rb(branch)[0] >= top - 3}
     assert 0 < len(solved) < len(reaching)
-    brute = [(max(fake_rho(enumeration._preorder_parents(branch))
-                  for branch in enc), enc) for enc in encs]
+    brute = [(max(fake_rho(encoding_to_tree((branch,))) for branch in enc),
+              enc) for enc in encs]
     rho_max = max(value for value, _ in brute)
     assert scored == [(value, enc) for value, enc in brute
                       if value >= rho_max - tol]
@@ -362,13 +369,13 @@ def test_search_builds_no_pool_of_the_class(monkeypatch):
 ], ids=lambda cls: cls.kind)
 def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
     solved = []
-    solve = enumeration.branch_rho
+    solve = enumeration.spectral_radius
 
-    def counting_solve(parent, tol):
-        solved.append(parent)
-        return solve(parent, tol)
+    def counting_solve(tree, tol):
+        solved.append(tree)
+        return solve(tree, tol)
 
-    monkeypatch.setattr(enumeration, "branch_rho", counting_solve)
+    monkeypatch.setattr(enumeration, "spectral_radius", counting_solve)
     # an unbounded tie window prunes nothing, so every tree is scored
     scored = enumeration._contenders(cls, math.inf, DEFAULT_TOL)
     encs = list(enumeration._class_encodings(cls))

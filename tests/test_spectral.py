@@ -15,6 +15,7 @@ from ancestral import (
     eigenvalues,
     random_tree,
     rho,
+    row_sums,
     spectral_radius,
     star,
     star_plus_path,
@@ -188,10 +189,12 @@ def test_branch_rho_never_exceeds_the_row_bound():
         if t.n_leaves <= 400:
             trees.append(t)
     for t in trees:
-        parent = [-1] + list(t.parent[1:])
+        # t below a new root is the one branch of that tree
+        one_branch = build_tree([None, 0] + [p + 1 for p in t.parent[1:]])
         rows = [sum(row) + t.n_leaves for row in ancestral_matrix(t).rows]
-        value, _ = spectral.branch_rho(parent, 1e-10)
-        assert spectral._row_bound(parent) == max(rows)
+        value = spectral_radius(one_branch, 1e-10).rho
+        row = row_sums(one_branch)
+        assert max(row[v] for v in one_branch.leaf_order) == max(rows)
         assert value <= max(rows)
         assert (value == max(rows)) == (min(rows) == max(rows))
 

@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ancestral import (
+    OpKind,
     ancestral_level,
+    ancestral_matrix,
+    apply_op,
     binary_caterpillar,
     broom,
     build_tree,
@@ -11,10 +14,12 @@ from ancestral import (
     greedy_caterpillar,
     leaf_counts,
     path_broom,
+    row_sums,
     star,
     star_plus_path,
     structural_stats,
     subtree,
+    valid_specs,
 )
 from ancestral.errors import (
     CycleDetected,
@@ -139,6 +144,22 @@ def test_preorder_and_leaf_counts_example():
     assert t.preorder == (0, 2, 1, 3, 4, 5, 6, 7, 8, 9)
     assert leaf_counts(t) == [6, 1, 2, 1, 4, 1, 1, 2, 1, 1]
     assert leaf_counts(build_tree([None])) == [1]
+
+
+def test_row_sums_are_the_row_sums_of_c():
+    # the example tree and the output trees of the operations are not
+    # numbered in preorder
+    trees = [*corpus(10), example_tree()]
+    for kind in OpKind:
+        made = [apply_op(t, spec) for t in corpus(6)
+                for spec in valid_specs(t, kind)]
+        assert made, kind
+        trees.extend(made)
+    for t in trees:
+        row = row_sums(t)
+        assert row[t.root] == 0
+        assert [row[v] for v in t.leaf_order] == [
+            sum(r) for r in ancestral_matrix(t).rows]
 
 
 def _walk(tree, v):
