@@ -636,13 +636,17 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv starts with a command, only that
+    command's subparser is registered, as only it can run; otherwise all
+    are, for the top-level help and the missing or invalid command error."""
     parser = _Parser(
         prog="ancestral",
         description="Ancestral matrices of rooted trees: exact charpolys, "
                     "spectra, bounds, and theorem checkers.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, flags, handler in _COMMANDS:
+    named = [row for row in _COMMANDS if argv and row[0] == argv[0]]
+    for name, help_text, flags, handler in named or _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         _add_flags(sub, flags)
         sub.set_defaults(func=handler)
@@ -650,7 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -13,12 +13,12 @@ series-reduced tree.  A d-ary class is the outdegree class of its profile:
 d taken (n - 1) / (d - 1) times, and n zeros.  ``_RULES`` gives each kind a
 step that picks a root's children's keys one at a time, largest first, and
 one explicit-stack driver, ``_descending``, turns a step into every split of
-a key, with no recursion.  One walk, ``_walk``, computes a key either as its
-sorted pool, drawing the root's children from the pools of their keys, or
-as its count, with C(s + m - 1, m) multisets of m equal keys drawn from a
-pool of s.  A class is counted, and checked against its cap, before any
-pool is built.  Pools are sorted, so a class comes out in the order a
-filter over the sorted vertex-count pools would give.
+a key, with no recursion.  One walk, ``_walk``, computes a key's sorted
+pool, drawing the root's children from the pools of their keys.  A key is
+counted apart, by Otter's Euler transform (``counting``), which walks no
+part: a class is refused at the first sub-key whose count passes its cap,
+before any pool is built.  Pools are sorted, so a class comes out in the
+order a filter over the sorted vertex-count pools would give.
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
@@ -43,10 +43,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb
 from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional
 
+from . import counting
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import DEFAULT_TOL, spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
@@ -221,50 +221,33 @@ def outdegree_sequences(n_vertices: int) -> Iterator[tuple[int, ...]]:
     return _parts("vertices", n_vertices)
 
 
-# (kind, None) -> {key: sorted pool}; (kind, cap) -> {key: count, saturated
-# at cap + 1}
-_MEMO: dict[tuple[str, Optional[int]], dict] = {}
+# kind -> {key: sorted pool}
+_MEMO: dict[str, dict] = {}
 
 
-def _part_count(part: tuple, counts: dict) -> int:
-    """The children tuples that realize ``part``: m equal keys drawn from a
-    pool of s encodings give C(s + m - 1, m) multisets, as in Otter's count
-    of rooted trees."""
-    total = 1
-    for key, m in Counter(part).items():
-        total *= comb(counts[key] + m - 1, m)
-    return total
-
-
-def _walk(kind: str, key, cap: Optional[int] = None):
-    """The sorted pool of one key of ``kind`` or, given a cap, the size of
-    that pool, saturated at cap + 1.  Each key is computed once into
-    ``_MEMO``.
+def _walk(kind: str, key) -> tuple:
+    """The sorted pool of one key of ``kind``, computed once into ``_MEMO``.
 
     The keys are walked with an explicit stack, so a deep key needs no
     recursion.  A frame holds a key, its lazy iterator of parts, the part
     it waits on while that part's missing keys are pushed above it, and the
-    pool or count so far.  A pool is the sorted union over the parts of
-    ``_multiset_children``; a count is the sum over the parts of
-    ``_part_count``, and stops at the first part that takes it past the cap.
+    pool so far, the union over the parts of ``_multiset_children``.
     """
-    memo = _MEMO.setdefault((kind, cap), {})
+    memo = _MEMO.setdefault(kind, {})
     stack: list[list] = []
 
     def push(top) -> None:
-        stack.append([top, _parts(kind, top), None, [] if cap is None else 0])
+        stack.append([top, _parts(kind, top), None, []])
 
     if key not in memo:
         push(key)
     while stack:
         frame = stack[-1]
-        top, parts, part, acc = frame
+        top, parts, part, pool = frame
         if part is None:
-            if cap is None or acc <= cap:
-                part = next(parts, None)
+            part = next(parts, None)
             if part is None:
-                memo[top] = (tuple(sorted(acc)) if cap is None
-                             else min(acc, cap + 1))
+                memo[top] = tuple(sorted(pool))
                 stack.pop()
                 continue
             frame[2] = part
@@ -274,11 +257,23 @@ def _walk(kind: str, key, cap: Optional[int] = None):
                 break
         else:
             frame[2] = None
-            if cap is None:
-                acc.extend(_multiset_children(part, memo.__getitem__))
-            else:
-                frame[3] = acc + _part_count(part, memo)
+            pool.extend(_multiset_children(part, memo.__getitem__))
     return memo[key]
+
+
+_COUNTS = {"vertices": counting.count_vertices, "pairs": counting.count_pairs,
+           "outdegrees": counting.count_outdegrees,
+           "leaves": counting.count_leaves}
+
+
+@functools.lru_cache(maxsize=256)
+def _count(kind: str, key, cap: int) -> int:
+    """The size of the pool of one key of ``kind``, or cap + 1 once it
+    passes cap, by Otter's Euler transform, with no tree built and no part
+    walked.  Counts are monotone along sub-keys, each mapped one-to-one into
+    the next by a new root or a leaf added to the root (see ``counting``),
+    so the count stops at the first sub-key whose count passes cap."""
+    return _COUNTS[kind](key, cap)
 
 
 def _spine_bound(outdegrees: Iterable[int]) -> int:
@@ -501,7 +496,7 @@ def _class_keys(cls: TreeClass) -> tuple[list, int]:
     keys = _CLASS_KEYS[cls.kind](*cls.params)
     size = 0
     for kind, key in keys:
-        size += _walk(kind, key, cls.cap)
+        size += _count(kind, key, cls.cap)
         if size > cls.cap:
             raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
     return keys, size
@@ -526,8 +521,9 @@ def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
 
 
 def class_size(cls: TreeClass) -> int:
-    """The number of trees in cls, counted without enumerating them;
-    raises ClassTooLarge when it passes ``cls.cap``."""
+    """The number of trees in cls, counted by the Euler transform without
+    enumerating them; raises ClassTooLarge when it passes ``cls.cap``, at
+    the first sub-key whose count does."""
     return _class_keys(cls)[1]
 
 

@@ -479,6 +479,26 @@ def test_missing_source_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
+
+
+def test_one_command_parser_gives_the_full_parsers_help():
+    full = _subparsers(cli.build_parser())
+    assert len(full) == len(cli._COMMANDS)
+    for name, sub in full.items():
+        alone = _subparsers(cli.build_parser([name, "--help"]))
+        assert list(alone) == [name]
+        assert alone[name].format_help() == sub.format_help(), name
+
+
+def test_a_parser_without_a_command_lists_every_command(capsys):
+    err = usage_error(capsys, "nosuch")
+    assert err.startswith("error: argument command: invalid choice: 'nosuch' ")
+    assert all(repr(name) in err for name, *_ in cli._COMMANDS)
+
+
 def test_verify_all_smoke(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 0

@@ -171,8 +171,8 @@ def test_direct_generators_match_filtered_vertex_classes():
 
 
 def _pools():
-    """A copy of every pool built so far, by (kind, None)."""
-    return {k: dict(memo) for k, memo in enumeration._MEMO.items() if k[1] is None}
+    """A copy of every pool built so far, by kind."""
+    return {kind: dict(memo) for kind, memo in enumeration._MEMO.items()}
 
 
 def test_one_tree_classes_skip_the_vertex_pool():
@@ -201,9 +201,9 @@ def _keys_up_to(n_max):
 def test_counts_equal_pool_lengths():
     for kind, key in _keys_up_to(12):
         size = len(enumeration._walk(kind, key))
-        assert enumeration._walk(kind, key, 10 ** 6) == size, (kind, key)
+        assert enumeration._count(kind, key, 10 ** 6) == size, (kind, key)
         # a count past the cap saturates at cap + 1
-        assert enumeration._walk(kind, key, 3) == min(size, 4), (kind, key)
+        assert enumeration._count(kind, key, 3) == min(size, 4), (kind, key)
 
 
 def test_every_child_key_has_a_nonempty_pool():
@@ -212,16 +212,63 @@ def test_every_child_key_has_a_nonempty_pool():
     for kind, key in _keys_up_to(14):
         for part in enumeration._parts(kind, key):
             for child in part:
-                assert enumeration._walk(kind, child, 1) > 0, (kind, key, child)
+                assert enumeration._count(kind, child, 1) > 0, (kind, key, child)
 
 
 def test_vertex_counts_sum_the_pair_counts_without_pools():
     cap = 10 ** 5  # exact up to 15 vertices, saturated above
     before = _pools()
     for n in range(31):
-        by_leaves = sum(enumeration._walk("pairs", (n, leaves), cap)
+        by_leaves = sum(enumeration._count("pairs", (n, leaves), cap)
                         for leaves in range(n + 1))
-        assert min(by_leaves, cap + 1) == enumeration._walk("vertices", n, cap), n
+        assert min(by_leaves, cap + 1) == enumeration._count("vertices", n, cap), n
+    assert _pools() == before
+
+
+def test_vertex_counts_sum_the_pair_counts_exactly():
+    cap = 10 ** 30
+    for n in range(41):
+        assert sum(enumeration._count("pairs", (n, leaves), cap)
+                   for leaves in range(n + 1)) == enumeration._count("vertices", n, cap), n
+
+
+def test_counts_far_beyond_any_pool():
+    # OEIS A000081 and A000669
+    assert enumeration._count("vertices", 30, 10 ** 12) == 354_426_847_597
+    assert enumeration._count("leaves", 16, 10 ** 9) == 2_253_676
+    assert enumeration._count("leaves", 20, 10 ** 9) == 256_738_751
+
+
+def _injections(kind, key):
+    """The keys that a one-to-one map sends the trees of key into."""
+    if kind == "vertices":
+        yield key + 1  # a unary new root
+    elif kind == "pairs":
+        n, leaves = key
+        yield n + 1, leaves  # a unary new root
+        if n > 1:
+            yield n + 1, leaves + 1  # a leaf added to the root
+    elif kind == "outdegrees":
+        # a new root of outdegree v over the tree and v - 1 leaves
+        for v in range(1, 5):
+            yield tuple(sorted(key + (v,) + (0,) * (v - 1), reverse=True))
+    else:
+        yield key + 1  # a new root over the tree and one leaf
+
+
+def test_counts_are_monotone_along_sub_keys():
+    # so the count may stop at the first sub-key past the cap
+    cap = 10 ** 9
+    for kind, key in _keys_up_to(12):
+        count = enumeration._count(kind, key, cap)
+        for image in _injections(kind, key):
+            assert enumeration._count(kind, image, cap) >= count, (kind, key, image)
+
+
+def test_an_oversized_class_is_refused_without_a_pool():
+    before = _pools()
+    with pytest.raises(ClassTooLarge):
+        class_size(by_vertices_and_leaves(1000, 500))
     assert _pools() == before
 
 
@@ -359,7 +406,7 @@ def test_search_builds_no_pool_of_the_class(monkeypatch):
     monkeypatch.setattr(enumeration, "_MEMO", {})
     report = verify_extremal(by_vertices_and_leaves(14, 6), broom(7, 6))
     assert report.holds and len(report.ties) == 1
-    assert (14, 6) not in enumeration._MEMO.get(("pairs", None), {})
+    assert (14, 6) not in enumeration._MEMO.get("pairs", {})
 
 
 @pytest.mark.parametrize("cls", [
