@@ -12,8 +12,9 @@ Otter 1948), and a key's trees are a root over the forests its kind
 allows.  The logarithmic derivative along a size gives the recurrence
 |s| F(s) = sum over 0 < r <= s of E(r) F(s - r), where E(r) is the sum
 over k dividing r of (|r| / k) T(r / k), so each F(s) is one sum over
-smaller sizes.  Sub-keys are counted in increasing size, each array
-growing only by the layers reached.
+smaller sizes.  Each sub-key is counted after its own sub-keys: in
+increasing size, or for outdegree vectors one coordinate at a time, each
+array growing only by the sub-keys reached.
 
 A count stops at the first sub-key whose count passes cap, because counts
 are monotone along sub-keys.  Each of these maps is one-to-one, so a key
@@ -56,8 +57,8 @@ def count_vertices(n: int, cap: int) -> int:
 
 def count_leaves(n: int, cap: int) -> int:
     """Series-reduced trees of n leaves: T(n) is F(n) over forests of at
-    least two trees, so F(n) = 2 T(n) for n > 1.  The Euler sum for n F(n) holds n T(n) in its j = n term,
-    so n T(n) is that sum without it."""
+    least two trees, so F(n) = 2 T(n) for n > 1.  The Euler sum for n F(n)
+    holds n T(n) in its j = n term, so n T(n) is that sum without it."""
     if n < 1:
         return 0
     trees, forests, weights = [0, 1], [1, 1], [0, 1]
@@ -74,9 +75,10 @@ def count_leaves(n: int, cap: int) -> int:
 
 def count_pairs(key: tuple[int, int], cap: int) -> int:
     """Rooted trees of n vertices and l leaves: T(n, l) = F(n - 1, l), with
-    a forest's vertices split into i internal ones and l leaves.  The leaf, the one tree with i = 0, is taken out:
-    F(i, l) is the sum of G(i, j) over j <= l, G the forests of the other
-    trees, so the states (0, l) cost O(1) each and a wide star is linear.
+    a forest's vertices split into i internal ones and l leaves.  The leaf,
+    the one tree with i = 0, is taken out: F(i, l) is the sum of G(i, j)
+    over j <= l, G the forests of the other trees, so the states (0, l)
+    cost O(1) each and a wide star is linear.
     G takes the Euler sum along i; a state with i, l > 1 sums over the
     shorter of its two sides in Python and the longer one in ``map``."""
     n, leaves = key
@@ -135,46 +137,67 @@ def count_outdegrees(key: tuple, cap: int) -> int:
     is its vector c of counts per nonzero outdegree, its leaves fixed by
     c.  T(c) is the sum over each outdegree v in c of the forests of v
     trees on c - u_v: some k <= v trees that are not a leaf, G(c - u_v, k),
-    and v - k leaves.  G takes the Euler sum along the internal count |c|,
-    one layer of vectors at a time, with k as its tree-count coordinate:
-    k trees of vector s / k weigh (|s| / k) T(s / k)."""
+    and v - k leaves.  G takes the Euler sum along the internal count |c|
+    with k as its tree-count coordinate: k trees of vector s / k weigh
+    (|s| / k) T(s / k).
+
+    Vectors are taken one coordinate at a time, the rarest outdegree first
+    and the larger of equally rare ones first, and by size within each: the
+    vectors whose last nonzero coordinate is j, after all of those below j.
+    A vector's sub-vectors come before it in this order, so a key of many
+    distinct outdegrees passes cap inside the box of its first few, and no
+    wider layer of vectors is counted."""
     if len(key) != 1 + sum(key):
         return 0
-    counts = Counter(key)
-    counts.pop(0, None)
-    values = sorted(counts)
-    top = tuple(counts[v] for v in values)
-    most = values[-1] if values else 0
+    counts = sorted((n, -v) for v, n in Counter(key).items() if v)
+    values = [-v for _, v in counts]
+    top = tuple(n for n, _ in counts)
+    most = max(values, default=0)
     # c -> [G(c, k) for k <= min(|c|, most)]; no forest needs more trees
     zero = (0,) * len(top)
     forests: dict[tuple, list] = {zero: [1]}
     trees: dict[tuple, int] = {}
     # s -> [(k, (|s| / k) T(s / k)) for k | s, k <= most]
     weights: dict[tuple, list] = {}
-    layer = [zero]
-    for size in range(1, sum(top) + 1):
-        layer = sorted({c[:i] + (c[i] + 1,) + c[i + 1:] for c in layer
-                        for i in range(len(top)) if c[i] < top[i]})
-        for c in layer:
-            tree = sum(sum(forests[c[:i] + (c[i] - 1,) + c[i + 1:]][:v + 1])
-                       for i, v in enumerate(values) if c[i])
-            if tree > cap:
-                return cap + 1
-            trees[c] = tree
-        width = min(size, most)
-        for c in layer:
-            weights[c] = [(k, size // k * trees[tuple(x // k for x in c)])
-                          for k in _divisors(math.gcd(*c)) if k <= most]
-            if width < 2:
-                forests[c] = [0, trees[c]]
-                continue
-            sums = [0] * (width + 1)
-            for s in itertools.product(*(range(x + 1) for x in c)):
-                if s == zero:
-                    continue
-                below = forests[tuple(map(sub, c, s))]
-                for k, weight in weights[s]:
-                    for j in range(min(width - k, len(below) - 1) + 1):
-                        sums[k + j] += weight * below[j]
-            forests[c] = [0] + [x // size for x in sums[1:]]
+    # the vectors counted so far, by size
+    box: list[list[tuple]] = [[zero]]
+    for j, n in enumerate(top):
+        added: list[list[tuple]] = [[]]
+        for size in range(1, len(box) + n):
+            added.append([])
+            for t in range(max(1, size - len(box) + 1), min(n, size) + 1):
+                for b in box[size - t]:
+                    c = b[:j] + (t,) + b[j + 1:]
+                    tree = sum(sum(forests[c[:i] + (c[i] - 1,) + c[i + 1:]]
+                                   [:v + 1])
+                               for i, v in enumerate(values) if c[i])
+                    if tree > cap:
+                        return cap + 1
+                    trees[c] = tree
+                    weights[c] = [(k, size // k
+                                   * trees[tuple(x // k for x in c)])
+                                  for k in _divisors(math.gcd(*c))
+                                  if k <= most]
+                    width = min(size, most)
+                    forests[c] = ([0, tree] if width < 2 else
+                                  _forests(c, size, width, forests, weights))
+                    added[size].append(c)
+        box = [old + new for old, new in
+               itertools.zip_longest(box, added, fillvalue=[])]
     return min(trees.get(top, 1), cap + 1)
+
+
+def _forests(c: tuple, size: int, width: int, forests: dict,
+             weights: dict) -> list:
+    """[G(c, k) for k <= width], by the Euler sum over the nonzero
+    sub-vectors s of c: |c| G(c, k) is the sum of each weight of k' trees
+    of vector s / k' times G(c - s, k - k')."""
+    sums = [0] * (width + 1)
+    for s in itertools.product(*(range(x + 1) for x in c)):
+        if not any(s):
+            continue
+        below = forests[tuple(map(sub, c, s))]
+        for k, weight in weights[s]:
+            for j in range(min(width - k, len(below) - 1) + 1):
+                sums[k + j] += weight * below[j]
+    return [0] + [x // size for x in sums[1:]]

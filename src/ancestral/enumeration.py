@@ -266,7 +266,6 @@ _COUNTS = {"vertices": counting.count_vertices, "pairs": counting.count_pairs,
            "leaves": counting.count_leaves}
 
 
-@functools.lru_cache(maxsize=256)
 def _count(kind: str, key, cap: int) -> int:
     """The size of the pool of one key of ``kind``, or cap + 1 once it
     passes cap, by Otter's Euler transform, with no tree built and no part

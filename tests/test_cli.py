@@ -596,7 +596,7 @@ def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: by-vertex-count(18,) exceeds cap 1000000\n"
-    assert 17 not in cli.enumeration._MEMO.get(("vertices", None), {})
+    assert 17 not in cli.enumeration._MEMO.get("vertices", {})
 
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "two"])

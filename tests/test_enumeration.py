@@ -265,6 +265,13 @@ def test_counts_are_monotone_along_sub_keys():
             assert enumeration._count(kind, image, cap) >= count, (kind, key, image)
 
 
+def test_many_distinct_outdegrees_are_refused_from_a_few():
+    # 20 distinct outdegrees pass the cap inside the box of the first eight,
+    # so no layer of the 2^20 sub-vectors is counted
+    key = tuple(range(20, 0, -1)) + (0,) * 191
+    assert enumeration._count("outdegrees", key, 10 ** 6) == 10 ** 6 + 1
+
+
 def test_an_oversized_class_is_refused_without_a_pool():
     before = _pools()
     with pytest.raises(ClassTooLarge):
