@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotALeaf, SingleVertexTree
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, _spectral_radius
 from .tree_core import RootedTree, leaf_counts, row_sums, structural_stats
 
 BOUND_TOL = 1e-7
@@ -106,7 +106,9 @@ def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     levels) - (terminal Wiener index)/(leaf count), which is the same
     rational as the average row sum; rho >= height; rho >= (L-1)/(Delta-1)
     for Delta >= 2.  Trees where the maximum outdegree is below 2 carry a
-    vacuous degree bound, reported as 0.
+    vacuous degree bound, reported as 0.  The row sums are derived once,
+    and rho is solved from them; the leaf counts once, in
+    ``terminal_wiener``.
     """
     if tree.n_vertices == 1:
         raise SingleVertexTree("bounds are vacuous on a single vertex")
@@ -122,7 +124,7 @@ def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     height_bound = stats.h
     delta_bound = (Fraction(stats.L - 1, stats.delta - 1)
                    if stats.delta >= 2 else Fraction(0))
-    rho = spectral_radius(tree, eig_tol).rho
+    rho = _spectral_radius(tree, row, eig_tol).rho
     margins = {
         "avg_ad": rho - float(avg_ad),
         "max_ad": float(max_ad) - rho,

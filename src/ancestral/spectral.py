@@ -1,18 +1,45 @@
 """Numeric spectrum of the ancestral matrix and the eigenvalue-1 certificate.
 
-The eigensolver contract is: residual max_i ||M x_i - lambda_i x_i|| at most
-tol * max(1, ||M||_F), eigenvalues descending, eigenvectors orthonormal.  Any
-solver meeting it qualifies; LAPACK's symmetric solver via numpy is used for
-the full spectrum and the residual is checked after the fact rather than
-trusted.
+The eigensolver contract of ``eigen_decompose`` is: residual
+max_i ||M x_i - lambda_i x_i|| at most tol * max(1, ||M||_F), eigenvalues
+descending, eigenvectors orthonormal.  LAPACK's symmetric solver via numpy
+computes it, and the residual is checked after the fact rather than
+trusted.  numpy is imported only where a dense solve runs.
 
 C(T) is the direct sum of the blocks C(B) + J over the branches B below the
-root, so the full spectrum is solved one block at a time.  Each block is
-filled in numpy from O(V) tree arrays, never from the L x L matrix: leaves
-sit in preorder, so a block's entries are running minima of the levels of
-the common ancestors of consecutive leaves.  Blocks of one size share one
-stacked solve, and the residual of every block is held to the bound of the
-whole of C(T), whose Frobenius norm is again an O(V) sum.
+root, so ``eigenvalues`` solves one branch at a time, by one of two routes,
+and holds every branch to the bound tol * max(1, ||C(T)||_F) of the whole:
+
+- The shape route.  Let r_v(x) = 1^T (xI - A_v)^-1 1 for the ancestral
+  matrix A_v of the subtree at v, levels counted from v, and d_v = 1 - r_v.
+  Then A_v is the direct sum of the A_c + J over v's children c, and the
+  eigenvalues of A_c + J are the roots of d_c, one in each gap between the
+  poles of r_c and one above the largest, together with the eigenvalues of
+  A_c whose eigenvectors are orthogonal to 1.  The poles of r_v are the
+  roots of its children's d_c, each weighted 1/d_c'.  Isomorphic subtrees
+  have the same r, so each distinct shape is solved once: its poles come
+  from its children's roots, where g coinciding roots give one pole and
+  g - 1 deflated copies (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978;
+  Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  The residual of
+  each root is the width of a bracket on whose ends d takes opposite signs,
+  at least one ulp of the root; the exact identities sum(lambda) = trace
+  and sum(lambda^2) = ||C(B) + J||_F^2, both O(V) integers, are checked
+  too, and a miss of either counts as the per-eigenvalue error it implies.
+- The block route.  Each block C(B) + J is filled in numpy from O(V) tree
+  arrays, never from the L x L matrix, and blocks of one size share one
+  stacked dense solve, whose residual is that of ``eigen_decompose``.
+
+The rule: a branch takes the shape route when its secular work, the sum of
+p_s^2 over its distinct shapes s with p_s a bound on the poles of r_s, is
+at most its vertex count V_B, so that the route stays linear in the branch
+like every other pass over the tree.  Otherwise the block route's L_B^3
+dense work is the cheaper: a unit of secular work costs about 1.2 us in
+Python, a unit of L_B^3 about 0.2 ns in LAPACK (2-vCPU VM), and on random
+branches a looser rule, secular work up to L_B^2, made the shape route about
+six times slower.  Complete d-ary trees, stars and brooms take the shape
+route (one pole per shape), so their spectra need no numpy; caterpillars
+and random trees, whose shapes are about as many as their vertices and
+have as many poles as leaves, take the block route.
 
 The spectral radius needs no matrix and no eigensolver.  The largest
 eigenvalue of one block comes from a pivot recurrence over B's vertices (the
@@ -28,16 +55,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .ancestral_matrices import AncestralMatrix, ancestral_matrix
+# nothing here builds C; tests patch ancestral_matrix here to prove it
+from .ancestral_matrices import AncestralMatrix, ancestral_matrix  # noqa: F401
 from .errors import NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, row_sums
 
 DEFAULT_TOL = 1e-10
 LAGUERRE_MAX_STEPS = 100
+SECULAR_MAX_STEPS = 100
+# poles of one shape closer than this, relative to their value, are merged
+MERGE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,17 +83,21 @@ class EigenOneCertificate:
     basis: tuple[tuple[int, ...], ...]
 
 
-def _as_array(m) -> np.ndarray:
+def _as_array(m):
+    import numpy as np
+
     if isinstance(m, AncestralMatrix):
         m = m.rows
     return np.asarray(m, dtype=float)
 
 
-def _dense_solve(a: np.ndarray, bound: float):
+def _dense_solve(a, bound: float):
     """Symmetric eigensolve of one matrix or of a stack of equal-sized ones:
     eigenvalues ascending, orthonormal eigenvectors, and the largest residual
     ||A x - lambda x|| over all of them.  A solver failure raises
     NoConvergence with an infinite residual and the caller's bound."""
+    import numpy as np
+
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -74,6 +108,8 @@ def _dense_solve(a: np.ndarray, bound: float):
 
 def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full symmetric eigendecomposition with a residual certificate."""
+    import numpy as np
+
     a = _as_array(m)
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
@@ -85,10 +121,11 @@ def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
                     eigenvectors=vecs[:, ::-1], residual=residual)
 
 
-def _branch_blocks(tree: RootedTree):
-    """The blocks C(B) + J of C(T), one per branch B below the root, stacked
-    by size: (starts, stack) per leaf count n, where stack[i] is the n x n
-    float block on leaf_order[starts[i]:starts[i] + n].
+def _branch_blocks(tree: RootedTree, kids: Sequence[int] | None = None):
+    """The blocks C(B) + J of C(T), one per branch B below the root children
+    ``kids`` (all of them by default), stacked by size: (starts, stack) per
+    leaf count n, where stack[i] is the n x n float block on
+    leaf_order[starts[i]:starts[i] + n].
 
     Let h[i] be the level of the common ancestor of leaves i and i + 1.  A
     vertex v is that ancestor exactly when leaf i + 1 is the first leaf of a
@@ -98,16 +135,18 @@ def _branch_blocks(tree: RootedTree):
     block.  The diagonal holds the leaves' levels.  The single vertex has
     no branch and so no block.
     """
+    import numpy as np
+
     level = tree.level
     start, stop = tree.leaf_start, tree.leaf_stop
     gaps = [0] * tree.n_leaves  # the last entry is never read
-    for v, kids in enumerate(tree.children):
-        for c in kids[1:]:
+    for v, children in enumerate(tree.children):
+        for c in children[1:]:
             gaps[start[c] - 1] = level[v]
     h = np.array(gaps, dtype=float)
     diag = np.array([level[v] for v in tree.leaf_order], dtype=float)
     by_size: dict[int, list[int]] = {}
-    for c in tree.children[tree.root]:
+    for c in tree.children[tree.root] if kids is None else kids:
         by_size.setdefault(stop[c] - start[c], []).append(start[c])
     for n, starts in by_size.items():
         at = np.arange(n)
@@ -130,29 +169,309 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
-    """Every eigenvalue of C(T), descending, solved block by block.
+@dataclass(frozen=True)
+class _Shapes:
+    """The distinct subtree shapes of a tree, bottom-up.
 
-    Each block C(B) + J from ``_branch_blocks`` is solved by the same dense
-    solver as ``eigen_decompose``, equal-sized blocks in one stacked call,
-    so no solve is larger than the largest branch and no L x L matrix is
-    built.  The contract holds for C(T) as a whole: the largest residual of
-    any block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq``
-    over every non-root vertex.  Raises NoConvergence when it misses that
-    bound.  The single vertex has the spectrum (0,).
+    ``of[v]`` is the shape id of vertex v and ``keys[s]`` the sorted tuple
+    of the shape ids of the children of a vertex of shape s, so every child
+    id is below its parent's, and the leaf is shape 0.  Per shape, with
+    A_s the ancestral matrix of the subtree, levels counted from its root:
+    ``leaves`` and ``vertices`` count it, ``poles`` bounds the number of
+    distinct poles of r_s (1 at a leaf, else the sum over the distinct
+    children's shapes), and ``trace`` and ``fro_sq`` are the trace and
+    ||.||_F^2 of A_s + J.
+    """
+
+    of: list[int]
+    keys: list[tuple[int, ...]]
+    leaves: list[int]
+    vertices: list[int]
+    poles: list[int]
+    trace: list[int]
+    fro_sq: list[int]
+
+
+def _shapes(tree: RootedTree) -> _Shapes:
+    """Intern every vertex's shape in one pass over the reversed preorder,
+    and sum each shape's counts over its key.
+
+    With A_s the direct sum of the A_c + J over the children c:
+    trace(A_s + J) = sum trace(A_c + J) + L_s, and with
+    q_c = 1^T (A_c + J) 1, ||A_s + J||_F^2 = sum ||A_c + J||_F^2
+    + 2 sum q_c + L_s^2 and q_s = sum q_c + L_s^2; all three are 1 at a leaf.
+    """
+    children = tree.children
+    of = [0] * tree.n_vertices
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    for v in reversed(tree.preorder):
+        kids = children[v]
+        if kids:
+            key = tuple(sorted([of[c] for c in kids]))
+            of[v] = ids.setdefault(key, len(ids))
+    keys = list(ids)
+    leaves, vertices, poles, trace, fro_sq, q = ([1] for _ in range(6))
+    for key in keys[1:]:
+        n = sum(leaves[c] for c in key)
+        q_sum = sum(q[c] for c in key)
+        leaves.append(n)
+        vertices.append(1 + sum(vertices[c] for c in key))
+        poles.append(sum(poles[c] for c in set(key)))
+        trace.append(sum(trace[c] for c in key) + n)
+        fro_sq.append(sum(fro_sq[c] for c in key) + 2 * q_sum + n * n)
+        q.append(q_sum + n * n)
+    return _Shapes(of, keys, leaves, vertices, poles, trace, fro_sq)
+
+
+def _takes_shape_route(shapes: _Shapes, s: int) -> bool:
+    """Whether a branch of shape s takes the shape route: when the sum of
+    p_t^2 over the distinct shapes t within it is at most its vertex count.
+    """
+    limit = shapes.vertices[s]
+    work = 0
+    seen = {s}
+    todo = [s]
+    while todo:
+        t = todo.pop()
+        work += shapes.poles[t] ** 2
+        if work > limit:
+            return False
+        for c in shapes.keys[t]:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return True
+
+
+def _secular_root(poles: list[float], weights: list[float], o: int,
+                  lo: float, hi: float) -> tuple[float, float, float]:
+    """The root of d(x) = 1 - sum_i w_i / (x - mu_i) with x = mu_o + t and
+    t in (lo, hi), where d(mu_o + lo) < 0 < d(mu_o + hi) (a pole counts as
+    its one-sided infinity).  Returns the root, 1/d' there and the width of
+    the final bracket.
+
+    The origin mu_o is the pole next to the root, so t keeps its relative
+    accuracy however close the root lies to it.  Each step solves the model
+    -w_o/t + phi(t0) + phi'(t0) (t - t0) = 0, in which the origin's pole is
+    exact and the rest phi of d is linear; a step that leaves the bracket is
+    replaced by bisection.  Once steps fall below an ulp, the side not yet
+    seen is probed at doubling distances until d changes sign.
+    """
+    w_o, mu = weights[o], poles[o]
+    others = [(mu - m, w) for i, (m, w) in enumerate(zip(poles, weights))
+              if i != o]
+
+    def at(t):
+        """d(mu_o + t), and phi and phi' there."""
+        phi, dphi = 1.0, 0.0
+        for gap, w in others:
+            inv = 1.0 / (gap + t)
+            a = w * inv
+            phi -= a
+            dphi += a * inv
+        return phi - w_o / t, phi, dphi
+
+    t = hi if hi > 0.0 else lo
+    d, phi, dphi = at(t)
+    for _ in range(SECULAR_MAX_STEPS):
+        if d == 0.0:
+            break
+        if d < 0.0:
+            lo = t
+        else:
+            hi = t
+        # the model's root on t's side of the origin: dphi s^2 + b s = w_o
+        b = phi - dphi * t
+        if dphi == 0.0:
+            nxt = w_o / phi if phi else math.nan
+        else:
+            root = math.sqrt(b * b + 4.0 * dphi * w_o)
+            if t > 0.0:
+                nxt = (2.0 * w_o / (b + root) if b > 0.0
+                       else (root - b) / (2.0 * dphi))
+            else:
+                nxt = (-2.0 * w_o / (root - b) if b < 0.0
+                       else -(b + root) / (2.0 * dphi))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if nxt in (lo, hi):
+                break
+        converged = abs(nxt - t) <= math.ulp(mu + t)
+        t = nxt
+        d, phi, dphi = at(t)
+        if converged:
+            break
+    step = math.ulp(mu + t)
+    while d != 0.0:
+        below = d < 0.0
+        if below:
+            lo = t
+        else:
+            hi = t
+        probe = t + step if below else t - step
+        if not lo < probe < hi:
+            break
+        found = at(probe)
+        if found[0] == 0.0 or (found[0] < 0.0) != below:
+            if below:
+                hi = probe
+            else:
+                lo = probe
+            break
+        t, (d, phi, dphi) = probe, found
+        step *= 2.0
+    width = 0.0 if d == 0.0 else hi - lo
+    return mu + t, t * t / (w_o + dphi * t * t), width
+
+
+def _secular_roots(poles: list[float], weights: list[float]):
+    """Every root of d(x) = 1 - sum_i w_i / (x - mu_i), for distinct
+    ascending poles mu_i with positive weights w_i: one in each gap, where
+    the sign of d at the midpoint picks the nearer pole as origin, and one
+    in (mu_last, mu_last + 2 sum w_i], where d > 0.  Each as ``_secular_root``
+    returns it."""
+    last = len(poles) - 1
+    found = []
+    for k in range(last):
+        half = 0.5 * (poles[k + 1] - poles[k])
+        mid = 1.0 - sum(w / (poles[k] - m + half)
+                        for m, w in zip(poles, weights))
+        if mid >= 0.0:
+            found.append(_secular_root(poles, weights, k, 0.0, half))
+        else:
+            found.append(_secular_root(poles, weights, k + 1,
+                                       poles[k] + half - poles[k + 1], 0.0))
+    found.append(_secular_root(poles, weights, last, 0.0,
+                               2.0 * math.fsum(weights)))
+    return found
+
+
+def _solve_shape(key, roots, extras):
+    """The roots of d_s, each with its weight 1/d_s' as a pole of the
+    parent, for a shape with children ``key``, and its extras: the
+    eigenvalues of A_s + J that are not roots of d_s, as value -> count.
+    Also the widest root bracket.
+
+    The candidate poles are the children's roots, g times the weight for g
+    children of one shape, which also leave g - 1 copies of each root.
+    Candidates within MERGE_REL of each other are merged as dlaed2 deflates
+    close poles: a rotation leaves one pole at the weighted mean of the two
+    and one eigenvalue, free of 1, at the opposite mean, off by at most half
+    their distance.  A pole whose weight w_i changes the matrix by less
+    than that, 2 sqrt(w_i W) for the total weight W, is an eigenvalue as it
+    stands."""
+    candidates = []
+    extra: dict[float, int] = {}
+    for c, group in groupby(key):
+        g = len(list(group))
+        for x, w in roots[c]:
+            candidates.append((x, g * w))
+            if g > 1:
+                extra[x] = extra.get(x, 0) + g - 1
+        for x, n in extras[c].items():
+            extra[x] = extra.get(x, 0) + g * n
+    candidates.sort()
+    poles: list[float] = []
+    weights: list[float] = []
+    for x, w in candidates:
+        if poles and x - poles[-1] <= MERGE_REL * x:
+            mu, v = poles[-1], weights[-1]
+            total = v + w
+            dropped = (mu * w + x * v) / total
+            poles[-1] = (mu * v + x * w) / total
+            weights[-1] = total
+            extra[dropped] = extra.get(dropped, 0) + 1
+        else:
+            poles.append(x)
+            weights.append(w)
+    total = math.fsum(weights)
+    kept_poles, kept_weights = [], []
+    for mu, w in zip(poles, weights):
+        if 2.0 * math.sqrt(w * total) > MERGE_REL * mu:
+            kept_poles.append(mu)
+            kept_weights.append(w)
+        else:
+            extra[mu] = extra.get(mu, 0) + 1
+    found = _secular_roots(kept_poles, kept_weights)
+    return ([(x, w) for x, w, _ in found], extra,
+            max(width for _, _, width in found))
+
+
+def _shape_route(shapes: _Shapes, copies: dict[int, int]):
+    """The eigenvalues of copies[s] blocks A_s + J for each root-child shape
+    s, and the route's residual.
+
+    Every shape below those in ``copies`` is solved once by
+    ``_solve_shape``, children first.  A leaf has the pole 0 of weight 1 and
+    the root 1.  The residual is the largest of: each root's bracket width,
+    at least one ulp of the root; and, per block, |sum(lambda) - trace| / L
+    and |sum(lambda^2) - ||A_s + J||_F^2| / (sum(lambda) + trace), lower
+    bounds on its largest eigenvalue error.
+    """
+    keys = shapes.keys
+    needed = set(copies)
+    for s in range(len(keys) - 1, 0, -1):
+        if s in needed:
+            needed.update(keys[s])
+    roots: dict[int, list[tuple[float, float]]] = {0: [(1.0, 1.0)]}
+    extras: dict[int, dict[float, int]] = {0: {}}
+    residual = 0.0
+    for s in sorted(needed - {0}):
+        roots[s], extras[s], width = _solve_shape(keys[s], roots, extras)
+        residual = max(residual, width)
+    values: list[float] = []
+    for s, n in copies.items():
+        block = [x for x, _ in roots[s]]
+        for x, count in extras[s].items():
+            block.extend([x] * count)
+        total = math.fsum(block)
+        trace = shapes.trace[s]
+        residual = max(
+            residual, math.ulp(max(block)), abs(total - trace) / len(block),
+            abs(math.fsum(x * x for x in block) - shapes.fro_sq[s])
+            / (total + trace))
+        values.extend(block * n)
+    return values, residual
+
+
+def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+    """Every eigenvalue of C(T), descending, solved branch by branch.
+
+    Each branch B below the root takes the shape route or the block route,
+    as ``_takes_shape_route`` decides for its shape; branches of one shape
+    are solved once.  No L x L matrix is built and no dense solve is larger
+    than the largest branch.  The contract holds for C(T) as a whole: the
+    residual of either route is compared with tol * max(1, ||C(T)||_F), the
+    norm summed over the root's children's shapes.  Raises NoConvergence
+    when it misses that bound.  The single vertex has the spectrum (0,).
     """
     if tree.n_vertices == 1:
         return (0.0,)
-    bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
-    residual = 0.0
-    parts = []
-    for _, stack in _branch_blocks(tree):
-        vals, _, miss = _dense_solve(stack, bound)
-        residual = max(residual, miss)
-        parts.append(vals.ravel())
+    shapes = _shapes(tree)
+    kids = tree.children[tree.root]
+    bound = tol * max(1.0, math.sqrt(sum(shapes.fro_sq[shapes.of[c]]
+                                         for c in kids)))
+    route: dict[int, bool] = {}
+    copies: dict[int, int] = {}
+    dense = []
+    for c in kids:
+        s = shapes.of[c]
+        if s not in route:
+            route[s] = _takes_shape_route(shapes, s)
+        if route[s]:
+            copies[s] = copies.get(s, 0) + 1
+        else:
+            dense.append(c)
+    values, residual = _shape_route(shapes, copies)
+    if dense:
+        for _, stack in _branch_blocks(tree, dense):
+            vals, _, miss = _dense_solve(stack, bound)
+            residual = max(residual, miss)
+            values.extend(vals.ravel().tolist())
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)
-    return tuple(np.sort(np.concatenate(parts))[::-1].tolist())
+    values.sort(reverse=True)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -301,21 +620,13 @@ def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
     return x, y
 
 
-def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
-    """Largest eigenvalue of C(T) with a non-negative eigenvector.
-
-    Computed branch by branch with ``_branch_rho``, on each root child's run
-    of the tree's preorder, from one ``row_sums`` of the whole tree: the
-    block of C(T) on one branch's leaves, C(B) + J, has all entries
-    positive, so its top eigenvector is simple and strictly positive.  The
-    winning branch's vector fills its slice [leaf_start, leaf_stop) of
-    leaf_order, and every other entry is zero; when several branches tie
-    exactly, the first root child in stored order wins.  No matrix is built.
-    """
+def _spectral_radius(tree: RootedTree, row: Sequence[int],
+                     tol: float) -> SpectralRadius:
+    """``spectral_radius`` from the tree's ``row_sums``, for callers that
+    already hold them."""
     if tree.n_vertices == 1:
         return SpectralRadius(rho=0.0, perron=(1.0,))
     order = tree.preorder
-    row = row_sums(tree)
     at = [0] * len(order)
     for i, v in enumerate(order):
         at[v] = i
@@ -331,8 +642,62 @@ def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadiu
     return SpectralRadius(rho=best_rho, perron=tuple(perron))
 
 
+def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
+    """Largest eigenvalue of C(T) with a non-negative eigenvector.
+
+    Computed branch by branch with ``_branch_rho``, on each root child's run
+    of the tree's preorder, from one ``row_sums`` of the whole tree: the
+    block of C(T) on one branch's leaves, C(B) + J, has all entries
+    positive, so its top eigenvector is simple and strictly positive.  The
+    winning branch's vector fills its slice [leaf_start, leaf_stop) of
+    leaf_order, and every other entry is zero; when several branches tie
+    exactly, the first root child in stored order wins.  No matrix is built.
+    """
+    return _spectral_radius(tree, row_sums(tree), tol)
+
+
 def rho(tree: RootedTree, tol: float = DEFAULT_TOL) -> float:
     return spectral_radius(tree, tol).rho
+
+
+def _fixed_by_c(tree: RootedTree, entries: dict[int, int]) -> bool:
+    """Whether C(T) y = y, exactly, for the vector y with one or two nonzero
+    entries, given by leaf position, through the Gram factor C = N N^T (N
+    the leaf by non-root vertex incidence) and without C.
+
+    z = N^T y at a vertex is the sum of y over the leaves below it, so it is
+    nonzero only on the ancestor paths of y's entries: each entry alone up
+    to where the paths meet, and their sum from there to the root, unless
+    that sum is 0.  Then N z adds each z[v] over the range
+    [leaf_start, leaf_stop) of v's leaves.
+    """
+    parent, level, root = tree.parent, tree.level, tree.root
+    (i, x), *rest = entries.items()
+    u = tree.leaf_order[i]
+    z: dict[int, int] = {}
+    if rest:
+        (j, y), = rest
+        w = tree.leaf_order[j]
+        while level[u] > level[w]:
+            z[u] = x
+            u = parent[u]
+        while level[w] > level[u]:
+            z[w] = y
+            w = parent[w]
+        while u != w:
+            z[u] = x
+            z[w] = y
+            u, w = parent[u], parent[w]
+        x += y
+    if x:
+        while u != root:
+            z[u] = x
+            u = parent[u]
+    image: dict[int, int] = {}
+    for v, x in z.items():
+        for k in range(tree.leaf_start[v], tree.leaf_stop[v]):
+            image[k] = image.get(k, 0) + x
+    return {k: x for k, x in image.items() if x} == entries
 
 
 def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
@@ -342,7 +707,8 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
     adjacent to a leaf).  The basis: for every maximal group of sibling
     leaves, difference vectors against the group's first leaf; plus, if the
     root has a leaf child, one unit vector for the first such leaf.  Every
-    vector is checked by exact integer multiplication before returning.
+    vector is checked by exact integer arithmetic before returning, through
+    ``_fixed_by_c``, without the L x L matrix.
     """
     if tree.n_vertices == 1:
         raise SingleVertexTree("the single-vertex tree has spectrum {0}")
@@ -353,32 +719,25 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
     for v in leaves:
         groups.setdefault(tree.parent[v], []).append(tree.leaf_start[v])
 
-    basis: list[tuple[int, ...]] = []
+    sparse: list[dict[int, int]] = []
     for parent in sorted(groups):
         first, *others = groups[parent]
-        for other in others:
-            vec = [0] * n
-            vec[first] = 1
-            vec[other] = -1
-            basis.append(tuple(vec))
+        sparse.extend({first: 1, other: -1} for other in others)
         if parent == tree.root:
-            vec = [0] * n
-            vec[first] = 1
-            basis.append(tuple(vec))
+            sparse.append({first: 1})
 
     leaf_adjacent = {tree.parent[v] for v in leaves}
     leaf_adjacent.discard(tree.root)
     multiplicity = n - len(leaf_adjacent)
-    if multiplicity != len(basis):
+    if multiplicity != len(sparse):
         raise AssertionError("basis size disagrees with the counting formula")
 
-    # C is symmetric, so C vec combines the rows at vec's 1-2 nonzero entries
-    rows = ancestral_matrix(tree).rows
-    for vec in basis:
-        image = [0] * n
-        for j, x in enumerate(vec):
-            if x:
-                image = [a + x * b for a, b in zip(image, rows[j])]
-        if tuple(image) != vec:
+    basis = []
+    for entries in sparse:
+        if not _fixed_by_c(tree, entries):
             raise AssertionError("constructed vector is not fixed by C")
+        vec = [0] * n
+        for i, x in entries.items():
+            vec[i] = x
+        basis.append(tuple(vec))
     return EigenOneCertificate(multiplicity=multiplicity, basis=tuple(basis))

@@ -18,6 +18,7 @@ from ancestral import (
     terminal_wiener,
     total_ancestral_depth,
 )
+from ancestral import bounds_theorems, spectral
 from ancestral.errors import NotALeaf, SingleVertexTree
 
 from helpers import (
@@ -142,3 +143,22 @@ def test_delta_equality_value():
     assert abs(rho(t) - 4.0) < 1e-9
     assert Fraction(9 - 1, 3 - 1) == 4
     assert delta_equality_holds(t)
+
+
+def test_bound_report_derives_row_sums_and_leaf_counts_once(monkeypatch):
+    calls = []
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(tree):
+            calls.append(name)
+            return func(tree)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(bounds_theorems, "row_sums")
+    counted(spectral, "row_sums")
+    counted(bounds_theorems, "leaf_counts")
+    report = bound_report(broom(3, 5))
+    assert report.rho == 16.0
+    assert sorted(calls) == ["leaf_counts", "row_sums"]

@@ -3,9 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ancestral
 from ancestral import (ExtremalReport, caterpillar_charpoly, parse_newick,
                        serialize_newick, series_reduced, star)
 from ancestral import bounds_theorems, cli
@@ -509,7 +514,7 @@ def test_verify_all_smoke(capsys):
 
 
 def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
-    calls = {"char_poly": 0, "spectral_radius": 0}
+    calls = {"char_poly": 0, "_spectral_radius": 0}
 
     def counted(module, name):
         func = getattr(module, name)
@@ -520,14 +525,14 @@ def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(cli, "char_poly")
-    counted(bounds_theorems, "spectral_radius")
+    counted(bounds_theorems, "_spectral_radius")
     code, out, _ = run(capsys, "verify-all", "--max-leaves", "5")
     assert code == 0
     corpus = len(cli._corpus(5))
     # one polynomial per corpus tree, shared by three suites, plus one per
     # caterpillar of the recursion suite; one rho per tree of more than one
     # vertex, shared by the bounds and delta-equality suites
-    assert calls == {"char_poly": corpus + 5, "spectral_radius": corpus - 1}
+    assert calls == {"char_poly": corpus + 5, "_spectral_radius": corpus - 1}
 
 
 def verdicts(out: str) -> dict:
@@ -783,3 +788,36 @@ def test_verify_all_errors_are_not_refutations(capsys, argv, verified, message):
     assert all(line.endswith(": VERIFIED") for line in lines)
     assert err.startswith(message)
     assert err.count("\n") == 1
+
+
+# runs cli.main on each argv in a fresh interpreter, then prints the exit
+# codes and whether numpy was loaded
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from ancestral import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {runs!r}]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def _numpy_probe(*runs) -> str:
+    src = str(Path(ancestral.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = _NUMPY_PROBE.format(runs=[list(argv) for argv in runs])
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_commands_without_a_dense_solve_leave_numpy_unloaded():
+    # numpy is imported only where a block of the spectrum is solved dense
+    out = _numpy_probe(("spectrum", "--gen", "dary:2,9"),
+                       ("search", "--class", "vertices-leaves:10,5",
+                        "--check", "broom"),
+                       ("verify-all", "--max-leaves", "4"))
+    assert out == "[0, 0, 0] False\n"
+    # a caterpillar's spine takes the block route, which does load it
+    out = _numpy_probe(("spectrum", "--gen", "binary-caterpillar:40"))
+    assert out == "[0] True\n"

@@ -13,12 +13,14 @@ from ancestral import (
     eigen_decompose,
     eigenvalue_one_certificate,
     eigenvalues,
+    parse_newick,
     random_tree,
     rho,
     row_sums,
     spectral_radius,
     star,
     star_plus_path,
+    subtree,
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import NoConvergence, SingleVertexTree
@@ -114,13 +116,51 @@ def _block_route_trees():
     return trees
 
 
-def test_block_route_matches_the_dense_oracle():
-    for t in _block_route_trees():
-        want = eigen_decompose(ancestral_matrix(t)).eigenvalues
-        got = eigenvalues(t)
-        assert len(got) == len(want) == t.n_leaves
-        assert list(got) == sorted(got, reverse=True)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
+# a tree in which two non-isomorphic siblings share an eigenvalue: the
+# children () and ((,((())))) of the root's child both give 2, and their
+# computed roots differ in the last bits
+COINCIDING = "(((),((,((()))))));"
+
+
+def _coinciding_sibling_trees():
+    """Trees in which non-isomorphic siblings share an eigenvalue, so that
+    the shape route must deflate a pole that two children give: COINCIDING,
+    and random trees of 200 and 600 vertices, which all hold such siblings."""
+    rng = seeded_rng(65)
+    trees = [parse_newick(COINCIDING)]
+    for n in (200, 200, 600, 600):
+        make = random_tree if len(trees) % 2 else shuffled_random_tree
+        trees.append(make(n, rng))
+    return trees
+
+
+def test_coinciding_siblings_share_an_eigenvalue():
+    t = parse_newick(COINCIDING)
+    siblings = t.children[t.children[t.root][0]]
+    shapes = spectral._shapes(t)
+    assert len({shapes.of[c] for c in siblings}) == 2
+    for c in siblings:
+        # the block A_c + J is C of the subtree at c below a new root
+        below = subtree(t, c)
+        hung = build_tree([None, 0] + [p + 1 for p in below.parent[1:]])
+        block = eigen_decompose(ancestral_matrix(hung)).eigenvalues
+        assert min(abs(v - 2.0) for v in block) < 1e-12
+
+
+def test_block_route_matches_the_dense_oracle(monkeypatch):
+    # each tree by the routing rule, then with every branch on the shape
+    # route and then on the block route
+    trees = _block_route_trees() + _coinciding_sibling_trees()
+    for forced in (None, True, False):
+        if forced is not None:
+            monkeypatch.setattr(spectral, "_takes_shape_route",
+                                lambda shapes, s: forced)
+        for t in trees:
+            want = eigen_decompose(ancestral_matrix(t)).eigenvalues
+            got = eigenvalues(t)
+            assert len(got) == len(want) == t.n_leaves
+            assert list(got) == sorted(got, reverse=True)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
 
 
 def test_block_builder_equals_the_slices_of_the_matrix():
@@ -138,7 +178,8 @@ def test_block_builder_equals_the_slices_of_the_matrix():
             assert sorted(covered) == list(range(t.n_leaves))
 
 
-def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
+def _recorded_solves(monkeypatch) -> list:
+    """The shape of every eigh call from here on; C is never built."""
     def refuse(tree):
         raise AssertionError("the ancestral matrix was built")
 
@@ -151,15 +192,57 @@ def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
 
     monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", record)
-    for t in (complete_dary(2, 9), star(300), star_plus_path(30, 6),
-              broom(3, 50), binary_caterpillar(40)):
+    return shapes
+
+
+def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
+    shapes = _recorded_solves(monkeypatch)
+    # trees with branches on the block route: caterpillars, and the random
+    # trees, which also have branches on the shape route
+    cat = binary_caterpillar(30).parent  # 59 vertices
+    two = build_tree([None, 0] + [p + 1 for p in cat[1:]]
+                     + [0] + [p + 60 for p in cat[1:]])
+    for t in [binary_caterpillar(40), two] + _random_trees(66, 4, 300):
         shapes.clear()
         eigenvalues(t)
-        largest = max(t.leaf_stop[c] - t.leaf_start[c]
-                      for c in t.children[t.root])
-        assert shapes and all(shape[-1] <= largest for shape in shapes)
-        # each leaf is a row of exactly one solve
-        assert sum(math.prod(shape[:-1]) for shape in shapes) == t.n_leaves
+        tree_shapes = spectral._shapes(t)
+        dense = [c for c in t.children[t.root]
+                 if not spectral._takes_shape_route(tree_shapes,
+                                                    tree_shapes.of[c])]
+        largest = max((t.leaf_stop[c] - t.leaf_start[c] for c in dense),
+                      default=0)
+        assert all(shape[-1] <= largest for shape in shapes)
+        assert bool(shapes) == bool(dense)
+        # each leaf of a block-route branch is a row of exactly one solve
+        assert (sum(math.prod(shape[:-1]) for shape in shapes)
+                == sum(t.leaf_stop[c] - t.leaf_start[c] for c in dense))
+
+
+def test_symmetric_trees_take_the_shape_route(monkeypatch):
+    shapes = _recorded_solves(monkeypatch)
+    for t in (complete_dary(2, 9), star(300), broom(3, 50),
+              star_plus_path(30, 6), example_tree()):
+        eigenvalues(t)
+    assert shapes == []
+    assert eigenvalues(complete_dary(2, 9))[:3] == (511.0, 511.0, 255.0)
+
+
+def test_shape_route_checks_the_trace_and_norm_identities(monkeypatch):
+    # a root moved by 1e-6 inside a certified bracket of width 0 is caught
+    # by sum(lambda) = trace and sum(lambda^2) = ||C||_F^2 alone
+    solve = spectral._secular_roots
+
+    def shifted(poles, weights):
+        found = solve(poles, weights)
+        x, w, _ = found[-1]
+        return found[:-1] + [(x + 1e-6, w, 0.0)]
+
+    monkeypatch.setattr(spectral, "_secular_roots", shifted)
+    t = example_tree()
+    assert eigenvalues(t, tol=1e-3)
+    with pytest.raises(NoConvergence) as exc:
+        eigenvalues(t)
+    assert exc.value.residual >= 1e-6 / t.n_leaves
 
 
 def test_block_route_holds_all_of_c_to_its_residual_bound():
@@ -300,6 +383,44 @@ def test_certificate_matches_numeric_multiplicity():
         spec = eigen_decompose(rows).eigenvalues
         numeric = sum(1 for v in spec if abs(v - 1.0) < 1e-6)
         assert numeric == cert.multiplicity
+
+
+def test_certificate_check_agrees_with_the_matrix():
+    # every vector with one or two nonzero entries, right or wrong, against
+    # C y = y from the rows of C
+    for t in corpus(7):
+        if t.n_vertices == 1:
+            continue
+        rows = ancestral_matrix(t).rows
+        n = t.n_leaves
+        for i in range(n):
+            for j in range(i, n):
+                for x, y in ((1, -1), (1, 1), (2, -1)):
+                    entries = {i: x} if i == j else {i: x, j: y}
+                    vec = [entries.get(k, 0) for k in range(n)]
+                    image = [sum(a * b for a, b in zip(row, vec)) for row in rows]
+                    assert spectral._fixed_by_c(t, entries) == (image == vec)
+    # leaves 0 and 2 of the example lie in different sibling groups
+    assert not spectral._fixed_by_c(example_tree(), {0: 1, 2: -1})
+    assert spectral._fixed_by_c(example_tree(), {0: 1, 1: -1})
+
+
+def test_certificate_rejects_a_vector_the_check_refutes(monkeypatch):
+    monkeypatch.setattr(spectral, "_fixed_by_c", lambda tree, entries: False)
+    with pytest.raises(AssertionError, match="not fixed by C"):
+        eigenvalue_one_certificate(example_tree())
+
+
+def test_certificate_builds_no_matrix(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("the ancestral matrix was built")
+
+    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
+    monkeypatch.setattr(ancestral_matrices, "ancestral_matrix", refuse)
+    assert eigenvalue_one_certificate(complete_dary(2, 8)).multiplicity == 128
+    assert eigenvalue_one_certificate(star(300)).multiplicity == 300
+    # deep sibling leaves: the check stops where their paths meet
+    assert eigenvalue_one_certificate(broom(10 ** 4, 3)).multiplicity == 2
 
 
 def test_certificate_rejects_single_vertex():
