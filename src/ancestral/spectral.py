@@ -7,39 +7,35 @@ computes it, and the residual is checked after the fact rather than
 trusted.  numpy is imported only where a dense solve runs.
 
 C(T) is the direct sum of the blocks C(B) + J over the branches B below the
-root, so ``eigenvalues`` solves one branch at a time, by one of two routes,
-and holds every branch to the bound tol * max(1, ||C(T)||_F) of the whole:
+root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
 
-- The shape route.  Let r_v(x) = 1^T (xI - A_v)^-1 1 for the ancestral
-  matrix A_v of the subtree at v, levels counted from v, and d_v = 1 - r_v.
-  Then A_v is the direct sum of the A_c + J over v's children c, and the
-  eigenvalues of A_c + J are the roots of d_c, one in each gap between the
-  poles of r_c and one above the largest, together with the eigenvalues of
-  A_c whose eigenvectors are orthogonal to 1.  The poles of r_v are the
-  roots of its children's d_c, each weighted 1/d_c'.  Isomorphic subtrees
-  have the same r, so each distinct shape is solved once: its poles come
-  from its children's roots, where g coinciding roots give one pole and
-  g - 1 deflated copies (Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978;
-  Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995).  The residual of
-  each root is the width of a bracket on whose ends d takes opposite signs,
-  at least one ulp of the root; the exact identities sum(lambda) = trace
-  and sum(lambda^2) = ||C(B) + J||_F^2, both O(V) integers, are checked
-  too, and a miss of either counts as the per-eigenvalue error it implies.
-- The block route.  Each block C(B) + J is filled in numpy from O(V) tree
-  arrays, never from the L x L matrix, and blocks of one size share one
-  stacked dense solve, whose residual is that of ``eigen_decompose``.
+- The exact route, for a branch whose leaves all have the same row sum in
+  C(T).  Let A_v be the ancestral matrix of the subtree at v, levels
+  counted from v, so that A_v is the direct sum of the A_k + J over v's
+  children k, and the block of a branch with root c is A_c + J.  If every
+  A_k + J has the all-ones vector 1 as an eigenvector with one common
+  eigenvalue x, then 1 is an eigenvector of A_v + J with eigenvalue
+  x + L_v (the secular equation 1 = 1^T (yI - A_v)^-1 1 has the single
+  pole x, of weight L_v), the other g - 1 directions in the span of the
+  children's all-ones vectors keep x, and every eigenvector of an A_k + J
+  orthogonal to its 1 keeps its eigenvalue.  From a leaf, whose block is
+  (1), x at v is the sum of L_u over the vertices u on any path from v
+  down to a leaf, and at the branch root it is the common row sum.  So
+  the spectrum of the block is x at c and, for each vertex of B with g
+  children, g - 1 copies of x at its children: integers below L_B times
+  the height, computed in one O(V_B) pass, exact as floats below 2^53,
+  with no residual to check and no numpy.
+- The block route, for every other branch.  Each block C(B) + J is filled
+  in numpy from O(V) tree arrays, never from the L x L matrix, and blocks
+  of one size share one stacked dense solve, whose residual is that of
+  ``eigen_decompose`` against the bound tol * max(1, ||C(T)||_F) of the
+  whole matrix.
 
-The rule: a branch takes the shape route when its secular work, the sum of
-p_s^2 over its distinct shapes s with p_s a bound on the poles of r_s, is
-at most its vertex count V_B, so that the route stays linear in the branch
-like every other pass over the tree.  Otherwise the block route's L_B^3
-dense work is the cheaper: a unit of secular work costs about 1.2 us in
-Python, a unit of L_B^3 about 0.2 ns in LAPACK (2-vCPU VM), and on random
-branches a looser rule, secular work up to L_B^2, made the shape route about
-six times slower.  Complete d-ary trees, stars and brooms take the shape
-route (one pole per shape), so their spectra need no numpy; caterpillars
-and random trees, whose shapes are about as many as their vertices and
-have as many poles as leaves, take the block route.
+The rule is whether the exact route applies, one pass of ``_path_sums``.
+A vertex whose children are isomorphic passes it, so complete d-ary trees,
+stars and brooms take the exact route; a branch holding two siblings of
+different path sums, as a caterpillar's spine does, takes the block route
+and its L_B^3 dense work.
 
 The spectral radius needs no matrix and no eigensolver.  The largest
 eigenvalue of one block comes from a pivot recurrence over B's vertices (the
@@ -55,19 +51,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-# nothing here builds C; tests patch ancestral_matrix here to prove it
-from .ancestral_matrices import AncestralMatrix, ancestral_matrix  # noqa: F401
+from .ancestral_matrices import AncestralMatrix
 from .errors import NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, row_sums
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TOL = 1e-10
 LAGUERRE_MAX_STEPS = 100
-SECULAR_MAX_STEPS = 100
-# poles of one shape closer than this, relative to their value, are merged
-MERGE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,11 +115,10 @@ def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
                     eigenvectors=vecs[:, ::-1], residual=residual)
 
 
-def _branch_blocks(tree: RootedTree, kids: Sequence[int] | None = None):
+def _branch_blocks(tree: RootedTree, kids: Sequence[int]):
     """The blocks C(B) + J of C(T), one per branch B below the root children
-    ``kids`` (all of them by default), stacked by size: (starts, stack) per
-    leaf count n, where stack[i] is the n x n float block on
-    leaf_order[starts[i]:starts[i] + n].
+    ``kids``, stacked by size: (starts, stack) per leaf count n, where
+    stack[i] is the n x n float block on leaf_order[starts[i]:starts[i] + n].
 
     Let h[i] be the level of the common ancestor of leaves i and i + 1.  A
     vertex v is that ancestor exactly when leaf i + 1 is the first leaf of a
@@ -146,7 +139,7 @@ def _branch_blocks(tree: RootedTree, kids: Sequence[int] | None = None):
     h = np.array(gaps, dtype=float)
     diag = np.array([level[v] for v in tree.leaf_order], dtype=float)
     by_size: dict[int, list[int]] = {}
-    for c in tree.children[tree.root] if kids is None else kids:
+    for c in kids:
         by_size.setdefault(stop[c] - start[c], []).append(start[c])
     for n, starts in by_size.items():
         at = np.arange(n)
@@ -169,307 +162,66 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-@dataclass(frozen=True)
-class _Shapes:
-    """The distinct subtree shapes of a tree, bottom-up.
+def _path_sums(tree: RootedTree) -> list[int | None]:
+    """x[v] = the sum of L_u over the vertices u on a path from v down to a
+    leaf, L_u the leaves below u, when that sum is the same on every such
+    path, and None otherwise; one pass over the reversed preorder.
 
-    ``of[v]`` is the shape id of vertex v and ``keys[s]`` the sorted tuple
-    of the shape ids of the children of a vertex of shape s, so every child
-    id is below its parent's, and the leaf is shape 0.  Per shape, with
-    A_s the ancestral matrix of the subtree, levels counted from its root:
-    ``leaves`` and ``vertices`` count it, ``poles`` bounds the number of
-    distinct poles of r_s (1 at a leaf, else the sum over the distinct
-    children's shapes), and ``trace`` and ``fro_sq`` are the trace and
-    ||.||_F^2 of A_s + J.
+    At a root child c, x[c] is the row sum of C(T) at every leaf of c's
+    branch, so x[c] is not None exactly when those row sums are all equal.
     """
-
-    of: list[int]
-    keys: list[tuple[int, ...]]
-    leaves: list[int]
-    vertices: list[int]
-    poles: list[int]
-    trace: list[int]
-    fro_sq: list[int]
-
-
-def _shapes(tree: RootedTree) -> _Shapes:
-    """Intern every vertex's shape in one pass over the reversed preorder,
-    and sum each shape's counts over its key.
-
-    With A_s the direct sum of the A_c + J over the children c:
-    trace(A_s + J) = sum trace(A_c + J) + L_s, and with
-    q_c = 1^T (A_c + J) 1, ||A_s + J||_F^2 = sum ||A_c + J||_F^2
-    + 2 sum q_c + L_s^2 and q_s = sum q_c + L_s^2; all three are 1 at a leaf.
-    """
-    children = tree.children
-    of = [0] * tree.n_vertices
-    ids: dict[tuple[int, ...], int] = {(): 0}
+    children, start, stop = tree.children, tree.leaf_start, tree.leaf_stop
+    x: list[int | None] = [1] * tree.n_vertices
     for v in reversed(tree.preorder):
         kids = children[v]
         if kids:
-            key = tuple(sorted([of[c] for c in kids]))
-            of[v] = ids.setdefault(key, len(ids))
-    keys = list(ids)
-    leaves, vertices, poles, trace, fro_sq, q = ([1] for _ in range(6))
-    for key in keys[1:]:
-        n = sum(leaves[c] for c in key)
-        q_sum = sum(q[c] for c in key)
-        leaves.append(n)
-        vertices.append(1 + sum(vertices[c] for c in key))
-        poles.append(sum(poles[c] for c in set(key)))
-        trace.append(sum(trace[c] for c in key) + n)
-        fro_sq.append(sum(fro_sq[c] for c in key) + 2 * q_sum + n * n)
-        q.append(q_sum + n * n)
-    return _Shapes(of, keys, leaves, vertices, poles, trace, fro_sq)
-
-
-def _takes_shape_route(shapes: _Shapes, s: int) -> bool:
-    """Whether a branch of shape s takes the shape route: when the sum of
-    p_t^2 over the distinct shapes t within it is at most its vertex count.
-    """
-    limit = shapes.vertices[s]
-    work = 0
-    seen = {s}
-    todo = [s]
-    while todo:
-        t = todo.pop()
-        work += shapes.poles[t] ** 2
-        if work > limit:
-            return False
-        for c in shapes.keys[t]:
-            if c not in seen:
-                seen.add(c)
-                todo.append(c)
-    return True
-
-
-def _secular_root(poles: list[float], weights: list[float], o: int,
-                  lo: float, hi: float) -> tuple[float, float, float]:
-    """The root of d(x) = 1 - sum_i w_i / (x - mu_i) with x = mu_o + t and
-    t in (lo, hi), where d(mu_o + lo) < 0 < d(mu_o + hi) (a pole counts as
-    its one-sided infinity).  Returns the root, 1/d' there and the width of
-    the final bracket.
-
-    The origin mu_o is the pole next to the root, so t keeps its relative
-    accuracy however close the root lies to it.  Each step solves the model
-    -w_o/t + phi(t0) + phi'(t0) (t - t0) = 0, in which the origin's pole is
-    exact and the rest phi of d is linear; a step that leaves the bracket is
-    replaced by bisection.  Once steps fall below an ulp, the side not yet
-    seen is probed at doubling distances until d changes sign.
-    """
-    w_o, mu = weights[o], poles[o]
-    others = [(mu - m, w) for i, (m, w) in enumerate(zip(poles, weights))
-              if i != o]
-
-    def at(t):
-        """d(mu_o + t), and phi and phi' there."""
-        phi, dphi = 1.0, 0.0
-        for gap, w in others:
-            inv = 1.0 / (gap + t)
-            a = w * inv
-            phi -= a
-            dphi += a * inv
-        return phi - w_o / t, phi, dphi
-
-    t = hi if hi > 0.0 else lo
-    d, phi, dphi = at(t)
-    for _ in range(SECULAR_MAX_STEPS):
-        if d == 0.0:
-            break
-        if d < 0.0:
-            lo = t
-        else:
-            hi = t
-        # the model's root on t's side of the origin: dphi s^2 + b s = w_o
-        b = phi - dphi * t
-        if dphi == 0.0:
-            nxt = w_o / phi if phi else math.nan
-        else:
-            root = math.sqrt(b * b + 4.0 * dphi * w_o)
-            if t > 0.0:
-                nxt = (2.0 * w_o / (b + root) if b > 0.0
-                       else (root - b) / (2.0 * dphi))
+            sums = {x[c] for c in kids}
+            if len(sums) == 1 and None not in sums:
+                x[v] = sums.pop() + stop[v] - start[v]
             else:
-                nxt = (-2.0 * w_o / (root - b) if b < 0.0
-                       else -(b + root) / (2.0 * dphi))
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-            if nxt in (lo, hi):
-                break
-        converged = abs(nxt - t) <= math.ulp(mu + t)
-        t = nxt
-        d, phi, dphi = at(t)
-        if converged:
-            break
-    step = math.ulp(mu + t)
-    while d != 0.0:
-        below = d < 0.0
-        if below:
-            lo = t
-        else:
-            hi = t
-        probe = t + step if below else t - step
-        if not lo < probe < hi:
-            break
-        found = at(probe)
-        if found[0] == 0.0 or (found[0] < 0.0) != below:
-            if below:
-                hi = probe
-            else:
-                lo = probe
-            break
-        t, (d, phi, dphi) = probe, found
-        step *= 2.0
-    width = 0.0 if d == 0.0 else hi - lo
-    return mu + t, t * t / (w_o + dphi * t * t), width
-
-
-def _secular_roots(poles: list[float], weights: list[float]):
-    """Every root of d(x) = 1 - sum_i w_i / (x - mu_i), for distinct
-    ascending poles mu_i with positive weights w_i: one in each gap, where
-    the sign of d at the midpoint picks the nearer pole as origin, and one
-    in (mu_last, mu_last + 2 sum w_i], where d > 0.  Each as ``_secular_root``
-    returns it."""
-    last = len(poles) - 1
-    found = []
-    for k in range(last):
-        half = 0.5 * (poles[k + 1] - poles[k])
-        mid = 1.0 - sum(w / (poles[k] - m + half)
-                        for m, w in zip(poles, weights))
-        if mid >= 0.0:
-            found.append(_secular_root(poles, weights, k, 0.0, half))
-        else:
-            found.append(_secular_root(poles, weights, k + 1,
-                                       poles[k] + half - poles[k + 1], 0.0))
-    found.append(_secular_root(poles, weights, last, 0.0,
-                               2.0 * math.fsum(weights)))
-    return found
-
-
-def _solve_shape(key, roots, extras):
-    """The roots of d_s, each with its weight 1/d_s' as a pole of the
-    parent, for a shape with children ``key``, and its extras: the
-    eigenvalues of A_s + J that are not roots of d_s, as value -> count.
-    Also the widest root bracket.
-
-    The candidate poles are the children's roots, g times the weight for g
-    children of one shape, which also leave g - 1 copies of each root.
-    Candidates within MERGE_REL of each other are merged as dlaed2 deflates
-    close poles: a rotation leaves one pole at the weighted mean of the two
-    and one eigenvalue, free of 1, at the opposite mean, off by at most half
-    their distance.  A pole whose weight w_i changes the matrix by less
-    than that, 2 sqrt(w_i W) for the total weight W, is an eigenvalue as it
-    stands."""
-    candidates = []
-    extra: dict[float, int] = {}
-    for c, group in groupby(key):
-        g = len(list(group))
-        for x, w in roots[c]:
-            candidates.append((x, g * w))
-            if g > 1:
-                extra[x] = extra.get(x, 0) + g - 1
-        for x, n in extras[c].items():
-            extra[x] = extra.get(x, 0) + g * n
-    candidates.sort()
-    poles: list[float] = []
-    weights: list[float] = []
-    for x, w in candidates:
-        if poles and x - poles[-1] <= MERGE_REL * x:
-            mu, v = poles[-1], weights[-1]
-            total = v + w
-            dropped = (mu * w + x * v) / total
-            poles[-1] = (mu * v + x * w) / total
-            weights[-1] = total
-            extra[dropped] = extra.get(dropped, 0) + 1
-        else:
-            poles.append(x)
-            weights.append(w)
-    total = math.fsum(weights)
-    kept_poles, kept_weights = [], []
-    for mu, w in zip(poles, weights):
-        if 2.0 * math.sqrt(w * total) > MERGE_REL * mu:
-            kept_poles.append(mu)
-            kept_weights.append(w)
-        else:
-            extra[mu] = extra.get(mu, 0) + 1
-    found = _secular_roots(kept_poles, kept_weights)
-    return ([(x, w) for x, w, _ in found], extra,
-            max(width for _, _, width in found))
-
-
-def _shape_route(shapes: _Shapes, copies: dict[int, int]):
-    """The eigenvalues of copies[s] blocks A_s + J for each root-child shape
-    s, and the route's residual.
-
-    Every shape below those in ``copies`` is solved once by
-    ``_solve_shape``, children first.  A leaf has the pole 0 of weight 1 and
-    the root 1.  The residual is the largest of: each root's bracket width,
-    at least one ulp of the root; and, per block, |sum(lambda) - trace| / L
-    and |sum(lambda^2) - ||A_s + J||_F^2| / (sum(lambda) + trace), lower
-    bounds on its largest eigenvalue error.
-    """
-    keys = shapes.keys
-    needed = set(copies)
-    for s in range(len(keys) - 1, 0, -1):
-        if s in needed:
-            needed.update(keys[s])
-    roots: dict[int, list[tuple[float, float]]] = {0: [(1.0, 1.0)]}
-    extras: dict[int, dict[float, int]] = {0: {}}
-    residual = 0.0
-    for s in sorted(needed - {0}):
-        roots[s], extras[s], width = _solve_shape(keys[s], roots, extras)
-        residual = max(residual, width)
-    values: list[float] = []
-    for s, n in copies.items():
-        block = [x for x, _ in roots[s]]
-        for x, count in extras[s].items():
-            block.extend([x] * count)
-        total = math.fsum(block)
-        trace = shapes.trace[s]
-        residual = max(
-            residual, math.ulp(max(block)), abs(total - trace) / len(block),
-            abs(math.fsum(x * x for x in block) - shapes.fro_sq[s])
-            / (total + trace))
-        values.extend(block * n)
-    return values, residual
+                x[v] = None
+    return x
 
 
 def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Every eigenvalue of C(T), descending, solved branch by branch.
 
-    Each branch B below the root takes the shape route or the block route,
-    as ``_takes_shape_route`` decides for its shape; branches of one shape
-    are solved once.  No L x L matrix is built and no dense solve is larger
-    than the largest branch.  The contract holds for C(T) as a whole: the
-    residual of either route is compared with tol * max(1, ||C(T)||_F), the
-    norm summed over the root's children's shapes.  Raises NoConvergence
-    when it misses that bound.  The single vertex has the spectrum (0,).
+    A branch whose leaves have equal row sums takes the exact route, read
+    off ``_path_sums``: x[c] at its root c, and g - 1 copies of x[k] at
+    each vertex of it with g children k.  Every other branch takes the
+    block route, equal-sized blocks in one stacked dense solve.  No L x L
+    matrix is built and no dense solve is larger than the largest branch.
+    The contract holds for C(T) as a whole: the largest residual of any
+    block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq`` over
+    every non-root vertex.  Raises NoConvergence when it misses that bound.
+    The single vertex has the spectrum (0,).
     """
     if tree.n_vertices == 1:
         return (0.0,)
-    shapes = _shapes(tree)
-    kids = tree.children[tree.root]
-    bound = tol * max(1.0, math.sqrt(sum(shapes.fro_sq[shapes.of[c]]
-                                         for c in kids)))
-    route: dict[int, bool] = {}
-    copies: dict[int, int] = {}
+    parent, children, root = tree.parent, tree.children, tree.root
+    x = _path_sums(tree)
+    values: list[float] = []
     dense = []
-    for c in kids:
-        s = shapes.of[c]
-        if s not in route:
-            route[s] = _takes_shape_route(shapes, s)
-        if route[s]:
-            copies[s] = copies.get(s, 0) + 1
-        else:
-            dense.append(c)
-    values, residual = _shape_route(shapes, copies)
+    exact = False
+    for v in tree.preorder[1:]:
+        if parent[v] == root:
+            exact = x[v] is not None
+            if exact:
+                values.append(float(x[v]))
+            else:
+                dense.append(v)
+        kids = children[v]
+        if exact and len(kids) > 1:
+            values.extend([float(x[kids[0]])] * (len(kids) - 1))
     if dense:
+        bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
+        residual = 0.0
         for _, stack in _branch_blocks(tree, dense):
             vals, _, miss = _dense_solve(stack, bound)
             residual = max(residual, miss)
             values.extend(vals.ravel().tolist())
-    if not residual <= bound:
-        raise NoConvergence(residual=residual, bound=bound)
+        if not residual <= bound:
+            raise NoConvergence(residual=residual, bound=bound)
     values.sort(reverse=True)
     return tuple(values)
 

@@ -801,14 +801,19 @@ print(codes, "numpy" in sys.modules)
 """
 
 
-def _numpy_probe(*runs) -> str:
+def _fresh_python(script: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter that imports this
+    package."""
     src = str(Path(ancestral.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    script = _NUMPY_PROBE.format(runs=[list(argv) for argv in runs])
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def _numpy_probe(*runs) -> str:
+    return _fresh_python(_NUMPY_PROBE.format(runs=[list(argv) for argv in runs]))
 
 
 def test_commands_without_a_dense_solve_leave_numpy_unloaded():
@@ -821,3 +826,11 @@ def test_commands_without_a_dense_solve_leave_numpy_unloaded():
     # a caterpillar's spine takes the block route, which does load it
     out = _numpy_probe(("spectrum", "--gen", "binary-caterpillar:40"))
     assert out == "[0] True\n"
+
+
+def test_importing_the_cli_freezes_its_objects_for_the_collector():
+    out = _fresh_python("import gc\n"
+                        "before = gc.get_freeze_count()\n"
+                        "from ancestral import cli\n"
+                        "print(before, gc.get_freeze_count() > 0)")
+    assert out == "0 True\n"

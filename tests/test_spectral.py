@@ -20,7 +20,6 @@ from ancestral import (
     spectral_radius,
     star,
     star_plus_path,
-    subtree,
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import NoConvergence, SingleVertexTree
@@ -117,44 +116,34 @@ def _block_route_trees():
 
 
 # a tree in which two non-isomorphic siblings share an eigenvalue: the
-# children () and ((,((())))) of the root's child both give 2, and their
-# computed roots differ in the last bits
+# children () and ((,((())))) of the root's child both give 2
 COINCIDING = "(((),((,((()))))));"
+
+# a branch whose root has two non-isomorphic children of one path sum, 3:
+# the cherry (,) with 2 + 1 and the path (()) with 1 + 1 + 1
+EQUAL_SUMS = "(((,),(())));"
 
 
 def _coinciding_sibling_trees():
-    """Trees in which non-isomorphic siblings share an eigenvalue, so that
-    the shape route must deflate a pole that two children give: COINCIDING,
-    and random trees of 200 and 600 vertices, which all hold such siblings."""
+    """Trees in which non-isomorphic siblings share an eigenvalue:
+    COINCIDING, EQUAL_SUMS, and random trees of 200 and 600 vertices."""
     rng = seeded_rng(65)
     trees = [parse_newick(COINCIDING)]
     for n in (200, 200, 600, 600):
         make = random_tree if len(trees) % 2 else shuffled_random_tree
         trees.append(make(n, rng))
-    return trees
-
-
-def test_coinciding_siblings_share_an_eigenvalue():
-    t = parse_newick(COINCIDING)
-    siblings = t.children[t.children[t.root][0]]
-    shapes = spectral._shapes(t)
-    assert len({shapes.of[c] for c in siblings}) == 2
-    for c in siblings:
-        # the block A_c + J is C of the subtree at c below a new root
-        below = subtree(t, c)
-        hung = build_tree([None, 0] + [p + 1 for p in below.parent[1:]])
-        block = eigen_decompose(ancestral_matrix(hung)).eigenvalues
-        assert min(abs(v - 2.0) for v in block) < 1e-12
+    return trees + [parse_newick(EQUAL_SUMS)]
 
 
 def test_block_route_matches_the_dense_oracle(monkeypatch):
-    # each tree by the routing rule, then with every branch on the shape
-    # route and then on the block route
+    # each tree by the routing rule, then with every branch on the block
+    # route
     trees = _block_route_trees() + _coinciding_sibling_trees()
-    for forced in (None, True, False):
-        if forced is not None:
-            monkeypatch.setattr(spectral, "_takes_shape_route",
-                                lambda shapes, s: forced)
+    trees += [complete_dary(3, 4), broom(4, 6), star_plus_path(5, 7)]
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(spectral, "_path_sums",
+                                lambda tree: [None] * tree.n_vertices)
         for t in trees:
             want = eigen_decompose(ancestral_matrix(t)).eigenvalues
             got = eigenvalues(t)
@@ -167,7 +156,7 @@ def test_block_builder_equals_the_slices_of_the_matrix():
     for t in _block_route_trees():
         rows = ancestral_matrix(t).rows
         covered = []
-        for starts, stack in spectral._branch_blocks(t):
+        for starts, stack in spectral._branch_blocks(t, t.children[t.root]):
             n = stack.shape[-1]
             for a, block in zip(starts, stack):
                 assert block.tolist() == [list(row[a:a + n])
@@ -190,25 +179,34 @@ def _recorded_solves(monkeypatch) -> list:
         shapes.append(np.shape(a))
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
+    monkeypatch.setattr(ancestral_matrices, "ancestral_matrix", refuse)
     monkeypatch.setattr(np.linalg, "eigh", record)
     return shapes
+
+
+def _block_route_branches(t) -> list:
+    """The root children whose branches take the block route: those whose
+    leaves' row sums of C(T) differ."""
+    row = row_sums(t)
+    branches = []
+    for c in t.children[t.root]:
+        sums = {row[v] for v in t.leaf_order[t.leaf_start[c]:t.leaf_stop[c]]}
+        if len(sums) > 1:
+            branches.append(c)
+    return branches
 
 
 def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
     shapes = _recorded_solves(monkeypatch)
     # trees with branches on the block route: caterpillars, and the random
-    # trees, which also have branches on the shape route
+    # trees, which also have branches on the exact route
     cat = binary_caterpillar(30).parent  # 59 vertices
     two = build_tree([None, 0] + [p + 1 for p in cat[1:]]
                      + [0] + [p + 60 for p in cat[1:]])
     for t in [binary_caterpillar(40), two] + _random_trees(66, 4, 300):
         shapes.clear()
         eigenvalues(t)
-        tree_shapes = spectral._shapes(t)
-        dense = [c for c in t.children[t.root]
-                 if not spectral._takes_shape_route(tree_shapes,
-                                                    tree_shapes.of[c])]
+        dense = _block_route_branches(t)
         largest = max((t.leaf_stop[c] - t.leaf_start[c] for c in dense),
                       default=0)
         assert all(shape[-1] <= largest for shape in shapes)
@@ -218,41 +216,47 @@ def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
                 == sum(t.leaf_stop[c] - t.leaf_start[c] for c in dense))
 
 
-def test_symmetric_trees_take_the_shape_route(monkeypatch):
+def test_symmetric_trees_take_the_exact_route(monkeypatch):
     shapes = _recorded_solves(monkeypatch)
-    for t in (complete_dary(2, 9), star(300), broom(3, 50),
-              star_plus_path(30, 6), example_tree()):
+    trees = (complete_dary(2, 9), star(300), broom(3, 50),
+             star_plus_path(30, 6), parse_newick(EQUAL_SUMS))
+    for t in trees:
+        assert _block_route_branches(t) == []
         eigenvalues(t)
     assert shapes == []
     assert eigenvalues(complete_dary(2, 9))[:3] == (511.0, 511.0, 255.0)
+    assert eigenvalues(parse_newick(EQUAL_SUMS)) == (6.0, 3.0, 1.0)
+    # the values are exact, so even tol = 0 holds
+    assert eigenvalues(broom(3, 50), tol=0.0) == (151.0,) + (1.0,) * 49
 
 
-def test_shape_route_checks_the_trace_and_norm_identities(monkeypatch):
-    # a root moved by 1e-6 inside a certified bracket of width 0 is caught
-    # by sum(lambda) = trace and sum(lambda^2) = ||C||_F^2 alone
-    solve = spectral._secular_roots
-
-    def shifted(poles, weights):
-        found = solve(poles, weights)
-        x, w, _ = found[-1]
-        return found[:-1] + [(x + 1e-6, w, 0.0)]
-
-    monkeypatch.setattr(spectral, "_secular_roots", shifted)
-    t = example_tree()
-    assert eigenvalues(t, tol=1e-3)
-    with pytest.raises(NoConvergence) as exc:
-        eigenvalues(t)
-    assert exc.value.residual >= 1e-6 / t.n_leaves
+def test_exact_route_meets_the_trace_and_norm_identities():
+    # sum(lambda) = trace and sum(lambda^2) = ||C(T)||_F^2, exactly
+    trees = [t for t in corpus(10) if t.n_vertices > 1]
+    trees += [complete_dary(2, 9), complete_dary(5, 3), broom(7, 9),
+              parse_newick(EQUAL_SUMS)]
+    for t in trees:
+        if _block_route_branches(t):
+            continue
+        values = eigenvalues(t)
+        assert all(v == int(v) for v in values)
+        rows = ancestral_matrix(t).rows
+        assert sum(values) == sum(rows[i][i] for i in range(t.n_leaves))
+        assert (sum(v * v for v in values)
+                == sum(x * x for row in rows for x in row))
 
 
 def test_block_route_holds_all_of_c_to_its_residual_bound():
-    t = example_tree()
-    with pytest.raises(NoConvergence) as exc:
-        eigenvalues(t, tol=1e-300)
-    # the bound is tol * ||C(T)||_F, from the O(V) sum, not from the blocks
-    full = np.array(ancestral_matrix(t).rows, dtype=float)
-    assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(full))
-    assert exc.value.residual > 0.0
+    # the example's second branch and every branch of the caterpillar but
+    # the leaf take the block route
+    for t in (example_tree(), binary_caterpillar(5)):
+        assert _block_route_branches(t)
+        with pytest.raises(NoConvergence) as exc:
+            eigenvalues(t, tol=1e-300)
+        # the bound is tol * ||C(T)||_F, from the O(V) sum, not the blocks
+        full = np.array(ancestral_matrix(t).rows, dtype=float)
+        assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(full))
+        assert exc.value.residual > 0.0
 
 
 def test_equal_row_sums_give_rho_exactly():
@@ -296,7 +300,6 @@ def test_bound_report_builds_no_matrix(monkeypatch):
     def refuse(tree):
         raise AssertionError("the ancestral matrix was built")
 
-    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
     monkeypatch.setattr(ancestral_matrices, "ancestral_matrix", refuse)
     report = bound_report(complete_dary(2, 12))
     assert report.rho == 4095.0
@@ -415,7 +418,6 @@ def test_certificate_builds_no_matrix(monkeypatch):
     def refuse(tree):
         raise AssertionError("the ancestral matrix was built")
 
-    monkeypatch.setattr(spectral, "ancestral_matrix", refuse)
     monkeypatch.setattr(ancestral_matrices, "ancestral_matrix", refuse)
     assert eigenvalue_one_certificate(complete_dary(2, 8)).multiplicity == 128
     assert eigenvalue_one_certificate(star(300)).multiplicity == 300
