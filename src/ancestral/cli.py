@@ -96,7 +96,8 @@ def _trees_from_args(args) -> list[RootedTree]:
     if args.newick is not None:
         return [parse_newick(args.newick)]
     if args.file is not None:
-        text = Path(args.file).read_text(encoding="utf-8")
+        # utf-8-sig drops a byte-order mark, as some editors save one
+        text = Path(args.file).read_text(encoding="utf-8-sig")
         trees = []
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():

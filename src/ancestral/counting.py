@@ -55,7 +55,7 @@ def count_vertices(n: int, cap: int) -> int:
     return min(forests[n - 1], cap + 1)
 
 
-def count_leaves(n: int, cap: int) -> int:
+def count_reduced(n: int, cap: int) -> int:
     """Series-reduced trees of n leaves: T(n) is F(n) over forests of at
     least two trees, so F(n) = 2 T(n) for n > 1.  The Euler sum for n F(n)
     holds n T(n) in its j = n term, so n T(n) is that sum without it."""

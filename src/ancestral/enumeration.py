@@ -10,15 +10,18 @@ Every class is generated directly, never by filtering a larger one.  A
 class is a list of keys of one kind -- the vertex count, the pair
 (vertices, leaves), the sorted outdegree multiset, the leaf count of a
 series-reduced tree.  A d-ary class is the outdegree class of its profile:
-d taken (n - 1) / (d - 1) times, and n zeros.  ``_RULES`` gives each kind a
-step that picks a root's children's keys one at a time, largest first, and
-one explicit-stack driver, ``_descending``, turns a step into every split of
-a key, with no recursion.  One walk, ``_walk``, computes a key's sorted
-pool, drawing the root's children from the pools of their keys.  A key is
-counted apart, by Otter's Euler transform (``counting``), which walks no
-part: a class is refused at the first sub-key whose count passes its cap,
-before any pool is built.  Pools are sorted, so a class comes out in the
-order a filter over the sorted vertex-count pools would give.
+d taken (n - 1) / (d - 1) times, and n zeros.  One table, ``_KINDS``, holds
+all of a kind: a step that picks a root's children's keys one at a time,
+largest first, the exact count of a key and its key bound.  One
+explicit-stack driver, ``_descending``, turns a step into every split of a
+key, with no recursion; ``_key_parts`` keeps a key's splits, walked once,
+and ``_walk`` builds a key's sorted pool from them, drawing the root's
+children from the pools of their keys.  A key is counted apart, by Otter's
+Euler transform (``counting``), which walks no part.  A class counts itself
+once, and is refused at the first sub-key whose count passes
+``DEFAULT_CAP``, before any pool is built.  Pools are sorted, so a class
+comes out in the order a filter over the sorted vertex-count pools would
+give.
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
@@ -44,7 +47,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter, mul, sub
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
@@ -184,95 +187,18 @@ def _outdegree_step(rem: tuple, top: Optional[tuple[int, ...]]):
                 values, tuple(map(sub, counts, picks)), zeros - z, left - 1)
 
 
-def _leaf_roots(n: int) -> list:
+def _reduced_roots(n: int) -> list:
     """n leaves, no outdegree-1 vertex: a series-reduced tree, whose root
     has at least two children."""
     return [None] if n == 1 else [(n, 2)] if n > 1 else []
 
 
-def _leaf_step(rem: tuple[int, int], top: Optional[int]):
+def _reduced_step(rem: tuple[int, int], top: Optional[int]):
     """The next child's leaf count s, out of n leaves and at least ``left``
     children to go."""
     n, left = rem
     for s in range(min(n - left + 1, top or n), 0, -1):
         yield s, None if s == n else (n - s, max(left - 1, 1))
-
-
-# each kind's rule: the remainder of each way a root can start (None for
-# a leaf) and the step that picks its children's keys, largest first
-_RULES = {
-    "vertices": (lambda n: [n - 1 or None] if n > 0 else [], _vertex_step),
-    "pairs": (lambda key: [None] if key == (1, 1) else
-              [(key[0] - 1, key[1])] if key[0] > 1 else [], _pair_step),
-    "outdegrees": (_outdegree_roots, _outdegree_step),
-    "leaves": (_leaf_roots, _leaf_step),
-}
-
-
-def _parts(kind: str, key) -> Iterator[tuple]:
-    """Each split of ``key`` among a root's children: their keys, descending."""
-    roots, step = _RULES[kind]
-    for rem in roots(key):
-        yield from _descending(rem, step)
-
-
-def outdegree_sequences(n_vertices: int) -> Iterator[tuple[int, ...]]:
-    """The descending nonzero outdegree multisets of n_vertices-vertex trees."""
-    return _parts("vertices", n_vertices)
-
-
-# kind -> {key: sorted pool}
-_MEMO: dict[str, dict] = {}
-
-
-def _walk(kind: str, key) -> tuple:
-    """The sorted pool of one key of ``kind``, computed once into ``_MEMO``.
-
-    The keys are walked with an explicit stack, so a deep key needs no
-    recursion.  A frame holds a key, its lazy iterator of parts, the part
-    it waits on while that part's missing keys are pushed above it, and the
-    pool so far, the union over the parts of ``_multiset_children``.
-    """
-    memo = _MEMO.setdefault(kind, {})
-    stack: list[list] = []
-
-    def push(top) -> None:
-        stack.append([top, _parts(kind, top), None, []])
-
-    if key not in memo:
-        push(key)
-    while stack:
-        frame = stack[-1]
-        top, parts, part, pool = frame
-        if part is None:
-            part = next(parts, None)
-            if part is None:
-                memo[top] = tuple(sorted(pool))
-                stack.pop()
-                continue
-            frame[2] = part
-        for sub in part:
-            if sub not in memo:
-                push(sub)
-                break
-        else:
-            frame[2] = None
-            pool.extend(_multiset_children(part, memo.__getitem__))
-    return memo[key]
-
-
-_COUNTS = {"vertices": counting.count_vertices, "pairs": counting.count_pairs,
-           "outdegrees": counting.count_outdegrees,
-           "leaves": counting.count_leaves}
-
-
-def _count(kind: str, key, cap: int) -> int:
-    """The size of the pool of one key of ``kind``, or cap + 1 once it
-    passes cap, by Otter's Euler transform, with no tree built and no part
-    walked.  Counts are monotone along sub-keys, each mapped one-to-one into
-    the next by a new root or a leaf added to the root (see ``counting``),
-    so the count stops at the first sub-key whose count passes cap."""
-    return _COUNTS[kind](key, cap)
 
 
 def _spine_bound(outdegrees: Iterable[int]) -> int:
@@ -281,28 +207,66 @@ def _spine_bound(outdegrees: Iterable[int]) -> int:
     return 1 + sum(1 + (d - 1) * i for i, d in enumerate(sorted(outdegrees), 1))
 
 
-# each kind's key bound: (the largest row bound in the key's pool, 0 for an
-# empty pool; the most leaves an encoding of the key has).  A vertex has
-# k = 1 + the sum of d - 1 over the internal vertices of its subtree, d
-# their outdegree, leaves below it.  So a root-to-leaf path through p of
-# the m internal vertices has row sum 1 + p + the sum of (d - 1) c, c the
-# number of those p at or above each internal vertex; by rearrangement that
-# is at most c = 1, ..., m against the d - 1 in ascending order.  This is
-# the row bound of the caterpillar whose spine takes the outdegrees in
-# ascending order from the root, a tree of every nonempty pool: the broom,
-# l(n - l) + 1, for n vertices and l leaves, for a vertex count the broom
-# of the best l, n // 2, and for n leaves the binary caterpillar,
-# n(n + 1) / 2.
-_KEY_BOUNDS = {
-    "vertices": lambda n: ((n // 2) * ((n + 1) // 2) + 1 if n > 1 else n,
-                           max(n - 1, 1)),
-    "pairs": lambda key: (key[1] * (key[0] - key[1]) + 1 if 0 < key[1] < key[0]
-                          else int(key == (1, 1)), key[1]),
-    "outdegrees": lambda key: (
-        _spine_bound(d for d in key if d) if len(key) == 1 + sum(key) else 0,
-        key.count(0)),
-    "leaves": lambda n: (n * (n + 1) // 2, n),
+class _Kind(NamedTuple):
+    """Everything about one kind of key.
+
+    ``roots(key)`` gives the remainder of each way a root can start (None
+    for a leaf) and ``step`` picks its children's keys from a remainder,
+    largest first.  ``count(key, cap)`` is the size of the key's pool, or
+    cap + 1 once it passes cap, by Otter's Euler transform (``counting``),
+    with no tree built and no part walked.  ``bound(key)`` is the largest
+    row bound in the key's pool (0 for an empty pool) and the most leaves an
+    encoding of the key has.
+    """
+
+    roots: Callable
+    step: Callable
+    count: Callable
+    bound: Callable
+
+
+# The key bounds: a vertex has k = 1 + the sum of d - 1 over the internal
+# vertices of its subtree, d their outdegree, leaves below it.  So a
+# root-to-leaf path through p of the m internal vertices has row sum
+# 1 + p + the sum of (d - 1) c, c the number of those p at or above each
+# internal vertex; by rearrangement that is at most c = 1, ..., m against
+# the d - 1 in ascending order.  This is the row bound of the caterpillar
+# whose spine takes the outdegrees in ascending order from the root, a tree
+# of every nonempty pool: the broom, l(n - l) + 1, for n vertices and l
+# leaves, for a vertex count the broom of the best l, n // 2, and for n
+# leaves of a series-reduced tree the binary caterpillar, n(n + 1) / 2.
+_KINDS = {
+    "vertices": _Kind(
+        lambda n: [n - 1 or None] if n > 0 else [], _vertex_step,
+        counting.count_vertices,
+        lambda n: ((n // 2) * ((n + 1) // 2) + 1 if n > 1 else n, max(n - 1, 1))),
+    "pairs": _Kind(
+        lambda key: [None] if key == (1, 1) else
+        [(key[0] - 1, key[1])] if key[0] > 1 else [], _pair_step,
+        counting.count_pairs,
+        lambda key: (key[1] * (key[0] - key[1]) + 1 if 0 < key[1] < key[0]
+                     else int(key == (1, 1)), key[1])),
+    "outdegrees": _Kind(
+        _outdegree_roots, _outdegree_step, counting.count_outdegrees,
+        lambda key: (_spine_bound(d for d in key if d)
+                     if len(key) == 1 + sum(key) else 0, key.count(0))),
+    # the leaf count of a series-reduced tree
+    "reduced": _Kind(_reduced_roots, _reduced_step, counting.count_reduced,
+                     lambda n: (n * (n + 1) // 2, n)),
 }
+
+
+def _parts(kind: str, key) -> Iterator[tuple]:
+    """Each split of ``key`` among a root's children: their keys, descending."""
+    rule = _KINDS[kind]
+    for rem in rule.roots(key):
+        yield from _descending(rem, rule.step)
+
+
+def outdegree_sequences(n_vertices: int) -> Iterator[tuple[int, ...]]:
+    """The descending nonzero outdegree multisets of n_vertices-vertex trees."""
+    return _parts("vertices", n_vertices)
+
 
 # (kind, key) -> the key's parts, and each child key's key bound
 _PARTS: dict[tuple, tuple[tuple, dict]] = {}
@@ -315,16 +279,44 @@ def _key_parts(kind: str, key) -> tuple[tuple, dict]:
     if got is None:
         parts = tuple(_parts(kind, key))
         children = dict.fromkeys(child for part in parts for child in part)
+        bound = _KINDS[kind].bound
         got = _PARTS[kind, key] = (
-            parts, {child: _KEY_BOUNDS[kind](child)[0] for child in children})
+            parts, {child: bound(child)[0] for child in children})
     return got
+
+
+# kind -> {key: sorted pool}
+_MEMO: dict[str, dict] = {}
+
+
+def _walk(kind: str, key) -> tuple:
+    """The sorted pool of one key of ``kind``, computed once into ``_MEMO``:
+    the union over the key's parts of ``_multiset_children``.  A key waits
+    on an explicit stack until the pools of its child keys are in, so a
+    deep key needs no recursion."""
+    memo = _MEMO.setdefault(kind, {})
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        parts, children = _key_parts(kind, top)
+        missing = [child for child in children if child not in memo]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        memo[top] = tuple(sorted(itertools.chain.from_iterable(
+            _multiset_children(part, memo.__getitem__) for part in parts)))
+    return memo[key]
 
 
 class _Branches:
     """The branch encodings one extremality search generates: their row
     bounds and, per key and threshold, those of a key that reach it.  One
-    per search, so all it keeps alive goes with the search; the pools,
-    counts and parts it draws on stay in ``_MEMO`` and ``_PARTS``."""
+    per search, so all it keeps alive goes with the search; the pools and
+    parts it draws on stay in ``_MEMO`` and ``_PARTS``."""
 
     def __init__(self) -> None:
         # id(enc) -> (row bound, leaves, enc).  Pools share their
@@ -377,7 +369,7 @@ class _Branches:
         """
         if theta <= 1:
             return _walk(kind, key)
-        if _KEY_BOUNDS[kind](key)[0] < theta:
+        if _KINDS[kind].bound(key)[0] < theta:
             return ()
         memo = self._above
         stack = [(key, theta)]
@@ -386,7 +378,7 @@ class _Branches:
             if (kind, top, at) in memo:
                 stack.pop()
                 continue
-            below = at - _KEY_BOUNDS[kind](top)[1]
+            below = at - _KINDS[kind].bound(top)[1]
             if below <= 1:
                 found = _walk(kind, top)
             else:
@@ -425,23 +417,37 @@ class TreeClass:
 
     kind: str
     params: tuple[int, ...]
-    cap: int = DEFAULT_CAP
+
+    @functools.cached_property
+    def _counted(self) -> tuple[list, int]:
+        """The (kind, key) pairs whose pools, chained, are the class, and
+        its size, computed once per class without building any pool; raises
+        ClassTooLarge when the size passes ``DEFAULT_CAP``."""
+        if self.kind not in _CLASS_KEYS:
+            raise InvalidParameter(f"unknown tree class kind: {self.kind}")
+        keys = _CLASS_KEYS[self.kind](*self.params)
+        size = 0
+        for kind, key in keys:
+            size += _KINDS[kind].count(key, DEFAULT_CAP)
+            if size > DEFAULT_CAP:
+                raise ClassTooLarge(
+                    f"{self.kind}{self.params} exceeds cap {DEFAULT_CAP}")
+        return keys, size
 
 
-def by_vertex_count(n: int, cap: int = DEFAULT_CAP) -> TreeClass:
-    return TreeClass("by-vertex-count", (n,), cap)
+def by_vertex_count(n: int) -> TreeClass:
+    return TreeClass("by-vertex-count", (n,))
 
 
-def by_leaf_count(n: int, max_vertices: int, cap: int = DEFAULT_CAP) -> TreeClass:
-    return TreeClass("by-leaf-count", (n, max_vertices), cap)
+def by_leaf_count(n: int, max_vertices: int) -> TreeClass:
+    return TreeClass("by-leaf-count", (n, max_vertices))
 
 
-def by_vertices_and_leaves(n_vertices: int, n_leaves: int,
-                           cap: int = DEFAULT_CAP) -> TreeClass:
-    return TreeClass("by-vertices-and-leaves", (n_vertices, n_leaves), cap)
+def by_vertices_and_leaves(n_vertices: int, n_leaves: int) -> TreeClass:
+    return TreeClass("by-vertices-and-leaves", (n_vertices, n_leaves))
 
 
-def by_outdegree_sequence(seq: Iterable[int], cap: int = DEFAULT_CAP) -> TreeClass:
+def by_outdegree_sequence(seq: Iterable[int]) -> TreeClass:
     """Trees whose multiset of outdegrees matches ``seq``.
 
     Zeros (leaves) may be omitted; the vertex count 1 + sum(seq) pins how
@@ -455,20 +461,20 @@ def by_outdegree_sequence(seq: Iterable[int], cap: int = DEFAULT_CAP) -> TreeCla
     if n_leaves < 0:
         raise InvalidParameter("outdegree sequence is not realizable")
     full = tuple(nonzero) + (0,) * n_leaves
-    return TreeClass("by-outdegree-sequence", full, cap)
+    return TreeClass("by-outdegree-sequence", full)
 
 
-def series_reduced(n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
-    return TreeClass("series-reduced", (n_leaves,), cap)
+def series_reduced(n_leaves: int) -> TreeClass:
+    return TreeClass("series-reduced", (n_leaves,))
 
 
-def dary_by_leaves(d: int, n_leaves: int, cap: int = DEFAULT_CAP) -> TreeClass:
+def dary_by_leaves(d: int, n_leaves: int) -> TreeClass:
     """Trees with n_leaves leaves whose internal vertices all have d
     children: the outdegree class of d taken (n_leaves - 1) / (d - 1)
     times, empty unless d - 1 divides n_leaves - 1."""
     if d < 2:
         raise InvalidParameter("d must be at least 2")
-    return TreeClass("dary-by-leaves", (d, n_leaves), cap)
+    return TreeClass("dary-by-leaves", (d, n_leaves))
 
 
 # each kind of class as the (kind, key) pairs whose pools, chained, are
@@ -480,25 +486,11 @@ _CLASS_KEYS = {
     "by-vertices-and-leaves": lambda n, leaves: [("pairs", (n, leaves))],
     "by-outdegree-sequence": lambda *degrees: [
         ("outdegrees", tuple(sorted(degrees, reverse=True)))],
-    "series-reduced": lambda n: [("leaves", n)],
+    "series-reduced": lambda n: [("reduced", n)],
     "dary-by-leaves": lambda d, n: [
         ("outdegrees", (d,) * ((n - 1) // (d - 1)) + (0,) * n)
     ] if n > 0 and (n - 1) % (d - 1) == 0 else [],
 }
-
-
-def _class_keys(cls: TreeClass) -> tuple[list, int]:
-    """The (kind, key) pairs of cls and its size, counted without building
-    any pool; raises ClassTooLarge when the size passes ``cls.cap``."""
-    if cls.kind not in _CLASS_KEYS:
-        raise InvalidParameter(f"unknown tree class kind: {cls.kind}")
-    keys = _CLASS_KEYS[cls.kind](*cls.params)
-    size = 0
-    for kind, key in keys:
-        size += _count(kind, key, cls.cap)
-        if size > cls.cap:
-            raise ClassTooLarge(f"{cls.kind}{cls.params} exceeds cap {cls.cap}")
-    return keys, size
 
 
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
@@ -508,7 +500,7 @@ def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
     Class order is ascending encoding order, except for "by-leaf-count":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
-    keys, _ = _class_keys(cls)
+    keys, _ = cls._counted
     return itertools.chain.from_iterable(_walk(kind, key) for kind, key in keys)
 
 
@@ -521,9 +513,9 @@ def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
 
 def class_size(cls: TreeClass) -> int:
     """The number of trees in cls, counted by the Euler transform without
-    enumerating them; raises ClassTooLarge when it passes ``cls.cap``, at
-    the first sub-key whose count does."""
-    return _class_keys(cls)[1]
+    enumerating them; raises ClassTooLarge when it passes ``DEFAULT_CAP``,
+    at the first sub-key whose count does."""
+    return cls._counted[1]
 
 
 @dataclass(frozen=True)
@@ -559,17 +551,19 @@ def _contenders(cls: TreeClass, tol: float,
     one-branch tree are those ``spectral_radius`` reads for the same branch
     of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
-    keys, _ = _class_keys(cls)
+    keys, _ = cls._counted
     branches = _Branches()
-    # each class key's kind and the parts of its root; every child key of a
-    # part has a nonempty pool, so some tree realizes each part
-    roots = [(kind, _key_parts(kind, key)[0]) for kind, key in keys]
+    # each class key's kind, the parts of its root and the key bound of each
+    # child key in them; every child key of a part has a nonempty pool, so
+    # some tree realizes each part
+    roots = [(kind, *_key_parts(kind, key)) for kind, key in keys]
     # each (kind, child key) of those parts and its solved branches
-    solved: dict[tuple, list] = {(kind, child): [] for kind, parts in roots
-                                 for part in parts for child in part}
+    solved: dict[tuple, list] = {(kind, child): [] for kind, _, bounds in roots
+                                 for child in bounds}
     rho_of: dict[Encoding, float] = {}
     best, top = -math.inf, math.inf
-    theta = max((_KEY_BOUNDS[kind](child)[0] for kind, child in solved), default=1)
+    theta = max((bound for _, _, bounds in roots for bound in bounds.values()),
+                default=1)
     while theta < top:
         # the branches with theta <= rb < top, best first
         fresh = []
@@ -587,9 +581,9 @@ def _contenders(cls: TreeClass, tol: float,
             solved[slot].append(branch)
             best = max(best, value)
         top, theta = theta, math.ceil(best - tol) if best - tol > 1 else 1
-    rho_max = max(best, 0.0) if any(() in parts for _, parts in roots) else best
+    rho_max = max(best, 0.0) if any(() in parts for _, parts, _ in roots) else best
     scored = []
-    for kind, parts in roots:
+    for kind, parts, _ in roots:
         trees = []
         for part in parts:
             if not part and 0.0 >= rho_max - tol:
@@ -614,7 +608,7 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
     that does.  The reported argmax is deterministic: exact-float ties are
     broken by canonical encoding order.
 
-    The class is counted against its cap first.  Then only the branches
+    The class is counted against ``DEFAULT_CAP`` first.  Then only the branches
     whose row bound can reach the maximum within tol are generated and
     solved, and only the trees within tol of the maximum are built (see
     ``_contenders``), so the residual check of ``spectral_radius`` runs on

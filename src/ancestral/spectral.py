@@ -26,10 +26,9 @@ root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
   the height, computed in one O(V_B) pass, exact as floats below 2^53,
   with no residual to check and no numpy.
 - The block route, for every other branch.  Each block C(B) + J is filled
-  in numpy from O(V) tree arrays, never from the L x L matrix, and blocks
-  of one size share one stacked dense solve, whose residual is that of
-  ``eigen_decompose`` against the bound tol * max(1, ||C(T)||_F) of the
-  whole matrix.
+  in numpy from O(V) tree arrays, never from the L x L matrix, and has one
+  dense solve of its own, whose residual is that of ``eigen_decompose``
+  against the bound tol * max(1, ||C(T)||_F) of the whole matrix.
 
 The rule is whether the exact route applies, one pass of ``_path_sums``.
 A vertex whose children are isomorphic passes it, so complete d-ary trees,
@@ -86,17 +85,17 @@ def _as_array(m):
 
 
 def _dense_solve(a, bound: float):
-    """Symmetric eigensolve of one matrix or of a stack of equal-sized ones:
-    eigenvalues ascending, orthonormal eigenvectors, and the largest residual
-    ||A x - lambda x|| over all of them.  A solver failure raises
-    NoConvergence with an infinite residual and the caller's bound."""
+    """Symmetric eigensolve of one matrix: eigenvalues ascending,
+    orthonormal eigenvectors, and the largest residual ||A x - lambda x||.
+    A solver failure raises NoConvergence with an infinite residual and the
+    caller's bound."""
     import numpy as np
 
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(residual=math.inf, bound=bound) from exc
-    misses = np.linalg.norm(a @ vecs - vecs * vals[..., None, :], axis=-2)
+    misses = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
     return vals, vecs, float(np.max(misses))
 
 
@@ -117,8 +116,8 @@ def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
 
 def _branch_blocks(tree: RootedTree, kids: Sequence[int]):
     """The blocks C(B) + J of C(T), one per branch B below the root children
-    ``kids``, stacked by size: (starts, stack) per leaf count n, where
-    stack[i] is the n x n float block on leaf_order[starts[i]:starts[i] + n].
+    ``kids``, in their order: the n x n float block of a branch of n leaves
+    on leaf_order[a:a + n], a its first leaf.
 
     Let h[i] be the level of the common ancestor of leaves i and i + 1.  A
     vertex v is that ancestor exactly when leaf i + 1 is the first leaf of a
@@ -138,20 +137,15 @@ def _branch_blocks(tree: RootedTree, kids: Sequence[int]):
             gaps[start[c] - 1] = level[v]
     h = np.array(gaps, dtype=float)
     diag = np.array([level[v] for v in tree.leaf_order], dtype=float)
-    by_size: dict[int, list[int]] = {}
     for c in kids:
-        by_size.setdefault(stop[c] - start[c], []).append(start[c])
-    for n, starts in by_size.items():
-        at = np.arange(n)
-        leaves = np.add.outer(starts, at)  # (k, n) leaf positions
-        stack = np.empty((len(starts), n, n))
-        stack[:, at, at] = diag[leaves]
-        gap = h[leaves[:, :-1]]
-        for i in range(n - 1):
-            run = np.minimum.accumulate(gap[:, i:], axis=1)
-            stack[:, i, i + 1:] = run
-            stack[:, i + 1:, i] = run
-        yield starts, stack
+        a, b = start[c], stop[c]
+        block = np.diag(diag[a:b])
+        gap = h[a:b - 1]
+        for i in range(b - a - 1):
+            run = np.minimum.accumulate(gap[i:])
+            block[i, i + 1:] = run
+            block[i + 1:, i] = run
+        yield block
 
 
 def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
@@ -189,8 +183,8 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
     A branch whose leaves have equal row sums takes the exact route, read
     off ``_path_sums``: x[c] at its root c, and g - 1 copies of x[k] at
     each vertex of it with g children k.  Every other branch takes the
-    block route, equal-sized blocks in one stacked dense solve.  No L x L
-    matrix is built and no dense solve is larger than the largest branch.
+    block route, one dense solve per branch.  No L x L matrix is built and
+    no dense solve is larger than the largest branch.
     The contract holds for C(T) as a whole: the largest residual of any
     block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq`` over
     every non-root vertex.  Raises NoConvergence when it misses that bound.
@@ -216,10 +210,10 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
     if dense:
         bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
         residual = 0.0
-        for _, stack in _branch_blocks(tree, dense):
-            vals, _, miss = _dense_solve(stack, bound)
+        for block in _branch_blocks(tree, dense):
+            vals, _, miss = _dense_solve(block, bound)
             residual = max(residual, miss)
-            values.extend(vals.ravel().tolist())
+            values.extend(vals.tolist())
         if not residual <= bound:
             raise NoConvergence(residual=residual, bound=bound)
     values.sort(reverse=True)

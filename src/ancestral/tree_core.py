@@ -360,7 +360,8 @@ def parse_spec(spec: str, table: dict, what: str):
         raise InvalidParameter(f"{what} spec {spec!r}: unknown name {name!r}")
     func, arity = table[name]
     try:
-        args = [int(tok) for tok in rest.split(",") if tok.strip() != ""]
+        # an empty list stays empty; an empty token is a bad integer
+        args = [int(tok) for tok in rest.split(",")] if rest.strip() else []
     except ValueError as exc:
         raise InvalidParameter(f"{what} spec {spec!r}: bad integer") from exc
     if arity is None:

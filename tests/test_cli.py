@@ -308,21 +308,31 @@ def test_search_names_the_classes_of_its_check(capsys):
                                 "vertices-leaves: class\n")
 
 
-@pytest.mark.parametrize("command, spec", [
-    (["search", "--check", "broom", "--class"], "vertices:x"),
-    (["search", "--check", "broom", "--class"], "nope:3"),
-    (["search", "--check", "broom", "--class"], "vertices-leaves:1,2,3"),
-    (["gen", "--gen"], "star:x"),
-    (["gen", "--gen"], "nope:3"),
-    (["gen", "--gen"], "broom:1"),
+@pytest.mark.parametrize("command, spec, why", [
+    (["search", "--check", "broom", "--class"], "vertices:x", "bad integer"),
+    (["search", "--check", "broom", "--class"], "nope:3", "unknown name"),
+    (["search", "--check", "broom", "--class"], "vertices-leaves:1,2,3",
+     "takes 2"),
+    (["gen", "--gen"], "star:x", "bad integer"),
+    (["gen", "--gen"], "nope:3", "unknown name"),
+    (["gen", "--gen"], "broom:1", "takes 2"),
+    # an empty token is a bad integer, not a dropped one
+    (["search", "--check", "greedy", "--class"], "outdegrees:3,,2",
+     "bad integer"),
+    (["search", "--check", "greedy", "--class"], "outdegrees:,", "bad integer"),
+    (["gen", "--gen"], "broom:,2,3", "bad integer"),
+    (["gen", "--gen"], "dary:2,,3", "bad integer"),
+    (["gen", "--gen"], "broom:2,3,", "bad integer"),
 ], ids=["class-bad-integer", "class-unknown-name", "class-wrong-arity",
-        "family-bad-integer", "family-unknown-name", "family-wrong-arity"])
-def test_bad_spec_names_the_spec(capsys, command, spec):
+        "family-bad-integer", "family-unknown-name", "family-wrong-arity",
+        "class-empty-inner", "class-only-commas", "family-empty-leading",
+        "family-empty-inner", "family-empty-trailing"])
+def test_bad_spec_names_the_spec(capsys, command, spec, why):
     # class and family specs share one parser
     code, out, err = run(capsys, *command, spec)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and repr(spec) in err
+    assert err.startswith("error:") and repr(spec) in err and why in err
     assert err.count("\n") == 1
 
 
@@ -344,6 +354,26 @@ def test_search_of_an_oversized_class_exits_2(capsys):
     assert out == ""
     assert err == ("error: by-vertices-and-leaves(26, 13) exceeds cap "
                    "1000000\n")
+
+
+@pytest.mark.parametrize("klass, check, keys", [
+    ("vertices-leaves:14,6", "broom", [("pairs", (14, 6))]),
+    ("outdegrees:3,3,2,2,2,1,1", "greedy",
+     [("outdegrees", (3, 3, 2, 2, 2, 1, 1) + (0,) * 8)]),
+], ids=["vertices-leaves", "outdegrees"])
+def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
+                                           keys):
+    # the empty-class check and the search share one count of the class
+    counted = []
+    for kind, row in list(cli.enumeration._KINDS.items()):
+        def count(key, cap, kind=kind, exact=row.count):
+            counted.append((kind, key))
+            return exact(key, cap)
+        monkeypatch.setitem(cli.enumeration._KINDS, kind,
+                            row._replace(count=count))
+    code, out, err = run(capsys, "search", "--class", klass, "--check", check)
+    assert (code, err) == (0, "") and out.startswith("VERIFIED rho_max=")
+    assert counted == keys
 
 
 def test_search_checks_residuals_only_of_the_branches_it_solves(capsys):
@@ -392,6 +422,12 @@ def test_file_with_no_trees(capsys, tmp_path):
     code, _, err = run(capsys, "matrix", "--file", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_file_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.nwk"
+    path.write_bytes(b"\xef\xbb\xbf(,);\n")
+    assert run(capsys, "charpoly", "--file", str(path)) == (0, "1 -2 1\n", "")
 
 
 @pytest.mark.parametrize("text, line", [

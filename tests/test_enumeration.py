@@ -195,15 +195,20 @@ def _keys_up_to(n_max):
             yield "outdegrees", part + (0,) * (n - len(part))
     # a d-ary class is the outdegree key of its profile, yielded above
     for n in range(n_max // 2 + 2):
-        yield "leaves", n
+        yield "reduced", n
+
+
+def _count(kind, key, cap):
+    """The count of one key from the kind table."""
+    return enumeration._KINDS[kind].count(key, cap)
 
 
 def test_counts_equal_pool_lengths():
     for kind, key in _keys_up_to(12):
         size = len(enumeration._walk(kind, key))
-        assert enumeration._count(kind, key, 10 ** 6) == size, (kind, key)
+        assert _count(kind, key, 10 ** 6) == size, (kind, key)
         # a count past the cap saturates at cap + 1
-        assert enumeration._count(kind, key, 3) == min(size, 4), (kind, key)
+        assert _count(kind, key, 3) == min(size, 4), (kind, key)
 
 
 def test_every_child_key_has_a_nonempty_pool():
@@ -212,31 +217,31 @@ def test_every_child_key_has_a_nonempty_pool():
     for kind, key in _keys_up_to(14):
         for part in enumeration._parts(kind, key):
             for child in part:
-                assert enumeration._count(kind, child, 1) > 0, (kind, key, child)
+                assert _count(kind, child, 1) > 0, (kind, key, child)
 
 
 def test_vertex_counts_sum_the_pair_counts_without_pools():
     cap = 10 ** 5  # exact up to 15 vertices, saturated above
     before = _pools()
     for n in range(31):
-        by_leaves = sum(enumeration._count("pairs", (n, leaves), cap)
+        by_leaves = sum(_count("pairs", (n, leaves), cap)
                         for leaves in range(n + 1))
-        assert min(by_leaves, cap + 1) == enumeration._count("vertices", n, cap), n
+        assert min(by_leaves, cap + 1) == _count("vertices", n, cap), n
     assert _pools() == before
 
 
 def test_vertex_counts_sum_the_pair_counts_exactly():
     cap = 10 ** 30
     for n in range(41):
-        assert sum(enumeration._count("pairs", (n, leaves), cap)
-                   for leaves in range(n + 1)) == enumeration._count("vertices", n, cap), n
+        assert sum(_count("pairs", (n, leaves), cap)
+                   for leaves in range(n + 1)) == _count("vertices", n, cap), n
 
 
 def test_counts_far_beyond_any_pool():
     # OEIS A000081 and A000669
-    assert enumeration._count("vertices", 30, 10 ** 12) == 354_426_847_597
-    assert enumeration._count("leaves", 16, 10 ** 9) == 2_253_676
-    assert enumeration._count("leaves", 20, 10 ** 9) == 256_738_751
+    assert _count("vertices", 30, 10 ** 12) == 354_426_847_597
+    assert _count("reduced", 16, 10 ** 9) == 2_253_676
+    assert _count("reduced", 20, 10 ** 9) == 256_738_751
 
 
 def _injections(kind, key):
@@ -260,16 +265,16 @@ def test_counts_are_monotone_along_sub_keys():
     # so the count may stop at the first sub-key past the cap
     cap = 10 ** 9
     for kind, key in _keys_up_to(12):
-        count = enumeration._count(kind, key, cap)
+        count = _count(kind, key, cap)
         for image in _injections(kind, key):
-            assert enumeration._count(kind, image, cap) >= count, (kind, key, image)
+            assert _count(kind, image, cap) >= count, (kind, key, image)
 
 
 def test_many_distinct_outdegrees_are_refused_from_a_few():
     # 20 distinct outdegrees pass the cap inside the box of the first eight,
     # so no layer of the 2^20 sub-vectors is counted
     key = tuple(range(20, 0, -1)) + (0,) * 191
-    assert enumeration._count("outdegrees", key, 10 ** 6) == 10 ** 6 + 1
+    assert _count("outdegrees", key, 10 ** 6) == 10 ** 6 + 1
 
 
 def test_an_oversized_class_is_refused_without_a_pool():
@@ -325,7 +330,7 @@ def test_key_bound_is_the_largest_row_bound_of_its_pool():
     # so a solved rho, at most its row bound, never exceeds its key's bound
     branches = enumeration._Branches()
     for kind, key in _keys_up_to(12):
-        bound, most = enumeration._KEY_BOUNDS[kind](key)
+        bound, most = enumeration._KINDS[kind].bound(key)
         pool = enumeration._walk(kind, key)
         for enc in pool:
             assert branches.rb(enc)[0] <= bound, (kind, key, enc)
@@ -338,7 +343,7 @@ def test_above_is_the_pool_filtered_by_row_bound():
     branches = enumeration._Branches()
     for kind, key in _keys_up_to(10):
         pool = enumeration._walk(kind, key)
-        for theta in range(enumeration._KEY_BOUNDS[kind](key)[0] + 2):
+        for theta in range(enumeration._KINDS[kind].bound(key)[0] + 2):
             want = [enc for enc in pool if branches.rb(enc)[0] >= theta]
             assert list(branches.above(kind, key, theta)) == want, (
                 kind, key, theta)
@@ -472,15 +477,15 @@ def test_extremal_search_needs_nonempty_class():
 
 def test_class_cap():
     with pytest.raises(ClassTooLarge):
-        class_size(by_vertex_count(8, cap=10))
+        class_size(by_vertex_count(30))
     with pytest.raises(ClassTooLarge):
-        list(enumerate_class(by_vertex_count(8, cap=10)))
+        list(enumerate_class(by_vertex_count(30)))
     # the class is counted before it is built, so no pool is left behind
     before = _pools()
     with pytest.raises(ClassTooLarge):
-        class_size(by_vertex_count(40, cap=10))
+        class_size(by_vertex_count(40))
     with pytest.raises(ClassTooLarge):
-        next(enumerate_class(by_vertex_count(40, cap=10)))
+        next(enumerate_class(by_vertex_count(40)))
     assert _pools() == before
 
 

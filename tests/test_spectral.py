@@ -156,12 +156,12 @@ def test_block_builder_equals_the_slices_of_the_matrix():
     for t in _block_route_trees():
         rows = ancestral_matrix(t).rows
         covered = []
-        for starts, stack in spectral._branch_blocks(t, t.children[t.root]):
-            n = stack.shape[-1]
-            for a, block in zip(starts, stack):
-                assert block.tolist() == [list(row[a:a + n])
-                                          for row in rows[a:a + n]]
-                covered.extend(range(a, a + n))
+        kids = t.children[t.root]
+        for c, block in zip(kids, spectral._branch_blocks(t, kids),
+                            strict=True):
+            a, b = t.leaf_start[c], t.leaf_stop[c]
+            assert block.tolist() == [list(row[a:b]) for row in rows[a:b]]
+            covered.extend(range(a, b))
         # the blocks tile the leaves, except the single vertex's [[0]]
         if t.n_vertices > 1:
             assert sorted(covered) == list(range(t.n_leaves))
@@ -176,6 +176,8 @@ def _recorded_solves(monkeypatch) -> list:
     solve = np.linalg.eigh
 
     def record(a, *args, **kwargs):
+        # one square matrix per call: no solve is stacked
+        assert np.ndim(a) == 2 and len(set(np.shape(a))) == 1
         shapes.append(np.shape(a))
         return solve(a, *args, **kwargs)
 
@@ -211,9 +213,9 @@ def test_no_solve_is_larger_than_the_largest_branch(monkeypatch):
                       default=0)
         assert all(shape[-1] <= largest for shape in shapes)
         assert bool(shapes) == bool(dense)
-        # each leaf of a block-route branch is a row of exactly one solve
-        assert (sum(math.prod(shape[:-1]) for shape in shapes)
-                == sum(t.leaf_stop[c] - t.leaf_start[c] for c in dense))
+        # one solve per block-route branch, its leaves the solve's rows
+        assert (sorted(shape[0] for shape in shapes)
+                == sorted(t.leaf_stop[c] - t.leaf_start[c] for c in dense))
 
 
 def test_symmetric_trees_take_the_exact_route(monkeypatch):
