@@ -96,8 +96,9 @@ def _trees_from_args(args) -> list[RootedTree]:
     if args.newick is not None:
         return [parse_newick(args.newick)]
     if args.file is not None:
-        # utf-8-sig drops a byte-order mark, as some editors save one
-        text = Path(args.file).read_text(encoding="utf-8-sig")
+        # drop the byte-order mark some editors save; stripping it costs
+        # less than importing the utf-8-sig codec
+        text = Path(args.file).read_text(encoding="utf-8").removeprefix("\ufeff")
         trees = []
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
