@@ -30,11 +30,12 @@ root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
   dense solve of its own, whose residual is that of ``eigen_decompose``
   against the bound tol * max(1, ||C(T)||_F) of the whole matrix.
 
-The rule is whether the exact route applies, one pass of ``_path_sums``.
-A vertex whose children are isomorphic passes it, so complete d-ary trees,
-stars and brooms take the exact route; a branch holding two siblings of
-different path sums, as a caterpillar's spine does, takes the block route
-and its L_B^3 dense work.
+The rule reads ``tree_core.row_sums``: a branch takes the exact route when
+all of its leaves share one value R of it, and x at a child of a vertex v
+is then R - row[v].  A branch in which every vertex's children are
+isomorphic passes, so complete d-ary trees, stars and brooms take the
+exact route; a branch holding two siblings of different path sums, as a
+caterpillar's spine does, takes the block route and its L_B^3 dense work.
 
 The spectral radius needs no matrix and no eigensolver.  The largest
 eigenvalue of one block comes from a pivot recurrence over B's vertices (the
@@ -114,38 +115,50 @@ def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
                     eigenvectors=vecs[:, ::-1], residual=residual)
 
 
-def _branch_blocks(tree: RootedTree, kids: Sequence[int]):
-    """The blocks C(B) + J of C(T), one per branch B below the root children
-    ``kids``, in their order: the n x n float block of a branch of n leaves
-    on leaf_order[a:a + n], a its first leaf.
+def _branch_runs(tree: RootedTree) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The position of each vertex in the tree's preorder, and each root
+    child's run of it, in the order of the root's children: the vertices of
+    the branch below that child, the child first."""
+    order = tree.preorder
+    at = [0] * len(order)
+    for i, v in enumerate(order):
+        at[v] = i
+    ends = [at[c] for c in tree.children[tree.root]] + [len(order)]
+    return at, [order[a:b] for a, b in zip(ends, ends[1:])]
 
-    Let h[i] be the level of the common ancestor of leaves i and i + 1.  A
-    vertex v is that ancestor exactly when leaf i + 1 is the first leaf of a
-    child of v other than the first, so one pass over the children fills h.
-    Then C[i][j] = min(h[i..j-1]) for i < j, and a row of a block is one
-    running minimum over h: O(L_B) numpy calls and O(L_B^2) entries per
-    block.  The diagonal holds the leaves' levels.  The single vertex has
-    no branch and so no block.
+
+def _branch_block(tree: RootedTree, run: Sequence[int]):
+    """The block C(B) + J of C(T) for the branch B whose run of the preorder
+    is ``run``: the n x n float block of B's n leaves on leaf_order[a:a + n],
+    a its first leaf.
+
+    Let h[i] be the level of the common ancestor of leaves a + i and
+    a + i + 1.  A vertex v is that ancestor exactly when leaf a + i + 1 is
+    the first leaf of a child of v other than the first, so one pass over
+    B's vertices fills h and meets B's leaves in leaf order.
+    Then C[i][j] = min(h[i..j-1]) for i < j, and a row of the block is one
+    running minimum over h: O(L_B) numpy calls and O(L_B^2) entries.  The
+    diagonal holds the leaves' levels.
     """
     import numpy as np
 
-    level = tree.level
-    start, stop = tree.leaf_start, tree.leaf_stop
-    gaps = [0] * tree.n_leaves  # the last entry is never read
-    for v, children in enumerate(tree.children):
-        for c in children[1:]:
-            gaps[start[c] - 1] = level[v]
+    level, children, start = tree.level, tree.children, tree.leaf_start
+    a = start[run[0]]
+    gaps = [0] * (tree.leaf_stop[run[0]] - a - 1)
+    diag = []
+    for v in run:
+        kids = children[v]
+        for c in kids[1:]:
+            gaps[start[c] - 1 - a] = level[v]
+        if not kids:
+            diag.append(level[v])
     h = np.array(gaps, dtype=float)
-    diag = np.array([level[v] for v in tree.leaf_order], dtype=float)
-    for c in kids:
-        a, b = start[c], stop[c]
-        block = np.diag(diag[a:b])
-        gap = h[a:b - 1]
-        for i in range(b - a - 1):
-            run = np.minimum.accumulate(gap[i:])
-            block[i, i + 1:] = run
-            block[i + 1:, i] = run
-        yield block
+    block = np.diag(np.array(diag, dtype=float))
+    for i in range(len(gaps)):
+        mins = np.minimum.accumulate(h[i:])
+        block[i, i + 1:] = mins
+        block[i + 1:, i] = mins
+    return block
 
 
 def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
@@ -156,35 +169,15 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-def _path_sums(tree: RootedTree) -> list[int | None]:
-    """x[v] = the sum of L_u over the vertices u on a path from v down to a
-    leaf, L_u the leaves below u, when that sum is the same on every such
-    path, and None otherwise; one pass over the reversed preorder.
-
-    At a root child c, x[c] is the row sum of C(T) at every leaf of c's
-    branch, so x[c] is not None exactly when those row sums are all equal.
-    """
-    children, start, stop = tree.children, tree.leaf_start, tree.leaf_stop
-    x: list[int | None] = [1] * tree.n_vertices
-    for v in reversed(tree.preorder):
-        kids = children[v]
-        if kids:
-            sums = {x[c] for c in kids}
-            if len(sums) == 1 and None not in sums:
-                x[v] = sums.pop() + stop[v] - start[v]
-            else:
-                x[v] = None
-    return x
-
-
 def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
     """Every eigenvalue of C(T), descending, solved branch by branch.
 
-    A branch whose leaves have equal row sums takes the exact route, read
-    off ``_path_sums``: x[c] at its root c, and g - 1 copies of x[k] at
-    each vertex of it with g children k.  Every other branch takes the
-    block route, one dense solve per branch.  No L x L matrix is built and
-    no dense solve is larger than the largest branch.
+    A branch whose leaves all share one value R of ``row_sums(tree)`` takes
+    the exact route: R, and for each vertex v of it with g >= 2 children,
+    g - 1 copies of R - row[v], the path sum x at v's children.  Every
+    other branch takes the block route, one dense solve per branch.  No
+    L x L matrix is built and no dense solve is larger than the largest
+    branch.
     The contract holds for C(T) as a whole: the largest residual of any
     block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq`` over
     every non-root vertex.  Raises NoConvergence when it misses that bound.
@@ -192,26 +185,27 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
     """
     if tree.n_vertices == 1:
         return (0.0,)
-    parent, children, root = tree.parent, tree.children, tree.root
-    x = _path_sums(tree)
+    children = tree.children
+    row = row_sums(tree)
     values: list[float] = []
     dense = []
-    exact = False
-    for v in tree.preorder[1:]:
-        if parent[v] == root:
-            exact = x[v] is not None
-            if exact:
-                values.append(float(x[v]))
-            else:
-                dense.append(v)
-        kids = children[v]
-        if exact and len(kids) > 1:
-            values.extend([float(x[kids[0]])] * (len(kids) - 1))
+    for run in _branch_runs(tree)[1]:
+        r = row[run[-1]]  # the last vertex of a run is a leaf
+        exact = [float(r)]
+        for v in run:
+            g = len(children[v])
+            if g > 1:
+                exact += [float(r - row[v])] * (g - 1)
+            elif not g and row[v] != r:
+                dense.append(run)
+                break
+        else:
+            values += exact
     if dense:
         bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
         residual = 0.0
-        for block in _branch_blocks(tree, dense):
-            vals, _, miss = _dense_solve(block, bound)
+        for run in dense:
+            vals, _, miss = _dense_solve(_branch_block(tree, run), bound)
             residual = max(residual, miss)
             values.extend(vals.tolist())
         if not residual <= bound:
@@ -372,17 +366,12 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int],
     already hold them."""
     if tree.n_vertices == 1:
         return SpectralRadius(rho=0.0, perron=(1.0,))
-    order = tree.preorder
-    at = [0] * len(order)
-    for i, v in enumerate(order):
-        at[v] = i
-    kids = tree.children[tree.root]
-    ends = [at[c] for c in kids] + [len(order)]
+    at, runs = _branch_runs(tree)
     best_rho = best_vec = best = None
-    for c, a, b in zip(kids, ends, ends[1:]):
-        value, vec = _branch_rho(tree, order[a:b], at, row, tol)
+    for run in runs:
+        value, vec = _branch_rho(tree, run, at, row, tol)
         if best_rho is None or value > best_rho:
-            best_rho, best_vec, best = value, vec, c
+            best_rho, best_vec, best = value, vec, run[0]
     perron = [0.0] * tree.n_leaves
     perron[tree.leaf_start[best]:tree.leaf_stop[best]] = best_vec
     return SpectralRadius(rho=best_rho, perron=tuple(perron))

@@ -135,21 +135,24 @@ def _coinciding_sibling_trees():
     return trees + [parse_newick(EQUAL_SUMS)]
 
 
-def test_block_route_matches_the_dense_oracle(monkeypatch):
-    # each tree by the routing rule, then with every branch on the block
-    # route
+def test_block_route_matches_the_dense_oracle():
+    # each tree by the routing rule, then every branch by the block route,
+    # exact-route branches included
     trees = _block_route_trees() + _coinciding_sibling_trees()
     trees += [complete_dary(3, 4), broom(4, 6), star_plus_path(5, 7)]
-    for dense in (False, True):
-        if dense:
-            monkeypatch.setattr(spectral, "_path_sums",
-                                lambda tree: [None] * tree.n_vertices)
-        for t in trees:
-            want = eigen_decompose(ancestral_matrix(t)).eigenvalues
-            got = eigenvalues(t)
-            assert len(got) == len(want) == t.n_leaves
-            assert list(got) == sorted(got, reverse=True)
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
+    for t in trees:
+        want = eigen_decompose(ancestral_matrix(t)).eigenvalues
+        got = eigenvalues(t)
+        assert len(got) == len(want) == t.n_leaves
+        assert list(got) == sorted(got, reverse=True)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
+        if t.n_vertices == 1:
+            continue
+        blocks = [spectral._dense_solve(spectral._branch_block(t, run), 0.0)[0]
+                  for run in spectral._branch_runs(t)[1]]
+        dense = sorted(np.concatenate(blocks).tolist(), reverse=True)
+        assert len(dense) == t.n_leaves
+        assert max(abs(a - b) for a, b in zip(dense, got)) <= 1e-9 * got[0]
 
 
 def test_block_builder_equals_the_slices_of_the_matrix():
@@ -157,8 +160,9 @@ def test_block_builder_equals_the_slices_of_the_matrix():
         rows = ancestral_matrix(t).rows
         covered = []
         kids = t.children[t.root]
-        for c, block in zip(kids, spectral._branch_blocks(t, kids),
-                            strict=True):
+        for c, run in zip(kids, spectral._branch_runs(t)[1], strict=True):
+            assert run[0] == c
+            block = spectral._branch_block(t, run)
             a, b = t.leaf_start[c], t.leaf_stop[c]
             assert block.tolist() == [list(row[a:b]) for row in rows[a:b]]
             covered.extend(range(a, b))
