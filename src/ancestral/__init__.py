@@ -61,7 +61,12 @@ from .exact_charpoly import (
     gamma_coefficients,
 )
 from .newick_io import parse_newick, parse_newick_with_labels, serialize_newick
-from .path_collections import CollectionCount, count_collections, upward_paths
+from .path_collections import (
+    CollectionCount,
+    count_by_edge_states,
+    count_collections,
+    upward_paths,
+)
 from .spectral import (
     EigenOneCertificate,
     Spectrum,

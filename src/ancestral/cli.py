@@ -38,7 +38,7 @@ from .caterpillar_analysis import (
 from .errors import AncestralError, InvalidParameter
 from .exact_charpoly import char_poly, dary_determinant_check
 from .newick_io import parse_newick, serialize_newick
-from .path_collections import DEFAULT_BUDGET, count_collections
+from .path_collections import count_by_edge_states
 from .spectral import (
     DEFAULT_TOL,
     eigenvalue_one_certificate,
@@ -318,8 +318,8 @@ def _per_tree_memo(compute):
     return get
 
 
-def _collections_match(t: RootedTree, poly, budget: int) -> bool:
-    result = count_collections(t, budget=budget)
+def _collections_match(t: RootedTree, poly) -> bool:
+    result = count_by_edge_states(t)
     sign = 1 if t.n_leaves % 2 == 0 else -1
     return (list(result.counts) == poly.gamma()
             and result.total == sign * poly(-1))
@@ -388,7 +388,7 @@ def _round_trips(t: RootedTree) -> bool:
     return back.parent_list() == t.parent_list() and serialize_newick(back) == text
 
 
-def _suites(max_leaves: int, tol: float, budget: int):
+def _suites(max_leaves: int, tol: float):
     """The (name, cases, check) row of each theorem, one at a time in output
     order: the theorem holds when check(case) is true for every case."""
     trees = _corpus(max_leaves)
@@ -415,7 +415,7 @@ def _suites(max_leaves: int, tol: float, budget: int):
     yield ("trace-identity", trees,
            lambda t: -poly(t).coeffs[-2] == structural_stats(t).D_root)
     yield ("collection-coefficients", trees,
-           lambda t: _collections_match(t, poly(t), budget))
+           lambda t: _collections_match(t, poly(t)))
     # no later suite reads the memos: free them before the run's peak memory
     del poly, verdicts
     yield "dary-determinant", trees, _dary_determinants_hold
@@ -471,13 +471,13 @@ def _case_text(case) -> str:
 
 def _cmd_verify_all(args) -> int:
     code = 0
-    for name, cases, check in _suites(args.max_leaves, args.tol, args.budget):
+    for name, cases, check in _suites(args.max_leaves, args.tol):
         for case in cases:
             try:
                 holds = check(case)
             except AssertionError:
                 # a failed internal check refutes the case; an AncestralError
-                # (budget, convergence) is not a refutation and exits 2 in main
+                # (a missed convergence) is not a refutation and exits 2 in main
                 holds = False
             if not holds:
                 code = 1
@@ -534,8 +534,6 @@ _FLAGS = {
     "--json": dict(action="store_true", help="JSON output"),
     "--tol": dict(type=_positive_tol, default=DEFAULT_TOL,
                   help="numeric tolerance, positive (default 1e-10)"),
-    "--budget": dict(type=_int_at_least(1), default=DEFAULT_BUDGET,
-                     help="enumeration budget for collections, at least 1"),
     "--n": dict(type=int, required=True, help="number of leaves"),
     "--op": dict(required=True, choices=sorted(kind.value for kind in OpKind),
                  help="operation kind"),
@@ -610,9 +608,9 @@ _COMMANDS = (
                lambda cert: [f"multiplicity={cert.multiplicity}",
                              *(str(tuple(b)) for b in cert.basis)])),
     ("collections", "edge-disjoint path collection counts",
-     ("source", "--json", "--budget"),
+     ("source", "--json"),
      _per_case(_trees_from_args,
-               lambda tree, args: count_collections(tree, budget=args.budget),
+               lambda tree, args: count_by_edge_states(tree),
                lambda res: {"counts": list(res.counts), "total": res.total},
                lambda res: [*(f"counts[{k}]={c}"
                               for k, c in enumerate(res.counts)),
@@ -641,7 +639,7 @@ _COMMANDS = (
                              "parents": list(tree.parent)},
                lambda tree: [serialize_newick(tree)])),
     ("verify-all", "run every theorem suite up to a size bound",
-     ("--max-leaves", "--tol", "--budget"), _cmd_verify_all),
+     ("--max-leaves", "--tol"), _cmd_verify_all),
 )
 
 

@@ -1,9 +1,18 @@
-"""Brute-force enumeration of edge-disjoint collections of upward paths.
+"""Edge-disjoint collections of upward paths, counted two ways.
 
 One upward path per leaf, pairwise edge-disjoint; counts are split by how
-many paths are non-trivial.  This module is deliberately the slow, obviously
-correct oracle against the characteristic-polynomial coefficients, so it
-never takes the algebraic shortcut.
+many paths are non-trivial.  The paper reads these counts as the
+coefficients gamma_k of det(xI - C(T)).  Two routes count them:
+
+* ``count_by_edge_states`` is the fast route, one bottom-up fold over the
+  two states of each edge (unused, or carrying one path up);
+* ``count_collections`` is the slow, obviously correct oracle: it tries
+  every leaf's choice of ascent and checks disjointness, never taking a
+  shortcut, within a budget on the number of choices.  No command calls
+  it; the tests check the fast route against it.
+
+Neither reads the characteristic polynomial, so both are independent of
+``exact_charpoly.char_poly``, against which they are checked.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceeded, NotALeaf
+from .exact_charpoly import _poly_mul
 from .tree_core import RootedTree
 
 DEFAULT_BUDGET = 10 ** 7
@@ -83,3 +93,56 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
     descend(0, 0, 0)
     return CollectionCount(counts=tuple(counts), total=sum(counts),
                            witnesses=tuple(witnesses) if want_witnesses else None)
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for lowest-first coefficient lists of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def count_by_edge_states(tree: RootedTree) -> CollectionCount:
+    """The counts of ``count_collections``, from the states of the edges.
+
+    Each edge carries at most one path, so the choices below a vertex v
+    split by the edge above v: free[v] counts those that leave it unused,
+    up[v] those in which one path runs up through it, each as a polynomial
+    in z, where z marks a non-trivial path.  A leaf has free = 1 and up = z.
+    At an internal vertex, with g_c = free[c] + up[c] for each child c,
+    every path that arrives at v stops there, or exactly one goes on:
+
+        free[v] = prod_c g_c,    up[v] = sum_c up[c] prod_{c' != c} g_c'.
+
+    Both are folded over the children in one pass that keeps the running
+    product, iteratively, so depth is unbounded and no budget is needed.
+    The root has no edge above it, so the counts are free[root].
+    """
+    children, root = tree.children, tree.root
+    free: list = [None] * tree.n_vertices
+    up: list = [None] * tree.n_vertices
+    for v in reversed(tree.preorder):
+        kids = children[v]
+        if not kids:
+            free[v], up[v] = [1], [0, 1]
+            continue
+        # fold the children in one at a time: the choices below two
+        # siblings with (F1, U1) and (F2, U2) give (F1 F2, U1 F2 + F1 U2),
+        # where F is the product of the g; the root's up is never read
+        c = kids[0]
+        free_acc, up_acc = _poly_add(free[c], up[c]), up[c]
+        for c in kids[1:]:
+            g = _poly_add(free[c], up[c])
+            if v != root:
+                up_acc = _poly_add(_poly_mul(up_acc, g),
+                                   _poly_mul(free_acc, up[c]))
+            free_acc = _poly_mul(free_acc, g)
+        free[v], up[v] = free_acc, up_acc
+        for c in kids:  # children are done with; free their polynomials
+            free[c] = up[c] = None
+    counts = free[root]
+    counts += [0] * (tree.n_leaves + 1 - len(counts))
+    return CollectionCount(counts=tuple(counts), total=sum(counts))

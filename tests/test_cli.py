@@ -154,11 +154,27 @@ def test_collections_text(capsys):
 
 
 def test_collections_budget_error(capsys):
-    code, out, err = run(capsys, "collections", "--gen", "star:30",
-                         "--budget", "10")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    # collections counts by edge states, which needs no budget, so the flag
+    # is retired and is a usage error like any flag a command does not read
+    err = usage_error(capsys, "collections", "--gen", "star:30",
+                      "--budget", "10")
+    assert err == "error: unrecognized arguments: --budget 10\n"
+
+
+def test_collections_of_a_thousand_leaf_star():
+    # the count is one pass over the tree, with no recursion per leaf; run
+    # in a fresh process so that any traceback would reach its stderr
+    src = str(Path(ancestral.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ancestral.cli import main; sys.exit(main())",
+         "collections", "--gen", "star:1100"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    expected = [f"counts[{k}]={math.comb(1100, k)}" for k in range(1101)]
+    assert proc.stdout.splitlines() == expected + [f"total={2 ** 1100}"]
 
 
 def test_caterpillar_small_text(capsys):
@@ -652,8 +668,10 @@ def test_verify_all_rejects_bad_max_leaves(capsys, value):
 ], ids=lambda argv: argv[0])
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_budget_below_one_names_the_flag(capsys, argv, value):
+    # --budget is retired: neither command enumerates collections, so the
+    # flag is refused whatever its value, in one line that names it
     err = usage_error(capsys, *argv, "--budget", value)
-    assert err.startswith("error: argument --budget:")
+    assert err == f"error: unrecognized arguments: --budget {value}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "x"])
@@ -810,13 +828,11 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, verified, message", [
-    (["--max-leaves", "4", "--budget", "3"], 6,
-     "error: enumeration size 4 exceeds the budget\n"),
     (["--max-leaves", "3", "--tol", "1e-300"], 13,
      "error: eigensolver residual "),
-], ids=["budget", "tol"])
+], ids=["tol"])
 def test_verify_all_errors_are_not_refutations(capsys, argv, verified, message):
-    # a budget or convergence failure exits 2, after the suites already run
+    # a convergence failure exits 2, after the suites already run
     code, out, err = run(capsys, "verify-all", *argv)
     assert code == 2
     lines = out.splitlines()

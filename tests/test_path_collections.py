@@ -1,4 +1,5 @@
-"""Edge-disjoint upward-path collections against the polynomial coefficients."""
+"""Edge-disjoint upward-path collections against the polynomial coefficients,
+and the edge-state count against the brute-force scan."""
 
 import pytest
 
@@ -7,9 +8,11 @@ from ancestral import (
     build_tree,
     char_poly,
     complete_dary,
+    count_by_edge_states,
     count_collections,
     eval_det_shift,
     gamma_coefficients,
+    generate,
     star,
     structural_stats,
     upward_paths,
@@ -39,10 +42,11 @@ def test_upward_path_counts_per_leaf():
 
 
 def test_example_counts_frozen():
-    res = count_collections(example_tree())
-    assert res.counts == EXAMPLE_GAMMA
-    assert res.total == EXAMPLE_TOTAL_COLLECTIONS
-    assert res.witnesses is None
+    for count in (count_collections, count_by_edge_states):
+        res = count(example_tree())
+        assert res.counts == EXAMPLE_GAMMA
+        assert res.total == EXAMPLE_TOTAL_COLLECTIONS
+        assert res.witnesses is None
 
 
 def _witness_edges(tree, witness):
@@ -91,13 +95,19 @@ def test_single_nontrivial_count_is_depth_sum():
     for t in corpus(6):
         if t.n_vertices == 1:
             continue
-        assert count_collections(t).counts[1] == structural_stats(t).D_root
+        d_root = structural_stats(t).D_root
+        assert count_collections(t).counts[1] == d_root
+        assert count_by_edge_states(t).counts[1] == d_root
+    for n in (40, 300):
+        t = binary_caterpillar(n)
+        assert count_by_edge_states(t).counts[1] == structural_stats(t).D_root
 
 
 def test_single_vertex():
-    res = count_collections(build_tree([None]))
-    assert res.counts == (1, 0)
-    assert res.total == 1
+    for count in (count_collections, count_by_edge_states):
+        res = count(build_tree([None]))
+        assert res.counts == (1, 0)
+        assert res.total == 1
 
 
 def test_binary_totals_are_powers_of_four():
@@ -107,6 +117,38 @@ def test_binary_totals_are_powers_of_four():
     for h in range(1, 4):
         t = complete_dary(2, h)
         assert count_collections(t).total == 4 ** (t.n_leaves - 1)
+    # the edge-state count reaches sizes the scan cannot
+    for n in (2, 7, 60, 400):
+        t = binary_caterpillar(n)
+        assert count_by_edge_states(t).total == 4 ** (n - 1)
+    for h in range(1, 9):
+        t = complete_dary(2, h)
+        assert count_by_edge_states(t).total == 4 ** (t.n_leaves - 1)
+
+
+def test_edge_state_count_equals_the_brute_force():
+    trees = corpus(12)
+    assert len(trees) == 7813
+    for t in trees:
+        assert count_by_edge_states(t) == count_collections(t), t.parent
+
+
+@pytest.mark.parametrize("spec", ["star:1100", "binary-caterpillar:500",
+                                  "dary:3,6"])
+def test_edge_state_count_equals_charpoly_past_the_brute_force(spec):
+    t = generate(spec)
+    res = count_by_edge_states(t)
+    assert list(res.counts) == char_poly(t).gamma()
+    assert res.total == sum(res.counts)
+
+
+def test_edge_state_count_on_a_deep_path():
+    # one leaf 20,000 edges below the root: the trivial path, or one of
+    # 20,000 non-trivial ones
+    t = build_tree([None] + list(range(20000)))
+    res = count_by_edge_states(t)
+    assert res.counts == (1, 20000)
+    assert res.total == 20001
 
 
 def test_budget_guard():
