@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -39,12 +38,7 @@ from .errors import AncestralError, InvalidParameter
 from .exact_charpoly import char_poly, dary_determinant_check
 from .newick_io import parse_newick, serialize_newick
 from .path_collections import count_by_edge_states
-from .spectral import (
-    DEFAULT_TOL,
-    eigenvalue_one_certificate,
-    eigenvalues,
-    spectral_radius,
-)
+from .spectral import eigenvalue_one_certificate, eigenvalues, spectral_radius
 from .tree_core import (
     RootedTree,
     binary_caterpillar,
@@ -176,7 +170,7 @@ def _bounds_text(rep) -> list[str]:
 
 def _caterpillar(n: int, args) -> dict:
     poly = caterpillar_charpoly(n)
-    numeric = spectral_radius(binary_caterpillar(n), args.tol).rho
+    numeric = spectral_radius(binary_caterpillar(n)).rho
     return {"n": n, "coefficients": poly.highest_first(),
             "trig_rho": trig_spectral_radius(n).rho if n >= 3 else None,
             "numeric_rho": numeric, "asymptotic": asymptotic_rho(n)}
@@ -211,8 +205,8 @@ def _transform(tree: RootedTree, args) -> dict:
                                    f"{'does not read' if given else 'needs'} --{dest}")
     after = apply_op(tree, OpSpec(kind, args.path, args.branch, args.leaf))
     return {"newick": serialize_newick(after),
-            "rho_before": spectral_radius(tree, args.tol).rho,
-            "rho_after": spectral_radius(after, args.tol).rho}
+            "rho_before": spectral_radius(tree).rho,
+            "rho_after": spectral_radius(after).rho}
 
 
 # each --class name: its constructor and how many integers it takes
@@ -263,7 +257,8 @@ def _class_names(names) -> str:
 def _search_class(args) -> list[tuple]:
     """The one (claim, class) case of a search: the class must be of a
     --class name that --check makes a claim about."""
-    cls = parse_spec(args.klass, _CLASSES, "class")
+    (build, _), params = parse_spec(args.klass, _CLASSES, "class")
+    cls = build(*params)
     name = args.klass.partition(":")[0].strip()
     claims = _CLAIMS[args.check]
     if name not in claims:
@@ -279,12 +274,10 @@ def _search_class(args) -> list[tuple]:
     return [(claims[name], cls)]
 
 
-def _extremal(claim, cls: enumeration.TreeClass, eig_tol: float,
-              tol: float = 1e-7) -> enumeration.ExtremalReport:
+def _extremal(claim, cls: enumeration.TreeClass) -> enumeration.ExtremalReport:
     """cls checked against claim(*cls.params), the tree claimed to have the
-    largest rho, with tol as the tie window."""
-    return enumeration.verify_extremal(cls, claim(*cls.params), tol=tol,
-                                       eig_tol=eig_tol)
+    largest rho, within the library's tie window and residual tolerance."""
+    return enumeration.verify_extremal(cls, claim(*cls.params))
 
 
 def _search_text(rep) -> list[str]:
@@ -331,16 +324,15 @@ def _dary_determinants_hold(t: RootedTree) -> bool:
                for d in (2, 3) if degs <= {d})
 
 
-def _broom_holds(cls, tol: float) -> bool:
+def _broom_holds(cls) -> bool:
     n_vertices, n_leaves = cls.params
-    report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls, eig_tol=tol,
-                       tol=1e-6)
+    report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls)
     expected = n_leaves * (n_vertices - n_leaves - 1) + 1
     return report.holds and abs(report.rho_max - expected) <= 1e-6
 
 
-def _trig_matches(n: int, tol: float) -> bool:
-    numeric = spectral_radius(binary_caterpillar(n), tol).rho
+def _trig_matches(n: int) -> bool:
+    numeric = spectral_radius(binary_caterpillar(n)).rho
     return abs(trig_spectral_radius(n).rho - numeric) <= 1e-6 * numeric
 
 
@@ -359,11 +351,11 @@ def _monotonicity_cases(max_leaves: int):
                 yield t, specs[rng.randrange(len(specs))]
 
 
-def _monotone(t: RootedTree, spec: OpSpec, tol: float) -> bool:
+def _monotone(t: RootedTree, spec: OpSpec) -> bool:
     """rho never decreases, and grows when the Perron vector is positive on
     every witness leaf."""
-    sr = spectral_radius(t, tol)
-    after = spectral_radius(apply_op(t, spec), tol).rho
+    sr = spectral_radius(t)
+    after = spectral_radius(apply_op(t, spec)).rho
     if after < sr.rho - 1e-9:
         return False
     witnessed = all(sr.perron[t.leaf_start[v]] > 1e-6
@@ -388,7 +380,7 @@ def _round_trips(t: RootedTree) -> bool:
     return back.parent_list() == t.parent_list() and serialize_newick(back) == text
 
 
-def _suites(max_leaves: int, tol: float):
+def _suites(max_leaves: int):
     """The (name, cases, check) row of each theorem, one at a time in output
     order: the theorem holds when check(case) is true for every case."""
     trees = _corpus(max_leaves)
@@ -397,7 +389,7 @@ def _suites(max_leaves: int, tol: float):
     poly = _per_tree_memo(char_poly)
 
     def bound_verdicts(t):
-        rep = bound_report(t, eig_tol=tol)
+        rep = bound_report(t)
         return rep.all_satisfied, rep.delta_equality
     verdicts = _per_tree_memo(bound_verdicts)
 
@@ -423,17 +415,16 @@ def _suites(max_leaves: int, tol: float):
            (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
             for n_vertices in range(3, max_leaves + 2)
             for n_leaves in range(2, n_vertices)),
-           lambda cls: _broom_holds(cls, tol))
+           _broom_holds)
     yield ("greedy-extremality",
            (enumeration.by_outdegree_sequence(seq)
             for n_vertices in range(2, max_leaves + 2)
             for seq in enumeration.outdegree_sequences(n_vertices)),
-           lambda cls: _extremal(_CLAIMS["greedy"]["outdegrees"], cls,
-                                 tol).holds)
+           lambda cls: _extremal(_CLAIMS["greedy"]["outdegrees"], cls).holds)
     yield ("series-reduced-extremality",
            map(enumeration.series_reduced, range(2, max_leaves + 1)),
            lambda cls: _extremal(_CLAIMS["binary-caterpillar"]["series-reduced"],
-                                 cls, tol).holds)
+                                 cls).holds)
     yield ("caterpillar-recursion", range(1, max_leaves + 1),
            lambda n: caterpillar_charpoly(n).coeffs
            == char_poly(binary_caterpillar(n)).coeffs)
@@ -442,11 +433,11 @@ def _suites(max_leaves: int, tol: float):
             for n in range(2, min(max_leaves, 8) + 1) for j in range(10)),
            lambda case: chebyshev_form_check(*case))
     yield ("trig-spectral-radius", range(3, max(max_leaves, 8) + 1),
-           lambda n: _trig_matches(n, tol))
+           _trig_matches)
     yield ("asymptotic-window", range(10, 10 * max_leaves + 1),
            lambda n: abs(trig_spectral_radius(n).rho - asymptotic_rho(n)) <= 3.0)
     yield ("monotonicity", _monotonicity_cases(max_leaves),
-           lambda case: _monotone(*case, tol))
+           lambda case: _monotone(*case))
     yield ("newick-round-trip", _round_trip_samples(trees, max_leaves),
            _round_trips)
 
@@ -471,7 +462,7 @@ def _case_text(case) -> str:
 
 def _cmd_verify_all(args) -> int:
     code = 0
-    for name, cases, check in _suites(args.max_leaves, args.tol):
+    for name, cases, check in _suites(args.max_leaves):
         for case in cases:
             try:
                 holds = check(case)
@@ -496,19 +487,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _positive_tol(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text}")
-    return value
-
-
-def _int_at_least(low: int):
-    """An argparse type for an integer of at least low."""
+def _int_between(low: int, high: Optional[int] = None):
+    """An argparse type for an integer of at least low and, when high is
+    given, at most high."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -518,8 +499,17 @@ def _int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {value}")
         return value
     return parse
+
+
+# caterpillar_charpoly makes n steps of O(n) big-integer work on O(n)-bit
+# coefficients, so its cost grows faster than n^2: on one Xeon core, 0.5 s
+# at n = 1,000 and 2.7 s at n = 2,000
+_CATERPILLAR_MAX_N = 2000
 
 
 def _vertex_path(text: str) -> tuple[int, ...]:
@@ -532,9 +522,8 @@ def _vertex_path(text: str) -> tuple[int, ...]:
 
 _FLAGS = {
     "--json": dict(action="store_true", help="JSON output"),
-    "--tol": dict(type=_positive_tol, default=DEFAULT_TOL,
-                  help="numeric tolerance, positive (default 1e-10)"),
-    "--n": dict(type=int, required=True, help="number of leaves"),
+    "--n": dict(type=_int_between(1, _CATERPILLAR_MAX_N), required=True,
+                help=f"number of leaves, 1 to {_CATERPILLAR_MAX_N}"),
     "--op": dict(required=True, choices=sorted(kind.value for kind in OpKind),
                  help="operation kind"),
     "--path": dict(type=_vertex_path, required=True,
@@ -550,7 +539,7 @@ _FLAGS = {
                     help="which extremal family to test"),
     "--gen": dict(required=True, help="family spec, e.g. dary:3,2"),
     # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
-    "--max-leaves": dict(type=_int_at_least(2), default=7, metavar="N",
+    "--max-leaves": dict(type=_int_between(2), default=7, metavar="N",
                          help="size bound, at least 2: the corpus is every "
                               "tree with at most N+1 vertices, not N leaves"),
 }
@@ -589,15 +578,13 @@ _COMMANDS = (
                              "gamma": poly.gamma()},
                lambda poly: [" ".join(str(c) for c in poly.highest_first())])),
     ("spectrum", "numeric eigenvalues, descending",
-     ("source", "--json", "--tol"),
-     _per_case(_trees_from_args,
-               lambda tree, args: eigenvalues(tree, args.tol),
+     ("source", "--json"),
+     _per_case(_trees_from_args, lambda tree, args: eigenvalues(tree),
                lambda eig: {"eigenvalues": list(eig)},
                lambda eig: [_fmt(v) for v in eig])),
     ("bounds", "spectral-radius bounds report",
-     ("source", "--json", "--tol"),
-     _per_case(_trees_from_args,
-               lambda tree, args: bound_report(tree, eig_tol=args.tol),
+     ("source", "--json"),
+     _per_case(_trees_from_args, lambda tree, args: bound_report(tree),
                _bounds_json, _bounds_text, lambda rep: rep.all_satisfied)),
     ("certificate", "eigenvalue-1 multiplicity and basis",
      ("source", "--json"),
@@ -616,19 +603,18 @@ _COMMANDS = (
                               for k, c in enumerate(res.counts)),
                             f"total={res.total}"])),
     ("caterpillar", "binary caterpillar charpoly and spectral radius",
-     ("--n", "--json", "--tol"),
+     ("--n", "--json"),
      _per_case(lambda args: [args.n], _caterpillar, lambda res: res,
                _caterpillar_text)),
     ("transform", "apply a tree operation",
-     ("source", "--json", "--tol", "--op", "--path", "--branch", "--leaf"),
+     ("source", "--json", "--op", "--path", "--branch", "--leaf"),
      _per_case(_one_tree, _transform, lambda res: res,
                lambda res: [f"newick={res['newick']}",
                             f"rho_before={_fmt(res['rho_before'])}",
                             f"rho_after={_fmt(res['rho_after'])}"])),
     ("search", "exhaustive extremality check",
-     ("--class", "--check", "--json", "--tol"),
-     _per_case(_search_class,
-               lambda case, args: _extremal(*case, args.tol, tol=args.tol),
+     ("--class", "--check", "--json"),
+     _per_case(_search_class, lambda case, args: _extremal(*case),
                lambda rep: {"verified": rep.holds, "rho_max": rep.rho_max,
                             "rho_claimed": rep.rho_claimed,
                             "argmax": serialize_newick(rep.argmax)},
@@ -639,7 +625,7 @@ _COMMANDS = (
                              "parents": list(tree.parent)},
                lambda tree: [serialize_newick(tree)])),
     ("verify-all", "run every theorem suite up to a size bound",
-     ("--max-leaves", "--tol"), _cmd_verify_all),
+     ("--max-leaves",), _cmd_verify_all),
 )
 
 

@@ -456,10 +456,8 @@ def by_outdegree_sequence(seq: Iterable[int]) -> TreeClass:
     nonzero = sorted((s for s in seq if s != 0), reverse=True)
     if any(s < 0 for s in nonzero):
         raise InvalidParameter("outdegrees must be non-negative")
-    n_vertices = 1 + sum(nonzero)
-    n_leaves = n_vertices - len(nonzero)
-    if n_leaves < 0:
-        raise InvalidParameter("outdegree sequence is not realizable")
+    # 1 + sum(s - 1) >= 1 leaves, as every s is at least 1
+    n_leaves = 1 + sum(nonzero) - len(nonzero)
     full = tuple(nonzero) + (0,) * n_leaves
     return TreeClass("by-outdegree-sequence", full)
 

@@ -304,8 +304,7 @@ def greedy_caterpillar(outdegrees: Sequence[int]) -> RootedTree:
 
     The lowest non-zero entry goes to the root; each backbone vertex except
     the last spends one child on the backbone, the rest on leaves.  Zeros in
-    the input are ignored.  The result is validated by reconstruction: its
-    outdegree multiset must equal the input.
+    the input are ignored.
     """
     seq = sorted(s for s in outdegrees if s != 0)
     if not seq:
@@ -318,11 +317,7 @@ def greedy_caterpillar(outdegrees: Sequence[int]) -> RootedTree:
         # s children, leaves first; the last is the next backbone vertex
         parents.extend([spine] * s)
         spine = len(parents) - 1
-    tree = build_tree(parents)
-    got = sorted(len(c) for c in tree.children if c)
-    if got != seq:
-        raise InvalidParameter(f"outdegree multiset {seq} is not realizable")
-    return tree
+    return build_tree(parents)
 
 
 def star_plus_path(n: int, h: int) -> RootedTree:
@@ -338,41 +333,79 @@ def star_plus_path(n: int, h: int) -> RootedTree:
     return build_tree(parents)
 
 
+# the most vertices a family spec may build: ``generate`` refuses a larger
+# one before any list is built
+FAMILY_CAP = 10 ** 6
+
+
+def _broom_vertices(m: int, n: int) -> int:
+    return m + n + 1 if m >= 0 and n >= 1 else 0
+
+
+def _dary_vertices(d: int, h: int) -> int:
+    """1 + d + ... + d^h, summed level by level and stopped once past
+    FAMILY_CAP, so that a huge h never builds d^(h+1)."""
+    if d < 1 or h < 0:
+        return 0
+    if d == 1:
+        return h + 1
+    total = level = 1
+    for _ in range(h):
+        level *= d
+        total += level
+        if total > FAMILY_CAP:
+            break
+    return total
+
+
+# each family: constructor, arity, and its vertex count from the parameters
+# alone; the count is exact up to FAMILY_CAP, at least FAMILY_CAP + 1
+# past it, and 0 for parameters the constructor refuses, so that its own
+# message stands
 _FAMILIES = {
-    "star": (star, 1),
-    "broom": (broom, 2),
-    "path-broom": (path_broom, 2),
-    "binary-caterpillar": (binary_caterpillar, 1),
-    "dary": (complete_dary, 2),
-    "greedy": (greedy_caterpillar, None),
-    "star-plus-path": (star_plus_path, 2),
+    "star": (star, 1, lambda n: n + 1),
+    "broom": (broom, 2, _broom_vertices),
+    "path-broom": (path_broom, 2, _broom_vertices),
+    "binary-caterpillar": (binary_caterpillar, 1, lambda n: 2 * n - 1),
+    "dary": (complete_dary, 2, _dary_vertices),
+    "greedy": (greedy_caterpillar, None,
+               lambda seq: 1 + sum(seq) if min(seq, default=0) >= 0 else 0),
+    "star-plus-path": (star_plus_path, 2,
+                       lambda n, h: n + h + 1 if n >= 0 and h >= 0 else 0),
 }
 
 
-def parse_spec(spec: str, table: dict, what: str):
-    """Build from a ``name:comma-separated-ints`` spec string: table maps
-    each name to (constructor, arity), and the constructor takes the
-    integers one by one, or as one list when arity is None.  Errors name
-    the spec as a ``what`` spec."""
+def parse_spec(spec: str, table: dict, what: str) -> tuple[tuple, list]:
+    """The row of ``table`` that a ``name:comma-separated-ints`` spec names,
+    and the arguments for its constructor, the row's first entry: the
+    integers one by one, or as one list when the row's arity, its second
+    entry, is None.  Errors name the spec as a ``what`` spec."""
     name, _, rest = spec.partition(":")
     name = name.strip()
     if name not in table:
         raise InvalidParameter(f"{what} spec {spec!r}: unknown name {name!r}")
-    func, arity = table[name]
+    row = table[name]
+    arity = row[1]
     try:
         # an empty list stays empty; an empty token is a bad integer
         args = [int(tok) for tok in rest.split(",")] if rest.strip() else []
     except ValueError as exc:
         raise InvalidParameter(f"{what} spec {spec!r}: bad integer") from exc
     if arity is None:
-        return func(args)
+        return row, [args]
     if len(args) != arity:
         raise InvalidParameter(
             f"{what} spec {spec!r}: {name} takes {arity} integer(s)")
-    return func(*args)
+    return row, args
 
 
 def generate(spec: str) -> RootedTree:
     """Build a family tree from a ``name:comma-separated-ints`` spec string,
-    e.g. ``broom:2,3`` or ``greedy:5,5,3,1,1``."""
-    return parse_spec(spec, _FAMILIES, "family")
+    e.g. ``broom:2,3`` or ``greedy:5,5,3,1,1``.  A family of more than
+    ``FAMILY_CAP`` vertices is refused before it is built."""
+    (build, _, vertices), args = parse_spec(spec, _FAMILIES, "family")
+    size = vertices(*args)
+    if size > FAMILY_CAP:
+        raise InvalidParameter(f"family spec {spec!r}: at least {size} "
+                               f"vertices, past the cap {FAMILY_CAP}")
+    return build(*args)

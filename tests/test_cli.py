@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import ancestral
-from ancestral import (ExtremalReport, caterpillar_charpoly, parse_newick,
-                       serialize_newick, series_reduced, star)
-from ancestral import bounds_theorems, cli
+from ancestral import (ExtremalReport, broom, by_vertices_and_leaves,
+                       caterpillar_charpoly, parse_newick, serialize_newick,
+                       series_reduced, star)
+from ancestral import bounds_theorems, cli, spectral
+from ancestral.errors import NoConvergence
 from ancestral.tree_ops import OpKind, valid_specs
 
 from helpers import EXAMPLE_C_ROWS, EXAMPLE_GAMMA
@@ -392,20 +394,17 @@ def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
     assert counted == keys
 
 
-def test_search_checks_residuals_only_of_the_branches_it_solves(capsys):
-    # --tol is both the eigensolver tolerance and the tie window; at 1e-300
-    # only one branch of 14,6 can reach the maximum, the broom's, and its
-    # residual meets even that bound
-    code, out, err = run(capsys, "search", "--class", "vertices-leaves:14,6",
-                         "--check", "broom", "--tol", "1e-300")
-    assert (code, out, err) == (0, "VERIFIED rho_max=43\n", "")
+def test_search_checks_residuals_only_of_the_branches_it_solves():
+    # with a tie window and a residual tolerance of 1e-300, only one branch
+    # of 14,6 can reach the maximum, the broom's, and its residual meets
+    # even that bound
+    report = cli.enumeration.verify_extremal(
+        by_vertices_and_leaves(14, 6), broom(7, 6), tol=1e-300, eig_tol=1e-300)
+    assert report.holds and report.rho_max == 43
     # 7,3 still solves a branch whose residual misses that bound
-    code, out, err = run(capsys, "search", "--class", "vertices-leaves:7,3",
-                         "--check", "broom", "--tol", "1e-300")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: eigensolver residual ")
-    assert err.count("\n") == 1
+    with pytest.raises(NoConvergence):
+        cli.enumeration.verify_extremal(by_vertices_and_leaves(7, 3),
+                                        broom(3, 3), tol=1e-300, eig_tol=1e-300)
 
 
 def test_search_counterexample(capsys, monkeypatch):
@@ -634,7 +633,7 @@ def test_verify_all_names_the_failing_class(capsys, monkeypatch):
 def test_verify_all_names_a_failing_operation_as_transform_flags(
         capsys, monkeypatch):
     tree, spec = next(cli._monotonicity_cases(4))
-    monkeypatch.setattr(cli, "_monotone", lambda tree, spec, tol: False)
+    monkeypatch.setattr(cli, "_monotone", lambda tree, spec: False)
     code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 1
     assert verdicts(out)["monotonicity"] == "VIOLATED"
@@ -676,12 +675,17 @@ def test_budget_below_one_names_the_flag(capsys, argv, value):
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "x"])
 def test_tol_must_be_positive_and_finite(capsys, value):
+    # --tol is retired: every command uses the library's residual tolerance
+    # and tie window, so the flag is refused whatever its value
     err = usage_error(capsys, "spectrum", "--gen", "star:3", "--tol", value)
-    assert err.startswith("error: argument --tol:")
+    assert err == f"error: unrecognized arguments: --tol {value}\n"
 
 
-def test_missed_residual_reports_residual_and_bound(capsys):
-    code, out, err = run(capsys, "spectrum", "--newick", EX, "--tol", "1e-300")
+def test_missed_residual_reports_residual_and_bound(capsys, monkeypatch):
+    # a solve held to 1e-300 misses its residual bound on EX's dense block
+    monkeypatch.setattr(cli, "eigenvalues",
+                        lambda tree: spectral.eigenvalues(tree, 1e-300))
+    code, out, err = run(capsys, "spectrum", "--newick", EX)
     assert code == 2
     assert out == ""
     assert err.startswith("error: eigensolver residual ")
@@ -827,12 +831,16 @@ def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, verified, message", [
-    (["--max-leaves", "3", "--tol", "1e-300"], 13,
-     "error: eigensolver residual "),
+@pytest.mark.parametrize("argv, tol, verified, message", [
+    (["--max-leaves", "3"], 1e-300, 13, "error: eigensolver residual "),
 ], ids=["tol"])
-def test_verify_all_errors_are_not_refutations(capsys, argv, verified, message):
-    # a convergence failure exits 2, after the suites already run
+def test_verify_all_errors_are_not_refutations(capsys, monkeypatch, argv, tol,
+                                               verified, message):
+    # a convergence failure exits 2, after the suites already run: the
+    # caterpillar and monotonicity suites' rho, held to tol, misses its
+    # residual bound at the first suite that solves it
+    monkeypatch.setattr(cli, "spectral_radius",
+                        lambda tree: spectral.spectral_radius(tree, tol))
     code, out, err = run(capsys, "verify-all", *argv)
     assert code == 2
     lines = out.splitlines()

@@ -27,7 +27,8 @@ from ancestral.errors import (
     InvalidParameter,
     MultipleRoots,
 )
-from ancestral.tree_core import subtree_with_map
+from ancestral import tree_core
+from ancestral.tree_core import _FAMILIES, subtree_with_map
 
 from helpers import (
     EXAMPLE_PARENTS,
@@ -261,6 +262,30 @@ def test_generate_spec_parsing():
         generate("broom:2")
     with pytest.raises(InvalidParameter):
         generate("broom:2,x")
+
+
+@pytest.mark.parametrize("spec", [
+    "star:1", "star:7", "broom:0,1", "broom:3,4", "path-broom:2,5",
+    "binary-caterpillar:1", "binary-caterpillar:6", "dary:1,0", "dary:1,9",
+    "dary:2,0", "dary:2,5", "dary:3,4", "greedy:5,5,3,1,1", "greedy:0,2,0",
+    "star-plus-path:0,3", "star-plus-path:4,2"])
+def test_family_vertex_counts_are_exact(spec):
+    # the counts that the family cap reads agree with the trees built
+    name, _, params = spec.partition(":")
+    _, arity, vertices = _FAMILIES[name]
+    args = [int(tok) for tok in params.split(",")]
+    assert vertices(*(args if arity else [args])) == generate(spec).n_vertices
+
+
+def test_family_past_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(tree_core, "FAMILY_CAP", 15)
+    assert generate("dary:2,3").n_vertices == 15
+    with pytest.raises(InvalidParameter,
+                       match="'star:15': at least 16 vertices, past the cap 15"):
+        generate("star:15")
+    # dary:2,40 has 2^41 - 1 vertices; the count stops at the level past the cap
+    with pytest.raises(InvalidParameter, match="'dary:2,40': at least 31 "):
+        generate("dary:2,40")
 
 
 def test_subtree_renumbers_preorder():
