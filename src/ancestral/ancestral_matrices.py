@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree_core import RootedTree, subtree
+from .tree_core import RootedTree, check_dense, subtree
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
     parent = tree.parent
     start, stop = tree.leaf_start, tree.leaf_stop
     n = tree.n_leaves
+    check_dense("ancestral matrix", n, n)
     if n == 1:
         return AncestralMatrix(n=1, rows=((level[tree.leaf_order[0]],),))
     template: list = [None] * len(children)
@@ -82,6 +83,7 @@ def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:
     edge_index = {child: j for j, (_, child) in enumerate(edges)}
     n = tree.n_leaves
     m = len(edges)
+    check_dense("incidence matrix", n, m)
     rows = []
     for v in tree.leaf_order:
         row = [0] * m

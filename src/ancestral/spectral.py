@@ -1,10 +1,11 @@
 """Numeric spectrum of the ancestral matrix and the eigenvalue-1 certificate.
 
 The eigensolver contract of ``eigen_decompose`` is: residual
-max_i ||M x_i - lambda_i x_i|| at most tol * max(1, ||M||_F), eigenvalues
-descending, eigenvectors orthonormal.  LAPACK's symmetric solver via numpy
-computes it, and the residual is checked after the fact rather than
-trusted.  numpy is imported only where a dense solve runs.
+max_i ||M x_i - lambda_i x_i|| at most DEFAULT_TOL * max(1, ||M||_F), read
+at each call, eigenvalues descending, eigenvectors orthonormal.  LAPACK's
+symmetric solver via numpy computes it, and the residual is checked after
+the fact rather than trusted.  numpy is imported only where a dense solve
+runs.
 
 C(T) is the direct sum of the blocks C(B) + J over the branches B below the
 root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
@@ -28,7 +29,7 @@ root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
 - The block route, for every other branch.  Each block C(B) + J is filled
   in numpy from O(V) tree arrays, never from the L x L matrix, and has one
   dense solve of its own, whose residual is that of ``eigen_decompose``
-  against the bound tol * max(1, ||C(T)||_F) of the whole matrix.
+  against the bound DEFAULT_TOL * max(1, ||C(T)||_F) of the whole matrix.
 
 The rule reads ``tree_core.row_sums``: a branch takes the exact route when
 all of its leaves share one value R of it, and x at a child of a vertex v
@@ -53,9 +54,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .ancestral_matrices import AncestralMatrix
 from .errors import NoConvergence, SingleVertexTree
-from .tree_core import RootedTree, row_sums
+from .tree_core import RootedTree, check_dense, row_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,14 +77,6 @@ class EigenOneCertificate:
     basis: tuple[tuple[int, ...], ...]
 
 
-def _as_array(m):
-    import numpy as np
-
-    if isinstance(m, AncestralMatrix):
-        m = m.rows
-    return np.asarray(m, dtype=float)
-
-
 def _dense_solve(a, bound: float):
     """Symmetric eigensolve of one matrix: eigenvalues ascending,
     orthonormal eigenvectors, and the largest residual ||A x - lambda x||.
@@ -100,14 +92,15 @@ def _dense_solve(a, bound: float):
     return vals, vecs, float(np.max(misses))
 
 
-def eigen_decompose(m, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Full symmetric eigendecomposition with a residual certificate."""
+def eigen_decompose(m) -> Spectrum:
+    """Full symmetric eigendecomposition with a residual certificate, of a
+    square array or of a matrix that holds one as its ``rows``."""
     import numpy as np
 
-    a = _as_array(m)
+    a = np.asarray(getattr(m, "rows", m), dtype=float)
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
-    bound = tol * max(1.0, float(np.linalg.norm(a, "fro")))
+    bound = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a, "fro")))
     vals, vecs, residual = _dense_solve(a, bound)
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)
@@ -169,7 +162,7 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]:
+def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
     """Every eigenvalue of C(T), descending, solved branch by branch.
 
     A branch whose leaves all share one value R of ``row_sums(tree)`` takes
@@ -179,9 +172,9 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
     L x L matrix is built and no dense solve is larger than the largest
     branch.
     The contract holds for C(T) as a whole: the largest residual of any
-    block is compared with tol * max(1, ||C(T)||_F), from ``_fro_sq`` over
-    every non-root vertex.  Raises NoConvergence when it misses that bound.
-    The single vertex has the spectrum (0,).
+    block is compared with DEFAULT_TOL * max(1, ||C(T)||_F), from
+    ``_fro_sq`` over every non-root vertex.  Raises NoConvergence when it
+    misses that bound.  The single vertex has the spectrum (0,).
     """
     if tree.n_vertices == 1:
         return (0.0,)
@@ -197,12 +190,14 @@ def eigenvalues(tree: RootedTree, tol: float = DEFAULT_TOL) -> tuple[float, ...]
             if g > 1:
                 exact += [float(r - row[v])] * (g - 1)
             elif not g and row[v] != r:
+                size = tree.leaf_stop[run[0]] - tree.leaf_start[run[0]]
+                check_dense("branch block", size, size)
                 dense.append(run)
                 break
         else:
             values += exact
     if dense:
-        bound = tol * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
+        bound = DEFAULT_TOL * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
         residual = 0.0
         for run in dense:
             vals, _, miss = _dense_solve(_branch_block(tree, run), bound)
@@ -305,7 +300,7 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
 
 
 def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
-                row: Sequence[int], tol: float) -> tuple[float, list[float]]:
+                row: Sequence[int]) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
     vector over B's leaves in preorder, without building the matrix.
 
@@ -354,14 +349,13 @@ def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
     for i in range(1, m):
         s[i] += s[parent[i]]
     residual = math.sqrt(sum((s[i] - x * v) ** 2 for i, v in zip(leaves, y)))
-    bound = tol * max(1.0, math.sqrt(_fro_sq(tree, run)))
+    bound = DEFAULT_TOL * max(1.0, math.sqrt(_fro_sq(tree, run)))
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)
     return x, y
 
 
-def _spectral_radius(tree: RootedTree, row: Sequence[int],
-                     tol: float) -> SpectralRadius:
+def _spectral_radius(tree: RootedTree, row: Sequence[int]) -> SpectralRadius:
     """``spectral_radius`` from the tree's ``row_sums``, for callers that
     already hold them."""
     if tree.n_vertices == 1:
@@ -369,7 +363,7 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int],
     at, runs = _branch_runs(tree)
     best_rho = best_vec = best = None
     for run in runs:
-        value, vec = _branch_rho(tree, run, at, row, tol)
+        value, vec = _branch_rho(tree, run, at, row)
         if best_rho is None or value > best_rho:
             best_rho, best_vec, best = value, vec, run[0]
     perron = [0.0] * tree.n_leaves
@@ -377,7 +371,7 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int],
     return SpectralRadius(rho=best_rho, perron=tuple(perron))
 
 
-def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadius:
+def spectral_radius(tree: RootedTree) -> SpectralRadius:
     """Largest eigenvalue of C(T) with a non-negative eigenvector.
 
     Computed branch by branch with ``_branch_rho``, on each root child's run
@@ -388,11 +382,11 @@ def spectral_radius(tree: RootedTree, tol: float = DEFAULT_TOL) -> SpectralRadiu
     leaf_order, and every other entry is zero; when several branches tie
     exactly, the first root child in stored order wins.  No matrix is built.
     """
-    return _spectral_radius(tree, row_sums(tree), tol)
+    return _spectral_radius(tree, row_sums(tree))
 
 
-def rho(tree: RootedTree, tol: float = DEFAULT_TOL) -> float:
-    return spectral_radius(tree, tol).rho
+def rho(tree: RootedTree) -> float:
+    return spectral_radius(tree).rho
 
 
 def _fixed_by_c(tree: RootedTree, entries: dict[int, int]) -> bool:
@@ -449,6 +443,10 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
         raise SingleVertexTree("the single-vertex tree has spectrum {0}")
     leaves = tree.leaf_order
     n = len(leaves)
+    leaf_adjacent = {tree.parent[v] for v in leaves}
+    leaf_adjacent.discard(tree.root)
+    multiplicity = n - len(leaf_adjacent)
+    check_dense("eigenvalue-1 basis", multiplicity, n)
 
     groups: dict[int, list[int]] = {}
     for v in leaves:
@@ -461,9 +459,6 @@ def eigenvalue_one_certificate(tree: RootedTree) -> EigenOneCertificate:
         if parent == tree.root:
             sparse.append({first: 1})
 
-    leaf_adjacent = {tree.parent[v] for v in leaves}
-    leaf_adjacent.discard(tree.root)
-    multiplicity = n - len(leaf_adjacent)
     if multiplicity != len(sparse):
         raise AssertionError("basis size disagrees with the counting formula")
 

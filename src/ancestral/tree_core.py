@@ -336,6 +336,17 @@ def star_plus_path(n: int, h: int) -> RootedTree:
 # the most vertices a family spec may build: ``generate`` refuses a larger
 # one before any list is built
 FAMILY_CAP = 10 ** 6
+# the most entries a dense output may hold: the L x L ancestral matrix, the
+# L x E incidence matrix, the eigenvalue-1 basis and one block-route block
+# of the spectrum are each refused past it, before they are allocated
+DENSE_CAP = 10 ** 7
+
+
+def check_dense(what: str, rows: int, cols: int) -> None:
+    """Refuse a dense ``what`` of rows x cols entries past ``DENSE_CAP``."""
+    if rows * cols > DENSE_CAP:
+        raise InvalidParameter(f"{what} of {rows} x {cols} entries is past "
+                               f"the cap {DENSE_CAP}")
 
 
 def _broom_vertices(m: int, n: int) -> int:

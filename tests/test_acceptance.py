@@ -50,6 +50,7 @@ from ancestral import (
     verify_extremal,
     witness_leaves,
 )
+from ancestral import enumeration
 
 from helpers import (
     EXAMPLE_C_ROWS,
@@ -162,34 +163,36 @@ def test_criterion_04_bounds():
 
 
 @criterion(5, "brooms maximize rho over fixed vertex and leaf counts")
-def test_criterion_05_broom_extremality():
+def test_criterion_05_broom_extremality(monkeypatch):
+    monkeypatch.setattr(enumeration, "TIE_WINDOW", 1e-6)
     for n_vertices in range(3, 11):
         for n_leaves in range(2, n_vertices):
             cls = by_vertices_and_leaves(n_vertices, n_leaves)
             claimed = broom(n_vertices - n_leaves - 1, n_leaves)
-            report = verify_extremal(cls, claimed, tol=1e-6)
+            report = verify_extremal(cls, claimed)
             assert report.holds
             expected = n_leaves * (n_vertices - n_leaves - 1) + 1
             assert abs(report.rho_max - expected) <= 1e-6
 
 
 @criterion(6, "greedy caterpillar maximizes rho per outdegree multiset")
-def test_criterion_06_greedy_extremality():
+def test_criterion_06_greedy_extremality(monkeypatch):
+    monkeypatch.setattr(enumeration, "TIE_WINDOW", 1e-7)
     checked = 0
     for m in range(1, 10):
         for seq in partitions(m):
             report = verify_extremal(by_outdegree_sequence(seq),
-                                     greedy_caterpillar(seq), tol=1e-7)
+                                     greedy_caterpillar(seq))
             assert report.holds
             checked += 1
     assert checked == 96
 
 
 @criterion(7, "binary caterpillar maximal among series-reduced trees")
-def test_criterion_07_series_reduced_extremality():
+def test_criterion_07_series_reduced_extremality(monkeypatch):
+    monkeypatch.setattr(enumeration, "TIE_WINDOW", 1e-7)
     for n in range(1, 8):
-        report = verify_extremal(series_reduced(n), binary_caterpillar(n),
-                                 tol=1e-7)
+        report = verify_extremal(series_reduced(n), binary_caterpillar(n))
         assert report.holds
 
 

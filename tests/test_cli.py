@@ -394,17 +394,19 @@ def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
     assert counted == keys
 
 
-def test_search_checks_residuals_only_of_the_branches_it_solves():
+def test_search_checks_residuals_only_of_the_branches_it_solves(monkeypatch):
     # with a tie window and a residual tolerance of 1e-300, only one branch
     # of 14,6 can reach the maximum, the broom's, and its residual meets
     # even that bound
+    monkeypatch.setattr(cli.enumeration, "TIE_WINDOW", 1e-300)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     report = cli.enumeration.verify_extremal(
-        by_vertices_and_leaves(14, 6), broom(7, 6), tol=1e-300, eig_tol=1e-300)
+        by_vertices_and_leaves(14, 6), broom(7, 6))
     assert report.holds and report.rho_max == 43
     # 7,3 still solves a branch whose residual misses that bound
     with pytest.raises(NoConvergence):
         cli.enumeration.verify_extremal(by_vertices_and_leaves(7, 3),
-                                        broom(3, 3), tol=1e-300, eig_tol=1e-300)
+                                        broom(3, 3))
 
 
 def test_search_counterexample(capsys, monkeypatch):
@@ -683,8 +685,7 @@ def test_tol_must_be_positive_and_finite(capsys, value):
 
 def test_missed_residual_reports_residual_and_bound(capsys, monkeypatch):
     # a solve held to 1e-300 misses its residual bound on EX's dense block
-    monkeypatch.setattr(cli, "eigenvalues",
-                        lambda tree: spectral.eigenvalues(tree, 1e-300))
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     code, out, err = run(capsys, "spectrum", "--newick", EX)
     assert code == 2
     assert out == ""
@@ -839,8 +840,12 @@ def test_verify_all_errors_are_not_refutations(capsys, monkeypatch, argv, tol,
     # a convergence failure exits 2, after the suites already run: the
     # caterpillar and monotonicity suites' rho, held to tol, misses its
     # residual bound at the first suite that solves it
-    monkeypatch.setattr(cli, "spectral_radius",
-                        lambda tree: spectral.spectral_radius(tree, tol))
+    def strict_rho(tree):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "DEFAULT_TOL", tol)
+            return spectral.spectral_radius(tree)
+
+    monkeypatch.setattr(cli, "spectral_radius", strict_rho)
     code, out, err = run(capsys, "verify-all", *argv)
     assert code == 2
     lines = out.splitlines()

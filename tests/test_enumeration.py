@@ -25,7 +25,7 @@ from ancestral import (
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
-from ancestral.spectral import DEFAULT_TOL, SpectralRadius
+from ancestral.spectral import SpectralRadius
 
 from helpers import (
     BINARY_BY_LEAVES,
@@ -349,7 +349,7 @@ def test_above_is_the_pool_filtered_by_row_bound():
                 kind, key, theta)
 
 
-def test_pruned_search_matches_brute_force():
+def test_pruned_search_matches_brute_force(monkeypatch):
     for cls in _classes_up_to(10):
         encs = list(enumeration._class_encodings(cls))
         if not encs:
@@ -357,7 +357,8 @@ def test_pruned_search_matches_brute_force():
         # a claimed tree inside the class and one that is not the maximum
         for claimed in (encoding_to_tree(encs[-1]), star(3)):
             for tol in (1e-7, 0.5, 5.0):
-                report = verify_extremal(cls, claimed, tol=tol)
+                monkeypatch.setattr(enumeration, "TIE_WINDOW", tol)
+                report = verify_extremal(cls, claimed)
                 got = (report.holds, canonical_encoding(report.argmax),
                        report.rho_max, report.rho_claimed,
                        [canonical_encoding(t) for t in report.ties])
@@ -369,9 +370,9 @@ def test_search_solves_few_branches(monkeypatch):
     solved = []
     solve = enumeration.spectral_radius
 
-    def counting_solve(tree, tol):
+    def counting_solve(tree):
         solved.append(tree)
-        return solve(tree, tol)
+        return solve(tree)
 
     monkeypatch.setattr(enumeration, "spectral_radius", counting_solve)
     cls = by_vertices_and_leaves(14, 6)
@@ -397,13 +398,14 @@ def test_search_stops_once_a_bound_falls_below_the_best(monkeypatch):
 
     solved = []
 
-    def fake_solve(tree, tol):
+    def fake_solve(tree):
         solved.append(tree)
         return SpectralRadius(rho=fake_rho(tree), perron=())
 
     monkeypatch.setattr(enumeration, "spectral_radius", fake_solve)
     tol = 1e-7
-    scored = enumeration._contenders(cls, tol, DEFAULT_TOL)
+    monkeypatch.setattr(enumeration, "TIE_WINDOW", tol)
+    scored = enumeration._contenders(cls)
     reaching = {branch for enc in encs for branch in enc
                 if row_bounds.rb(branch)[0] >= top - 3}
     assert 0 < len(solved) < len(reaching)
@@ -430,25 +432,20 @@ def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
     solved = []
     solve = enumeration.spectral_radius
 
-    def counting_solve(tree, tol):
+    def counting_solve(tree):
         solved.append(tree)
-        return solve(tree, tol)
+        return solve(tree)
 
     monkeypatch.setattr(enumeration, "spectral_radius", counting_solve)
     # an unbounded tie window prunes nothing, so every tree is scored
-    scored = enumeration._contenders(cls, math.inf, DEFAULT_TOL)
+    monkeypatch.setattr(enumeration, "TIE_WINDOW", math.inf)
+    scored = enumeration._contenders(cls)
     encs = list(enumeration._class_encodings(cls))
     assert [enc for _, enc in scored] == encs
     for value, enc in scored:
         assert value == spectral_radius(encoding_to_tree(enc)).rho
     # one solve per distinct branch below a root
     assert len(solved) == len({branch for enc in encs for branch in enc})
-
-
-@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, -math.inf])
-def test_tie_window_must_be_finite_and_non_negative(tol):
-    with pytest.raises(InvalidParameter):
-        verify_extremal(by_vertex_count(4), star(3), tol=tol)
 
 
 def test_extremal_search_confirms_broom():

@@ -42,6 +42,11 @@ def _no_tol(value: str = "1e-9") -> str:
     return f"error: unrecognized arguments: --tol {value}\n"
 
 
+def _dense(what: str, rows: int, cols: int) -> str:
+    return (f"error: {what} of {rows} x {cols} entries is past the cap "
+            f"10000000\n")
+
+
 # argv, exit code, timeout in seconds, and for exit 2 the stderr line
 ROWS = [
     # families past the cap are refused before they are built
@@ -67,6 +72,15 @@ ROWS = [
      "error: need d >= 1 and h >= 0\n"),
     (["caterpillar", "--n", "2001"], 2, 5,
      "error: argument --n: must be at most 2000, got 2001\n"),
+    # dense outputs past the entry cap are refused before they are built
+    (["matrix", "--gen", "star:30000"], 2, 5,
+     _dense("ancestral matrix", 30000, 30000)),
+    (["incidence", "--gen", "star:30000"], 2, 5,
+     _dense("incidence matrix", 30000, 30000)),
+    (["certificate", "--gen", "star:100000"], 2, 5,
+     _dense("eigenvalue-1 basis", 100000, 100000)),
+    (["spectrum", "--gen", "binary-caterpillar:20000"], 2, 5,
+     _dense("branch block", 19999, 19999)),
     # no command takes --tol
     (["spectrum", "--gen", "star:3", "--tol", "1e-9"], 2, 5, _no_tol()),
     (["bounds", "--gen", "star:3", "--tol", "1e-9"], 2, 5, _no_tol()),

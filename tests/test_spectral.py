@@ -17,9 +17,11 @@ from ancestral import (
     random_tree,
     rho,
     row_sums,
+    series_reduced,
     spectral_radius,
     star,
     star_plus_path,
+    verify_extremal,
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import NoConvergence, SingleVertexTree
@@ -42,14 +44,15 @@ def test_example_eigenvalues():
     assert list(spec.eigenvalues) == sorted(spec.eigenvalues, reverse=True)
 
 
-def test_residual_contract():
+def test_residual_contract(monkeypatch):
     m = ancestral_matrix(example_tree())
     spec = eigen_decompose(m)
     a = np.array(m.rows, dtype=float)
     fro = np.linalg.norm(a)
     assert spec.residual <= 1e-10 * max(1.0, fro)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
     with pytest.raises(NoConvergence):
-        eigen_decompose(m, tol=0.0)
+        eigen_decompose(m)
 
 
 def _random_trees(salt: int, count: int, max_vertices: int):
@@ -92,18 +95,34 @@ def test_perron_vector_matches_the_dense_top_vector_of_its_branch():
         assert np.max(np.abs(np.array(sr.perron[a:b]) - top)) < 1e-9
 
 
-def test_matrix_free_rho_keeps_the_residual_check():
+def test_matrix_free_rho_keeps_the_residual_check(monkeypatch):
     t = binary_caterpillar(5)
-    assert spectral_radius(t, tol=1e-10).rho > 0
+    assert spectral.DEFAULT_TOL == 1e-10
+    assert spectral_radius(t).rho > 0
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
     with pytest.raises(NoConvergence) as exc:
-        spectral_radius(t, tol=0.0)
+        spectral_radius(t)
     assert exc.value.residual > 0.0
-    # the bound is tol * ||C(B) + J||_F of the failing branch, the block of
-    # C(T) on the four leaves below the root's second child
+    # the bound is DEFAULT_TOL * ||C(B) + J||_F of the failing branch, the
+    # block of C(T) on the four leaves below the root's second child
     block = np.array(ancestral_matrix(t).rows, dtype=float)[1:, 1:]
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     with pytest.raises(NoConvergence) as exc:
-        spectral_radius(t, tol=1e-300)
+        spectral_radius(t)
     assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(block))
+
+
+def test_every_numeric_path_reads_the_residual_tolerance_when_called(
+        monkeypatch):
+    # DEFAULT_TOL is read at each call, not bound when a function is
+    # defined: held to 1e-300, every route that solves the caterpillar's
+    # block-route branches misses its bound
+    t = binary_caterpillar(5)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
+    for solve in (eigenvalues, spectral_radius, bound_report,
+                  lambda t: verify_extremal(series_reduced(5), t)):
+        with pytest.raises(NoConvergence):
+            solve(t)
 
 
 def _block_route_trees():
@@ -232,8 +251,9 @@ def test_symmetric_trees_take_the_exact_route(monkeypatch):
     assert shapes == []
     assert eigenvalues(complete_dary(2, 9))[:3] == (511.0, 511.0, 255.0)
     assert eigenvalues(parse_newick(EQUAL_SUMS)) == (6.0, 3.0, 1.0)
-    # the values are exact, so even tol = 0 holds
-    assert eigenvalues(broom(3, 50), tol=0.0) == (151.0,) + (1.0,) * 49
+    # the values are exact, so even a residual tolerance of 0 holds
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
+    assert eigenvalues(broom(3, 50)) == (151.0,) + (1.0,) * 49
 
 
 def test_exact_route_meets_the_trace_and_norm_identities():
@@ -252,14 +272,16 @@ def test_exact_route_meets_the_trace_and_norm_identities():
                 == sum(x * x for row in rows for x in row))
 
 
-def test_block_route_holds_all_of_c_to_its_residual_bound():
+def test_block_route_holds_all_of_c_to_its_residual_bound(monkeypatch):
     # the example's second branch and every branch of the caterpillar but
     # the leaf take the block route
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     for t in (example_tree(), binary_caterpillar(5)):
         assert _block_route_branches(t)
         with pytest.raises(NoConvergence) as exc:
-            eigenvalues(t, tol=1e-300)
-        # the bound is tol * ||C(T)||_F, from the O(V) sum, not the blocks
+            eigenvalues(t)
+        # the bound is DEFAULT_TOL * ||C(T)||_F, from the O(V) sum, not the
+        # blocks
         full = np.array(ancestral_matrix(t).rows, dtype=float)
         assert exc.value.bound / 1e-300 == pytest.approx(np.linalg.norm(full))
         assert exc.value.residual > 0.0
@@ -285,7 +307,7 @@ def test_branch_rho_never_exceeds_the_row_bound():
         # t below a new root is the one branch of that tree
         one_branch = build_tree([None, 0] + [p + 1 for p in t.parent[1:]])
         rows = [sum(row) + t.n_leaves for row in ancestral_matrix(t).rows]
-        value = spectral_radius(one_branch, 1e-10).rho
+        value = spectral_radius(one_branch).rho
         row = row_sums(one_branch)
         assert max(row[v] for v in one_branch.leaf_order) == max(rows)
         assert value <= max(rows)

@@ -10,10 +10,13 @@ from ancestral import (
     broom,
     build_tree,
     complete_dary,
+    eigenvalue_one_certificate,
+    eigenvalues,
     generate,
     greedy_caterpillar,
     leaf_counts,
     path_broom,
+    path_incidence_matrix,
     row_sums,
     star,
     star_plus_path,
@@ -286,6 +289,25 @@ def test_family_past_the_cap_is_refused(monkeypatch):
     # dary:2,40 has 2^41 - 1 vertices; the count stops at the level past the cap
     with pytest.raises(InvalidParameter, match="'dary:2,40': at least 31 "):
         generate("dary:2,40")
+
+
+def test_dense_outputs_past_the_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(tree_core, "DENSE_CAP", 16)
+    # star(n): n leaves, n edges and n basis vectors of length n, so star(4)
+    # is at the cap and star(5) past it
+    for build in (ancestral_matrix, path_incidence_matrix,
+                  eigenvalue_one_certificate):
+        build(star(4))
+        with pytest.raises(InvalidParameter, match=r"5 x 5 entries is past "
+                                                   r"the cap 16$"):
+            build(star(5))
+    # the block-route branch of binary_caterpillar(n) has n - 1 leaves; the
+    # exact route builds no block, however many leaves it has
+    assert len(eigenvalues(star(30))) == 30
+    assert len(eigenvalues(binary_caterpillar(5))) == 5
+    with pytest.raises(InvalidParameter,
+                       match=r"^branch block of 5 x 5 entries is past "):
+        eigenvalues(binary_caterpillar(6))
 
 
 def test_subtree_renumbers_preorder():
