@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import _spectral_radius
-from .tree_core import RootedTree, leaf_counts, row_sums, structural_stats
+from .tree_core import RootedTree, leaf_counts, row_sums
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
@@ -106,24 +106,27 @@ def bound_report(tree: RootedTree) -> BoundReport:
     levels) - (terminal Wiener index)/(leaf count), which is the same
     rational as the average row sum; rho >= height; rho >= (L-1)/(Delta-1)
     for Delta >= 2.  Trees where the maximum outdegree is below 2 carry a
-    vacuous degree bound, reported as 0.  The row sums are derived once,
-    and rho is solved from them; the leaf counts once, in
+    vacuous degree bound, reported as 0.  L, the height, Delta and the
+    sum of leaf levels are read off the tree's arrays; the row sums are
+    derived once, and rho is solved from them; the leaf counts once, in
     ``terminal_wiener``.
     """
     if tree.n_vertices == 1:
         raise SingleVertexTree("bounds are vacuous on a single vertex")
-    stats = structural_stats(tree)
+    n_leaves = tree.n_leaves
+    leaf_levels = [tree.level[v] for v in tree.leaf_order]
+    delta = max(map(len, tree.children))
     row = row_sums(tree)
     leaf_rows = [row[v] for v in tree.leaf_order]
-    avg_ad = Fraction(sum(leaf_rows), stats.L)
+    avg_ad = Fraction(sum(leaf_rows), n_leaves)
     max_ad = max(leaf_rows)
-    tw_bound = (Fraction(stats.D_root)
-                - Fraction(terminal_wiener(tree), stats.L))
+    tw_bound = (Fraction(sum(leaf_levels))
+                - Fraction(terminal_wiener(tree), n_leaves))
     if tw_bound != avg_ad:
         raise AssertionError("the two lower-bound derivations disagree")
-    height_bound = stats.h
-    delta_bound = (Fraction(stats.L - 1, stats.delta - 1)
-                   if stats.delta >= 2 else Fraction(0))
+    height_bound = max(leaf_levels)
+    delta_bound = (Fraction(n_leaves - 1, delta - 1)
+                   if delta >= 2 else Fraction(0))
     rho = _spectral_radius(tree, row).rho
     margins = {
         "avg_ad": rho - float(avg_ad),

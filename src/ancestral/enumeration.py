@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import spectral_radius
-from .tree_core import RootedTree, build_tree, subtree
+from .tree_core import RootedTree, build_tree
 
 DEFAULT_CAP = 10 ** 6
 # a tree is extremal when its rho is within this window of the class maximum
@@ -640,7 +640,19 @@ def random_tree(n_vertices: int, rng: random.Random) -> RootedTree:
     """
     if n_vertices < 1:
         raise InvalidParameter("need at least one vertex")
-    parents: list[Optional[int]] = [None]
+    drawn: list[Optional[int]] = [None]
+    kids: list[list[int]] = [[] for _ in range(n_vertices)]
     for v in range(1, n_vertices):
-        parents.append(rng.randrange(v))
-    return subtree(build_tree(parents), 0)
+        p = rng.randrange(v)
+        drawn.append(p)
+        kids[p].append(v)
+    # one depth-first pass renumbers into preorder, children by index
+    number = [0] * n_vertices
+    parents: list[Optional[int]] = [None]
+    stack = kids[0][::-1]
+    while stack:
+        v = stack.pop()
+        number[v] = len(parents)
+        parents.append(number[drawn[v]])
+        stack.extend(reversed(kids[v]))
+    return build_tree(parents)

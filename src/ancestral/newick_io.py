@@ -10,75 +10,29 @@ An empty subtree is an unlabeled leaf, so ";" is the single-vertex tree and
 "(,,);" is the star with three leaves.  Labels are accepted on parse but
 dropped on serialize; the matrices depend only on shape and leaf order, and
 unlabeled output is the canonical form.
+
+Parsing reads the tokens of one compiled regular expression in one pass and
+numbers the vertices in preorder, so ``build_tree`` takes its one-pass
+route; serializing is one pass over the tree's preorder.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain, repeat
 from typing import Optional
 
 from .errors import EmptyInput, NewickSyntaxError, TrailingGarbage
 from .tree_core import RootedTree, build_tree
 
+# one token: a punctuation mark, a whole label, or any other single
+# character, which the grammar then refuses where it stands; whitespace
+# separates tokens and is skipped
+_TOKEN = re.compile(r"[(),;]|[A-Za-z0-9_]+|\S")
+_END = re.compile(r"\Z")
 _LABEL_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def take_label(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _LABEL_CHARS:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def tree(self, parents: list[Optional[int]], labels: dict[int, str]) -> None:
-        """Read one subtree, appending its vertices in preorder.
-
-        Iterative: ``open_`` holds the internal vertices whose ")" is still
-        to come, so nesting depth is bounded only by memory.
-        """
-        open_: list[int] = []
-        while True:
-            # at the start of a subtree
-            me = len(parents)
-            parents.append(open_[-1] if open_ else None)
-            if self.peek() == "(":
-                self.pos += 1
-                open_.append(me)
-                continue
-            label = self.take_label()
-            if label:
-                labels[me] = label
-            # a subtree just ended: start a sibling, or close parents
-            while open_:
-                c = self.peek()
-                if c == ",":
-                    self.pos += 1
-                    break
-                if c != ")":
-                    raise NewickSyntaxError(self.pos, "expected ',' or ')'")
-                self.pos += 1
-                v = open_.pop()
-                label = self.take_label()
-                if label:
-                    labels[v] = label
-            else:
-                return
 
 
 def parse_newick(text: str) -> RootedTree:
@@ -92,44 +46,76 @@ def parse_newick(text: str) -> RootedTree:
 
 
 def parse_newick_with_labels(text: str) -> tuple[RootedTree, dict[int, str]]:
-    """Like parse_newick but also returns the vertex -> label map."""
-    p = _Parser(text)
-    p.skip_ws()
-    if p.pos >= len(text):
+    """Like parse_newick but also returns the vertex -> label map.
+
+    One pass over the token matches, which are streamed, never listed; past
+    the last one the stream repeats an empty match at the end of the text,
+    so every error names the start of the match it stopped at.  ``open_``
+    holds the internal vertices whose ")" is still to come, so nesting
+    depth is bounded only by memory.
+    """
+    end = _END.match(text, len(text))
+    tokens = chain(_TOKEN.finditer(text), repeat(end))
+    tok = (match := next(tokens))[0]
+    if not tok:
         raise EmptyInput("no tree in input")
     parents: list[Optional[int]] = []
     labels: dict[int, str] = {}
-    p.tree(parents, labels)
-    if p.peek() != ";":
-        raise NewickSyntaxError(p.pos, "expected ';'")
-    p.pos += 1
-    p.skip_ws()
-    if p.pos < len(text):
-        raise TrailingGarbage(p.pos)
+    open_: list[int] = []
+    while True:
+        # at the start of a subtree
+        me = len(parents)
+        parents.append(open_[-1] if open_ else None)
+        if tok == "(":
+            open_.append(me)
+            tok = (match := next(tokens))[0]
+            continue
+        if tok and tok[0] in _LABEL_CHARS:
+            labels[me] = tok
+            tok = (match := next(tokens))[0]
+        # a subtree just ended: start a sibling, or close parents
+        while open_:
+            if tok == ",":
+                tok = (match := next(tokens))[0]
+                break
+            if tok != ")":
+                raise NewickSyntaxError(match.start(), "expected ',' or ')'")
+            v = open_.pop()
+            tok = (match := next(tokens))[0]
+            if tok and tok[0] in _LABEL_CHARS:
+                labels[v] = tok
+                tok = (match := next(tokens))[0]
+        else:
+            break
+    if tok != ";":
+        raise NewickSyntaxError(match.start(), "expected ';'")
+    if (match := next(tokens))[0]:
+        raise TrailingGarbage(match.start())
     return build_tree(parents), labels
 
 
 def serialize_newick(tree: RootedTree, labels: Optional[dict[int, str]] = None) -> str:
     """Canonical text form: children in stored order, no whitespace, leaves
-    unlabeled unless a label map is supplied, terminated by ";"."""
+    unlabeled unless a label map is supplied, terminated by ";".
+
+    One pass over the preorder: an internal vertex opens "(", a leaf writes
+    its label, and after a leaf the walk up from it closes every parent of
+    which it ends the last child, then writes "," before the next sibling.
+    """
+    label = labels.get if labels else {}.get
+    parent, children, root = tree.parent, tree.children, tree.root
     parts: list[str] = []
-    # pending items: a vertex to emit, or literal text; no recursion
-    stack: list = [tree.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+    for v in tree.preorder:
+        if children[v]:
+            parts.append("(")
             continue
-        label = labels.get(item, "") if labels else ""
-        kids = tree.children[item]
-        if not kids:
-            parts.append(label)
-            continue
-        parts.append("(")
-        stack.append(")" + label)
-        for i, c in enumerate(reversed(kids)):
-            if i:
-                stack.append(",")
-            stack.append(c)
+        parts.append(label(v, ""))
+        while v != root:
+            p = parent[v]
+            if children[p][-1] != v:
+                parts.append(",")
+                break
+            parts.append(")" + label(p, ""))
+            v = p
     parts.append(";")
     return "".join(parts)

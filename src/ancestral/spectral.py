@@ -54,7 +54,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import NoConvergence, SingleVertexTree
+from .errors import InvalidParameter, NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, check_dense, row_sums
 
 if TYPE_CHECKING:
@@ -94,12 +94,17 @@ def _dense_solve(a, bound: float):
 
 def eigen_decompose(m) -> Spectrum:
     """Full symmetric eigendecomposition with a residual certificate, of a
-    square array or of a matrix that holds one as its ``rows``."""
+    square array or of a matrix that holds one as its ``rows``.  An empty
+    input has the empty spectrum; a non-empty one of any other shape is
+    refused as an invalid parameter, before the solver runs."""
     import numpy as np
 
     a = np.asarray(getattr(m, "rows", m), dtype=float)
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidParameter(
+            f"eigen_decompose needs a square matrix, not shape {a.shape}")
     bound = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a, "fro")))
     vals, vecs, residual = _dense_solve(a, bound)
     if not residual <= bound:

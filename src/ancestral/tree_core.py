@@ -5,9 +5,11 @@ construction; every operation below is a pure function.  The canonical row and
 column order for all leaf-indexed matrices is ``leaf_order``: the leaves in
 preorder, children in stored order.
 
-``build_tree`` makes the one depth-first walk over a tree and keeps its
-preorder, its leaves and the range of ``leaf_order`` below each vertex on the
-tree; every other layer reads those arrays instead of walking the tree again.
+``build_tree`` makes the one pass over a tree and keeps its preorder, its
+leaves and the range of ``leaf_order`` below each vertex on the tree; every
+other layer reads those arrays instead of walking the tree again.  A parent
+list numbered in preorder, as every generator, the parser and ``subtree``
+make, is read in one forward pass; any other list takes a depth-first walk.
 Since every leaf order gives a permutation-similar matrix, the preorder one
 loses nothing and keeps each branch's leaves contiguous.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -87,13 +90,82 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
     """Build a tree from a parent list; entry None marks the root.
 
     Children are ordered by vertex index and leaves by preorder, so the same
-    parent list always yields the identical tree.  For a parent list that is
-    itself numbered in preorder, as every generator and parser here makes,
-    leaf_order is ascending.
+    parent list always yields the identical tree.  A list numbered in
+    preorder, in which parents[0] is None and each other parents[v] lies on
+    the root path of v - 1, is read in one forward pass, and its leaf_order
+    is ascending; every generator and parser here makes such lists.  The
+    first entry that breaks the preorder hands the list to a depth-first
+    walk, which takes any list and names what is wrong with an invalid one.
+    """
+    if len(parents) == 0:
+        raise InvalidParameter("empty parent list")
+    return _build_preorder(parents) or _build_walk(parents)
+
+
+def _build_preorder(parents: Sequence[Optional[int]]) -> Optional[RootedTree]:
+    """The tree of a parent list numbered in preorder, in one forward pass,
+    or None at the first entry that breaks the preorder.
+
+    ``path`` is the root path of the vertex before v, and ``kids`` the
+    children met so far of each vertex on it.  v's parent must be on that
+    path.  The vertex before v is a leaf exactly when it is not v's parent,
+    and every vertex popped to reach the parent has all its leaves and
+    children before v.
     """
     n = len(parents)
-    if n == 0:
-        raise InvalidParameter("empty parent list")
+    if parents[0] is not None:
+        return None
+    children: list[tuple[int, ...]] = [()] * n
+    level = [0] * n
+    start = [0] * n
+    stop = [0] * n
+    leaves: list[int] = []
+    path = [0]
+    kids: list[list[int]] = [[]]
+    last = 0
+    for v, p in enumerate(islice(parents, 1, None), 1):
+        if type(p) is not int:
+            return None
+        if p == last:
+            start[v] = start[p]
+        else:
+            leaves.append(last)
+            k = len(leaves)
+            stop[last] = k
+            path.pop()
+            kids.pop()
+            while path and path[-1] > p:
+                u = path.pop()
+                stop[u] = k
+                children[u] = tuple(kids.pop())
+            if not path or path[-1] != p:
+                return None
+            start[v] = k
+        kids[-1].append(v)
+        level[v] = len(path)
+        path.append(v)
+        kids.append([])
+        last = v
+    leaves.append(last)
+    k = len(leaves)
+    for u, c in zip(path, kids):
+        stop[u] = k
+        children[u] = tuple(c)
+    return RootedTree(
+        parent=tuple(parents),
+        children=tuple(children),
+        root=0,
+        leaf_order=tuple(leaves),
+        level=tuple(level),
+        preorder=tuple(range(n)),
+        leaf_start=tuple(start),
+        leaf_stop=tuple(stop),
+    )
+
+
+def _build_walk(parents: Sequence[Optional[int]]) -> RootedTree:
+    """The tree of any non-empty parent list, by one depth-first walk."""
+    n = len(parents)
     roots = [v for v, p in enumerate(parents) if p is None]
     if len(roots) > 1:
         raise MultipleRoots(f"vertices {roots} all lack a parent")
@@ -136,7 +208,7 @@ def build_tree(parents: Sequence[Optional[int]]) -> RootedTree:
 
     return RootedTree(
         parent=tuple(parents),
-        children=tuple(tuple(c) for c in children),
+        children=tuple(map(tuple, children)),
         root=root,
         leaf_order=tuple(leaves),
         level=tuple(level),
@@ -209,7 +281,8 @@ def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, .
     # whose first leaf lies past v's leaf range; leaf_start never decreases
     # along the preorder
     order = tree.preorder
-    first = order.index(v)
+    # a tree numbered in preorder holds v at position v
+    first = v if order[v] == v else order.index(v)
     end = bisect_left(order, tree.leaf_stop[v], first + 1,
                       key=tree.leaf_start.__getitem__)
     run = order[first:end]

@@ -103,6 +103,20 @@ def test_bounds_hold_on_corpus():
         assert bound_report(t).all_satisfied
 
 
+def test_bound_report_structure_matches_structural_stats():
+    rng = seeded_rng(41)
+    trees = [t for t in corpus(8) if t.n_vertices > 1]
+    trees += [shuffled_random_tree(rng.randint(2, 120), rng) for _ in range(50)]
+    for t in trees:
+        rep = bound_report(t)
+        stats = structural_stats(t)
+        assert rep.height_bound == stats.h
+        assert rep.delta_bound == (Fraction(stats.L - 1, stats.delta - 1)
+                                   if stats.delta >= 2 else 0)
+        assert rep.tw_bound == (stats.D_root
+                                - Fraction(terminal_wiener(t), stats.L))
+
+
 def test_single_vertex_is_rejected():
     with pytest.raises(SingleVertexTree):
         bound_report(build_tree([None]))

@@ -1,12 +1,14 @@
 """Exhaustive tree classes, canonical encodings and extremality search."""
 
 import math
+import random
 
 import pytest
 
 from ancestral import enumeration
 from ancestral import (
     broom,
+    build_tree,
     by_leaf_count,
     by_outdegree_sequence,
     by_vertex_count,
@@ -22,6 +24,7 @@ from ancestral import (
     series_reduced,
     spectral_radius,
     star,
+    subtree,
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
@@ -497,6 +500,43 @@ def test_random_tree_is_seeded_and_preorder():
     rng = seeded_rng(7)
     shapes = {canonical_encoding(random_tree(6, rng)) for _ in range(50)}
     assert len(shapes) > 3
+
+
+# random_tree(n, random.Random(seed)).parent, as the attachment draws
+# renumbered into preorder gave them when first recorded
+_RANDOM_TREES = [
+    (1, 0, (None,)),
+    (2, 1, (None, 0)),
+    (5, 2, (None, 0, 0, 2, 0)),
+    (8, 3, (None, 0, 1, 2, 3, 3, 0, 0)),
+    (12, 4, (None, 0, 1, 1, 3, 1, 5, 0, 7, 7, 0, 0)),
+    (17, 5, (None, 0, 1, 2, 3, 4, 5, 4, 3, 3, 2, 1, 11, 1, 0, 0, 15)),
+    (25, 6, (None, 0, 1, 1, 3, 3, 5, 1, 7, 8, 9, 0, 11, 12, 0, 14, 15, 16,
+             17, 17, 15, 20, 14, 14, 0)),
+    (40, 7, (None, 0, 1, 2, 2, 2, 1, 6, 7, 7, 9, 1, 1, 0, 13, 13, 15, 15,
+             15, 15, 15, 13, 21, 0, 23, 24, 25, 24, 0, 28, 29, 29, 0, 32, 33,
+             32, 0, 36, 0, 38)),
+    (9, 8, (None, 0, 1, 1, 1, 1, 5, 1, 0)),
+    (30, 9, (None, 0, 1, 1, 3, 1, 5, 1, 7, 7, 9, 10, 9, 12, 12, 7, 15, 7, 17,
+             7, 7, 1, 21, 1, 23, 24, 1, 0, 27, 27)),
+]
+
+
+@pytest.mark.parametrize("n, seed, parents", _RANDOM_TREES)
+def test_random_tree_is_pinned(n, seed, parents):
+    assert random_tree(n, random.Random(seed)).parent == parents
+
+
+def test_random_tree_renumbers_the_draws_into_preorder():
+    # the same draws, built by the walk and renumbered by subtree
+    for seed in range(200):
+        n = 1 + seed % 37
+        rng = random.Random(seed)
+        drawn = [None] + [rng.randrange(v) for v in range(1, n)]
+        want = subtree(build_tree(drawn), 0)
+        got = random_tree(n, random.Random(seed))
+        assert got == want and got.preorder == want.preorder
+        assert got.leaf_start == want.leaf_start
 
 
 def test_deep_encoding_round_trip():

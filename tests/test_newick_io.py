@@ -11,7 +11,13 @@ from ancestral import (
 )
 from ancestral.errors import EmptyInput, NewickSyntaxError, TrailingGarbage
 
-from helpers import EXAMPLE_C_ROWS, corpus, example_tree, seeded_rng
+from helpers import (
+    EXAMPLE_C_ROWS,
+    corpus,
+    example_tree,
+    seeded_rng,
+    shuffled_random_tree,
+)
 
 
 def test_single_vertex():
@@ -81,6 +87,70 @@ def test_trailing_garbage_position():
     assert err.value.position == 4
     # trailing whitespace is fine
     assert parse_newick("(,);  \n").n_leaves == 2
+
+
+# each malformed input with the error class and position it raised when the
+# table was first recorded, under the character-by-character reader
+@pytest.mark.parametrize("text, error, position", [
+    ("", EmptyInput, None),
+    ("   ", EmptyInput, None),
+    ("\n\t ", EmptyInput, None),
+    ("\u2003", EmptyInput, None),
+    ("  x(,);", NewickSyntaxError, 3),
+    ("  ) ;", NewickSyntaxError, 2),
+    ("\t(,)\n;x", TrailingGarbage, 6),
+    ("(a b);", NewickSyntaxError, 3),
+    ("a(,);", NewickSyntaxError, 1),
+    ("ab (,);", NewickSyntaxError, 3),
+    ("(a)(b);", NewickSyntaxError, 3),
+    ("(:,);", NewickSyntaxError, 1),
+    ("(a:1,b);", NewickSyntaxError, 2),
+    ("(,)a:1;", NewickSyntaxError, 4),
+    ("([,);", NewickSyntaxError, 1),
+    ("(a,b)[c];", NewickSyntaxError, 5),
+    ("\u00e9;", NewickSyntaxError, 0),
+    ("(\u00e9,);", NewickSyntaxError, 1),
+    ("(a,\u00e9);", NewickSyntaxError, 3),
+    ("(a\u00e9,);", NewickSyntaxError, 2),
+    ("ab\u00e9;", NewickSyntaxError, 2),
+    ("(a,b\u00e91);", NewickSyntaxError, 4),
+    ("(,)\x00;", NewickSyntaxError, 3),
+    ("a;b", TrailingGarbage, 2),
+    ("(,);;", TrailingGarbage, 4),
+    (";x", TrailingGarbage, 1),
+    ("((((", NewickSyntaxError, 4),
+    ("((((a", NewickSyntaxError, 5),
+    ("(((,", NewickSyntaxError, 4),
+    ("((a,b),c", NewickSyntaxError, 8),
+    ("(;", NewickSyntaxError, 1),
+    (",;", NewickSyntaxError, 0),
+    ("(,)", NewickSyntaxError, 3),
+    ("(a,)b c;", NewickSyntaxError, 6),
+])
+def test_malformed_input_error_and_position(text, error, position):
+    with pytest.raises(error) as err:
+        parse_newick(text)
+    assert type(err.value) is error
+    assert getattr(err.value, "position", None) == position
+
+
+def test_unicode_whitespace_separates_tokens():
+    for text in ("\u2003(,);", "(\u2003,\u2003);", "(,)\u2003;\u2003"):
+        assert parse_newick(text).parent_list() == [None, 0, 0]
+
+
+def test_serialize_shuffled_numberings():
+    # the text follows the preorder, whatever the vertex numbers
+    rng = seeded_rng(29)
+    for _ in range(200):
+        t = shuffled_random_tree(rng.randint(1, 30), rng)
+        text = serialize_newick(t)
+        assert parse_newick(text).parent_list() == \
+            subtree(t, t.root).parent_list()
+        labels = {v: f"v{v}" for v in range(t.n_vertices)}
+        back, got = parse_newick_with_labels(serialize_newick(t, labels))
+        assert [got[i] for i in range(back.n_vertices)] == \
+            [labels[v] for v in t.preorder]
 
 
 def test_round_trip_on_enumerated_corpus():

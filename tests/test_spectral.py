@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ancestral import (
     eigenvalue_one_certificate,
     eigenvalues,
     parse_newick,
+    path_incidence_matrix,
     random_tree,
     rho,
     row_sums,
@@ -24,7 +26,7 @@ from ancestral import (
     verify_extremal,
 )
 from ancestral import ancestral_matrices, spectral
-from ancestral.errors import NoConvergence, SingleVertexTree
+from ancestral.errors import InvalidParameter, NoConvergence, SingleVertexTree
 
 from helpers import (
     EXAMPLE_EIGENVALUES,
@@ -53,6 +55,27 @@ def test_residual_contract(monkeypatch):
     monkeypatch.setattr(spectral, "DEFAULT_TOL", 0.0)
     with pytest.raises(NoConvergence):
         eigen_decompose(m)
+
+
+@pytest.mark.parametrize("m, shape", [
+    (path_incidence_matrix(complete_dary(2, 2)), "(4, 6)"),
+    ([[1, 2, 3], [4, 5, 6]], "(2, 3)"),
+    ([1.0, 2.0], "(2,)"),
+    ([[[1.0]]], "(1, 1, 1)"),
+])
+def test_eigen_decompose_refuses_a_non_square_input(m, shape):
+    with pytest.raises(InvalidParameter, match=re.escape(f"shape {shape}")):
+        eigen_decompose(m)
+
+
+def test_eigen_decompose_solver_failure_is_no_convergence(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence) as err:
+        eigen_decompose(ancestral_matrix(example_tree()))
+    assert err.value.residual == math.inf
 
 
 def _random_trees(salt: int, count: int, max_vertices: int):

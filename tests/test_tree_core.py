@@ -9,15 +9,20 @@ from ancestral import (
     binary_caterpillar,
     broom,
     build_tree,
+    canonical_encoding,
     complete_dary,
     eigenvalue_one_certificate,
     eigenvalues,
+    encoding_to_tree,
     generate,
     greedy_caterpillar,
     leaf_counts,
+    parse_newick,
     path_broom,
     path_incidence_matrix,
+    random_tree,
     row_sums,
+    serialize_newick,
     star,
     star_plus_path,
     structural_stats,
@@ -25,13 +30,19 @@ from ancestral import (
     valid_specs,
 )
 from ancestral.errors import (
+    AncestralError,
     CycleDetected,
     IndexOutOfRange,
     InvalidParameter,
     MultipleRoots,
 )
 from ancestral import tree_core
-from ancestral.tree_core import _FAMILIES, subtree_with_map
+from ancestral.tree_core import (
+    _FAMILIES,
+    _build_preorder,
+    _build_walk,
+    subtree_with_map,
+)
 
 from helpers import (
     EXAMPLE_PARENTS,
@@ -332,3 +343,96 @@ def test_levels_and_leaves_consistent_on_random_parent_lists(data):
     for i, v in enumerate(t.leaf_order):
         assert t.leaf_start[v] == i
         assert t.leaf_stop[v] == i + 1
+
+
+def _fields(t):
+    """The tree with its compare=False fields."""
+    return t, t.preorder, t.leaf_start, t.leaf_stop
+
+
+def _build_outcome(build, parents):
+    """The built tree's fields, or the error class."""
+    try:
+        return _fields(build(parents))
+    except AncestralError as exc:
+        return type(exc)
+
+
+@st.composite
+def _preorder_parent_lists(draw):
+    """Each vertex's parent drawn from the root path of the vertex before."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    parents = [None]
+    path = [0]
+    for v in range(1, n):
+        i = draw(st.integers(0, len(path) - 1))
+        del path[i + 1:]
+        parents.append(path[i])
+        path.append(v)
+    return parents
+
+
+@given(_preorder_parent_lists())
+def test_one_pass_build_matches_the_walk_on_preorder_lists(parents):
+    t = _build_preorder(parents)
+    assert t is not None
+    assert _fields(t) == _build_outcome(_build_walk, parents)
+    assert t.preorder == tuple(range(len(parents)))
+
+
+@st.composite
+def _shuffled_parent_lists(draw):
+    """A valid parent list, its vertices renumbered at random."""
+    parents = draw(_preorder_parent_lists())
+    label = draw(st.permutations(range(len(parents))))
+    out = [None] * len(parents)
+    for v, p in enumerate(parents):
+        out[label[v]] = None if p is None else label[p]
+    return out
+
+
+_ENTRY = st.one_of(st.none(), st.booleans(), st.integers(-2, 12))
+
+
+@given(st.one_of(_shuffled_parent_lists(),
+                 st.lists(_ENTRY, min_size=1, max_size=12)))
+def test_build_tree_matches_the_walk_on_arbitrary_lists(parents):
+    # the one-pass route either gives the walk's tree or hands the list on
+    assert _build_outcome(build_tree, parents) == \
+        _build_outcome(_build_walk, parents)
+    t = _build_preorder(parents)
+    if t is not None:
+        assert _fields(t) == _build_outcome(_build_walk, parents)
+
+
+@pytest.mark.parametrize("parents, error", [
+    ([None, None], MultipleRoots),
+    ([None, 0, None], MultipleRoots),
+    ([1, 0], CycleDetected),
+    ([None, 2, 1], CycleDetected),
+    ([None, 0, 3, 2], CycleDetected),
+    ([None, 5], IndexOutOfRange),
+    ([None, 0, -1], IndexOutOfRange),
+    ([None, 0, 1.0], IndexOutOfRange),
+    ([None, True], CycleDetected),
+    ([None, False, 3, 2], CycleDetected),
+])
+def test_invalid_lists_raise_the_same_error_on_both_routes(parents, error):
+    assert _build_preorder(parents) is None
+    with pytest.raises(error):
+        build_tree(parents)
+    with pytest.raises(error):
+        _build_walk(parents)
+
+
+def test_generators_and_the_parser_take_the_one_pass_route():
+    rng = seeded_rng(31)
+    for spec in ("star:3", "broom:2,3", "binary-caterpillar:5", "dary:3,2",
+                 "greedy:3,1,2", "star-plus-path:2,3"):
+        t = generate(spec)
+        made = [t, subtree(t, t.children[0][-1]),
+                parse_newick(serialize_newick(t)),
+                encoding_to_tree(canonical_encoding(t)),
+                random_tree(t.n_vertices, rng)]
+        for m in made:
+            assert _build_preorder(m.parent) is not None
