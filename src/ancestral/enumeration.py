@@ -538,9 +538,9 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     largest key bound among those keys is attained, so the first threshold,
     that bound, already yields a branch.  Branches are solved by
     ``spectral_radius`` of the tree whose root has the branch as its one
-    child, with its residual check, in descending row bound order
-    until a bound falls below best - w, best the largest rho solved so
-    far.  Then the threshold drops to ceil(best - w), the branches between
+    child, with its residual check on every branch solved numerically, in
+    descending row bound order until a bound falls below best - w, best the
+    largest rho solved so far.  Then the threshold drops to ceil(best - w), the branches between
     the two thresholds are solved the same way, and so on until the
     threshold stops falling.  Every branch left unsolved has a row bound,
     and so a rho, below best - w <= max - w.  A tree is therefore within
@@ -611,7 +611,7 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree) -> ExtremalReport:
     whose row bound can reach the maximum within the window are generated
     and solved, and only the trees within it are built (see
     ``_contenders``), so the residual check of ``spectral_radius`` runs on
-    those branches alone.
+    those branches alone, and of them on every branch solved numerically.
     """
     scored = _contenders(cls)
     if not scored:

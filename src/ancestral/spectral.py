@@ -8,51 +8,27 @@ the fact rather than trusted.  numpy is imported only where a dense solve
 runs.
 
 C(T) is the direct sum of the blocks C(B) + J over the branches B below the
-root, so ``eigenvalues`` solves one branch at a time, by one of two routes:
+root.  ``_exact_route`` decides each branch's route once, and both
+``eigenvalues`` and ``spectral_radius`` read that decision:
 
-- The exact route, for a branch whose leaves all have the same row sum in
-  C(T).  Let A_v be the ancestral matrix of the subtree at v, levels
-  counted from v, so that A_v is the direct sum of the A_k + J over v's
-  children k, and the block of a branch with root c is A_c + J.  If every
-  A_k + J has the all-ones vector 1 as an eigenvector with one common
-  eigenvalue x, then 1 is an eigenvector of A_v + J with eigenvalue
-  x + L_v (the secular equation 1 = 1^T (yI - A_v)^-1 1 has the single
-  pole x, of weight L_v), the other g - 1 directions in the span of the
-  children's all-ones vectors keep x, and every eigenvector of an A_k + J
-  orthogonal to its 1 keeps its eigenvalue.  From a leaf, whose block is
-  (1), x at v is the sum of L_u over the vertices u on any path from v
-  down to a leaf, and at the branch root it is the common row sum.  So
-  the spectrum of the block is x at c and, for each vertex of B with g
-  children, g - 1 copies of x at its children: integers below L_B times
-  the height, computed in one O(V_B) pass, exact as floats below 2^53,
-  with no residual to check and no numpy.
-- The block route, for every other branch.  Each block C(B) + J is filled
-  in numpy from O(V) tree arrays, never from the L x L matrix, and has one
-  dense solve of its own, whose residual is that of ``eigen_decompose``
-  against the bound DEFAULT_TOL * max(1, ||C(T)||_F) of the whole matrix.
-
-The rule reads ``tree_core.row_sums``: a branch takes the exact route when
-all of its leaves share one value R of it, and x at a child of a vertex v
-is then R - row[v].  A branch in which every vertex's children are
-isomorphic passes, so complete d-ary trees, stars and brooms take the
-exact route; a branch holding two siblings of different path sums, as a
-caterpillar's spine does, takes the block route and its L_B^3 dense work.
-
-The spectral radius needs no matrix and no eigensolver.  The largest
-eigenvalue of one block comes from a pivot recurrence over B's vertices (the
-analogue, for C(T), of Jacobs and Trevisan's eigenvalue location in trees),
-solved by Laguerre's method in O(V) per step from the block's largest row
-sum.  Its Perron vector and the residual of the contract above come from
-the same pivots, again in O(V).  Row sums, leaf counts, levels and the
-Frobenius norm are read off the tree's own arrays (``tree_core.row_sums``
-and the leaf ranges), once per tree, never re-derived per branch.
+- The exact route, for a branch whose leaves all share one row sum R of
+  C(T): its spectrum in integers, from one O(V_B) pass, with R largest.
+  The integer identity (C(B) + J) 1 = R 1 is its certificate, so it has no
+  float residual and no numpy, and no vector unless it wins rho.
+- The numeric route, for every other branch.  ``eigenvalues`` fills its
+  block in numpy from O(V) tree arrays and gives it one dense solve, held
+  to the bound DEFAULT_TOL * max(1, ||C(T)||_F) of the whole matrix.
+  ``spectral_radius`` builds no matrix: Laguerre's method on a pivot
+  recurrence over B's vertices (the analogue, for C(T), of Jacobs and
+  Trevisan's eigenvalue location in trees), O(V) per step, gives the
+  largest eigenvalue, and the same pivots its Perron vector and residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import InvalidParameter, NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, check_dense, row_sums
@@ -99,7 +75,11 @@ def eigen_decompose(m) -> Spectrum:
     refused as an invalid parameter, before the solver runs."""
     import numpy as np
 
-    a = np.asarray(getattr(m, "rows", m), dtype=float)
+    try:
+        a = np.asarray(getattr(m, "rows", m), dtype=float)
+    except ValueError as exc:
+        raise InvalidParameter("eigen_decompose needs a square matrix, not a "
+                               "ragged or non-numeric array") from exc
     if a.size == 0:
         return Spectrum(eigenvalues=(), eigenvectors=a.reshape(0, 0), residual=0.0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -167,38 +147,60 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
-    """Every eigenvalue of C(T), descending, solved branch by branch.
+def _exact_route(tree: RootedTree, run: Sequence[int],
+                 row: Sequence[int]) -> Optional[list[float]]:
+    """The spectrum of C(B) + J, exactly and largest value first, for the
+    branch B whose preorder run is ``run``, ``row`` being the tree's
+    ``row_sums``; None when B's leaves do not all share one row sum R.
 
-    A branch whose leaves all share one value R of ``row_sums(tree)`` takes
-    the exact route: R, and for each vertex v of it with g >= 2 children,
-    g - 1 copies of R - row[v], the path sum x at v's children.  Every
-    other branch takes the block route, one dense solve per branch.  No
-    L x L matrix is built and no dense solve is larger than the largest
-    branch.
-    The contract holds for C(T) as a whole: the largest residual of any
-    block is compared with DEFAULT_TOL * max(1, ||C(T)||_F), from
-    ``_fro_sq`` over every non-root vertex.  Raises NoConvergence when it
-    misses that bound.  The single vertex has the spectrum (0,).
+    Let A_v be the ancestral matrix of the subtree at v, levels counted from
+    v: A_v is the direct sum of the A_k + J over v's children k, and B's
+    block is A_c + J for its root c.  If every A_k + J has the all-ones
+    vector 1 as an eigenvector with one common eigenvalue x, then so has
+    A_v + J, with eigenvalue x + L_v (the secular equation
+    1 = 1^T (yI - A_v)^-1 1 has the single pole x, of weight L_v), the
+    other g - 1 directions in the span of the children's all-ones vectors
+    keep x, and every eigenvector of an A_k + J orthogonal to its 1 keeps
+    its eigenvalue.  From a leaf, whose block is (1), x at v is the sum of
+    L_u over the vertices u on any path from v down to a leaf, and R at c.
+    So the spectrum is R and, for each vertex v of B with g >= 2 children,
+    g - 1 copies of R - row[v], the x at v's children: integers below L_B
+    times the height, exact as floats below 2^53.  The shared R is
+    (C(B) + J) 1 = R 1 in integers, so R is the Perron value, with no
+    residual to check.  Stars, brooms and complete d-ary trees pass; a
+    caterpillar's spine, whose siblings differ, does not.
+    """
+    children = tree.children
+    r = row[run[-1]]  # the last vertex of a run is a leaf
+    values = [float(r)]
+    for v in run:
+        g = len(children[v])
+        if g > 1:
+            values += [float(r - row[v])] * (g - 1)
+        elif not g and row[v] != r:
+            return None
+    return values
+
+
+def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
+    """Every eigenvalue of C(T), descending, branch by branch: exactly on
+    ``_exact_route``, else by one dense solve no larger than the branch; no
+    L x L matrix is built.  The largest residual of any block is held to
+    DEFAULT_TOL * max(1, ||C(T)||_F), from ``_fro_sq`` over every non-root
+    vertex, and NoConvergence is raised when it misses.  The single vertex
+    has the spectrum (0,).
     """
     if tree.n_vertices == 1:
         return (0.0,)
-    children = tree.children
     row = row_sums(tree)
     values: list[float] = []
     dense = []
     for run in _branch_runs(tree)[1]:
-        r = row[run[-1]]  # the last vertex of a run is a leaf
-        exact = [float(r)]
-        for v in run:
-            g = len(children[v])
-            if g > 1:
-                exact += [float(r - row[v])] * (g - 1)
-            elif not g and row[v] != r:
-                size = tree.leaf_stop[run[0]] - tree.leaf_start[run[0]]
-                check_dense("branch block", size, size)
-                dense.append(run)
-                break
+        exact = _exact_route(tree, run, row)
+        if exact is None:
+            size = tree.leaf_stop[run[0]] - tree.leaf_start[run[0]]
+            check_dense("branch block", size, size)
+            dense.append(run)
         else:
             values += exact
     if dense:
@@ -306,19 +308,17 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
 
 def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
                 row: Sequence[int]) -> tuple[float, list[float]]:
-    """Largest eigenvalue of C(B) + J for one branch B, and its unit Perron
-    vector over B's leaves in preorder, without building the matrix.
+    """Largest eigenvalue of C(B) + J for one branch B on the numeric route,
+    and its unit Perron vector over B's leaves in preorder, without building
+    the matrix.
 
     ``run`` is B's run of the tree's preorder, ``at`` the position of each
     vertex in that preorder and ``row`` the tree's ``row_sums``.  The
     largest row sum of C(B) + J, read off ``row`` at B's leaves, bounds the
-    eigenvalue from above.  When every row sum is the same, it is the
-    eigenvalue, exactly, with the all-ones direction as its vector
-    (complete d-ary branches, brooms).  Otherwise ``_largest_root``
-    descends from it on the position of each vertex's parent within
-    ``run``, and the Perron vector is y = (xI - C(B))^-1 1: a leaf's entry
-    is 1/x times the product of 1/d over the vertices below B's root on its
-    path.
+    eigenvalue from above, and ``_largest_root`` descends from it on the
+    position of each vertex's parent within ``run``.  The Perron vector is
+    y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product of 1/d
+    over the vertices below B's root on its path.
 
     The eigensolver contract is checked on (x, y) as ``eigen_decompose``
     does, with (C(B) + J) y from one pass of subtree sums and one of prefix
@@ -332,19 +332,14 @@ def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
     leaves = [i for i in range(m) if is_leaf[i]]
     n_leaves = len(leaves)
 
-    sums = [row[run[i]] for i in leaves]
-    x = max(sums)
-    if min(sums) == x:
-        x = float(x)
-        y = [1.0 / math.sqrt(n_leaves)] * n_leaves
-    else:
-        x, d = _largest_root(parent, is_leaf, n_leaves, float(x))
-        q = [0.0] * m
-        q[0] = 1.0 / x
-        for i in range(1, m):
-            q[i] = q[parent[i]] / d[i]
-        norm = math.sqrt(sum(q[i] * q[i] for i in leaves))
-        y = [q[i] / norm for i in leaves]
+    x = float(max(row[run[i]] for i in leaves))
+    x, d = _largest_root(parent, is_leaf, n_leaves, x)
+    q = [0.0] * m
+    q[0] = 1.0 / x
+    for i in range(1, m):
+        q[i] = q[parent[i]] / d[i]
+    norm = math.sqrt(sum(q[i] * q[i] for i in leaves))
+    y = [q[i] / norm for i in leaves]
 
     s = [0.0] * m
     for i, v in zip(leaves, y):
@@ -368,24 +363,29 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int]) -> SpectralRadius:
     at, runs = _branch_runs(tree)
     best_rho = best_vec = best = None
     for run in runs:
-        value, vec = _branch_rho(tree, run, at, row)
+        exact = _exact_route(tree, run, row)
+        value, vec = ((exact[0], None) if exact is not None
+                      else _branch_rho(tree, run, at, row))
         if best_rho is None or value > best_rho:
             best_rho, best_vec, best = value, vec, run[0]
+    a, b = tree.leaf_start[best], tree.leaf_stop[best]
     perron = [0.0] * tree.n_leaves
-    perron[tree.leaf_start[best]:tree.leaf_stop[best]] = best_vec
+    # an exact branch's vector is its all-ones direction
+    perron[a:b] = best_vec or [1.0 / math.sqrt(b - a)] * (b - a)
     return SpectralRadius(rho=best_rho, perron=tuple(perron))
 
 
 def spectral_radius(tree: RootedTree) -> SpectralRadius:
     """Largest eigenvalue of C(T) with a non-negative eigenvector.
 
-    Computed branch by branch with ``_branch_rho``, on each root child's run
-    of the tree's preorder, from one ``row_sums`` of the whole tree: the
-    block of C(T) on one branch's leaves, C(B) + J, has all entries
-    positive, so its top eigenvector is simple and strictly positive.  The
-    winning branch's vector fills its slice [leaf_start, leaf_stop) of
-    leaf_order, and every other entry is zero; when several branches tie
-    exactly, the first root child in stored order wins.  No matrix is built.
+    Computed branch by branch, on each root child's run of the tree's
+    preorder, from one ``row_sums`` of the whole tree: R on a branch of
+    ``_exact_route``, ``_branch_rho`` on every other.  The block of C(T) on
+    one branch's leaves, C(B) + J, has all entries positive, so its top
+    eigenvector is simple and strictly positive.  The winning branch's
+    vector fills its slice [leaf_start, leaf_stop) of leaf_order, and every
+    other entry is zero; when several branches tie exactly, the first root
+    child in stored order wins.  No matrix is built.
     """
     return _spectral_radius(tree, row_sums(tree))
 

@@ -176,7 +176,7 @@ def _build_walk(parents: Sequence[Optional[int]]) -> RootedTree:
     for v, p in enumerate(parents):
         if p is None:
             continue
-        if not isinstance(p, int) or p < 0 or p >= n:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0 or p >= n:
             raise IndexOutOfRange(f"parent of {v} is {p!r}, not a vertex index")
         children[p].append(v)
 

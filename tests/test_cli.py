@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import ancestral
-from ancestral import (ExtremalReport, broom, by_vertices_and_leaves,
-                       caterpillar_charpoly, parse_newick, serialize_newick,
-                       series_reduced, star)
+from ancestral import (ExtremalReport, binary_caterpillar, broom,
+                       by_vertices_and_leaves, caterpillar_charpoly,
+                       parse_newick, serialize_newick, series_reduced, star)
 from ancestral import bounds_theorems, cli, spectral
 from ancestral.errors import NoConvergence
 from ancestral.tree_ops import OpKind, valid_specs
@@ -396,17 +396,18 @@ def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
 
 def test_search_checks_residuals_only_of_the_branches_it_solves(monkeypatch):
     # with a tie window and a residual tolerance of 1e-300, only one branch
-    # of 14,6 can reach the maximum, the broom's, and its residual meets
-    # even that bound
+    # of 14,6 can reach the maximum, the broom's, and it takes the exact
+    # route, which has no float residual to miss that bound
     monkeypatch.setattr(cli.enumeration, "TIE_WINDOW", 1e-300)
     monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     report = cli.enumeration.verify_extremal(
         by_vertices_and_leaves(14, 6), broom(7, 6))
     assert report.holds and report.rho_max == 43
-    # 7,3 still solves a branch whose residual misses that bound
+    # the series-reduced trees of 5 leaves solve branches numerically, and
+    # their residuals miss that bound
     with pytest.raises(NoConvergence):
-        cli.enumeration.verify_extremal(by_vertices_and_leaves(7, 3),
-                                        broom(3, 3))
+        cli.enumeration.verify_extremal(series_reduced(5),
+                                        binary_caterpillar(5))
 
 
 def test_search_counterexample(capsys, monkeypatch):

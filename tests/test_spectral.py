@@ -10,6 +10,7 @@ from ancestral import (
     bound_report,
     broom,
     build_tree,
+    by_vertices_and_leaves,
     complete_dary,
     eigen_decompose,
     eigenvalue_one_certificate,
@@ -62,9 +63,12 @@ def test_residual_contract(monkeypatch):
     ([[1, 2, 3], [4, 5, 6]], "(2, 3)"),
     ([1.0, 2.0], "(2,)"),
     ([[[1.0]]], "(1, 1, 1)"),
+    ([[1, 2], [3]], None),  # ragged: numpy finds no shape
 ])
 def test_eigen_decompose_refuses_a_non_square_input(m, shape):
-    with pytest.raises(InvalidParameter, match=re.escape(f"shape {shape}")):
+    says = f"shape {shape}" if shape else "a ragged or non-numeric array"
+    with pytest.raises(InvalidParameter,
+                       match=re.escape(f"needs a square matrix, not {says}")):
         eigen_decompose(m)
 
 
@@ -315,6 +319,32 @@ def test_equal_row_sums_give_rho_exactly():
     assert spectral_radius(complete_dary(2, 9)).rho == 511.0
     assert spectral_radius(complete_dary(3, 4)).rho == 40.0
     assert spectral_radius(broom(5, 4)).rho == 21.0
+
+
+def test_exact_route_branches_never_reach_laguerre(monkeypatch):
+    # rho of an exact-route branch is its shared row sum R, read off the
+    # route's one decision: no root is sought and no float residual taken
+    def refuse(*args):
+        raise AssertionError("an exact-route branch took the numeric route")
+
+    for numeric in ("_largest_root", "_branch_rho"):
+        monkeypatch.setattr(spectral, numeric, refuse)
+    trees = [star(40), complete_dary(3, 4), broom(3, 5)]
+    trees += [t for t in corpus(8)
+              if t.n_vertices > 1 and not _block_route_branches(t)]
+    for t in trees:
+        sr = spectral_radius(t)
+        assert sr.rho == eigenvalues(t)[0]
+        assert bound_report(t).rho == sr.rho
+        # the first branch whose row sum is rho wins, with the uniform vector
+        row = row_sums(t)
+        c = next(c for c in t.children[t.root]
+                 if row[t.leaf_order[t.leaf_start[c]]] == sr.rho)
+        a, b = t.leaf_start[c], t.leaf_stop[c]
+        assert sr.perron[a:b] == (1.0 / math.sqrt(b - a),) * (b - a)
+        assert not any(sr.perron[:a] + sr.perron[b:])
+    report = verify_extremal(by_vertices_and_leaves(14, 6), broom(7, 6))
+    assert report.holds and report.rho_max == 43
 
 
 def test_branch_rho_never_exceeds_the_row_bound():

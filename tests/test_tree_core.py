@@ -414,8 +414,9 @@ def test_build_tree_matches_the_walk_on_arbitrary_lists(parents):
     ([None, 5], IndexOutOfRange),
     ([None, 0, -1], IndexOutOfRange),
     ([None, 0, 1.0], IndexOutOfRange),
-    ([None, True], CycleDetected),
-    ([None, False, 3, 2], CycleDetected),
+    ([None, True], IndexOutOfRange),
+    ([None, False, 3, 2], IndexOutOfRange),
+    ([None, False, False], IndexOutOfRange),
 ])
 def test_invalid_lists_raise_the_same_error_on_both_routes(parents, error):
     assert _build_preorder(parents) is None
