@@ -4,6 +4,10 @@ Construction of the leaf-indexed ancestral matrix, its exact characteristic
 polynomial and numeric spectrum, the path-incidence factorization, bound and
 theorem checkers, caterpillar closed forms, and exhaustive extremality
 searches over small tree classes.
+
+Every result, the tree included, is an immutable ``typing.NamedTuple``
+record, so it is also a tuple: it compares equal to a tuple of the same
+values, and ``len()`` and iteration see its fields.
 """
 
 from .ancestral_matrices import (

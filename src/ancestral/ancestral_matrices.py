@@ -7,13 +7,12 @@ needs arbitrary precision, so nothing here ever converts to floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tree_core import RootedTree, check_dense, subtree
 
 
-@dataclass(frozen=True)
-class AncestralMatrix:
+class AncestralMatrix(NamedTuple):
     """Symmetric leaf-by-leaf matrix of ancestral levels.
 
     Row/column order is the tree's leaf_order.  Each diagonal entry is the
@@ -24,8 +23,7 @@ class AncestralMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PathIncidenceMatrix:
+class PathIncidenceMatrix(NamedTuple):
     """Leaf-by-edge 0/1 matrix marking the edges on each root-to-leaf path.
 
     Edges are identified by their child endpoint and ordered by child vertex
@@ -78,8 +76,9 @@ def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
 
 def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:
     """Row i marks the edges on the path from the root to leaf i."""
-    edges = [(tree.parent[v], v) for v in range(tree.n_vertices)
-             if tree.parent[v] is not None]
+    parent = tree.parent
+    edges = [(parent[v], v) for v in range(tree.n_vertices)
+             if parent[v] is not None]
     edge_index = {child: j for j, (_, child) in enumerate(edges)}
     n = tree.n_leaves
     m = len(edges)
@@ -88,9 +87,9 @@ def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:
     for v in tree.leaf_order:
         row = [0] * m
         w = v
-        while tree.parent[w] is not None:
+        while parent[w] is not None:
             row[edge_index[w]] = 1
-            w = tree.parent[w]
+            w = parent[w]
         rows.append(tuple(row))
     return PathIncidenceMatrix(n=n, m=m, rows=tuple(rows),
                                edge_order=tuple(edges))

@@ -13,8 +13,8 @@ numeric rho uses floats, with the margin BOUND_TOL.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import _spectral_radius
@@ -75,8 +75,7 @@ def q_recursion_check(tree: RootedTree) -> bool:
     return q[tree.root] == q_value(tree)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rho: float
     avg_ad: Fraction
     max_ad: int

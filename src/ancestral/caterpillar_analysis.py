@@ -12,8 +12,8 @@ substitution x = 1 + 1/(4 sin^2(t/2)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InvalidParameter, NoSignChange, PoleArgument
 from .exact_charpoly import IntPolynomial, _poly_mul, _poly_sub
@@ -86,8 +86,7 @@ def chebyshev_form_check(n: int, x) -> bool:
     return abs(lhs - rhs) <= CLOSED_FORM_TOL * max(1.0, abs(lhs))
 
 
-@dataclass(frozen=True)
-class TrigRoot:
+class TrigRoot(NamedTuple):
     n: int
     t0: float
     rho: float

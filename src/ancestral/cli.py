@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import random
 import sys
 from fractions import Fraction
@@ -83,6 +82,9 @@ def _jsonable(obj):
 
 
 def _emit_json(payload) -> None:
+    # only --json reads json, so a plain query does not import it
+    import json
+
     print(json.dumps(_jsonable(payload), separators=(", ", ": ")))
 
 
@@ -457,6 +459,7 @@ def _case_text(case) -> str:
                  ("--branch", case.branch_root), ("--leaf", case.leaf))
         return " ".join(f"{flag} {value}" for flag, value in flags
                         if value is not None)
+    # the records above are tuples too, so this branch comes after them
     if isinstance(case, tuple):
         return " ".join(_case_text(part) for part in case)
     return str(case)

@@ -45,7 +45,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -404,8 +403,7 @@ class _Branches:
         return memo[kind, key, theta]
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(NamedTuple):
     """A finite family of rooted trees, given up to isomorphism.
 
     kind is one of "by-vertex-count", "by-leaf-count",
@@ -420,21 +418,22 @@ class TreeClass:
     kind: str
     params: tuple[int, ...]
 
-    @functools.cached_property
-    def _counted(self) -> tuple[list, int]:
-        """The (kind, key) pairs whose pools, chained, are the class, and
-        its size, computed once per class without building any pool; raises
-        ClassTooLarge when the size passes ``DEFAULT_CAP``."""
-        if self.kind not in _CLASS_KEYS:
-            raise InvalidParameter(f"unknown tree class kind: {self.kind}")
-        keys = _CLASS_KEYS[self.kind](*self.params)
-        size = 0
-        for kind, key in keys:
-            size += _KINDS[kind].count(key, DEFAULT_CAP)
-            if size > DEFAULT_CAP:
-                raise ClassTooLarge(
-                    f"{self.kind}{self.params} exceeds cap {DEFAULT_CAP}")
-        return keys, size
+
+@functools.lru_cache(maxsize=256)
+def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
+    """The (kind, key) pairs whose pools, chained, are the class of this
+    kind and params, and its size, without building any pool; kept for the
+    256 classes last asked about.  Raises ClassTooLarge, which is not kept,
+    when the size passes ``DEFAULT_CAP``."""
+    if kind not in _CLASS_KEYS:
+        raise InvalidParameter(f"unknown tree class kind: {kind}")
+    keys = tuple(_CLASS_KEYS[kind](*params))
+    size = 0
+    for pool_kind, key in keys:
+        size += _KINDS[pool_kind].count(key, DEFAULT_CAP)
+        if size > DEFAULT_CAP:
+            raise ClassTooLarge(f"{kind}{params} exceeds cap {DEFAULT_CAP}")
+    return keys, size
 
 
 def by_vertex_count(n: int) -> TreeClass:
@@ -500,7 +499,7 @@ def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
     Class order is ascending encoding order, except for "by-leaf-count":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
-    keys, _ = cls._counted
+    keys, _ = _counted(cls.kind, cls.params)
     return itertools.chain.from_iterable(_walk(kind, key) for kind, key in keys)
 
 
@@ -515,17 +514,16 @@ def class_size(cls: TreeClass) -> int:
     """The number of trees in cls, counted by the Euler transform without
     enumerating them; raises ClassTooLarge when it passes ``DEFAULT_CAP``,
     at the first sub-key whose count does."""
-    return cls._counted[1]
+    return _counted(cls.kind, cls.params)[1]
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     holds: bool
     argmax: RootedTree
     rho_max: float
     rho_claimed: float
     # every tree whose rho is within TIE_WINDOW of rho_max, in encoding order
-    ties: tuple[RootedTree, ...] = field(repr=False, default=())
+    ties: tuple[RootedTree, ...] = ()
 
 
 def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
@@ -550,7 +548,7 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     one-branch tree are those ``spectral_radius`` reads for the same branch
     of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
-    keys, _ = cls._counted
+    keys, _ = _counted(cls.kind, cls.params)
     w = TIE_WINDOW
     branches = _Branches()
     # each class key's kind, the parts of its root and the key bound of each

@@ -18,15 +18,14 @@ det(pI + qC) = (-q)^L P(-p/q) for P = det(xI - C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NotDary
 from .tree_core import RootedTree
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Exact integer coefficients, lowest degree first; always monic here."""
 
     coeffs: tuple[int, ...]
@@ -180,8 +179,7 @@ def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:
     return (-1) ** tree.n_leaves * char_poly(tree)(-Fraction(c))
 
 
-@dataclass(frozen=True)
-class DaryCheck:
+class DaryCheck(NamedTuple):
     lhs: int
     rhs: int
     equal: bool

@@ -17,8 +17,7 @@ Neither reads the characteristic polynomial, so both are independent of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, NotALeaf
 from .exact_charpoly import _poly_mul
@@ -27,8 +26,7 @@ from .tree_core import RootedTree
 DEFAULT_BUDGET = 10 ** 7
 
 
-@dataclass(frozen=True)
-class CollectionCount:
+class CollectionCount(NamedTuple):
     """counts[k] = number of collections with exactly k non-trivial paths."""
 
     counts: tuple[int, ...]

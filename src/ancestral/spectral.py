@@ -27,8 +27,7 @@ root.  ``_exact_route`` decides each branch's route once, and both
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameter, NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, check_dense, row_sums
@@ -40,15 +39,13 @@ DEFAULT_TOL = 1e-10
 LAGUERRE_MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     eigenvalues: tuple[float, ...]  # descending
     eigenvectors: np.ndarray  # orthonormal columns aligned with eigenvalues
     residual: float
 
 
-@dataclass(frozen=True)
-class EigenOneCertificate:
+class EigenOneCertificate(NamedTuple):
     multiplicity: int
     basis: tuple[tuple[int, ...], ...]
 
@@ -148,10 +145,10 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
 
 
 def _exact_route(tree: RootedTree, run: Sequence[int],
-                 row: Sequence[int]) -> Optional[list[float]]:
-    """The spectrum of C(B) + J, exactly and largest value first, for the
-    branch B whose preorder run is ``run``, ``row`` being the tree's
-    ``row_sums``; None when B's leaves do not all share one row sum R.
+                 row: Sequence[int]) -> Optional[int]:
+    """The row sum R of C(T) that every leaf of the branch B shares, B's
+    preorder run being ``run`` and ``row`` the tree's ``row_sums``; None
+    when B's leaves do not all share one.  B's spectrum is then exact:
 
     Let A_v be the ancestral matrix of the subtree at v, levels counted from
     v: A_v is the direct sum of the A_k + J over v's children k, and B's
@@ -170,16 +167,11 @@ def _exact_route(tree: RootedTree, run: Sequence[int],
     residual to check.  Stars, brooms and complete d-ary trees pass; a
     caterpillar's spine, whose siblings differ, does not.
     """
-    children = tree.children
-    r = row[run[-1]]  # the last vertex of a run is a leaf
-    values = [float(r)]
-    for v in run:
-        g = len(children[v])
-        if g > 1:
-            values += [float(r - row[v])] * (g - 1)
-        elif not g and row[v] != r:
-            return None
-    return values
+    c = run[0]
+    leaves = tree.leaf_order[tree.leaf_start[c]:tree.leaf_stop[c]]
+    sums = list(map(row.__getitem__, leaves))
+    r = sums[0]
+    return r if sums.count(r) == len(sums) else None
 
 
 def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
@@ -193,16 +185,21 @@ def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
     if tree.n_vertices == 1:
         return (0.0,)
     row = row_sums(tree)
+    children = tree.children
     values: list[float] = []
     dense = []
     for run in _branch_runs(tree)[1]:
-        exact = _exact_route(tree, run, row)
-        if exact is None:
+        r = _exact_route(tree, run, row)
+        if r is None:
             size = tree.leaf_stop[run[0]] - tree.leaf_start[run[0]]
             check_dense("branch block", size, size)
             dense.append(run)
-        else:
-            values += exact
+            continue
+        values.append(float(r))
+        for v in run:
+            g = len(children[v])
+            if g > 1:
+                values += [float(r - row[v])] * (g - 1)
     if dense:
         bound = DEFAULT_TOL * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
         residual = 0.0
@@ -216,8 +213,7 @@ def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class SpectralRadius:
+class SpectralRadius(NamedTuple):
     rho: float
     perron: tuple[float, ...]  # non-negative unit vector over leaf_order
 
@@ -363,8 +359,8 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int]) -> SpectralRadius:
     at, runs = _branch_runs(tree)
     best_rho = best_vec = best = None
     for run in runs:
-        exact = _exact_route(tree, run, row)
-        value, vec = ((exact[0], None) if exact is not None
+        r = _exact_route(tree, run, row)
+        value, vec = ((float(r), None) if r is not None
                       else _branch_rho(tree, run, at, row))
         if best_rho is None or value > best_rho:
             best_rho, best_vec, best = value, vec, run[0]

@@ -17,9 +17,8 @@ loses nothing and keeps each branch's leaves contiguous.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -29,8 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """Arena of vertices with parent/children structure and a fixed leaf order.
 
     Attributes
@@ -54,8 +52,9 @@ class RootedTree:
         a leaf v sits at position leaf_start[v]; their number is
         leaf_stop[v] - leaf_start[v].
 
-    The last three are derived from ``children`` and take no part in
-    equality or repr.
+    The last three are functions of ``children``.  Like every field of a
+    record they take part in equality, hash and repr, which changes no
+    comparison between trees.
     """
 
     parent: tuple[Optional[int], ...]
@@ -63,9 +62,9 @@ class RootedTree:
     root: int
     leaf_order: tuple[int, ...]
     level: tuple[int, ...]
-    preorder: tuple[int, ...] = field(repr=False, compare=False)
-    leaf_start: tuple[int, ...] = field(repr=False, compare=False)
-    leaf_stop: tuple[int, ...] = field(repr=False, compare=False)
+    preorder: tuple[int, ...]
+    leaf_start: tuple[int, ...]
+    leaf_stop: tuple[int, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -296,8 +295,7 @@ def subtree(tree: RootedTree, v: int) -> RootedTree:
     return subtree_with_map(tree, v)[0]
 
 
-@dataclass(frozen=True)
-class StructuralStats:
+class StructuralStats(NamedTuple):
     L: int
     h: int
     int_count: int

@@ -9,9 +9,8 @@ leaf_order, so matrices before and after are compared entry by entry through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BranchOnPath,
@@ -32,8 +31,7 @@ class OpKind(Enum):
     LEAF_SWAP = "leaf-swap"
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(NamedTuple):
     kind: OpKind
     path: tuple[int, ...]
     branch_root: Optional[int] = None  # root of B, or w1 for a leaf swap

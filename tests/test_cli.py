@@ -1,6 +1,5 @@
 """Front-end behavior: frozen text output, JSON forms, exit codes."""
 
-import dataclasses
 import json
 import math
 import os
@@ -625,7 +624,7 @@ def test_verify_all_names_the_failing_class(capsys, monkeypatch):
 
     def refuted(cls, claimed, **kwargs):
         report = real(cls, claimed, **kwargs)
-        return dataclasses.replace(report, holds=False) if cls == bad else report
+        return report._replace(holds=False) if cls == bad else report
     monkeypatch.setattr(cli.enumeration, "verify_extremal", refuted)
     code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 1
@@ -857,13 +856,13 @@ def test_verify_all_errors_are_not_refutations(capsys, monkeypatch, argv, tol,
 
 
 # runs cli.main on each argv in a fresh interpreter, then prints the exit
-# codes and whether numpy was loaded
-_NUMPY_PROBE = """
+# codes and whether each named module was loaded
+_MODULE_PROBE = """
 import contextlib, io, sys
 from ancestral import cli
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in {runs!r}]
-print(codes, "numpy" in sys.modules)
+print(codes, *(name in sys.modules for name in {names!r}))
 """
 
 
@@ -878,20 +877,32 @@ def _fresh_python(script: str) -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def _numpy_probe(*runs) -> str:
-    return _fresh_python(_NUMPY_PROBE.format(runs=[list(argv) for argv in runs]))
+def _module_probe(names, *runs) -> str:
+    return _fresh_python(_MODULE_PROBE.format(
+        names=names, runs=[list(argv) for argv in runs]))
 
 
 def test_commands_without_a_dense_solve_leave_numpy_unloaded():
     # numpy is imported only where a block of the spectrum is solved dense
-    out = _numpy_probe(("spectrum", "--gen", "dary:2,9"),
-                       ("search", "--class", "vertices-leaves:10,5",
-                        "--check", "broom"),
-                       ("verify-all", "--max-leaves", "4"))
+    out = _module_probe(("numpy",), ("spectrum", "--gen", "dary:2,9"),
+                        ("search", "--class", "vertices-leaves:10,5",
+                         "--check", "broom"),
+                        ("verify-all", "--max-leaves", "4"))
     assert out == "[0, 0, 0] False\n"
     # a caterpillar's spine takes the block route, which does load it
-    out = _numpy_probe(("spectrum", "--gen", "binary-caterpillar:40"))
+    out = _module_probe(("numpy",),
+                        ("spectrum", "--gen", "binary-caterpillar:40"))
     assert out == "[0] True\n"
+
+
+def test_plain_queries_load_neither_dataclasses_nor_inspect_nor_json():
+    # the records are named tuples, and only --json imports json
+    out = _module_probe(("dataclasses", "inspect", "json"),
+                        ("search", "--class", "vertices-leaves:10,5",
+                         "--check", "broom"),
+                        ("bounds", "--gen", "dary:2,9"),
+                        ("verify-all", "--max-leaves", "4"))
+    assert out == "[0, 0, 0] False False False\n"
 
 
 def test_importing_the_cli_freezes_its_objects_for_the_collector():

@@ -489,6 +489,27 @@ def test_class_cap():
     assert _pools() == before
 
 
+def test_equal_classes_are_counted_once(monkeypatch):
+    calls = []
+    for kind in ("series-reduced", "by-vertex-count"):
+        keys = enumeration._CLASS_KEYS[kind]
+        monkeypatch.setitem(enumeration._CLASS_KEYS, kind,
+                            lambda *params, keys=keys:
+                            calls.append(params) or keys(*params))
+    enumeration._counted.cache_clear()
+    first, second = series_reduced(6), series_reduced(6)
+    assert first == second and first is not second
+    size = class_size(first)
+    assert len(list(enumerate_class(second))) == size == class_size(second)
+    verify_extremal(second, broom(0, 6))
+    assert calls == [(6,)]
+    # a class past the cap is not kept: each call counts it again
+    for _ in range(2):
+        with pytest.raises(ClassTooLarge):
+            class_size(by_vertex_count(30))
+    assert calls == [(6,), (30,), (30,)]
+
+
 def test_random_tree_is_seeded_and_preorder():
     a = random_tree(12, seeded_rng(5)).parent_list()
     b = random_tree(12, seeded_rng(5)).parent_list()

@@ -345,15 +345,11 @@ def test_levels_and_leaves_consistent_on_random_parent_lists(data):
         assert t.leaf_stop[v] == i + 1
 
 
-def _fields(t):
-    """The tree with its compare=False fields."""
-    return t, t.preorder, t.leaf_start, t.leaf_stop
-
-
 def _build_outcome(build, parents):
-    """The built tree's fields, or the error class."""
+    """The built tree, every field of which takes part in equality, or the
+    error class."""
     try:
-        return _fields(build(parents))
+        return build(parents)
     except AncestralError as exc:
         return type(exc)
 
@@ -376,8 +372,21 @@ def _preorder_parent_lists(draw):
 def test_one_pass_build_matches_the_walk_on_preorder_lists(parents):
     t = _build_preorder(parents)
     assert t is not None
-    assert _fields(t) == _build_outcome(_build_walk, parents)
+    assert t == _build_outcome(_build_walk, parents)
     assert t.preorder == tuple(range(len(parents)))
+
+
+@given(_preorder_parent_lists(), st.data())
+def test_both_routes_give_equal_trees_with_equal_hashes(parents, data):
+    one_pass, walked = _build_preorder(parents), _build_walk(parents)
+    assert one_pass == walked and hash(one_pass) == hash(walked)
+    assert len({one_pass, walked}) == 1
+    # a renumbered list is another tree, unless the renumbering keeps it
+    label = data.draw(st.permutations(range(len(parents))))
+    shuffled = [None] * len(parents)
+    for v, p in enumerate(parents):
+        shuffled[label[v]] = None if p is None else label[p]
+    assert (_build_walk(shuffled) == walked) == (shuffled == parents)
 
 
 @st.composite
@@ -402,7 +411,7 @@ def test_build_tree_matches_the_walk_on_arbitrary_lists(parents):
         _build_outcome(_build_walk, parents)
     t = _build_preorder(parents)
     if t is not None:
-        assert _fields(t) == _build_outcome(_build_walk, parents)
+        assert t == _build_outcome(_build_walk, parents)
 
 
 @pytest.mark.parametrize("parents, error", [
