@@ -1,40 +1,34 @@
-"""Command-line front end.
+"""Command-line front end: it parses arguments and prints.
 
-Every subcommand is a pure function of its arguments: fixed orderings and
-fixed float formatting (12 significant digits) make repeated runs
-byte-identical.  Each subcommand is one row of ``_COMMANDS``.  Every
-single-result command (all but verify-all) prints one text block or one
-JSON line per case and exits 1 only when its verdict fails.  Exit codes:
-0 success/verified, 1 violated/counterexample (verify-all then names each
-violated suite's first failing case on stderr), 2 usage error.
+Every subcommand is a pure function of its arguments, one row of
+``_COMMANDS``: fixed orderings and fixed float formatting (12 significant
+digits) make repeated runs byte-identical.  All but verify-all print one
+text block or one JSON line per case; verify-all prints one line per row
+of ``suites``, which only it imports.  Exit codes: 0 success/verified, 1
+violated/counterexample (verify-all then names each violated suite's
+first failing case on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import random
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from . import enumeration
-from .ancestral_matrices import (
-    ancestral_matrix,
-    block_reconstruction,
-    gram_check,
-    path_incidence_matrix,
-)
-from .bounds_theorems import bound_report, is_complete_dary
+from .ancestral_matrices import ancestral_matrix, path_incidence_matrix
+from .bounds_theorems import bound_report
 from .caterpillar_analysis import (
     asymptotic_rho,
     caterpillar_charpoly,
-    chebyshev_form_check,
     trig_spectral_radius,
 )
 from .errors import AncestralError, InvalidParameter
-from .exact_charpoly import char_poly, dary_determinant_check
+from .exact_charpoly import char_poly
 from .newick_io import parse_newick, serialize_newick
 from .path_collections import count_by_edge_states
 from .spectral import eigenvalue_one_certificate, eigenvalues, spectral_radius
@@ -46,9 +40,8 @@ from .tree_core import (
     generate,
     greedy_caterpillar,
     parse_spec,
-    structural_stats,
 )
-from .tree_ops import OpKind, OpSpec, apply_op, valid_specs, witness_leaves
+from .tree_ops import OpKind, OpSpec, apply_op
 
 # What the imports above built lives as long as the process, so the cyclic
 # collector need not scan it again: without this, the first collection of
@@ -290,184 +283,12 @@ def _search_text(rep) -> list[str]:
             f"argmax={serialize_newick(rep.argmax)}"]
 
 
-# verify-all: one deterministic pass/fail line per theorem
-
-def _corpus(max_leaves: int) -> list[RootedTree]:
-    # count the largest class first, so one over the cap fails before any
-    # class is built
-    enumeration.class_size(enumeration.by_vertex_count(max_leaves + 1))
-    trees = []
-    for n in range(1, max_leaves + 2):
-        trees.extend(enumeration.enumerate_class(enumeration.by_vertex_count(n)))
-    return trees
-
-
-def _per_tree_memo(compute):
-    """compute(tree) on first use, kept for the run by identity: only
-    corpus trees ask, and the corpus outlives the run, so no id is reused."""
-    kept = {}
-    def get(t):
-        if id(t) not in kept:
-            kept[id(t)] = compute(t)
-        return kept[id(t)]
-    return get
-
-
-def _collections_match(t: RootedTree, poly) -> bool:
-    result = count_by_edge_states(t)
-    sign = 1 if t.n_leaves % 2 == 0 else -1
-    return (list(result.counts) == poly.gamma()
-            and result.total == sign * poly(-1))
-
-
-def _dary_determinants_hold(t: RootedTree) -> bool:
-    degs = {len(c) for c in t.children if c}
-    return all(dary_determinant_check(t, d).equal
-               for d in (2, 3) if degs <= {d})
-
-
-def _broom_holds(cls) -> bool:
-    """The broom is extremal and its rho is the formula's integer, exactly:
-    its branches' leaves share one row sum, so rho is that integer."""
-    n_vertices, n_leaves = cls.params
-    report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls)
-    expected = n_leaves * (n_vertices - n_leaves - 1) + 1
-    return report.holds and report.rho_claimed == expected
-
-
-def _trig_matches(n: int) -> bool:
-    numeric = spectral_radius(binary_caterpillar(n)).rho
-    return abs(trig_spectral_radius(n).rho - numeric) <= 1e-6 * numeric
-
-
-def _monotonicity_cases(max_leaves: int):
-    """(tree, spec): up to 60 random trees with a spec per operation kind."""
-    rng = random.Random(20260814)
-    for kind in OpKind:
-        done = 0
-        attempts = 0
-        while done < 60 and attempts < 4000:
-            attempts += 1
-            t = enumeration.random_tree(rng.randint(3, max_leaves + 1), rng)
-            specs = valid_specs(t, kind)
-            if specs:
-                done += 1
-                yield t, specs[rng.randrange(len(specs))]
-
-
-def _monotone(t: RootedTree, spec: OpSpec) -> bool:
-    """rho never decreases, and grows when the Perron vector is positive on
-    every witness leaf."""
-    sr = spectral_radius(t)
-    after = spectral_radius(apply_op(t, spec)).rho
-    if after < sr.rho - 1e-9:
-        return False
-    witnessed = all(sr.perron[t.leaf_start[v]] > 1e-6
-                    for v in witness_leaves(t, spec))
-    return not (witnessed and after < sr.rho + 1e-9)
-
-
-def _round_trip_samples(trees: list[RootedTree], max_leaves: int):
-    yield from trees
-    for spec in ("star:3", "broom:2,3", "path-broom:1,4",
-                 "binary-caterpillar:5", "dary:2,3", "greedy:3,2,2",
-                 "star-plus-path:3,4"):
-        yield generate(spec)
-    rng = random.Random(1205)
-    for _ in range(200):
-        yield enumeration.random_tree(rng.randint(1, 2 * max_leaves), rng)
-
-
-def _round_trips(t: RootedTree) -> bool:
-    text = serialize_newick(t)
-    back = parse_newick(text)
-    return back.parent_list() == t.parent_list() and serialize_newick(back) == text
-
-
-def _suites(max_leaves: int):
-    """The (name, cases, check) row of each theorem, one at a time in output
-    order: the theorem holds when check(case) is true for every case."""
-    trees = _corpus(max_leaves)
-    branching = [t for t in trees if t.n_vertices > 1]
-    # per corpus tree, one polynomial and one bound report's two verdicts
-    poly = _per_tree_memo(char_poly)
-
-    def bound_verdicts(t):
-        rep = bound_report(t)
-        return rep.all_satisfied, rep.delta_equality
-    verdicts = _per_tree_memo(bound_verdicts)
-
-    yield "gram-identity", trees, gram_check
-    yield ("block-structure", trees,
-           lambda t: block_reconstruction(t) == ancestral_matrix(t).rows)
-    # C is symmetric, so the multiplicity of 1 as a root of its
-    # characteristic polynomial is the dimension of its eigenspace
-    yield ("eigenvalue-one", branching,
-           lambda t: eigenvalue_one_certificate(t).multiplicity
-           == poly(t).multiplicity(1))
-    yield "bounds", branching, lambda t: verdicts(t)[0]
-    yield ("delta-equality", branching,
-           lambda t: verdicts(t)[1] == is_complete_dary(t))
-    yield ("trace-identity", trees,
-           lambda t: -poly(t).coeffs[-2] == structural_stats(t).D_root)
-    yield ("collection-coefficients", trees,
-           lambda t: _collections_match(t, poly(t)))
-    # no later suite reads the memos: free them before the run's peak memory
-    del poly, verdicts
-    yield "dary-determinant", trees, _dary_determinants_hold
-    yield ("broom-extremality",
-           (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
-            for n_vertices in range(3, max_leaves + 2)
-            for n_leaves in range(2, n_vertices)),
-           _broom_holds)
-    yield ("greedy-extremality",
-           (enumeration.by_outdegree_sequence(seq)
-            for n_vertices in range(2, max_leaves + 2)
-            for seq in enumeration.outdegree_sequences(n_vertices)),
-           lambda cls: _extremal(_CLAIMS["greedy"]["outdegrees"], cls).holds)
-    yield ("series-reduced-extremality",
-           map(enumeration.series_reduced, range(2, max_leaves + 1)),
-           lambda cls: _extremal(_CLAIMS["binary-caterpillar"]["series-reduced"],
-                                 cls).holds)
-    yield ("caterpillar-recursion", range(1, max_leaves + 1),
-           lambda n: caterpillar_charpoly(n).coeffs
-           == char_poly(binary_caterpillar(n)).coeffs)
-    yield ("chebyshev-closed-form",
-           ((n, Fraction(2) + Fraction(j, 5))
-            for n in range(2, min(max_leaves, 8) + 1) for j in range(10)),
-           lambda case: chebyshev_form_check(*case))
-    yield ("trig-spectral-radius", range(3, max(max_leaves, 8) + 1),
-           _trig_matches)
-    yield ("asymptotic-window", range(10, 10 * max_leaves + 1),
-           lambda n: abs(trig_spectral_radius(n).rho - asymptotic_rho(n)) <= 3.0)
-    yield ("monotonicity", _monotonicity_cases(max_leaves),
-           lambda case: _monotone(*case))
-    yield ("newick-round-trip", _round_trip_samples(trees, max_leaves),
-           _round_trips)
-
-
-def _case_text(case) -> str:
-    """How stderr names a case: Newick for a tree, kind(params) for a class,
-    the transform flags of an operation, and otherwise the value itself."""
-    if isinstance(case, RootedTree):
-        return serialize_newick(case)
-    if isinstance(case, enumeration.TreeClass):
-        return f"{case.kind}{case.params}"
-    if isinstance(case, OpSpec):
-        flags = (("--op", case.kind.value),
-                 ("--path", ",".join(str(v) for v in case.path)),
-                 ("--branch", case.branch_root), ("--leaf", case.leaf))
-        return " ".join(f"{flag} {value}" for flag, value in flags
-                        if value is not None)
-    # the records above are tuples too, so this branch comes after them
-    if isinstance(case, tuple):
-        return " ".join(_case_text(part) for part in case)
-    return str(case)
-
-
 def _cmd_verify_all(args) -> int:
+    # only verify-all runs the suites, so no other command compiles them
+    from . import suites
+
     code = 0
-    for name, cases, check in _suites(args.max_leaves):
+    for name, cases, check in suites._suites(args.max_leaves):
         for case in cases:
             try:
                 holds = check(case)
@@ -478,7 +299,8 @@ def _cmd_verify_all(args) -> int:
             if not holds:
                 code = 1
                 print(f"{name}: VIOLATED")
-                print(f"{name}: fails on {_case_text(case)}", file=sys.stderr)
+                print(f"{name}: fails on {suites._case_text(case)}",
+                      file=sys.stderr)
                 break
         else:
             print(f"{name}: VERIFIED")
@@ -657,9 +479,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (AncestralError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a stream whose reader has gone, as in `2>&1 | head -1`, is pointed
+        # at os.devnull, so that the flush at exit cannot fail as well
+        for stream, text in ((sys.stdout, ""), (sys.stderr, f"error: {exc}\n")):
+            try:
+                print(text, end="", file=stream, flush=True)
+            except OSError:
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), stream.fileno())
         return 2
 
 

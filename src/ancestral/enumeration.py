@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import spectral_radius
-from .tree_core import RootedTree, build_tree
+from .tree_core import FAMILY_CAP, RootedTree, build_tree
 
 DEFAULT_CAP = 10 ** 6
 # a tree is extremal when its rho is within this window of the class maximum
@@ -424,9 +424,14 @@ def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
     """The (kind, key) pairs whose pools, chained, are the class of this
     kind and params, and its size, without building any pool; kept for the
     256 classes last asked about.  Raises ClassTooLarge, which is not kept,
-    when the size passes ``DEFAULT_CAP``."""
+    uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when the
+    size passes ``DEFAULT_CAP``."""
     if kind not in _CLASS_KEYS:
         raise InvalidParameter(f"unknown tree class kind: {kind}")
+    most = _MOST_VERTICES[kind](*params)
+    if most > FAMILY_CAP:
+        raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "
+                            f"past the cap {FAMILY_CAP}")
     keys = tuple(_CLASS_KEYS[kind](*params))
     size = 0
     for pool_kind, key in keys:
@@ -476,6 +481,17 @@ def dary_by_leaves(d: int, n_leaves: int) -> TreeClass:
     return TreeClass("dary-by-leaves", (d, n_leaves))
 
 
+# the most vertices a tree of each kind of class can have, from its params
+_MOST_VERTICES = {
+    "by-vertex-count": lambda n: n,
+    "by-leaf-count": lambda leaves, max_vertices: max_vertices,
+    "by-vertices-and-leaves": lambda n, leaves: n,
+    "by-outdegree-sequence": lambda *degrees: len(degrees),
+    "series-reduced": lambda n: 2 * n - 1,  # at most n - 1 inner vertices
+    "dary-by-leaves": lambda d, n: n + (n - 1) // (d - 1),
+}
+
+
 # each kind of class as the (kind, key) pairs whose pools, chained, are
 # the class
 _CLASS_KEYS = {
@@ -512,8 +528,8 @@ def enumerate_class(cls: TreeClass) -> Iterator[RootedTree]:
 
 def class_size(cls: TreeClass) -> int:
     """The number of trees in cls, counted by the Euler transform without
-    enumerating them; raises ClassTooLarge when it passes ``DEFAULT_CAP``,
-    at the first sub-key whose count does."""
+    enumerating them; raises ClassTooLarge when a tree can pass
+    ``FAMILY_CAP`` vertices, or the count ``DEFAULT_CAP``."""
     return _counted(cls.kind, cls.params)[1]
 
 

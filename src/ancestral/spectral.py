@@ -90,16 +90,16 @@ def eigen_decompose(m) -> Spectrum:
                     eigenvectors=vecs[:, ::-1], residual=residual)
 
 
-def _branch_runs(tree: RootedTree) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The position of each vertex in the tree's preorder, and each root
-    child's run of it, in the order of the root's children: the vertices of
-    the branch below that child, the child first."""
+def _branch_run(tree: RootedTree, c: int,
+                start: int) -> tuple[tuple[int, ...], int]:
+    """The branch below the root child c as its run of the tree's preorder,
+    c first, and the preorder position just past the run.  The preorder is
+    scanned in C from start, at or before c's position, so runs taken in
+    the order of the root's children scan it about once in all."""
     order = tree.preorder
-    at = [0] * len(order)
-    for i, v in enumerate(order):
-        at[v] = i
-    ends = [at[c] for c in tree.children[tree.root]] + [len(order)]
-    return at, [order[a:b] for a, b in zip(ends, ends[1:])]
+    a = order.index(c, start)
+    b = order.index(tree.leaf_order[tree.leaf_stop[c] - 1], a) + 1
+    return order[a:b], b
 
 
 def _branch_block(tree: RootedTree, run: Sequence[int]):
@@ -144,11 +144,11 @@ def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
     return sum((stop[v] - start[v]) ** 2 * (2 * level[v] - 1) for v in run)
 
 
-def _exact_route(tree: RootedTree, run: Sequence[int],
+def _exact_route(tree: RootedTree, c: int,
                  row: Sequence[int]) -> Optional[int]:
-    """The row sum R of C(T) that every leaf of the branch B shares, B's
-    preorder run being ``run`` and ``row`` the tree's ``row_sums``; None
-    when B's leaves do not all share one.  B's spectrum is then exact:
+    """The row sum R of C(T) that every leaf of the branch B below the root
+    child c shares, ``row`` being the tree's ``row_sums``; None when B's
+    leaves do not all share one.  B's spectrum is then exact:
 
     Let A_v be the ancestral matrix of the subtree at v, levels counted from
     v: A_v is the direct sum of the A_k + J over v's children k, and B's
@@ -167,7 +167,6 @@ def _exact_route(tree: RootedTree, run: Sequence[int],
     residual to check.  Stars, brooms and complete d-ary trees pass; a
     caterpillar's spine, whose siblings differ, does not.
     """
-    c = run[0]
     leaves = tree.leaf_order[tree.leaf_start[c]:tree.leaf_stop[c]]
     sums = list(map(row.__getitem__, leaves))
     r = sums[0]
@@ -188,14 +187,19 @@ def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
     children = tree.children
     values: list[float] = []
     dense = []
-    for run in _branch_runs(tree)[1]:
-        r = _exact_route(tree, run, row)
+    pos = 1
+    for c in children[tree.root]:
+        r = _exact_route(tree, c, row)
+        if r is not None:
+            values.append(float(r))
+            if not children[c]:
+                continue
+        run, pos = _branch_run(tree, c, pos)
         if r is None:
-            size = tree.leaf_stop[run[0]] - tree.leaf_start[run[0]]
+            size = tree.leaf_stop[c] - tree.leaf_start[c]
             check_dense("branch block", size, size)
             dense.append(run)
             continue
-        values.append(float(r))
         for v in run:
             g = len(children[v])
             if g > 1:
@@ -302,17 +306,16 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
     return x, d
 
 
-def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
+def _branch_rho(tree: RootedTree, run: Sequence[int],
                 row: Sequence[int]) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B on the numeric route,
     and its unit Perron vector over B's leaves in preorder, without building
     the matrix.
 
-    ``run`` is B's run of the tree's preorder, ``at`` the position of each
-    vertex in that preorder and ``row`` the tree's ``row_sums``.  The
-    largest row sum of C(B) + J, read off ``row`` at B's leaves, bounds the
-    eigenvalue from above, and ``_largest_root`` descends from it on the
-    position of each vertex's parent within ``run``.  The Perron vector is
+    ``run`` is B's run of the tree's preorder and ``row`` the tree's
+    ``row_sums``.  The largest row sum of C(B) + J, read off ``row`` at B's
+    leaves, bounds the eigenvalue from above, and ``_largest_root`` descends
+    from it on the position of each vertex's parent within ``run``.  The Perron vector is
     y = (xI - C(B))^-1 1: a leaf's entry is 1/x times the product of 1/d
     over the vertices below B's root on its path.
 
@@ -322,8 +325,8 @@ def _branch_rho(tree: RootedTree, run: Sequence[int], at: Sequence[int],
     NoConvergence when the residual exceeds the bound.
     """
     m = len(run)
-    first = at[run[0]]
-    parent = [-1] + [at[tree.parent[v]] - first for v in run[1:]]
+    at = dict(zip(run, range(m)))
+    parent = [-1] + [at[tree.parent[v]] for v in run[1:]]
     is_leaf = [not tree.children[v] for v in run]
     leaves = [i for i in range(m) if is_leaf[i]]
     n_leaves = len(leaves)
@@ -356,14 +359,17 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int]) -> SpectralRadius:
     already hold them."""
     if tree.n_vertices == 1:
         return SpectralRadius(rho=0.0, perron=(1.0,))
-    at, runs = _branch_runs(tree)
     best_rho = best_vec = best = None
-    for run in runs:
-        r = _exact_route(tree, run, row)
-        value, vec = ((float(r), None) if r is not None
-                      else _branch_rho(tree, run, at, row))
+    pos = 1
+    for c in tree.children[tree.root]:
+        r = _exact_route(tree, c, row)
+        if r is None:
+            run, pos = _branch_run(tree, c, pos)
+            value, vec = _branch_rho(tree, run, row)
+        else:
+            value, vec = float(r), None
         if best_rho is None or value > best_rho:
-            best_rho, best_vec, best = value, vec, run[0]
+            best_rho, best_vec, best = value, vec, c
     a, b = tree.leaf_start[best], tree.leaf_stop[best]
     perron = [0.0] * tree.n_leaves
     # an exact branch's vector is its all-ones direction

@@ -13,7 +13,7 @@ import ancestral
 from ancestral import (ExtremalReport, binary_caterpillar, broom,
                        by_vertices_and_leaves, caterpillar_charpoly,
                        parse_newick, serialize_newick, series_reduced, star)
-from ancestral import bounds_theorems, cli, spectral
+from ancestral import bounds_theorems, cli, spectral, suites
 from ancestral.errors import NoConvergence
 from ancestral.tree_ops import OpKind, valid_specs
 
@@ -176,6 +176,28 @@ def test_collections_of_a_thousand_leaf_star():
     assert proc.stderr == ""
     expected = [f"counts[{k}]={math.comb(1100, k)}" for k in range(1101)]
     assert proc.stdout.splitlines() == expected + [f"total={2 ** 1100}"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("shared", [True, False],
+                         ids=["both-streams", "stdout-only"])
+def test_a_closed_output_pipe_exits_2(unbuffered, shared):
+    # 180 kB of rows, more than a pipe holds, go into a pipe whose reader
+    # leaves after the first line, as `| head -1` does; with `2>&1` stderr
+    # goes there too, and its message is lost with no traceback
+    src = str(Path(ancestral.__file__).resolve().parents[1])
+    with subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from ancestral.cli import main; sys.exit(main())",
+             "matrix", "--gen", "star:300"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, text=True,
+            stderr=subprocess.STDOUT if shared else subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == "1" + " 0" * 299 + "\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        if not shared:
+            assert proc.stderr.read() == "error: [Errno 32] Broken pipe\n"
 
 
 def test_caterpillar_small_text(capsys):
@@ -510,7 +532,7 @@ def test_transform_names_a_missing_flag(capsys, newick, op, given, missing):
 def test_transform_rejects_a_flag_its_op_does_not_read(capsys, op):
     newick = "((,(,)),(,));"
     spec = valid_specs(parse_newick(newick), OpKind(op))[0]
-    flags = cli._case_text(spec).split()
+    flags = suites._case_text(spec).split()
     code, out, err = run(capsys, "transform", "--newick", newick, *flags)
     assert code == 0 and out.startswith("newick=") and err == ""
     # a leaf swap reads both flags, so only the other ops have one to reject
@@ -577,11 +599,11 @@ def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
             return func(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "char_poly")
+    counted(suites, "char_poly")
     counted(bounds_theorems, "_spectral_radius")
     code, out, _ = run(capsys, "verify-all", "--max-leaves", "5")
     assert code == 0
-    corpus = len(cli._corpus(5))
+    corpus = len(suites._corpus(5))
     # one polynomial per corpus tree, shared by three suites, plus one per
     # caterpillar of the recursion suite; one rho per tree of more than one
     # vertex, shared by the bounds and delta-equality suites
@@ -594,8 +616,8 @@ def verdicts(out: str) -> dict:
 
 def test_verify_all_names_the_first_failing_tree(capsys, monkeypatch):
     bad = "(,(,));"
-    assert bad in [serialize_newick(t) for t in cli._corpus(4)]
-    monkeypatch.setattr(cli, "gram_check",
+    assert bad in [serialize_newick(t) for t in suites._corpus(4)]
+    monkeypatch.setattr(suites, "gram_check",
                         lambda t: serialize_newick(t) != bad)
     code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 1
@@ -610,11 +632,11 @@ def test_verify_all_names_the_first_failing_tree(capsys, monkeypatch):
 def test_verify_all_reads_an_assertion_as_violated(capsys, monkeypatch):
     def refuted(tree):
         raise AssertionError("blocks disagree")
-    monkeypatch.setattr(cli, "block_reconstruction", refuted)
+    monkeypatch.setattr(suites, "block_reconstruction", refuted)
     code, out, err = run(capsys, "verify-all", "--max-leaves", "2")
     assert code == 1
     assert verdicts(out)["block-structure"] == "VIOLATED"
-    first = serialize_newick(cli._corpus(2)[0])
+    first = serialize_newick(suites._corpus(2)[0])
     assert err == f"block-structure: fails on {first}\n"
 
 
@@ -634,8 +656,8 @@ def test_verify_all_names_the_failing_class(capsys, monkeypatch):
 
 def test_verify_all_names_a_failing_operation_as_transform_flags(
         capsys, monkeypatch):
-    tree, spec = next(cli._monotonicity_cases(4))
-    monkeypatch.setattr(cli, "_monotone", lambda tree, spec: False)
+    tree, spec = next(suites._monotonicity_cases(4))
+    monkeypatch.setattr(suites, "_monotone", lambda tree, spec: False)
     code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 1
     assert verdicts(out)["monotonicity"] == "VIOLATED"
@@ -845,7 +867,7 @@ def test_verify_all_errors_are_not_refutations(capsys, monkeypatch, argv, tol,
             patch.setattr(spectral, "DEFAULT_TOL", tol)
             return spectral.spectral_radius(tree)
 
-    monkeypatch.setattr(cli, "spectral_radius", strict_rho)
+    monkeypatch.setattr(suites, "spectral_radius", strict_rho)
     code, out, err = run(capsys, "verify-all", *argv)
     assert code == 2
     lines = out.splitlines()
@@ -903,6 +925,17 @@ def test_plain_queries_load_neither_dataclasses_nor_inspect_nor_json():
                         ("bounds", "--gen", "dary:2,9"),
                         ("verify-all", "--max-leaves", "4"))
     assert out == "[0, 0, 0] False False False\n"
+
+
+def test_only_verify_all_loads_the_suites():
+    names = ("ancestral.suites",)
+    assert _module_probe(names) == "[] False\n"
+    out = _module_probe(names, ("bounds", "--gen", "star:3"),
+                        ("search", "--class", "vertices-leaves:10,5",
+                         "--check", "broom"))
+    assert out == "[0, 0] False\n"
+    out = _module_probe(names, ("verify-all", "--max-leaves", "2"))
+    assert out == "[0] True\n"
 
 
 def test_importing_the_cli_freezes_its_objects_for_the_collector():

@@ -287,6 +287,18 @@ def test_an_oversized_class_is_refused_without_a_pool():
     assert _pools() == before
 
 
+def test_a_class_of_trees_past_the_family_cap_is_refused_before_counting(
+        monkeypatch):
+    # one tree of 3,000,001 vertices, and a key list that would hold 10^11
+    # pairs: each is refused from its parameters, before any key is counted
+    monkeypatch.setitem(enumeration._KINDS, "pairs", None)
+    monkeypatch.setitem(enumeration._KINDS, "outdegrees", None)
+    for cls, most in ((by_outdegree_sequence([3 * 10 ** 6]), 3 * 10 ** 6 + 1),
+                      (by_leaf_count(2, 10 ** 11), 10 ** 11)):
+        with pytest.raises(ClassTooLarge, match=f"up to {most} vertices"):
+            class_size(cls)
+
+
 def _classes_up_to(n_max):
     """A class of every kind whose trees have at most n_max vertices."""
     for n in range(1, n_max + 1):

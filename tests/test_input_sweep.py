@@ -38,6 +38,11 @@ def _past_cap(spec: str, size: int) -> str:
             f"past the cap 1000000\n")
 
 
+def _class_past_cap(kind: str, size: int) -> str:
+    return (f"error: {kind} class: trees of up to {size} vertices, "
+            f"past the cap 1000000\n")
+
+
 def _no_tol(value: str = "1e-9") -> str:
     return f"error: unrecognized arguments: --tol {value}\n"
 
@@ -109,6 +114,18 @@ ROWS = [
      "error: family spec 'frobnicate:3': unknown name 'frobnicate'\n"),
     (["search", "--class", "vertices-leaves:1000,500", "--check", "broom"],
      2, 10, "error: by-vertices-and-leaves(1000, 500) exceeds cap 1000000\n"),
+    # classes, even of one tree, whose trees pass the family cap are
+    # refused before they are counted
+    (["search", "--class", "outdegrees:3000000", "--check", "greedy"], 2, 5,
+     _class_past_cap("by-outdegree-sequence", 3000001)),
+    (["search", "--class", "outdegrees:1000000", "--check", "greedy"], 2, 5,
+     _class_past_cap("by-outdegree-sequence", 1000001)),
+    (["search", "--class", "vertices-leaves:3000000,2999999", "--check",
+      "broom"], 2, 5, _class_past_cap("by-vertices-and-leaves", 3000000)),
+    (["search", "--class", "vertices-leaves:3000000,1", "--check", "broom"],
+     2, 5, _class_past_cap("by-vertices-and-leaves", 3000000)),
+    (["search", "--class", "series-reduced:500001", "--check",
+      "binary-caterpillar"], 2, 5, _class_past_cap("series-reduced", 1000001)),
 ]
 
 

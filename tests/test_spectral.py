@@ -194,8 +194,9 @@ def test_block_route_matches_the_dense_oracle():
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
         if t.n_vertices == 1:
             continue
+        runs = [spectral._branch_run(t, c, 1)[0] for c in t.children[t.root]]
         blocks = [spectral._dense_solve(spectral._branch_block(t, run), 0.0)[0]
-                  for run in spectral._branch_runs(t)[1]]
+                  for run in runs]
         dense = sorted(np.concatenate(blocks).tolist(), reverse=True)
         assert len(dense) == t.n_leaves
         assert max(abs(a - b) for a, b in zip(dense, got)) <= 1e-9 * got[0]
@@ -205,8 +206,10 @@ def test_block_builder_equals_the_slices_of_the_matrix():
     for t in _block_route_trees():
         rows = ancestral_matrix(t).rows
         covered = []
-        kids = t.children[t.root]
-        for c, run in zip(kids, spectral._branch_runs(t)[1], strict=True):
+        runs = [spectral._branch_run(t, c, 1)[0] for c in t.children[t.root]]
+        # the runs tile the preorder below the root
+        assert tuple(v for run in runs for v in run) == t.preorder[1:]
+        for c, run in zip(t.children[t.root], runs):
             assert run[0] == c
             block = spectral._branch_block(t, run)
             a, b = t.leaf_start[c], t.leaf_stop[c]
