@@ -288,7 +288,7 @@ def _cmd_verify_all(args) -> int:
     from . import suites
 
     code = 0
-    for name, cases, check in suites._suites(args.max_leaves):
+    for name, cases, check in suites._suites(args.max_leaves, _CLAIMS):
         for case in cases:
             try:
                 holds = check(case)

@@ -14,9 +14,10 @@ d taken (n - 1) / (d - 1) times, and n zeros.  One table, ``_KINDS``, holds
 all of a kind: a step that picks a root's children's keys one at a time,
 largest first, the exact count of a key and its key bound.  One
 explicit-stack driver, ``_descending``, turns a step into every split of a
-key, with no recursion; ``_key_parts`` keeps a key's splits, walked once,
-and ``_walk`` builds a key's sorted pool from them, drawing the root's
-children from the pools of their keys.  A key is counted apart, by Otter's
+root's remainder, with no recursion; ``_forests`` walks each remainder's
+splits once and keeps their children tuples, drawn from the pools of their
+keys, and ``_walk`` builds a key's sorted pool from the forests of its
+roots' remainders.  A key is counted apart, by Otter's
 Euler transform (``counting``), which walks no part.  A class counts itself
 once, and is refused at the first sub-key whose count passes
 ``DEFAULT_CAP``, before any pool is built.  Pools are sorted, so a class
@@ -30,7 +31,9 @@ builds: a branch's largest row sum, its row bound, bounds its rho from
 above and is a recurrence on encodings, and a key alone bounds the row
 bounds of its pool, exactly.  So ``_Branches`` generates, best first, only
 the branches of a key whose row bound reaches a threshold, from the same
-kind of call on one child key and the full pools of the others.  Branches are
+kind of call on one child key, its lead, and the forest of the rest.  The
+leads come from the step with no top (``_leads``), so only a lead whose key
+bound reaches the threshold has the splits of its rest walked.  Branches are
 solved in descending bound order only while a bound can still reach the
 maximum within the tie window, each as the one branch of a tree by
 ``spectral_radius``, and only the trees that hold a branch within the window
@@ -85,30 +88,16 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
     return build_tree(parents)
 
 
-def _multiset_children(part: tuple[int, ...], pool,
-                       lead: Optional[tuple] = None) -> Iterator[Encoding]:
+def _multiset_children(part: tuple, pool) -> Iterator[Encoding]:
     """All sorted children tuples whose subtree keys realize ``part``.
 
     ``pool(key)`` supplies the candidate encodings of one key, such as a
     size.  Groups equal keys and draws multisets per group, so no
-    deduplication pass is needed afterwards.  Given ``lead`` = (key,
-    encodings), one child of that key is drawn from those encodings and
-    only its siblings from pools, so a tuple holding two of them comes
-    more than once.
+    deduplication pass is needed afterwards.
     """
-    groups = sorted(Counter(part).items(), reverse=True)
-    pools = []
-    for s, count in groups:
-        if lead is not None and s == lead[0]:
-            rest = (list(itertools.combinations_with_replacement(pool(s), count - 1))
-                    if count > 1 else [()])
-            draws = [(first, *more) for first in lead[1] for more in rest]
-        else:
-            draws = list(itertools.combinations_with_replacement(pool(s), count))
-        if not draws:
-            return
-        pools.append(draws)
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*(
+            itertools.combinations_with_replacement(pool(s), count)
+            for s, count in Counter(part).items())):
         yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
 
@@ -269,21 +258,32 @@ def outdegree_sequences(n_vertices: int) -> Iterator[tuple[int, ...]]:
     return _parts("vertices", n_vertices)
 
 
-# (kind, key) -> the key's parts, and each child key's key bound
-_PARTS: dict[tuple, tuple[tuple, dict]] = {}
+# (kind, remainder) -> the sorted children tuples of its splits
+_FORESTS: dict[tuple, tuple] = {}
 
 
-def _key_parts(kind: str, key) -> tuple[tuple, dict]:
-    """The parts of ``key`` and the key bound of each child key in them,
-    walked once and kept."""
-    got = _PARTS.get((kind, key))
+def _forests(kind: str, rem) -> tuple:
+    """The sorted children tuples of every split of a root's remainder
+    among its children, drawn from the pools of their keys: each split is
+    walked once, and its tuples kept."""
+    got = _FORESTS.get((kind, rem))
     if got is None:
-        parts = tuple(_parts(kind, key))
-        children = dict.fromkeys(child for part in parts for child in part)
-        bound = _KINDS[kind].bound
-        got = _PARTS[kind, key] = (
-            parts, {child: bound(child)[0] for child in children})
+        pool = functools.partial(_walk, kind)
+        got = _FORESTS[kind, rem] = tuple(sorted(itertools.chain.from_iterable(
+            _multiset_children(part, pool)
+            for part in _descending(rem, _KINDS[kind].step))))
     return got
+
+
+@functools.lru_cache(maxsize=None)
+def _leads(kind: str, key) -> tuple:
+    """(lead, its key bound, rest) for each child key a root of ``key``
+    can hold and the remainder after it, from the step with no top.  Each
+    part of ``_parts``, with each distinct child in it as the lead, is one
+    lead plus one split of its rest, and no split is walked to find them."""
+    rule = _KINDS[kind]
+    return tuple((lead, rule.bound(lead)[0], rest) for rem in rule.roots(key)
+                 if rem is not None for lead, rest in rule.step(rem, None))
 
 
 # kind -> {key: sorted pool}
@@ -292,9 +292,9 @@ _MEMO: dict[str, dict] = {}
 
 def _walk(kind: str, key) -> tuple:
     """The sorted pool of one key of ``kind``, computed once into ``_MEMO``:
-    the union over the key's parts of ``_multiset_children``.  A key waits
-    on an explicit stack until the pools of its child keys are in, so a
-    deep key needs no recursion."""
+    the ``_forests`` of its roots' remainders.  A key waits on an explicit
+    stack until the pools of its leads, every child key of its parts, are
+    in, so a deep key needs no recursion."""
     memo = _MEMO.setdefault(kind, {})
     stack = [key]
     while stack:
@@ -302,14 +302,14 @@ def _walk(kind: str, key) -> tuple:
         if top in memo:
             stack.pop()
             continue
-        parts, children = _key_parts(kind, top)
-        missing = [child for child in children if child not in memo]
+        missing = [lead for lead, _, _ in _leads(kind, top) if lead not in memo]
         if missing:
             stack.extend(missing)
             continue
         stack.pop()
-        memo[top] = tuple(sorted(itertools.chain.from_iterable(
-            _multiset_children(part, memo.__getitem__) for part in parts)))
+        forests = [_forests(kind, rem) for rem in _KINDS[kind].roots(top)]
+        memo[top] = forests[0] if len(forests) == 1 else tuple(
+            sorted(itertools.chain.from_iterable(forests)))
     return memo[key]
 
 
@@ -317,7 +317,7 @@ class _Branches:
     """The branch encodings one extremality search generates: their row
     bounds and, per key and threshold, those of a key that reach it.  One
     per search, so all it keeps alive goes with the search; the pools and
-    parts it draws on stay in ``_MEMO`` and ``_PARTS``."""
+    forests it draws on stay in ``_MEMO`` and ``_FORESTS``."""
 
     def __init__(self) -> None:
         # id(enc) -> (row bound, leaves, enc).  Pools share their
@@ -361,12 +361,12 @@ class _Branches:
 
         The full pool when theta <= 1, nothing when the key bound is below
         theta.  Otherwise an encoding of l <= most leaves reaches theta only
-        through a child of row bound at least theta - most.  So for each part
-        and each child key there whose bound reaches that, the child comes
-        from this very call on its key at theta - most and its siblings from
-        full pools; the results are merged and filtered by their exact row
-        bound.  Each (kind, key, theta) is computed once, with the child
-        keys' calls on an explicit stack, so a deep key needs no recursion.
+        through a child of row bound at least theta - most.  So for each lead
+        whose key bound reaches that, the child comes from this very call on
+        the lead at theta - most and its siblings from the forest of the rest;
+        the results are merged and filtered by their exact row bound.  Each
+        (kind, key, theta) is computed once, with the leads' calls on an
+        explicit stack, so a deep key needs no recursion.
         """
         if theta <= 1:
             return _walk(kind, key)
@@ -383,20 +383,17 @@ class _Branches:
             if below <= 1:
                 found = _walk(kind, top)
             else:
-                parts, children = _key_parts(kind, top)
-                missing = [(child, below) for child, bound in children.items()
-                           if bound >= below and (kind, child, below) not in memo]
+                leads = [(lead, rest) for lead, bound, rest in _leads(kind, top)
+                         if bound >= below]
+                missing = [(lead, below) for lead, _ in leads
+                           if (kind, lead, below) not in memo]
                 if missing:
                     stack.extend(missing)
                     continue
-                found = []
-                pool = functools.partial(_walk, kind)
-                for part in parts:
-                    for child in dict.fromkeys(part):
-                        if children[child] >= below:
-                            found.extend(_multiset_children(
-                                part, pool, (child, memo[kind, child, below])))
-                found.sort()
+                found = sorted(
+                    tuple(sorted((first, *more))) for lead, rest in leads
+                    for first in memo[kind, lead, below]
+                    for more in _forests(kind, rest))
             stack.pop()
             memo[kind, top, at] = tuple(enc for enc, _ in itertools.groupby(found)
                                         if self.rb(enc)[0] >= at)
@@ -547,19 +544,20 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     class maximum, in class order; no other tree is built.
 
     rho(T) is the largest rho(C(B) + J) over the branches B below the root,
-    and 0 for the single vertex.  The branches are those of the child keys
-    of the class's root parts, drawn best first by ``_Branches.above``.  The
-    largest key bound among those keys is attained, so the first threshold,
-    that bound, already yields a branch.  Branches are solved by
+    and 0 for the single vertex.  The branches are those of the class keys'
+    leads, drawn best first by ``_Branches.above``.  The largest key bound
+    among the leads is attained, so the first threshold, that bound, already
+    yields a branch.  Branches are solved by
     ``spectral_radius`` of the tree whose root has the branch as its one
     child, with its residual check on every branch solved numerically, in
     descending row bound order until a bound falls below best - w, best the
-    largest rho solved so far.  Then the threshold drops to ceil(best - w), the branches between
-    the two thresholds are solved the same way, and so on until the
+    largest rho solved so far.  Then the threshold drops to ceil(best - w),
+    the branches between the two thresholds are solved the same way, and so
+    on until the
     threshold stops falling.  Every branch left unsolved has a row bound,
     and so a rho, below best - w <= max - w.  A tree is therefore within
     w of the maximum exactly when it holds a solved branch that is.  Those
-    trees are built from such a branch and the full pools of its siblings,
+    trees are built from such a branch and the forest of its lead's rest,
     and each is scored by its solved branches.  The branch's arrays in the
     one-branch tree are those ``spectral_radius`` reads for the same branch
     of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
@@ -567,16 +565,16 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     keys, _ = _counted(cls.kind, cls.params)
     w = TIE_WINDOW
     branches = _Branches()
-    # each class key's kind, the parts of its root and the key bound of each
-    # child key in them; every child key of a part has a nonempty pool, so
-    # some tree realizes each part
-    roots = [(kind, *_key_parts(kind, key)) for kind, key in keys]
-    # each (kind, child key) of those parts and its solved branches
-    solved: dict[tuple, list] = {(kind, child): [] for kind, _, bounds in roots
-                                 for child in bounds}
+    # each class key's kind, whether it holds the single vertex, and its
+    # leads; some tree holds each lead, so each lead's key bound is attained
+    roots = [(kind, None in _KINDS[kind].roots(key), _leads(kind, key))
+             for kind, key in keys]
+    # each (kind, lead) of those keys and its solved branches
+    solved: dict[tuple, list] = {(kind, lead): [] for kind, _, leads in roots
+                                 for lead, _, _ in leads}
     rho_of: dict[Encoding, float] = {}
     best, top = -math.inf, math.inf
-    theta = max((bound for _, _, bounds in roots for bound in bounds.values()),
+    theta = max((bound for _, _, leads in roots for _, bound, _ in leads),
                 default=1)
     while theta < top:
         # the branches with theta <= rb < top, best first
@@ -595,18 +593,15 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
             solved[slot].append(branch)
             best = max(best, value)
         top, theta = theta, math.ceil(best - w) if best - w > 1 else 1
-    rho_max = max(best, 0.0) if any(() in parts for _, parts, _ in roots) else best
+    rho_max = max(best, 0.0) if any(leaf for _, leaf, _ in roots) else best
     scored = []
-    for kind, parts, _ in roots:
-        trees = []
-        for part in parts:
-            if not part and 0.0 >= rho_max - w:
-                trees.append(())
-            for child in dict.fromkeys(part):
-                lead = [b for b in solved[kind, child] if rho_of[b] >= rho_max - w]
-                if lead:
-                    trees.extend(_multiset_children(
-                        part, functools.partial(_walk, kind), (child, lead)))
+    for kind, leaf, leads in roots:
+        trees = [()] if leaf and 0.0 >= rho_max - w else []
+        for lead, _, rest in leads:
+            trees.extend(tuple(sorted((first, *more)))
+                         for first in solved[kind, lead]
+                         if rho_of[first] >= rho_max - w
+                         for more in _forests(kind, rest))
         trees.sort()
         scored.extend((max((rho_of[b] for b in enc if b in rho_of), default=0.0), enc)
                       for enc, _ in itertools.groupby(trees))

@@ -167,10 +167,11 @@ def _exact_route(tree: RootedTree, c: int,
     residual to check.  Stars, brooms and complete d-ary trees pass; a
     caterpillar's spine, whose siblings differ, does not.
     """
-    leaves = tree.leaf_order[tree.leaf_start[c]:tree.leaf_stop[c]]
-    sums = list(map(row.__getitem__, leaves))
-    r = sums[0]
-    return r if sums.count(r) == len(sums) else None
+    if not tree.children[c]:
+        return row[c]  # a leaf child is its branch's one leaf
+    sums = list(map(row.__getitem__,
+                    tree.leaf_order[tree.leaf_start[c]:tree.leaf_stop[c]]))
+    return sums[0] if sums.count(sums[0]) == len(sums) else None
 
 
 def eigenvalues(tree: RootedTree) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ recursion and asymptotics, the collection coefficients, the d-ary
 determinant, monotonicity under the tree operations and the Newick round
 trip.  ``_case_text`` names a failing case.  Only ``verify-all`` imports
 this module, so no other command compiles it; the claimed extremal trees
-are those of ``search``, taken from ``cli``.
+are those of ``search``, passed in by ``cli``, which this does not import.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .caterpillar_analysis import (
     chebyshev_form_check,
     trig_spectral_radius,
 )
-from .cli import _CLAIMS, _extremal
 from .exact_charpoly import char_poly, dary_determinant_check
 from .newick_io import parse_newick, serialize_newick
 from .path_collections import count_by_edge_states
@@ -70,11 +69,10 @@ def _dary_determinants_hold(t: RootedTree) -> bool:
                for d in (2, 3) if degs <= {d})
 
 
-def _broom_holds(cls) -> bool:
-    """The broom is extremal and its rho is the formula's integer, exactly:
-    its branches' leaves share one row sum, so rho is that integer."""
+def _broom_holds(cls, report) -> bool:
+    """The broom is extremal by cls's report and its rho is the formula's
+    integer, exactly: its branches' leaves share one row sum."""
     n_vertices, n_leaves = cls.params
-    report = _extremal(_CLAIMS["broom"]["vertices-leaves"], cls)
     expected = n_leaves * (n_vertices - n_leaves - 1) + 1
     return report.holds and report.rho_claimed == expected
 
@@ -128,9 +126,13 @@ def _round_trips(t: RootedTree) -> bool:
     return back.parent_list() == t.parent_list() and serialize_newick(back) == text
 
 
-def _suites(max_leaves: int):
+def _suites(max_leaves: int, claims: dict):
     """The (name, cases, check) row of each theorem, one at a time in output
-    order: the theorem holds when check(case) is true for every case."""
+    order: the theorem holds when check(case) is true for every case.
+    ``claims`` is the table of ``search``'s claimed trees (``cli._CLAIMS``)."""
+    def extremal(check: str, name: str, cls):
+        return enumeration.verify_extremal(cls, claims[check][name](*cls.params))
+
     trees = _corpus(max_leaves)
     branching = [t for t in trees if t.n_vertices > 1]
     # per corpus tree, one polynomial and one bound report's two verdicts
@@ -163,16 +165,17 @@ def _suites(max_leaves: int):
            (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
             for n_vertices in range(3, max_leaves + 2)
             for n_leaves in range(2, n_vertices)),
-           _broom_holds)
+           lambda cls: _broom_holds(
+               cls, extremal("broom", "vertices-leaves", cls)))
     yield ("greedy-extremality",
            (enumeration.by_outdegree_sequence(seq)
             for n_vertices in range(2, max_leaves + 2)
             for seq in enumeration.outdegree_sequences(n_vertices)),
-           lambda cls: _extremal(_CLAIMS["greedy"]["outdegrees"], cls).holds)
+           lambda cls: extremal("greedy", "outdegrees", cls).holds)
     yield ("series-reduced-extremality",
            map(enumeration.series_reduced, range(2, max_leaves + 1)),
-           lambda cls: _extremal(_CLAIMS["binary-caterpillar"]["series-reduced"],
-                                 cls).holds)
+           lambda cls: extremal("binary-caterpillar", "series-reduced",
+                                cls).holds)
     yield ("caterpillar-recursion", range(1, max_leaves + 1),
            lambda n: caterpillar_charpoly(n).coeffs
            == char_poly(binary_caterpillar(n)).coeffs)

@@ -888,15 +888,19 @@ print(codes, *(name in sys.modules for name in {names!r}))
 """
 
 
-def _fresh_python(script: str) -> str:
-    """The stdout of ``script`` in a fresh interpreter that imports this
-    package."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, run on ``args``."""
     src = str(Path(ancestral.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def _fresh_python(script: str) -> str:
+    """The stdout of ``script`` in a fresh interpreter."""
+    return _python("-c", script).stdout
 
 
 def _module_probe(names, *runs) -> str:
@@ -936,6 +940,19 @@ def test_only_verify_all_loads_the_suites():
     assert out == "[0, 0] False\n"
     out = _module_probe(names, ("verify-all", "--max-leaves", "2"))
     assert out == "[0] True\n"
+
+
+def test_verify_all_run_as_a_module_imports_the_cli_once():
+    # the running cli is __main__, and it hands the suites its claims, so
+    # nothing imports ancestral.cli a second time
+    run = _python("-X", "importtime", "-m", "ancestral.cli",
+                  "verify-all", "--max-leaves", "2")
+    assert run.stdout.count(": VERIFIED\n") == 17
+    imported = [line.rpartition("|")[2].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "ancestral.suites" in imported
+    assert "ancestral.cli" not in imported
 
 
 def test_importing_the_cli_freezes_its_objects_for_the_collector():

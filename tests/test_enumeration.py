@@ -223,6 +223,25 @@ def test_every_child_key_has_a_nonempty_pool():
                 assert _count(kind, child, 1) > 0, (kind, key, child)
 
 
+def test_leads_and_their_splits_are_the_parts_by_distinct_child():
+    # so a walk of the leads' splits sees each (part, distinct child) of the
+    # full walk of parts exactly once
+    for kind, key in _keys_up_to(12):
+        rule = enumeration._KINDS[kind]
+        leads = enumeration._leads(kind, key)
+        pairs = [(lead, tuple(sorted((lead, *split), reverse=True)))
+                 for lead, _, rest in leads
+                 for split in enumeration._descending(rest, rule.step)]
+        parts = list(enumeration._parts(kind, key))
+        want = [(child, part) for part in parts for child in dict.fromkeys(part)]
+        assert sorted(pairs) == sorted(want), (kind, key)
+        assert len(set(pairs)) == len(pairs), (kind, key)
+        # every lead is in some part, and each carries its key bound
+        assert {lead for lead, _ in want} == {lead for lead, _, _ in leads}
+        assert all(bound == rule.bound(lead)[0] for lead, bound, _ in leads)
+        assert (None in rule.roots(key)) == (() in parts), (kind, key)
+
+
 def test_vertex_counts_sum_the_pair_counts_without_pools():
     cap = 10 ** 5  # exact up to 15 vertices, saturated above
     before = _pools()
@@ -396,6 +415,29 @@ def test_search_solves_few_branches(monkeypatch):
     branches = {branch for enc in enumeration._class_encodings(cls)
                 for branch in enc}
     assert 0 < 100 * len(solved) < len(branches)
+
+
+def test_search_walks_the_splits_of_few_leads(monkeypatch):
+    # every part the pairs step completes, with the caches cleared: a walk
+    # of every part of the nine keys the search meets ends 414 of them
+    walked = {"calls": 0, "parts": 0}
+    rule = enumeration._KINDS["pairs"]
+
+    def counting_step(rem, top):
+        walked["calls"] += 1
+        for part, rest in rule.step(rem, top):
+            walked["parts"] += rest is None
+            yield part, rest
+
+    monkeypatch.setitem(enumeration._KINDS, "pairs",
+                        rule._replace(step=counting_step))
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_FORESTS", {})
+    enumeration._leads.cache_clear()
+    report = verify_extremal(by_vertices_and_leaves(14, 6), broom(7, 6))
+    assert report.holds and report.rho_max == 43.0
+    assert 0 < 10 * walked["parts"] < 414
+    assert 0 < 10 * walked["calls"] < 1383
 
 
 def test_search_stops_once_a_bound_falls_below_the_best(monkeypatch):
