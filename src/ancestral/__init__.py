@@ -53,6 +53,7 @@ from .enumeration import (
     enumerate_class,
     random_tree,
     series_reduced,
+    verify_claim,
     verify_extremal,
 )
 from .errors import AncestralError

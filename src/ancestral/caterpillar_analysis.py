@@ -21,7 +21,6 @@ from .exact_charpoly import IntPolynomial, _poly_mul, _poly_sub
 BISECT_EPS = 1e-12
 BISECT_TOL = 1e-12
 BISECT_MAX_ITER = 200
-CLOSED_FORM_TOL = 1e-9
 
 
 def caterpillar_charpoly(n: int) -> IntPolynomial:
@@ -74,16 +73,10 @@ def chebyshev_closed_form(n: int, x):
 
 
 def chebyshev_form_check(n: int, x) -> bool:
-    """Closed form against the recursion at one sample point.  Rational
-    input is compared exactly; floats within
-    CLOSED_FORM_TOL * max(1, |P_n(x)|)."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    lhs = caterpillar_charpoly(n)(x)
-    rhs = chebyshev_closed_form(n, x)
-    if isinstance(x, Fraction):
-        return lhs == rhs
-    return abs(lhs - rhs) <= CLOSED_FORM_TOL * max(1.0, abs(lhs))
+    """Closed form against the recursion at one sample point, compared
+    exactly: a float x is taken as its exact rational."""
+    x = Fraction(x)
+    return caterpillar_charpoly(n)(x) == chebyshev_closed_form(n, x)
 
 
 class TrigRoot(NamedTuple):

@@ -4,7 +4,9 @@ Every subcommand is a pure function of its arguments, one row of
 ``_COMMANDS``: fixed orderings and fixed float formatting (12 significant
 digits) make repeated runs byte-identical.  All but verify-all print one
 text block or one JSON line per case; verify-all prints one line per row
-of ``suites``, which only it imports.  Exit codes: 0 success/verified, 1
+of ``suites``, which only it imports.  The --class names of ``search`` and
+the claims of its --check are rows of ``enumeration``'s class table; this
+module only words their errors.  Exit codes: 0 success/verified, 1
 violated/counterexample (verify-all then names each violated suite's
 first failing case on stderr), 2 usage error.
 """
@@ -32,15 +34,7 @@ from .exact_charpoly import char_poly
 from .newick_io import parse_newick, serialize_newick
 from .path_collections import count_by_edge_states
 from .spectral import eigenvalue_one_certificate, eigenvalues, spectral_radius
-from .tree_core import (
-    RootedTree,
-    binary_caterpillar,
-    broom,
-    build_tree,
-    generate,
-    greedy_caterpillar,
-    parse_spec,
-)
+from .tree_core import RootedTree, binary_caterpillar, generate, parse_spec
 from .tree_ops import OpKind, OpSpec, apply_op
 
 # What the imports above built lives as long as the process, so the cyclic
@@ -204,44 +198,6 @@ def _transform(tree: RootedTree, args) -> dict:
             "rho_after": spectral_radius(after).rho}
 
 
-# each --class name: its constructor and how many integers it takes
-# (None: any number, as one list)
-_CLASSES = {
-    "vertices": (enumeration.by_vertex_count, 1),
-    "leaves": (enumeration.by_leaf_count, 2),
-    "vertices-leaves": (enumeration.by_vertices_and_leaves, 2),
-    "outdegrees": (enumeration.by_outdegree_sequence, None),
-    "series-reduced": (enumeration.series_reduced, 1),
-    "dary": (enumeration.dary_by_leaves, 2),
-}
-
-
-def _greedy_claim(outdegrees) -> RootedTree:
-    """The greedy caterpillar of an outdegree profile, or the single vertex,
-    the one tree of a class without a non-zero outdegree."""
-    return (greedy_caterpillar(outdegrees) if any(outdegrees)
-            else build_tree([None]))
-
-
-# each --check: the --class names it searches, each with the claimed tree
-# built from the class parameters of a class that is not empty
-_CLAIMS = {
-    "greedy": {
-        "outdegrees": lambda *outdegrees: _greedy_claim(outdegrees),
-        # the d-ary class is the outdegree class of d taken (n - 1)/(d - 1) times
-        "dary": lambda d, n_leaves:
-        _greedy_claim([d] * ((n_leaves - 1) // (d - 1))),
-    },
-    "broom": {
-        # the class of one vertex holds only the single vertex
-        "vertices-leaves": lambda n_vertices, n_leaves:
-        broom(n_vertices - n_leaves - 1, n_leaves) if n_vertices > 1
-        else build_tree([None]),
-    },
-    "binary-caterpillar": {"series-reduced": binary_caterpillar},
-}
-
-
 def _class_names(names) -> str:
     """The --class names given, as 'an outdegrees: or dary:'."""
     *rest, last = [f"{name}:" for name in names]
@@ -250,29 +206,21 @@ def _class_names(names) -> str:
 
 
 def _search_class(args) -> list[tuple]:
-    """The one (claim, class) case of a search: the class must be of a
+    """The one (class, claim) case of a search: the class must be of a
     --class name that --check makes a claim about."""
-    (build, _), params = parse_spec(args.klass, _CLASSES, "class")
+    (build, *_, claims), params = parse_spec(args.klass, enumeration._CLASSES,
+                                             "class")
     cls = build(*params)
-    name = args.klass.partition(":")[0].strip()
-    claims = _CLAIMS[args.check]
-    if name not in claims:
-        searched = [known for by_name in _CLAIMS.values() for known in by_name]
-        if name in searched:
-            raise InvalidParameter(f"--check {args.check} needs "
-                                   f"{_class_names(claims)} class")
-        raise InvalidParameter(f"search takes {_class_names(searched)} "
-                               f"class, not {name}:")
-    # an empty class's parameters may admit no claimed tree, so count first
-    if enumeration.class_size(cls) == 0:
-        raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
-    return [(claims[name], cls)]
-
-
-def _extremal(claim, cls: enumeration.TreeClass) -> enumeration.ExtremalReport:
-    """cls checked against claim(*cls.params), the tree claimed to have the
-    largest rho, within the library's tie window and residual tolerance."""
-    return enumeration.verify_extremal(cls, claim(*cls.params))
+    if args.check not in claims:
+        rows = enumeration._CLASSES.items()
+        if claims:
+            needed = _class_names(name for name, row in rows
+                                  if args.check in row[-1])
+            raise InvalidParameter(f"--check {args.check} needs {needed} class")
+        searched = _class_names(name for name, row in rows if row[-1])
+        name = args.klass.partition(":")[0].strip()
+        raise InvalidParameter(f"search takes {searched} class, not {name}:")
+    return [(cls, args.check)]
 
 
 def _search_text(rep) -> list[str]:
@@ -288,7 +236,7 @@ def _cmd_verify_all(args) -> int:
     from . import suites
 
     code = 0
-    for name, cases, check in suites._suites(args.max_leaves, _CLAIMS):
+    for name, cases, check in suites._suites(args.max_leaves):
         for case in cases:
             try:
                 holds = check(case)
@@ -362,7 +310,8 @@ _FLAGS = {
     "--class": dict(dest="klass", required=True,
                     help="tree class, e.g. outdegrees:3,2,2 or dary:3,7 or "
                          "vertices-leaves:7,3 or series-reduced:5"),
-    "--check": dict(required=True, choices=list(_CLAIMS),
+    "--check": dict(required=True, choices=list(dict.fromkeys(
+        check for row in enumeration._CLASSES.values() for check in row[-1])),
                     help="which extremal family to test"),
     "--gen": dict(required=True, help="family spec, e.g. dary:3,2"),
     # the monotonicity suite draws trees of 3 to max_leaves + 1 vertices
@@ -441,7 +390,8 @@ _COMMANDS = (
                             f"rho_after={_fmt(res['rho_after'])}"])),
     ("search", "exhaustive extremality check",
      ("--class", "--check", "--json"),
-     _per_case(_search_class, lambda case, args: _extremal(*case),
+     _per_case(_search_class,
+               lambda case, args: enumeration.verify_claim(*case),
                lambda rep: {"verified": rep.holds, "rho_max": rep.rho_max,
                             "rho_claimed": rep.rho_claimed,
                             "argmax": serialize_newick(rep.argmax)},

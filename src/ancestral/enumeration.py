@@ -24,6 +24,14 @@ once, and is refused at the first sub-key whose count passes
 comes out in the order a filter over the sorted vertex-count pools would
 give.
 
+One table, ``_CLASSES``, keyed by ``--class`` name, holds each kind of
+class: its constructor, its vertex bound, its keys and the paper's
+extremality claims about it, the tree claimed to have the largest rho: the
+broom for n vertices and l leaves, the greedy caterpillar for an outdegree
+sequence and so for d-ary trees, and the binary caterpillar among
+series-reduced trees.  ``verify_claim`` checks one, for ``search`` and
+``verify-all`` alike.
+
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
 the root, so rho(T) is the largest rho(C(B_i) + J).  It bounds before it
@@ -54,7 +62,14 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
 from .spectral import spectral_radius
-from .tree_core import FAMILY_CAP, RootedTree, build_tree
+from .tree_core import (
+    FAMILY_CAP,
+    RootedTree,
+    binary_caterpillar,
+    broom,
+    build_tree,
+    greedy_caterpillar,
+)
 
 DEFAULT_CAP = 10 ** 6
 # a tree is extremal when its rho is within this window of the class maximum
@@ -101,10 +116,10 @@ def _multiset_children(part: tuple, pool) -> Iterator[Encoding]:
         yield tuple(sorted(itertools.chain.from_iterable(combo)))
 
 
-def _descending(rem, step, top=None) -> Iterator[tuple]:
-    """Every descending tuple of parts, each at most ``top``, that uses up
-    ``rem`` (None gives the empty tuple).  ``step(rem, top)`` yields each
-    part that can come next with the remainder after it, None once nothing
+def _descending(rem, step) -> Iterator[tuple]:
+    """Every descending tuple of parts that uses up ``rem`` (None gives the
+    empty tuple).  ``step(rem, top)`` yields each part that can come next,
+    at most ``top``, with the remainder after it, None once nothing
     remains.  An explicit stack keeps the suspended steps, one per part
     chosen so far, so k parts cost O(k) and no recursion."""
     if rem is None:
@@ -112,7 +127,7 @@ def _descending(rem, step, top=None) -> Iterator[tuple]:
         return
     chosen: list = []
     stack: list = []
-    steps = step(rem, top)
+    steps = step(rem, None)
     while True:
         for part, rest in steps:
             if rest is None:
@@ -423,13 +438,12 @@ def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
     256 classes last asked about.  Raises ClassTooLarge, which is not kept,
     uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when the
     size passes ``DEFAULT_CAP``."""
-    if kind not in _CLASS_KEYS:
-        raise InvalidParameter(f"unknown tree class kind: {kind}")
-    most = _MOST_VERTICES[kind](*params)
+    _, _, _, most_vertices, class_keys, _ = _class_row(kind)
+    most = most_vertices(*params)
     if most > FAMILY_CAP:
         raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "
                             f"past the cap {FAMILY_CAP}")
-    keys = tuple(_CLASS_KEYS[kind](*params))
+    keys = tuple(class_keys(*params))
     size = 0
     for pool_kind, key in keys:
         size += _KINDS[pool_kind].count(key, DEFAULT_CAP)
@@ -478,31 +492,65 @@ def dary_by_leaves(d: int, n_leaves: int) -> TreeClass:
     return TreeClass("dary-by-leaves", (d, n_leaves))
 
 
-# the most vertices a tree of each kind of class can have, from its params
-_MOST_VERTICES = {
-    "by-vertex-count": lambda n: n,
-    "by-leaf-count": lambda leaves, max_vertices: max_vertices,
-    "by-vertices-and-leaves": lambda n, leaves: n,
-    "by-outdegree-sequence": lambda *degrees: len(degrees),
-    "series-reduced": lambda n: 2 * n - 1,  # at most n - 1 inner vertices
-    "dary-by-leaves": lambda d, n: n + (n - 1) // (d - 1),
+def _greedy(outdegrees) -> RootedTree:
+    """The greedy caterpillar of an outdegree profile, or the single vertex,
+    the one tree of a class without a non-zero outdegree."""
+    return (greedy_caterpillar(outdegrees) if any(outdegrees)
+            else build_tree([None]))
+
+
+# Each --class name, one row per kind of class: its constructor and how
+# many integers it takes (None: any number, as one list), which
+# ``tree_core.parse_spec`` reads; its TreeClass kind; the most vertices a
+# tree of the class can have; the (kind, key) pairs whose pools, chained,
+# are the class; and, for each --check that searches it, the tree the paper
+# claims has the largest rho.  All but the constructor read the class
+# params, the claims only those of a class that is not empty.  The rows
+# that some --check searches come first, in the order search names them.
+_CLASSES = {
+    "outdegrees": (
+        by_outdegree_sequence, None, "by-outdegree-sequence",
+        lambda *degrees: len(degrees),
+        lambda *degrees: [("outdegrees", tuple(sorted(degrees, reverse=True)))],
+        {"greedy": lambda *degrees: _greedy(degrees)}),
+    # the outdegree class of d taken (n - 1) / (d - 1) times, and n zeros
+    "dary": (
+        dary_by_leaves, 2, "dary-by-leaves",
+        lambda d, n: n + (n - 1) // (d - 1),
+        lambda d, n: [("outdegrees", (d,) * ((n - 1) // (d - 1)) + (0,) * n)]
+        if n > 0 and (n - 1) % (d - 1) == 0 else [],
+        {"greedy": lambda d, n: _greedy([d] * ((n - 1) // (d - 1)))}),
+    "vertices-leaves": (
+        by_vertices_and_leaves, 2, "by-vertices-and-leaves",
+        lambda n, leaves: n,
+        lambda n, leaves: [("pairs", (n, leaves))],
+        # the class of one vertex holds only the single vertex
+        {"broom": lambda n, leaves: broom(n - leaves - 1, leaves) if n > 1
+         else build_tree([None])}),
+    "series-reduced": (
+        series_reduced, 1, "series-reduced",
+        lambda n: 2 * n - 1,  # at most n - 1 inner vertices
+        lambda n: [("reduced", n)],
+        {"binary-caterpillar": binary_caterpillar}),
+    "vertices": (
+        by_vertex_count, 1, "by-vertex-count",
+        lambda n: n,
+        lambda n: [("vertices", n)], {}),
+    "leaves": (
+        by_leaf_count, 2, "by-leaf-count",
+        lambda leaves, max_vertices: max_vertices,
+        lambda leaves, max_vertices: [
+            ("pairs", (size, leaves)) for size in range(1, max_vertices + 1)],
+        {}),
 }
 
 
-# each kind of class as the (kind, key) pairs whose pools, chained, are
-# the class
-_CLASS_KEYS = {
-    "by-vertex-count": lambda n: [("vertices", n)],
-    "by-leaf-count": lambda leaves, max_vertices: [
-        ("pairs", (size, leaves)) for size in range(1, max_vertices + 1)],
-    "by-vertices-and-leaves": lambda n, leaves: [("pairs", (n, leaves))],
-    "by-outdegree-sequence": lambda *degrees: [
-        ("outdegrees", tuple(sorted(degrees, reverse=True)))],
-    "series-reduced": lambda n: [("reduced", n)],
-    "dary-by-leaves": lambda d, n: [
-        ("outdegrees", (d,) * ((n - 1) // (d - 1)) + (0,) * n)
-    ] if n > 0 and (n - 1) % (d - 1) == 0 else [],
-}
+def _class_row(kind: str) -> tuple:
+    """The ``_CLASSES`` row of a TreeClass kind."""
+    for row in _CLASSES.values():
+        if row[2] == kind:
+            return row
+    raise InvalidParameter(f"unknown tree class kind: {kind}")
 
 
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
@@ -638,6 +686,19 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree) -> ExtremalReport:
                           rho_max=rho_max,
                           rho_claimed=rho_claimed,
                           ties=ties)
+
+
+def verify_claim(cls: TreeClass, check: str) -> ExtremalReport:
+    """``verify_extremal`` of cls and the tree that the paper's claim
+    ``check``, one of the claims of cls's ``_CLASSES`` row, names for its
+    params.  The class is counted first, as the params of an empty class
+    may admit no claimed tree: it is refused as empty."""
+    claims = _class_row(cls.kind)[-1]
+    if check not in claims:
+        raise InvalidParameter(f"no {check} claim about {cls.kind} classes")
+    if class_size(cls) == 0:
+        raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
+    return verify_extremal(cls, claims[check](*cls.params))
 
 
 def random_tree(n_vertices: int, rng: random.Random) -> RootedTree:

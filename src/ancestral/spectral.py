@@ -30,7 +30,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameter, NoConvergence, SingleVertexTree
-from .tree_core import RootedTree, check_dense, row_sums
+from .tree_core import RootedTree, check_dense, preorder_run, row_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,18 +88,6 @@ def eigen_decompose(m) -> Spectrum:
         raise NoConvergence(residual=residual, bound=bound)
     return Spectrum(eigenvalues=tuple(vals[::-1].tolist()),
                     eigenvectors=vecs[:, ::-1], residual=residual)
-
-
-def _branch_run(tree: RootedTree, c: int,
-                start: int) -> tuple[tuple[int, ...], int]:
-    """The branch below the root child c as its run of the tree's preorder,
-    c first, and the preorder position just past the run.  The preorder is
-    scanned in C from start, at or before c's position, so runs taken in
-    the order of the root's children scan it about once in all."""
-    order = tree.preorder
-    a = order.index(c, start)
-    b = order.index(tree.leaf_order[tree.leaf_stop[c] - 1], a) + 1
-    return order[a:b], b
 
 
 def _branch_block(tree: RootedTree, run: Sequence[int]):
@@ -195,7 +183,7 @@ def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
             values.append(float(r))
             if not children[c]:
                 continue
-        run, pos = _branch_run(tree, c, pos)
+        run, pos = preorder_run(tree, c, pos)
         if r is None:
             size = tree.leaf_stop[c] - tree.leaf_start[c]
             check_dense("branch block", size, size)
@@ -365,7 +353,7 @@ def _spectral_radius(tree: RootedTree, row: Sequence[int]) -> SpectralRadius:
     for c in tree.children[tree.root]:
         r = _exact_route(tree, c, row)
         if r is None:
-            run, pos = _branch_run(tree, c, pos)
+            run, pos = preorder_run(tree, c, pos)
             value, vec = _branch_rho(tree, run, row)
         else:
             value, vec = float(r), None

@@ -9,8 +9,8 @@ bounds, the broom, greedy and series-reduced extremality, the caterpillar
 recursion and asymptotics, the collection coefficients, the d-ary
 determinant, monotonicity under the tree operations and the Newick round
 trip.  ``_case_text`` names a failing case.  Only ``verify-all`` imports
-this module, so no other command compiles it; the claimed extremal trees
-are those of ``search``, passed in by ``cli``, which this does not import.
+this module, so no other command compiles it.  The extremality suites check
+the claimed trees of ``search``, through ``enumeration.verify_claim``.
 """
 
 from __future__ import annotations
@@ -126,13 +126,9 @@ def _round_trips(t: RootedTree) -> bool:
     return back.parent_list() == t.parent_list() and serialize_newick(back) == text
 
 
-def _suites(max_leaves: int, claims: dict):
+def _suites(max_leaves: int):
     """The (name, cases, check) row of each theorem, one at a time in output
-    order: the theorem holds when check(case) is true for every case.
-    ``claims`` is the table of ``search``'s claimed trees (``cli._CLAIMS``)."""
-    def extremal(check: str, name: str, cls):
-        return enumeration.verify_extremal(cls, claims[check][name](*cls.params))
-
+    order: the theorem holds when check(case) is true for every case."""
     trees = _corpus(max_leaves)
     branching = [t for t in trees if t.n_vertices > 1]
     # per corpus tree, one polynomial and one bound report's two verdicts
@@ -165,17 +161,15 @@ def _suites(max_leaves: int, claims: dict):
            (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
             for n_vertices in range(3, max_leaves + 2)
             for n_leaves in range(2, n_vertices)),
-           lambda cls: _broom_holds(
-               cls, extremal("broom", "vertices-leaves", cls)))
+           lambda cls: _broom_holds(cls, enumeration.verify_claim(cls, "broom")))
     yield ("greedy-extremality",
            (enumeration.by_outdegree_sequence(seq)
             for n_vertices in range(2, max_leaves + 2)
             for seq in enumeration.outdegree_sequences(n_vertices)),
-           lambda cls: extremal("greedy", "outdegrees", cls).holds)
+           lambda cls: enumeration.verify_claim(cls, "greedy").holds)
     yield ("series-reduced-extremality",
            map(enumeration.series_reduced, range(2, max_leaves + 1)),
-           lambda cls: extremal("binary-caterpillar", "series-reduced",
-                                cls).holds)
+           lambda cls: enumeration.verify_claim(cls, "binary-caterpillar").holds)
     yield ("caterpillar-recursion", range(1, max_leaves + 1),
            lambda n: caterpillar_charpoly(n).coeffs
            == char_poly(binary_caterpillar(n)).coeffs)

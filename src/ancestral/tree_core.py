@@ -16,7 +16,6 @@ loses nothing and keeps each branch's leaves contiguous.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
@@ -271,20 +270,24 @@ def row_sums(tree: RootedTree) -> list[int]:
     return path
 
 
+def preorder_run(tree: RootedTree, v: int,
+                 start: int = 0) -> tuple[tuple[int, ...], int]:
+    """The subtree of v as its run of the preorder, v first, and the
+    preorder position just past the run, which ends at v's last leaf.  The
+    preorder is scanned in C from start, at or before v's position, so the
+    runs of siblings, taken in order, scan it about once in all."""
+    order = tree.preorder
+    a = order.index(v, start)
+    b = order.index(tree.leaf_order[tree.leaf_stop[v] - 1], a) + 1
+    return order[a:b], b
+
+
 def subtree_with_map(tree: RootedTree, v: int) -> tuple[RootedTree, tuple[int, ...]]:
     """The subtree rooted at v as a standalone tree, plus the original index
     of each new vertex.  New vertices are numbered in preorder of the subtree,
     preserving children order."""
     _check_vertex(tree, v)
-    # the subtree is the run of the preorder from v up to the first vertex
-    # whose first leaf lies past v's leaf range; leaf_start never decreases
-    # along the preorder
-    order = tree.preorder
-    # a tree numbered in preorder holds v at position v
-    first = v if order[v] == v else order.index(v)
-    end = bisect_left(order, tree.leaf_stop[v], first + 1,
-                      key=tree.leaf_start.__getitem__)
-    run = order[first:end]
+    run, _ = preorder_run(tree, v)
     index = {w: i for i, w in enumerate(run)}
     parents = [None] + [index[tree.parent[w]] for w in run[1:]]
     return build_tree(parents), run

@@ -79,6 +79,13 @@ def test_closed_form_float_path():
     assert chebyshev_form_check(5, 2.2)
 
 
+def test_closed_form_of_a_float_is_compared_exactly():
+    # in floats the two sides differ by 1.8e-9 relative at (14, 2.2), and
+    # overflow at (200, 100.25); as the floats' exact rationals they agree
+    assert chebyshev_form_check(14, 2.2)
+    assert chebyshev_form_check(200, 100.25)
+
+
 def test_closed_form_poles_and_domain():
     with pytest.raises(PoleArgument):
         chebyshev_closed_form(4, 1)

@@ -12,7 +12,8 @@ import pytest
 import ancestral
 from ancestral import (ExtremalReport, binary_caterpillar, broom,
                        by_vertices_and_leaves, caterpillar_charpoly,
-                       parse_newick, serialize_newick, series_reduced, star)
+                       parse_newick, serialize_newick, series_reduced, star,
+                       star_plus_path)
 from ancestral import bounds_theorems, cli, spectral, suites
 from ancestral.errors import NoConvergence
 from ancestral.tree_ops import OpKind, valid_specs
@@ -654,6 +655,21 @@ def test_verify_all_names_the_failing_class(capsys, monkeypatch):
     assert err == "series-reduced-extremality: fails on series-reduced(3,)\n"
 
 
+def test_search_and_verify_all_check_one_claim(capsys, monkeypatch):
+    # a tree of n vertices and l leaves that is not extremal, in place of
+    # the broom: both commands read it from the one class table
+    claims = cli.enumeration._CLASSES["vertices-leaves"][-1]
+    monkeypatch.setitem(claims, "broom",
+                        lambda n, leaves: star_plus_path(leaves - 1, n - leaves))
+    code, out, _ = run(capsys, "search", "--class", "vertices-leaves:7,3",
+                       "--check", "broom")
+    assert code == 1 and out.startswith("COUNTEREXAMPLE ")
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
+    assert code == 1
+    assert verdicts(out)["broom-extremality"] == "VIOLATED"
+    assert err == "broom-extremality: fails on by-vertices-and-leaves(4, 2)\n"
+
+
 def test_verify_all_names_a_failing_operation_as_transform_flags(
         capsys, monkeypatch):
     tree, spec = next(suites._monotonicity_cases(4))
@@ -943,8 +959,8 @@ def test_only_verify_all_loads_the_suites():
 
 
 def test_verify_all_run_as_a_module_imports_the_cli_once():
-    # the running cli is __main__, and it hands the suites its claims, so
-    # nothing imports ancestral.cli a second time
+    # the running cli is __main__, and the suites take their claims from
+    # enumeration, so nothing imports ancestral.cli a second time
     run = _python("-X", "importtime", "-m", "ancestral.cli",
                   "verify-all", "--max-leaves", "2")
     assert run.stdout.count(": VERIFIED\n") == 17

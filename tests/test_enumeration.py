@@ -25,6 +25,7 @@ from ancestral import (
     spectral_radius,
     star,
     subtree,
+    verify_claim,
     verify_extremal,
 )
 from ancestral.errors import ClassTooLarge, InvalidParameter
@@ -545,11 +546,13 @@ def test_class_cap():
 
 def test_equal_classes_are_counted_once(monkeypatch):
     calls = []
-    for kind in ("series-reduced", "by-vertex-count"):
-        keys = enumeration._CLASS_KEYS[kind]
-        monkeypatch.setitem(enumeration._CLASS_KEYS, kind,
-                            lambda *params, keys=keys:
-                            calls.append(params) or keys(*params))
+    for name in ("series-reduced", "vertices"):
+        # the row's fifth entry gives the class keys of its params
+        row = enumeration._CLASSES[name]
+        keys = row[4]
+        monkeypatch.setitem(enumeration._CLASSES, name, (
+            *row[:4], lambda *params, keys=keys:
+            calls.append(params) or keys(*params), *row[5:]))
     enumeration._counted.cache_clear()
     first, second = series_reduced(6), series_reduced(6)
     assert first == second and first is not second
@@ -562,6 +565,17 @@ def test_equal_classes_are_counted_once(monkeypatch):
         with pytest.raises(ClassTooLarge):
             class_size(by_vertex_count(30))
     assert calls == [(6,), (30,), (30,)]
+
+
+def test_verify_claim_refuses_an_empty_class_and_an_unmade_claim():
+    assert verify_claim(by_vertices_and_leaves(7, 3), "broom").holds
+    # d - 1 does not divide n - 1, so no tree and no greedy claim exist
+    with pytest.raises(InvalidParameter, match="is empty"):
+        verify_claim(dary_by_leaves(3, 8), "greedy")
+    with pytest.raises(InvalidParameter, match="no broom claim"):
+        verify_claim(by_vertex_count(4), "broom")
+    with pytest.raises(InvalidParameter, match="unknown tree class kind"):
+        verify_claim(enumeration.TreeClass("bogus", (1,)), "broom")
 
 
 def test_random_tree_is_seeded_and_preorder():

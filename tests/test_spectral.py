@@ -28,6 +28,7 @@ from ancestral import (
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import InvalidParameter, NoConvergence, SingleVertexTree
+from ancestral.tree_core import preorder_run
 
 from helpers import (
     EXAMPLE_EIGENVALUES,
@@ -194,7 +195,7 @@ def test_block_route_matches_the_dense_oracle():
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-9 * want[0]
         if t.n_vertices == 1:
             continue
-        runs = [spectral._branch_run(t, c, 1)[0] for c in t.children[t.root]]
+        runs = [preorder_run(t, c, 1)[0] for c in t.children[t.root]]
         blocks = [spectral._dense_solve(spectral._branch_block(t, run), 0.0)[0]
                   for run in runs]
         dense = sorted(np.concatenate(blocks).tolist(), reverse=True)
@@ -206,7 +207,7 @@ def test_block_builder_equals_the_slices_of_the_matrix():
     for t in _block_route_trees():
         rows = ancestral_matrix(t).rows
         covered = []
-        runs = [spectral._branch_run(t, c, 1)[0] for c in t.children[t.root]]
+        runs = [preorder_run(t, c, 1)[0] for c in t.children[t.root]]
         # the runs tile the preorder below the root
         assert tuple(v for run in runs for v in run) == t.preorder[1:]
         for c, run in zip(t.children[t.root], runs):
