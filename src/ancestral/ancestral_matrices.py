@@ -96,18 +96,11 @@ def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:
 
 
 def gram_product(inc: PathIncidenceMatrix) -> tuple[tuple[int, ...], ...]:
-    """I_p times its own transpose, in exact integers."""
-    rows = inc.rows
-    n = inc.n
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i, n):
-            rj = rows[j]
-            s = sum(a & b for a, b in zip(ri, rj))
-            out[i][j] = s
-            out[j][i] = s
-    return tuple(tuple(r) for r in out)
+    """I_p times its own transpose, in exact integers.  Each 0/1 row is
+    packed once into an integer mask, one byte per edge, so entry (i, j)
+    counts the bits that rows i and j share."""
+    masks = [int.from_bytes(bytes(row), "big") for row in inc.rows]
+    return tuple(tuple([(a & b).bit_count() for b in masks]) for a in masks)
 
 
 def gram_check(tree: RootedTree) -> bool:

@@ -1,5 +1,11 @@
 """Command-line front end: it parses arguments and prints.
 
+A well-formed line (a command followed only by its own flags, each at most
+once, with values that their types and choices accept) is read straight
+from ``_COMMANDS`` and the flag tables.  Every other line goes to argparse,
+which is imported only then: it builds the help texts and the usage errors
+from the same tables.
+
 Every subcommand is a pure function of its arguments, one row of
 ``_COMMANDS``: fixed orderings and fixed float formatting (12 significant
 digits) make repeated runs byte-identical.  All but verify-all print one
@@ -13,13 +19,13 @@ first failing case on stderr), 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from . import enumeration
 from .ancestral_matrices import ancestral_matrix, path_incidence_matrix
@@ -36,6 +42,9 @@ from .path_collections import count_by_edge_states
 from .spectral import eigenvalue_one_certificate, eigenvalues, spectral_radius
 from .tree_core import RootedTree, binary_caterpillar, generate, parse_spec
 from .tree_ops import OpKind, OpSpec, apply_op
+
+if TYPE_CHECKING:
+    import argparse
 
 # What the imports above built lives as long as the process, so the cyclic
 # collector need not scan it again: without this, the first collection of
@@ -255,11 +264,12 @@ def _cmd_verify_all(args) -> int:
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors print one line, like every other error, and exit 2."""
+def _type_error(message: str) -> Exception:
+    """The error a flag's type raises on a bad value.  Only argparse reports
+    it, so argparse is imported here and not for a well-formed line."""
+    import argparse
 
-    def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+    return argparse.ArgumentTypeError(message)
 
 
 def _int_between(low: int, high: Optional[int] = None):
@@ -269,14 +279,11 @@ def _int_between(low: int, high: Optional[int] = None):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not an integer: {text!r}") from None
+            raise _type_error(f"not an integer: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {low}, got {value}")
+            raise _type_error(f"must be at least {low}, got {value}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(
-                f"must be at most {high}, got {value}")
+            raise _type_error(f"must be at most {high}, got {value}")
         return value
     return parse
 
@@ -291,7 +298,7 @@ def _vertex_path(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise _type_error(
             f"not a comma-separated list of vertices: {text!r}") from None
 
 
@@ -321,16 +328,21 @@ _FLAGS = {
 }
 
 
+# the flag name "source" in a command's row stands for exactly one of these
+_SOURCE = {
+    "--newick": dict(help="tree as a Newick string"),
+    "--file": dict(help="UTF-8 file, one Newick tree per line"),
+    "--gen": dict(help="family spec, e.g. broom:2,3"),
+}
+
+
 def _add_flags(sub, names) -> None:
-    """Give sub the flags it reads, and no others; "source" is the required
-    choice of --newick, --file or --gen."""
+    """Give sub the flags it reads, and no others."""
     for name in names:
         if name == "source":
             group = sub.add_mutually_exclusive_group(required=True)
-            group.add_argument("--newick", help="tree as a Newick string")
-            group.add_argument("--file",
-                               help="UTF-8 file, one Newick tree per line")
-            group.add_argument("--gen", help="family spec, e.g. broom:2,3")
+            for flag, spec in _SOURCE.items():
+                group.add_argument(flag, **spec)
         else:
             sub.add_argument(name, **_FLAGS[name])
 
@@ -410,6 +422,14 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     """The parser for argv.  When argv starts with a command, only that
     command's subparser is registered, as only it can run; otherwise all
     are, for the top-level help and the missing or invalid command error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Usage errors print one line, like every other error, and exit 2."""
+
+        def error(self, message: str):
+            self.exit(2, f"error: {message}\n")
+
     parser = _Parser(
         prog="ancestral",
         description="Ancestral matrices of rooted trees: exact charpolys, "
@@ -423,11 +443,67 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_flags(row, tokens: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for the tokens after row's command, or
+    None unless they are well formed: only the command's own flags, each at
+    most once, each value passing its type and choices, with every required
+    flag and exactly one source given."""
+    name, _, names, handler = row
+    flags = {}
+    for flag in names:
+        flags.update(_SOURCE if flag == "source" else {flag: _FLAGS[flag]})
+    given = {}
+    rest = iter(tokens)
+    for flag in rest:
+        spec = flags.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(rest, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:
+            # argparse runs the same type on the same text, and reports
+            # whatever it raises
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if any(spec.get("required") and flag not in given
+           for flag, spec in flags.items()):
+        return None
+    if "source" in names and sum(flag in given for flag in _SOURCE) != 1:
+        return None
+    args = SimpleNamespace(command=name, func=handler)
+    for flag, spec in flags.items():
+        store_true = spec.get("action") == "store_true"
+        default = spec.get("default", False if store_true else None)
+        setattr(args, spec.get("dest", flag[2:].replace("-", "_")),
+                given.get(flag, default))
+    return args
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
+    """The arguments of argv.  A well-formed line, a command followed by
+    its own flags, is read straight from the flag table; any other line,
+    help included, goes to argparse, which alone words help and usage
+    errors and gives the same namespace for a well-formed line."""
+    for row in _COMMANDS:
+        if argv and row[0] == argv[0]:
+            args = _read_flags(row, argv[1:])
+            if args is not None:
+                return args
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit

@@ -96,12 +96,18 @@ def test_gram_identity_on_corpus():
         assert gram_check(t)
 
 
+def _matmul_transpose(rows):
+    return tuple(tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in rows)
+                 for r1 in rows)
+
+
 def test_gram_product_is_exact_matmul():
     inc = path_incidence_matrix(example_tree())
-    manual = tuple(
-        tuple(sum(a * b for a, b in zip(r1, r2)) for r2 in inc.rows)
-        for r1 in inc.rows)
-    assert gram_product(inc) == manual == EXAMPLE_C_ROWS
+    assert gram_product(inc) == _matmul_transpose(inc.rows) == EXAMPLE_C_ROWS
+    # the bit-mask product against the plain one, on every small shape
+    for t in corpus(8):
+        inc = path_incidence_matrix(t)
+        assert gram_product(inc) == _matmul_transpose(inc.rows)
 
 
 def test_block_reconstruction_on_corpus():

@@ -1,13 +1,17 @@
 """Front-end behavior: frozen text output, JSON forms, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import ancestral
 from ancestral import (ExtremalReport, binary_caterpillar, broom,
@@ -565,13 +569,99 @@ def _subparsers(parser):
     return action.choices
 
 
-def test_one_command_parser_gives_the_full_parsers_help():
-    full = _subparsers(cli.build_parser())
+def test_one_command_parser_gives_the_full_parsers_help(capsys):
+    parser = cli.build_parser()
+    full = _subparsers(parser)
     assert len(full) == len(cli._COMMANDS)
     for name, sub in full.items():
         alone = _subparsers(cli.build_parser([name, "--help"]))
         assert list(alone) == [name]
         assert alone[name].format_help() == sub.format_help(), name
+    # main prints each of them, and the top-level help, unchanged
+    helps = [([], parser.format_help()),
+             *(([name], sub.format_help()) for name, sub in full.items())]
+    assert len(helps) == 13
+    for command, text in helps:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (text, ""), command
+
+
+_NAMES = tuple(name for name, *_ in cli._COMMANDS)
+_FLAG_TOKENS = (*cli._FLAGS, *cli._SOURCE, "-h", "--help", "--",
+                "--gen=star:3", "--cla", "--che")
+_VALUES = ("star:3", "vertices-leaves:7,3", "broom", "star-shift", "0",
+           "0,1", "3", "2001", "-7", "-", "", "x")
+
+
+# a value that each flag taking one accepts
+_GOOD = {"--class": "vertices-leaves:7,3", "--check": "broom",
+         "--op": "star-shift", "--path": "0", "--branch": "0", "--leaf": "0",
+         "--n": "3", "--max-leaves": "3", "--gen": "star:3", "--newick": "x",
+         "--file": "x"}
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command's well-formed line, its flags in any order, then up to
+    two edits, each a token replaced, inserted or deleted."""
+    name, _, entries, _ = draw(st.sampled_from(cli._COMMANDS))
+    pieces = []
+    for entry in entries:
+        if entry == "source":
+            flag = draw(st.sampled_from(tuple(cli._SOURCE)))
+        elif cli._FLAGS[entry].get("required") or draw(st.booleans()):
+            flag = entry
+        else:
+            continue
+        pieces.append([flag, _GOOD[flag]] if flag in _GOOD else [flag])
+    argv = [name, *(token for piece in draw(st.permutations(pieces))
+                    for token in piece)]
+    tokens = st.sampled_from(_NAMES + _FLAG_TOKENS + _VALUES)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        if edit == "insert":
+            argv.insert(at, draw(tokens))
+        elif at < len(argv):
+            if edit == "delete":
+                del argv[at]
+            else:
+                argv[at] = draw(tokens)
+    return argv
+
+
+def _parse_outcome(parse, argv):
+    """The arguments parse(argv) gives, or its exit code, with what it
+    printed on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400)
+@given(_command_lines())
+@example(["search", "--class", "vertices-leaves:7,3", "--check", "broom"])
+@example(["transform", "--json", "--gen", "star:3", "--op", "star-shift",
+          "--path", "0", "--leaf", "0"])
+@example(["caterpillar", "--n", "3"])
+@example(["verify-all"])
+@example(["gen", "--gen", "star:3", "--gen", "star:3"])
+@example(["search", "--cla", "vertices-leaves:7,3", "--che", "broom"])
+@example(["matrix", "--newick", "x", "--gen", "star:3"])
+@example(["--help"])
+@example([])
+def test_the_flag_table_reads_a_line_as_argparse_does(argv):
+    table = _parse_outcome(cli.parse_args, argv)
+    oracle = _parse_outcome(lambda argv: cli.build_parser(argv).parse_args(argv),
+                            argv)
+    # equal namespaces hold the same func: functions compare by identity
+    assert table == oracle
 
 
 def test_a_parser_without_a_command_lists_every_command(capsys):
@@ -904,24 +994,24 @@ print(codes, *(name in sys.modules for name in {names!r}))
 """
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, run on ``args``."""
     src = str(Path(ancestral.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, check=True)
 
 
-def _fresh_python(script: str) -> str:
+def _fresh_python(script: str, cwd=None) -> str:
     """The stdout of ``script`` in a fresh interpreter."""
-    return _python("-c", script).stdout
+    return _python("-c", script, cwd=cwd).stdout
 
 
-def _module_probe(names, *runs) -> str:
+def _module_probe(names, *runs, cwd=None) -> str:
     return _fresh_python(_MODULE_PROBE.format(
-        names=names, runs=[list(argv) for argv in runs]))
+        names=names, runs=[list(argv) for argv in runs]), cwd=cwd)
 
 
 def test_commands_without_a_dense_solve_leave_numpy_unloaded():
@@ -945,6 +1035,30 @@ def test_plain_queries_load_neither_dataclasses_nor_inspect_nor_json():
                         ("bounds", "--gen", "dary:2,9"),
                         ("verify-all", "--max-leaves", "4"))
     assert out == "[0, 0, 0] False False False\n"
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    out = _module_probe(("argparse", "gettext", "locale"))
+    assert out == "[] False False False\n"
+
+
+def test_bench_and_readme_lines_never_load_argparse(tmp_path, monkeypatch):
+    # every line the benchmark sends and the README shows is well formed,
+    # so the flag table reads it and argparse is never imported
+    repo = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(repo / "bench"))
+    import workloads
+
+    runs = [query.argv for workload in workloads.WORKLOADS
+            for query in workloads.build(workload, 1, tmp_path / "inputs",
+                                         tmp_path)[0]]
+    prompt = "$ ancestral "
+    runs += [shlex.split(line[len(prompt):], comments=True)
+             for line in (repo / "README.md").read_text("utf-8").splitlines()
+             if line.startswith(prompt)]
+    assert len(runs) == 14 + 12
+    out = _module_probe(("argparse",), *runs, cwd=tmp_path)
+    assert out == f"{[0] * len(runs)} False\n"
 
 
 def test_only_verify_all_loads_the_suites():
