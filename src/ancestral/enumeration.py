@@ -448,7 +448,10 @@ def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
     for pool_kind, key in keys:
         size += _KINDS[pool_kind].count(key, DEFAULT_CAP)
         if size > DEFAULT_CAP:
-            raise ClassTooLarge(f"{kind}{params} exceeds cap {DEFAULT_CAP}")
+            # name a long class by its first params, so the line stays short
+            shown = (f"{params}" if len(params) <= 8 else
+                     f"({', '.join(map(str, params[:8]))}, … {len(params)} params)")
+            raise ClassTooLarge(f"{kind}{shown} exceeds cap {DEFAULT_CAP}")
     return keys, size
 
 

@@ -10,7 +10,9 @@ Two genuinely independent exact routes are kept side by side:
   per-step division by k is exact for integer matrices.
 
 Collapsing these into one would silently drop a built-in oracle, so both are
-public and the test suite compares them coefficient by coefficient.  The
+public and the test suite compares them coefficient by coefficient.
+``_fold`` is the package's one children fold, which
+``path_collections.count_by_edge_states`` shares.  The
 determinant checks ``eval_det_shift`` and ``dary_determinant_check`` read
 their values off the primary route's polynomial, since
 det(pI + qC) = (-q)^L P(-p/q) for P = det(xI - C).
@@ -83,6 +85,44 @@ def _poly_sub(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    """a + b for lowest-first coefficient lists of any lengths."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = a[:]
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _fold(tree: RootedTree, leaf, factor) -> list[int]:
+    """The root's A, where a leaf carries the pair ``leaf`` of lowest-first
+    lists (A, B), a child c stands for F_c = factor(A_c, B_c), and
+
+        A_v = prod_c F_c,    B_v = sum_c B_c prod_{c' != c} F_c'.
+
+    Siblings fold in one at a time, (A1 A2, B1 A2 + A1 B2), so k children
+    cost O(k) products.  Iterative, so depth is unbounded; a child's pair is
+    dropped once taken, and the root's B, read by no caller, is not formed.
+    """
+    pair = {}  # a vertex's pair, until its parent takes it
+    for v in reversed(tree.preorder):
+        kids = tree.children[v]
+        if not kids:
+            pair[v] = leaf
+            continue
+        a, b_acc = pair.pop(kids[0])
+        a_acc = factor(a, b_acc)
+        for c in kids[1:]:
+            a, b = pair.pop(c)
+            f = factor(a, b)
+            if v != tree.root:
+                b_acc = _poly_add(_poly_mul(b_acc, f), _poly_mul(a_acc, b))
+            a_acc = _poly_mul(a_acc, f)
+        pair[v] = a_acc, b_acc
+    return pair[tree.root][0]
+
+
 def _mat_mul(a, b):
     n = len(a)
     out = [[0] * n for _ in range(n)]
@@ -135,33 +175,10 @@ def char_poly(tree: RootedTree) -> IntPolynomial:
 
         P_v = prod_c F_c,    S_v = sum_c S_c prod_{c' != c} F_c'.
 
-    Both are folded over the children in one pass that keeps the running
-    product, so a vertex with k children costs O(k) polynomial products and
-    the whole tree O(L^2) coefficient products.  The traversal is iterative,
-    so depth is unbounded.  The root's P is the answer.
+    ``_fold`` folds both over the children, O(L^2) coefficient products for
+    the whole tree; the root's P is the answer.
     """
-    children = tree.children
-    p_of: list = [None] * tree.n_vertices
-    s_of: list = [None] * tree.n_vertices
-    for v in reversed(tree.preorder):
-        kids = children[v]
-        if not kids:
-            p_of[v], s_of[v] = [0, 1], [1]
-            continue
-        # fold the children in one at a time: two diagonal blocks with
-        # (P1, S1) and (P2, S2) give (P1 P2, S1 P2 + P1 S2); both products
-        # have the same length, since deg S = deg P - 1
-        c = kids[0]
-        p_acc, s_acc = _poly_sub(p_of[c], s_of[c]), s_of[c]
-        for c in kids[1:]:
-            f = _poly_sub(p_of[c], s_of[c])
-            s_acc = [a + b for a, b in zip(_poly_mul(s_acc, f),
-                                           _poly_mul(p_acc, s_of[c]))]
-            p_acc = _poly_mul(p_acc, f)
-        p_of[v], s_of[v] = p_acc, s_acc
-        for c in kids:  # children are done with; free their polynomials
-            p_of[c] = s_of[c] = None
-    return IntPolynomial(tuple(p_of[tree.root]))
+    return IntPolynomial(tuple(_fold(tree, ([0, 1], [1]), _poly_sub)))
 
 
 def gamma_coefficients(tree: RootedTree) -> list[int]:

@@ -12,7 +12,8 @@ coefficients gamma_k of det(xI - C(T)).  Two routes count them:
   it; the tests check the fast route against it.
 
 Neither reads the characteristic polynomial, so both are independent of
-``exact_charpoly.char_poly``, against which they are checked.
+``exact_charpoly.char_poly``, against which they are checked; the fast
+route shares only the children fold ``exact_charpoly._fold`` with it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, NotALeaf
-from .exact_charpoly import _poly_mul
+from .exact_charpoly import _fold, _poly_add
 from .tree_core import RootedTree
 
 DEFAULT_BUDGET = 10 ** 7
@@ -93,16 +94,6 @@ def count_collections(tree: RootedTree, budget: int = DEFAULT_BUDGET,
                            witnesses=tuple(witnesses) if want_witnesses else None)
 
 
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    """a + b for lowest-first coefficient lists of any lengths."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
 def count_by_edge_states(tree: RootedTree) -> CollectionCount:
     """The counts of ``count_collections``, from the states of the edges.
 
@@ -115,32 +106,9 @@ def count_by_edge_states(tree: RootedTree) -> CollectionCount:
 
         free[v] = prod_c g_c,    up[v] = sum_c up[c] prod_{c' != c} g_c'.
 
-    Both are folded over the children in one pass that keeps the running
-    product, iteratively, so depth is unbounded and no budget is needed.
-    The root has no edge above it, so the counts are free[root].
+    ``exact_charpoly._fold`` folds both, with no depth limit and no budget;
+    the root has no edge above it, so the counts are free[root].
     """
-    children, root = tree.children, tree.root
-    free: list = [None] * tree.n_vertices
-    up: list = [None] * tree.n_vertices
-    for v in reversed(tree.preorder):
-        kids = children[v]
-        if not kids:
-            free[v], up[v] = [1], [0, 1]
-            continue
-        # fold the children in one at a time: the choices below two
-        # siblings with (F1, U1) and (F2, U2) give (F1 F2, U1 F2 + F1 U2),
-        # where F is the product of the g; the root's up is never read
-        c = kids[0]
-        free_acc, up_acc = _poly_add(free[c], up[c]), up[c]
-        for c in kids[1:]:
-            g = _poly_add(free[c], up[c])
-            if v != root:
-                up_acc = _poly_add(_poly_mul(up_acc, g),
-                                   _poly_mul(free_acc, up[c]))
-            free_acc = _poly_mul(free_acc, g)
-        free[v], up[v] = free_acc, up_acc
-        for c in kids:  # children are done with; free their polynomials
-            free[c] = up[c] = None
-    counts = free[root]
+    counts = _fold(tree, ([1], [0, 1]), _poly_add)
     counts += [0] * (tree.n_leaves + 1 - len(counts))
     return CollectionCount(counts=tuple(counts), total=sum(counts))

@@ -36,9 +36,11 @@ from .tree_ops import OpKind, OpSpec, apply_op, valid_specs, witness_leaves
 
 
 def _corpus(max_leaves: int) -> list[RootedTree]:
-    # count the largest class first, so one over the cap fails before any
-    # class is built
+    # count the largest classes first, so one over the cap fails before any
+    # class is built; the broom and greedy classes lie inside vertex classes
+    # that the vertex count bounds
     enumeration.class_size(enumeration.by_vertex_count(max_leaves + 1))
+    enumeration.class_size(enumeration.series_reduced(max_leaves))
     trees = []
     for n in range(1, max_leaves + 2):
         trees.extend(enumeration.enumerate_class(enumeration.by_vertex_count(n)))

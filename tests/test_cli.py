@@ -400,6 +400,16 @@ def test_search_of_an_oversized_class_exits_2(capsys):
                    "1000000\n")
 
 
+def test_refusal_of_a_class_with_many_params_is_one_short_line(capsys):
+    code, out, err = run(capsys, "search", "--class",
+                         "outdegrees:" + ",".join(map(str, range(20, 0, -1))),
+                         "--check", "greedy")
+    assert (code, out) == (2, "")
+    assert err == ("error: by-outdegree-sequence(20, 19, 18, 17, 16, 15, 14, "
+                   "13, … 211 params) exceeds cap 1000000\n")
+    assert len(err.encode()) < 120
+
+
 @pytest.mark.parametrize("klass, check, keys", [
     ("vertices-leaves:14,6", "broom", [("pairs", (14, 6))]),
     ("outdegrees:3,3,2,2,2,1,1", "greedy",
@@ -783,6 +793,19 @@ def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
     assert out == ""
     assert err == "error: by-vertex-count(18,) exceeds cap 1000000\n"
     assert 17 not in cli.enumeration._MEMO.get("vertices", {})
+
+
+def test_verify_all_counts_the_series_reduced_class_before_building(
+        capsys, monkeypatch):
+    # the vertex count passes at 16 leaves and series_reduced(16) does not;
+    # no class may be built before both are counted
+    def built(cls):
+        raise AssertionError(f"built {cls}")
+    monkeypatch.setattr(cli.enumeration, "enumerate_class", built)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "16")
+    assert code == 2
+    assert out == ""
+    assert err == "error: series-reduced(16,) exceeds cap 1000000\n"
 
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "two"])

@@ -22,6 +22,7 @@ from ancestral import (
     structural_stats,
 )
 from ancestral import ancestral_matrix, build_tree, eigenvalue_one_certificate
+from ancestral import count_by_edge_states, exact_charpoly
 from ancestral.errors import NotDary
 
 from helpers import (
@@ -166,3 +167,24 @@ def test_deep_path_charpoly():
     # C = [[L]] for a path with its one leaf at level L
     depth = 10 ** 5
     assert char_poly(broom(depth - 1, 1)).highest_first() == (1, -depth)
+
+
+@pytest.mark.parametrize("tree, products", [
+    (star(50), 49),
+    (complete_dary(2, 6), 187),
+], ids=["star-50", "dary-2-6"])
+@pytest.mark.parametrize("dp", [char_poly, count_by_edge_states],
+                         ids=["char_poly", "count_by_edge_states"])
+def test_both_dps_share_the_fold_and_skip_the_roots_second_list(
+        monkeypatch, tree, products, dp):
+    # three products per child past the first below the root, and one at
+    # the root, whose second list no caller reads
+    calls = []
+    mul = exact_charpoly._poly_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(exact_charpoly, "_poly_mul", counted)
+    dp(tree)
+    assert len(calls) == products
