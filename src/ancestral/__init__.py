@@ -17,6 +17,7 @@ from .ancestral_matrices import (
     block_reconstruction,
     gram_check,
     gram_product,
+    matrix_text,
     path_incidence_matrix,
 )
 from .bounds_theorems import (

@@ -3,6 +3,13 @@
 Entries are exact Python integers throughout.  Entries themselves are small
 (at most the height of the tree) but the algebra downstream of these matrices
 needs arbitrary precision, so nothing here ever converts to floats.
+
+C(T) is filled once, from the tree's leaf ranges, by ``_fill``; it takes a
+per-vertex value table and a per-row finish.  ``ancestral_matrix`` gives it
+the levels and makes each row a tuple; ``matrix_text`` gives it each
+level's decimal string and joins each row into one line, so the text of C
+takes one string per level, not one per entry.  Each row template is freed
+as soon as the last child of its vertex takes it over.
 """
 
 from __future__ import annotations
@@ -36,42 +43,62 @@ class PathIncidenceMatrix(NamedTuple):
     edge_order: tuple[tuple[int, int], ...]  # (parent, child) pairs
 
 
-def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
-    """c_ij = ancestral level of leaves i and j (in leaf_order).
+def _fill(tree: RootedTree, value, finish) -> list:
+    """finish(row) for each row of C(T), in leaf_order, where the entry of
+    two leaves whose first common ancestor is v holds value[v] in place of
+    level(v).
 
     Filled top-down in O(L^2) list-slice writes instead of one ancestor walk
     per pair.  The leaves below a vertex v are the contiguous range
     [leaf_start[v], leaf_stop[v]) of leaf_order, and every leaf in that
     range shares v as a common ancestor with every leaf below v.  So each
     vertex carries a row template: its parent's template with v's own leaf
-    range set to level(v).  A leaf's template is its row, and the preorder
+    range set to value[v].  A leaf's template is its row, and the preorder
     reaches the leaves in leaf_order.  The last child of a vertex takes the
-    template over; the other children copy it, so there are L - 1 copies in
-    all.
+    template over and the parent drops it; the other children copy it.  So
+    there are L - 1 copies in all, and the only templates alive are those
+    of vertices on the current root path with children still to visit.
     """
     children = tree.children
-    level = tree.level
     parent = tree.parent
     start, stop = tree.leaf_start, tree.leaf_stop
     n = tree.n_leaves
     check_dense("ancestral matrix", n, n)
     if n == 1:
-        return AncestralMatrix(n=1, rows=((level[tree.leaf_order[0]],),))
+        return [finish([value[tree.leaf_order[0]]])]
     template: list = [None] * len(children)
-    template[tree.root] = [0] * n
+    template[tree.root] = [value[tree.root]] * n
     rows = []
     for v in tree.preorder[1:]:
         p = parent[v]
-        row = template[p] if children[p][-1] == v else template[p][:]
+        if children[p][-1] == v:
+            row, template[p] = template[p], None
+        else:
+            row = template[p][:]
         a = start[v]
         if children[v]:
             b = stop[v]
-            row[a:b] = [level[v]] * (b - a)
+            row[a:b] = [value[v]] * (b - a)
             template[v] = row
         else:
-            row[a] = level[v]
-            rows.append(tuple(row))
-    return AncestralMatrix(n=n, rows=tuple(rows))
+            row[a] = value[v]
+            rows.append(finish(row))
+    return rows
+
+
+def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
+    """c_ij = ancestral level of leaves i and j (in leaf_order): the one
+    fill of ``_fill`` with the levels as values, each row a tuple."""
+    return AncestralMatrix(n=tree.n_leaves,
+                           rows=tuple(_fill(tree, tree.level, tuple)))
+
+
+def matrix_text(tree: RootedTree) -> list[str]:
+    """The rows of C(T) as text, entries joined by single spaces: the same
+    fill as ``ancestral_matrix``, with each level's decimal string as the
+    value, so no entry is converted to text on its own."""
+    tokens = [str(x) for x in range(tree.height + 1)]
+    return _fill(tree, [tokens[x] for x in tree.level], " ".join)
 
 
 def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:

@@ -20,15 +20,17 @@ first failing case on stderr), 2 usage error.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from . import enumeration
-from .ancestral_matrices import ancestral_matrix, path_incidence_matrix
+from .ancestral_matrices import (ancestral_matrix, matrix_text,
+                                 path_incidence_matrix)
 from .bounds_theorems import bound_report
 from .caterpillar_analysis import (
     asymptotic_rho,
@@ -105,11 +107,32 @@ def _trees_from_args(args) -> list[RootedTree]:
     return [generate(args.gen)]
 
 
+def _write_block(lines, blank: bool) -> None:
+    """Write each of lines with its newline to stdout, after a blank line
+    when blank is set, in chunks of about io.DEFAULT_BUFFER_SIZE characters:
+    one write per chunk rather than two per line, which matters when stdout
+    is unbuffered, and never the whole block as one string."""
+    write = sys.stdout.write
+    chunk, size = ([""], 1) if blank else ([], 0)
+    for line in lines:
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            chunk.append("")
+            write("\n".join(chunk))
+            chunk, size = [], 0
+    if chunk:
+        chunk.append("")
+        write("\n".join(chunk))
+
+
 def _per_case(cases, compute, as_json, as_text, holds=lambda result: True):
     """Handler that runs compute(case, args) on each case of cases(args) and
     prints each result at once: as_json(result) as one JSON line, or the
     lines of as_text(result) as a block, with a blank line between blocks.
-    Exits 1 when some result does not hold."""
+    A block goes out in chunks of about io.DEFAULT_BUFFER_SIZE characters,
+    and all of it before the next case is computed.  Exits 1 when some
+    result does not hold."""
     def handler(args) -> int:
         code = 0
         for i, case in enumerate(cases(args)):
@@ -117,18 +140,20 @@ def _per_case(cases, compute, as_json, as_text, holds=lambda result: True):
             if args.json:
                 _emit_json(as_json(result))
             else:
-                if i:
-                    print()
-                for line in as_text(result):
-                    print(line)
+                _write_block(as_text(result), i > 0)
             if not holds(result):
                 code = 1
         return code
     return handler
 
 
-def _rows_text(rows) -> list[str]:
-    return [" ".join(str(x) for x in row) for row in rows]
+_BITS = ("0", "1")
+
+
+def _rows_text(rows) -> Iterator[str]:
+    """The lines of a 0/1 matrix, each entry read from a token table, made
+    one at a time as they are written."""
+    return (" ".join([_BITS[x] for x in row]) for row in rows)
 
 
 _BOUND_LINES = (
@@ -352,9 +377,11 @@ def _add_flags(sub, names) -> None:
 # one exists, the verdict
 _COMMANDS = (
     ("matrix", "print the ancestral matrix", ("source", "--json"),
-     _per_case(_trees_from_args, lambda tree, args: ancestral_matrix(tree),
+     _per_case(_trees_from_args,
+               lambda tree, args: (ancestral_matrix(tree) if args.json
+                                   else matrix_text(tree)),
                lambda mat: {"n": mat.n, "rows": mat.rows},
-               lambda mat: _rows_text(mat.rows))),
+               lambda lines: lines)),
     ("incidence", "print the path incidence matrix", ("source", "--json"),
      _per_case(_trees_from_args,
                lambda tree, args: path_incidence_matrix(tree),

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 from ancestral import (
     ancestral_level,
     ancestral_matrix,
+    binary_caterpillar,
     block_reconstruction,
     build_tree,
     gram_check,
     gram_product,
+    matrix_text,
     path_incidence_matrix,
     subtree,
 )
@@ -56,6 +58,31 @@ def test_matrix_on_shuffled_numberings():
         assert rows == tuple(tuple(ancestral_level(t, u, v) for v in leaves)
                              for u in leaves)
         assert rows == gram_product(path_incidence_matrix(t))
+
+
+def _joined_rows(t):
+    return [" ".join(map(str, row)) for row in ancestral_matrix(t).rows]
+
+
+def test_matrix_text_is_the_matrix_rows_joined():
+    # the same fill gives both: every small shape, shuffled numberings (the
+    # depth-first build, leaf_order not ascending), the single vertex, a
+    # path with one leaf, and levels of more than one digit
+    rng = seeded_rng(32)
+    trees = [*corpus(9), build_tree([None]), build_tree([None, 0, 1, 2]),
+             binary_caterpillar(30),
+             *(shuffled_random_tree(rng.randint(1, 80), rng) for _ in range(80))]
+    for t in trees:
+        assert matrix_text(t) == _joined_rows(t)
+    assert matrix_text(build_tree([None])) == ["0"]
+    assert matrix_text(build_tree([None, 0, 1, 2])) == ["3"]
+
+
+@given(st.lists(st.integers(min_value=0), min_size=1, max_size=60))
+def test_matrix_text_on_random_trees(draws):
+    parents = [None] + [d % v for v, d in enumerate(draws, 1)]
+    t = build_tree(parents)
+    assert matrix_text(t) == _joined_rows(t)
 
 
 def test_diagonal_is_strict_row_maximum():

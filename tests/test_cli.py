@@ -20,6 +20,7 @@ from ancestral import (ExtremalReport, binary_caterpillar, broom,
                        star_plus_path)
 from ancestral import bounds_theorems, cli, spectral, suites
 from ancestral.errors import NoConvergence
+from ancestral.tree_core import DENSE_CAP
 from ancestral.tree_ops import OpKind, valid_specs
 
 from helpers import EXAMPLE_C_ROWS, EXAMPLE_GAMMA
@@ -56,6 +57,43 @@ def test_matrix_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"n": 3, "rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+def test_matrix_blocks_before_a_refusal_stay_printed(capsys, tmp_path):
+    # the first tree's block is written in full before the second tree,
+    # a star past the dense cap, is refused
+    leaves = math.isqrt(DENSE_CAP) + 1
+    path = tmp_path / "trees.nwk"
+    path.write_text("(,);\n(" + "," * (leaves - 1) + ");\n")
+    code, out, err = run(capsys, "matrix", "--file", str(path))
+    assert code == 2
+    assert out == "1 0\n0 1\n"
+    assert err == (f"error: ancestral matrix of {leaves} x {leaves} entries "
+                   f"is past the cap {DENSE_CAP}\n")
+
+
+class _CountingOut(io.StringIO):
+    """A stdout that counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--gen", "dary:2,9"),
+                                  ("matrix", "--gen", "binary-caterpillar:100")],
+                         ids=["spectrum", "matrix"])
+def test_text_blocks_are_written_in_chunks(monkeypatch, argv):
+    # one write per chunk of about io.DEFAULT_BUFFER_SIZE characters, not
+    # two per line, so an unbuffered stdout makes few system calls
+    out = _CountingOut()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(list(argv)) == 0
+    size = len(out.getvalue().encode())
+    assert out.writes <= -(-size // io.DEFAULT_BUFFER_SIZE) + 1
+    assert out.writes < out.getvalue().count("\n")
 
 
 def test_incidence_text(capsys):
