@@ -4,17 +4,20 @@ Entries are exact Python integers throughout.  Entries themselves are small
 (at most the height of the tree) but the algebra downstream of these matrices
 needs arbitrary precision, so nothing here ever converts to floats.
 
-C(T) is filled once, from the tree's leaf ranges, by ``_fill``; it takes a
-per-vertex value table and a per-row finish.  ``ancestral_matrix`` gives it
-the levels and makes each row a tuple; ``matrix_text`` gives it each
-level's decimal string and joins each row into one line, so the text of C
-takes one string per level, not one per entry.  Each row template is freed
-as soon as the last child of its vertex takes it over.
+``_fill`` is the package's one fill of C(T) from the tree's leaf ranges: a
+generator of rows, in leaf order, on the leaves below one vertex, from a
+per-vertex value table.  ``ancestral_matrix`` gives it the levels and makes
+each row a tuple; ``matrix_text`` gives it each level's decimal string and
+joins each row into one line as it is read, so the text of C takes one
+string per level, not one per entry, and one row at a time.
+``spectral.eigenvalues`` reads the same fill on each branch below the root
+for its dense blocks C(B) + J.  Each row template is freed as soon as the
+last child of its vertex takes it over.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .tree_core import RootedTree, check_dense, subtree
 
@@ -43,10 +46,11 @@ class PathIncidenceMatrix(NamedTuple):
     edge_order: tuple[tuple[int, int], ...]  # (parent, child) pairs
 
 
-def _fill(tree: RootedTree, value, finish) -> list:
-    """finish(row) for each row of C(T), in leaf_order, where the entry of
-    two leaves whose first common ancestor is v holds value[v] in place of
-    level(v).
+def _fill(tree: RootedTree, value, run: Sequence[int]) -> Iterator[list]:
+    """Each row of C(T) on the leaves below run[0], over those leaves'
+    columns, in leaf_order, as a fresh list, where the entry of two leaves
+    whose first common ancestor is v holds value[v] in place of level(v).
+    ``run`` is run[0]'s run of the preorder; ``tree.preorder`` gives all of C.
 
     Filled top-down in O(L^2) list-slice writes instead of one ancestor walk
     per pair.  The leaves below a vertex v are the contiguous range
@@ -59,46 +63,47 @@ def _fill(tree: RootedTree, value, finish) -> list:
     there are L - 1 copies in all, and the only templates alive are those
     of vertices on the current root path with children still to visit.
     """
-    children = tree.children
-    parent = tree.parent
+    children, parent = tree.children, tree.parent
     start, stop = tree.leaf_start, tree.leaf_stop
-    n = tree.n_leaves
+    top = run[0]
+    base = start[top]
+    n = stop[top] - base
     check_dense("ancestral matrix", n, n)
-    if n == 1:
-        return [finish([value[tree.leaf_order[0]]])]
-    template: list = [None] * len(children)
-    template[tree.root] = [value[tree.root]] * n
-    rows = []
-    for v in tree.preorder[1:]:
+    if not children[top]:
+        yield [value[top]]
+        return
+    template = {top: [value[top]] * n}
+    for v in run[1:]:
         p = parent[v]
         if children[p][-1] == v:
-            row, template[p] = template[p], None
+            row = template.pop(p)
         else:
             row = template[p][:]
-        a = start[v]
+        a = start[v] - base
         if children[v]:
-            b = stop[v]
+            b = stop[v] - base
             row[a:b] = [value[v]] * (b - a)
             template[v] = row
         else:
             row[a] = value[v]
-            rows.append(finish(row))
-    return rows
+            yield row
 
 
 def ancestral_matrix(tree: RootedTree) -> AncestralMatrix:
     """c_ij = ancestral level of leaves i and j (in leaf_order): the one
     fill of ``_fill`` with the levels as values, each row a tuple."""
-    return AncestralMatrix(n=tree.n_leaves,
-                           rows=tuple(_fill(tree, tree.level, tuple)))
+    return AncestralMatrix(n=tree.n_leaves, rows=tuple(
+        map(tuple, _fill(tree, tree.level, tree.preorder))))
 
 
-def matrix_text(tree: RootedTree) -> list[str]:
-    """The rows of C(T) as text, entries joined by single spaces: the same
-    fill as ``ancestral_matrix``, with each level's decimal string as the
-    value, so no entry is converted to text on its own."""
+def matrix_text(tree: RootedTree) -> Iterator[str]:
+    """The rows of C(T) as text, entries joined by single spaces, each made
+    as it is read: the same fill as ``ancestral_matrix``, with each level's
+    decimal string as the value, so no entry is converted to text on its
+    own.  A matrix past the dense cap is refused at the first row."""
     tokens = [str(x) for x in range(tree.height + 1)]
-    return _fill(tree, [tokens[x] for x in tree.level], " ".join)
+    return map(" ".join, _fill(tree, [tokens[x] for x in tree.level],
+                               tree.preorder))
 
 
 def path_incidence_matrix(tree: RootedTree) -> PathIncidenceMatrix:

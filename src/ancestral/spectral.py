@@ -15,9 +15,11 @@ root.  ``_exact_route`` decides each branch's route once, and both
   C(T): its spectrum in integers, from one O(V_B) pass, with R largest.
   The integer identity (C(B) + J) 1 = R 1 is its certificate, so it has no
   float residual and no numpy, and no vector unless it wins rho.
-- The numeric route, for every other branch.  ``eigenvalues`` fills its
-  block in numpy from O(V) tree arrays and gives it one dense solve, held
-  to the bound DEFAULT_TOL * max(1, ||C(T)||_F) of the whole matrix.
+- The numeric route, for every other branch.  ``eigenvalues`` writes the
+  rows of ``ancestral_matrices._fill`` on the branch's run of the preorder,
+  with float levels, into one numpy block, since C(T) on B's leaves is
+  C(B) + J, and gives it one dense solve, held to the bound
+  DEFAULT_TOL * max(1, ||C(T)||_F) of the whole matrix.
   ``spectral_radius`` builds no matrix: Laguerre's method on a pivot
   recurrence over B's vertices (the analogue, for C(T), of Jacobs and
   Trevisan's eigenvalue location in trees), O(V) per step, gives the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
+from .ancestral_matrices import _fill
 from .errors import InvalidParameter, NoConvergence, SingleVertexTree
 from .tree_core import RootedTree, check_dense, preorder_run, row_sums
 
@@ -88,40 +91,6 @@ def eigen_decompose(m) -> Spectrum:
         raise NoConvergence(residual=residual, bound=bound)
     return Spectrum(eigenvalues=tuple(vals[::-1].tolist()),
                     eigenvectors=vecs[:, ::-1], residual=residual)
-
-
-def _branch_block(tree: RootedTree, run: Sequence[int]):
-    """The block C(B) + J of C(T) for the branch B whose run of the preorder
-    is ``run``: the n x n float block of B's n leaves on leaf_order[a:a + n],
-    a its first leaf.
-
-    Let h[i] be the level of the common ancestor of leaves a + i and
-    a + i + 1.  A vertex v is that ancestor exactly when leaf a + i + 1 is
-    the first leaf of a child of v other than the first, so one pass over
-    B's vertices fills h and meets B's leaves in leaf order.
-    Then C[i][j] = min(h[i..j-1]) for i < j, and a row of the block is one
-    running minimum over h: O(L_B) numpy calls and O(L_B^2) entries.  The
-    diagonal holds the leaves' levels.
-    """
-    import numpy as np
-
-    level, children, start = tree.level, tree.children, tree.leaf_start
-    a = start[run[0]]
-    gaps = [0] * (tree.leaf_stop[run[0]] - a - 1)
-    diag = []
-    for v in run:
-        kids = children[v]
-        for c in kids[1:]:
-            gaps[start[c] - 1 - a] = level[v]
-        if not kids:
-            diag.append(level[v])
-    h = np.array(gaps, dtype=float)
-    block = np.diag(np.array(diag, dtype=float))
-    for i in range(len(gaps)):
-        mins = np.minimum.accumulate(h[i:])
-        block[i, i + 1:] = mins
-        block[i + 1:, i] = mins
-    return block
 
 
 def _fro_sq(tree: RootedTree, run: Iterable[int]) -> int:
@@ -187,17 +156,23 @@ def eigenvalues(tree: RootedTree) -> tuple[float, ...]:
         if r is None:
             size = tree.leaf_stop[c] - tree.leaf_start[c]
             check_dense("branch block", size, size)
-            dense.append(run)
+            dense.append((run, size))
             continue
         for v in run:
             g = len(children[v])
             if g > 1:
                 values += [float(r - row[v])] * (g - 1)
     if dense:
+        import numpy as np
+
         bound = DEFAULT_TOL * max(1.0, math.sqrt(_fro_sq(tree, tree.preorder[1:])))
+        level = [float(x) for x in tree.level]
         residual = 0.0
-        for run in dense:
-            vals, _, miss = _dense_solve(_branch_block(tree, run), bound)
+        for run, size in dense:
+            block = np.empty((size, size))
+            for i, entries in enumerate(_fill(tree, level, run)):
+                block[i] = entries
+            vals, _, miss = _dense_solve(block, bound)
             residual = max(residual, miss)
             values.extend(vals.tolist())
         if not residual <= bound:

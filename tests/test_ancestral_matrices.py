@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,8 @@ from ancestral import (
     path_incidence_matrix,
     subtree,
 )
+from ancestral.ancestral_matrices import _fill
+from ancestral.tree_core import preorder_run
 
 from helpers import (
     EXAMPLE_C_ROWS,
@@ -73,16 +77,49 @@ def test_matrix_text_is_the_matrix_rows_joined():
              binary_caterpillar(30),
              *(shuffled_random_tree(rng.randint(1, 80), rng) for _ in range(80))]
     for t in trees:
-        assert matrix_text(t) == _joined_rows(t)
-    assert matrix_text(build_tree([None])) == ["0"]
-    assert matrix_text(build_tree([None, 0, 1, 2])) == ["3"]
+        assert list(matrix_text(t)) == _joined_rows(t)
+    assert list(matrix_text(build_tree([None]))) == ["0"]
+    assert list(matrix_text(build_tree([None, 0, 1, 2]))) == ["3"]
 
 
 @given(st.lists(st.integers(min_value=0), min_size=1, max_size=60))
 def test_matrix_text_on_random_trees(draws):
     parents = [None] + [d % v for v, d in enumerate(draws, 1)]
     t = build_tree(parents)
-    assert matrix_text(t) == _joined_rows(t)
+    assert list(matrix_text(t)) == _joined_rows(t)
+
+
+def test_matrix_text_streams_its_rows():
+    # all 2,000 lines hold about 18 MB; read one at a time, each line is
+    # made as it is read and dropped before the next
+    t = binary_caterpillar(2000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        lines = 0
+        for line in matrix_text(t):
+            lines += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines == t.n_leaves
+    assert peak < 1 << 20
+
+
+def test_fill_gives_fresh_rows_on_any_run():
+    # on each vertex's run of the preorder, the rows of C(T) on that
+    # vertex's leaves, each a list of its own
+    rng = seeded_rng(33)
+    trees = [*corpus(6), *(shuffled_random_tree(rng.randint(1, 40), rng)
+                           for _ in range(40))]
+    for t in trees:
+        rows = ancestral_matrix(t).rows
+        for v in t.preorder:
+            run = preorder_run(t, v)[0]
+            a, b = t.leaf_start[v], t.leaf_stop[v]
+            got = list(_fill(t, t.level, run))
+            assert got == [list(row[a:b]) for row in rows[a:b]]
+            assert len({id(row) for row in got}) == len(got)
 
 
 def test_diagonal_is_strict_row_maximum():

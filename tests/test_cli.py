@@ -72,6 +72,21 @@ def test_matrix_blocks_before_a_refusal_stay_printed(capsys, tmp_path):
                    f"is past the cap {DENSE_CAP}\n")
 
 
+def test_matrix_refusal_after_a_streamed_block(capsys, tmp_path):
+    # a first block of several chunks streams out whole; the star past the
+    # dense cap is refused at its first row, so nothing of it is written,
+    # not even the blank line before it
+    leaves = math.isqrt(DENSE_CAP) + 1
+    path = tmp_path / "trees.nwk"
+    path.write_text("(" + "," * 99 + ");\n(" + "," * (leaves - 1) + ");\n")
+    code, out, err = run(capsys, "matrix", "--file", str(path))
+    assert code == 2
+    assert len(out) > io.DEFAULT_BUFFER_SIZE
+    assert out == "".join(" ".join("1" if j == i else "0" for j in range(100))
+                          + "\n" for i in range(100))
+    assert err.startswith("error: ancestral matrix of") and err.count("\n") == 1
+
+
 class _CountingOut(io.StringIO):
     """A stdout that counts its writes."""
 
@@ -166,6 +181,15 @@ def test_bounds_text(capsys):
         "height<=rho: SATISFIED",
         "delta_bound<=rho: SATISFIED",
     ]
+
+
+def test_bounds_on_an_exact_tie_of_two_routes(capsys):
+    # rho = 5 on both branches, by Laguerre's method and on the exact route
+    code, out, _ = run(capsys, "bounds", "--newick", "((,,(())),(((()))));")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "rho=5"
+    assert lines[6:] == BOUNDS_SATISFIED.splitlines()
 
 
 def test_bounds_json(capsys):

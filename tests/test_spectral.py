@@ -182,6 +182,13 @@ def _coinciding_sibling_trees():
     return trees + [parse_newick(EQUAL_SUMS)]
 
 
+def _filled_block(t, run):
+    """The float block of the rows ``_fill`` gives on one branch's run,
+    as ``eigenvalues`` lays it out."""
+    level = [float(x) for x in t.level]
+    return np.array(list(ancestral_matrices._fill(t, level, run)))
+
+
 def test_block_route_matches_the_dense_oracle():
     # each tree by the routing rule, then every branch by the block route,
     # exact-route branches included
@@ -196,7 +203,7 @@ def test_block_route_matches_the_dense_oracle():
         if t.n_vertices == 1:
             continue
         runs = [preorder_run(t, c, 1)[0] for c in t.children[t.root]]
-        blocks = [spectral._dense_solve(spectral._branch_block(t, run), 0.0)[0]
+        blocks = [spectral._dense_solve(_filled_block(t, run), 0.0)[0]
                   for run in runs]
         dense = sorted(np.concatenate(blocks).tolist(), reverse=True)
         assert len(dense) == t.n_leaves
@@ -212,7 +219,7 @@ def test_block_builder_equals_the_slices_of_the_matrix():
         assert tuple(v for run in runs for v in run) == t.preorder[1:]
         for c, run in zip(t.children[t.root], runs):
             assert run[0] == c
-            block = spectral._branch_block(t, run)
+            block = _filled_block(t, run)
             a, b = t.leaf_start[c], t.leaf_stop[c]
             assert block.tolist() == [list(row[a:b]) for row in rows[a:b]]
             covered.extend(range(a, b))
@@ -409,6 +416,16 @@ def test_equal_branches_tie_deterministically():
     assert abs(sr.rho - 3.0) < 1e-9
     # first branch in leaf order wins the tie
     assert sr.perron[0] > 0 and sr.perron[2] == 0.0
+
+
+def test_exact_tie_between_a_laguerre_branch_and_an_exact_branch():
+    # both branches have rho = 5 exactly: the first, a branch of differing
+    # row sums, by Laguerre's method; the second, a path, on the exact route
+    t = parse_newick("((,,(())),(((()))));")
+    sr = spectral_radius(t)
+    assert sr.rho == 5.0
+    assert all(e > 0.0 for e in sr.perron[:3]) and sr.perron[3] == 0.0
+    assert eigenvalues(t)[:2] == (5.0, 5.0)
 
 
 def test_single_vertex_spectral_radius():
