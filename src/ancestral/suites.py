@@ -2,15 +2,22 @@
 
 Each row is (name, cases, check): the statement holds when check(case) is
 true for every case.  ``_suites`` yields the rows one at a time, in output
-order, over a corpus of every tree of at most max_leaves + 1 vertices and
-the families, classes and sizes each statement is about: the Gram
-identity, the block structure, the eigenvalue-1 multiplicity, the rho
+order, over the corpus of ``_corpus``, every tree of at most max_leaves + 1
+vertices, and the families, classes and sizes each statement is about: the
+Gram identity, the block structure, the eigenvalue-1 multiplicity, the rho
 bounds, the broom, greedy and series-reduced extremality, the caterpillar
 recursion and asymptotics, the collection coefficients, the d-ary
 determinant, monotonicity under the tree operations and the Newick round
 trip.  ``_case_text`` names a failing case.  Only ``verify-all`` imports
 this module, so no other command compiles it.  The extremality suites check
 the claimed trees of ``search``, through ``enumeration.verify_claim``.
+
+Each case comes with its position, and ``verify-all`` deals the cases of
+every suite into interleaved shares by it, one process per share:
+``_first_event`` checks one share.  A corpus tree keeps its corpus position
+in every per-tree suite, so the one share that holds it derives its
+polynomial and bound report, and each share keeps memos only of its own
+trees.
 """
 
 from __future__ import annotations
@@ -128,11 +135,13 @@ def _round_trips(t: RootedTree) -> bool:
     return back.parent_list() == t.parent_list() and serialize_newick(back) == text
 
 
-def _suites(max_leaves: int):
-    """The (name, cases, check) row of each theorem, one at a time in output
-    order: the theorem holds when check(case) is true for every case."""
-    trees = _corpus(max_leaves)
-    branching = [t for t in trees if t.n_vertices > 1]
+def _suites(trees: list[RootedTree], max_leaves: int):
+    """The (name, cases, check) row of each theorem over the corpus trees of
+    ``_corpus(max_leaves)``, one at a time in output order: the theorem
+    holds when check(case) is true for every case.  cases gives each case
+    with its position, in increasing order."""
+    numbered = list(enumerate(trees))
+    branching = [(p, t) for p, t in numbered if t.n_vertices > 1]
     # per corpus tree, one polynomial and one bound report's two verdicts
     poly = _per_tree_memo(char_poly)
 
@@ -141,8 +150,8 @@ def _suites(max_leaves: int):
         return rep.all_satisfied, rep.delta_equality
     verdicts = _per_tree_memo(bound_verdicts)
 
-    yield "gram-identity", trees, gram_check
-    yield ("block-structure", trees,
+    yield "gram-identity", numbered, gram_check
+    yield ("block-structure", numbered,
            lambda t: block_reconstruction(t) == ancestral_matrix(t).rows)
     # C is symmetric, so the multiplicity of 1 as a root of its
     # characteristic polynomial is the dimension of its eigenspace
@@ -152,41 +161,66 @@ def _suites(max_leaves: int):
     yield "bounds", branching, lambda t: verdicts(t)[0]
     yield ("delta-equality", branching,
            lambda t: verdicts(t)[1] == is_complete_dary(t))
-    yield ("trace-identity", trees,
+    yield ("trace-identity", numbered,
            lambda t: -poly(t).coeffs[-2] == structural_stats(t).D_root)
-    yield ("collection-coefficients", trees,
+    yield ("collection-coefficients", numbered,
            lambda t: _collections_match(t, poly(t)))
     # no later suite reads the memos: free them before the run's peak memory
     del poly, verdicts
-    yield "dary-determinant", trees, _dary_determinants_hold
+    yield "dary-determinant", numbered, _dary_determinants_hold
     yield ("broom-extremality",
-           (enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
-            for n_vertices in range(3, max_leaves + 2)
-            for n_leaves in range(2, n_vertices)),
+           enumerate(enumeration.by_vertices_and_leaves(n_vertices, n_leaves)
+                     for n_vertices in range(3, max_leaves + 2)
+                     for n_leaves in range(2, n_vertices)),
            lambda cls: _broom_holds(cls, enumeration.verify_claim(cls, "broom")))
     yield ("greedy-extremality",
-           (enumeration.by_outdegree_sequence(seq)
-            for n_vertices in range(2, max_leaves + 2)
-            for seq in enumeration.outdegree_sequences(n_vertices)),
+           enumerate(enumeration.by_outdegree_sequence(seq)
+                     for n_vertices in range(2, max_leaves + 2)
+                     for seq in enumeration.outdegree_sequences(n_vertices)),
            lambda cls: enumeration.verify_claim(cls, "greedy").holds)
     yield ("series-reduced-extremality",
-           map(enumeration.series_reduced, range(2, max_leaves + 1)),
+           enumerate(map(enumeration.series_reduced,
+                         range(2, max_leaves + 1))),
            lambda cls: enumeration.verify_claim(cls, "binary-caterpillar").holds)
-    yield ("caterpillar-recursion", range(1, max_leaves + 1),
+    yield ("caterpillar-recursion", enumerate(range(1, max_leaves + 1)),
            lambda n: caterpillar_charpoly(n).coeffs
            == char_poly(binary_caterpillar(n)).coeffs)
     yield ("chebyshev-closed-form",
-           ((n, Fraction(2) + Fraction(j, 5))
-            for n in range(2, min(max_leaves, 8) + 1) for j in range(10)),
+           enumerate((n, Fraction(2) + Fraction(j, 5))
+                     for n in range(2, min(max_leaves, 8) + 1)
+                     for j in range(10)),
            lambda case: chebyshev_form_check(*case))
-    yield ("trig-spectral-radius", range(3, max(max_leaves, 8) + 1),
-           _trig_matches)
-    yield ("asymptotic-window", range(10, 10 * max_leaves + 1),
+    yield ("trig-spectral-radius",
+           enumerate(range(3, max(max_leaves, 8) + 1)), _trig_matches)
+    yield ("asymptotic-window", enumerate(range(10, 10 * max_leaves + 1)),
            lambda n: abs(trig_spectral_radius(n).rho - asymptotic_rho(n)) <= 3.0)
-    yield ("monotonicity", _monotonicity_cases(max_leaves),
+    yield ("monotonicity", enumerate(_monotonicity_cases(max_leaves)),
            lambda case: _monotone(*case))
-    yield ("newick-round-trip", _round_trip_samples(trees, max_leaves),
-           _round_trips)
+    yield ("newick-round-trip",
+           enumerate(_round_trip_samples(trees, max_leaves)), _round_trips)
+
+
+def _first_event(cases, check, share: int, shares: int):
+    """(position, raised, text) of the first case of cases whose position is
+    share mod shares and that fails, or raises when shares > 1; None when
+    every such case holds.  text is the ``_case_text`` of a failing case.
+    With one share a raise propagates, as a check outside any share would."""
+    for position, case in cases:
+        if position % shares != share:
+            continue
+        try:
+            holds = check(case)
+        except AssertionError:
+            # a failed internal check refutes the case; an AncestralError
+            # (a missed convergence) is not a refutation and exits 2 in main
+            holds = False
+        except Exception:
+            if shares == 1:
+                raise
+            return position, True, ""
+        if not holds:
+            return position, False, _case_text(case)
+    return None
 
 
 def _case_text(case) -> str:

@@ -479,7 +479,9 @@ def test_refusal_of_a_class_with_many_params_is_one_short_line(capsys):
 ], ids=["vertices-leaves", "outdegrees"])
 def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
                                            keys):
-    # the empty-class check and the search share one count of the class
+    # the empty-class check and the search share one count of the class;
+    # an earlier test may have counted it already, in the module's cache
+    cli.enumeration._counted.cache_clear()
     counted = []
     for kind, row in list(cli.enumeration._KINDS.items()):
         def count(key, cap, kind=kind, exact=row.count):
@@ -752,6 +754,8 @@ def test_verify_all_smoke(capsys):
 
 
 def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
+    # the counting wrappers below count in this process: check in one share
+    monkeypatch.setattr(cli, "_share_count", lambda: 1)
     calls = {"char_poly": 0, "_spectral_radius": 0}
 
     def counted(module, name):
@@ -771,6 +775,130 @@ def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
     # caterpillar of the recursion suite; one rho per tree of more than one
     # vertex, shared by the bounds and delta-equality suites
     assert calls == {"char_poly": corpus + 5, "_spectral_radius": corpus - 1}
+
+
+def test_verify_all_derives_each_per_tree_quantity_once_in_two_shares(
+        capsys, monkeypatch, tmp_path):
+    # each process appends one line per call, so the counts add up across
+    # the shares: a tree's memos are derived only in the share that holds it
+    monkeypatch.setattr(cli, "_share_count", lambda: 2)
+
+    def counted(module, name):
+        func = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with open(tmp_path / name, "a", encoding="utf-8") as log:
+                log.write(f"{os.getpid()}\n")
+            return func(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(suites, "char_poly")
+    counted(bounds_theorems, "_spectral_radius")
+    code, out, _ = run(capsys, "verify-all", "--max-leaves", "5")
+    assert code == 0
+    logs = {name: (tmp_path / name).read_text("utf-8").split()
+            for name in ("char_poly", "_spectral_radius")}
+    calls = {name: len(pids) for name, pids in logs.items()}
+    corpus = len(suites._corpus(5))
+    assert calls == {"char_poly": corpus + 5, "_spectral_radius": corpus - 1}
+    assert all(len(set(pids)) == 2 for pids in logs.values())
+
+
+def _verify_all_in_shares(capsys, monkeypatch, shares: int):
+    """Exit code, stdout and stderr of verify-all --max-leaves 5 checked in
+    the given number of shares; no worker outlives it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_share_count", lambda: shares)
+        outcome = run(capsys, "verify-all", "--max-leaves", "5")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return outcome
+
+
+def _by_position(outcomes: dict):
+    """A check that, on the corpus tree at each position of outcomes, returns
+    False or raises what outcomes gives there, and holds elsewhere."""
+    corpus = [serialize_newick(t) for t in suites._corpus(5)]
+    given = {corpus[p]: outcome for p, outcome in outcomes.items()}
+
+    def check(tree, *rest):
+        outcome = given.get(serialize_newick(tree), True)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    return check
+
+
+_RAISE = NoConvergence(1.0, 1e-10)
+
+
+# the positions are of corpus trees, which three shares deal as position mod 3
+@pytest.mark.parametrize("name, outcomes, expected", [
+    ("gram_check", {}, (0, 17, "")),
+    ("gram_check", {5: False, 7: False},
+     (1, 17, "gram-identity: fails on {5}\n")),
+    ("gram_check", {4: False, 6: _RAISE},
+     (1, 17, "gram-identity: fails on {4}\n")),
+    ("_collections_match", {4: _RAISE, 8: False},
+     (2, 6, f"error: {_RAISE}\n")),
+], ids=["green", "two-failures", "failure-before-raise", "raise-before-failure"])
+def test_verify_all_prints_the_same_in_one_share_and_in_three(
+        capsys, monkeypatch, name, outcomes, expected):
+    monkeypatch.setattr(suites, name, _by_position(outcomes))
+    one = _verify_all_in_shares(capsys, monkeypatch, 1)
+    assert _verify_all_in_shares(capsys, monkeypatch, 3) == one
+    code, out, err = one
+    corpus = [serialize_newick(t) for t in suites._corpus(5)]
+    assert (code, len(out.splitlines()), err) == (
+        expected[0], expected[1], expected[2].format(*corpus))
+    assert out.count(": VIOLATED\n") == (code == 1)
+
+
+def test_verify_all_checks_again_the_suite_of_a_worker_that_ended(
+        capsys, monkeypatch):
+    # a worker that ends without sending its record leaves its suite to be
+    # checked again here, in one share: the run reads as a green one
+    parent = os.getpid()
+    real = suites.gram_check
+
+    def check(tree):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(tree)
+    monkeypatch.setattr(suites, "gram_check", check)
+    one = _verify_all_in_shares(capsys, monkeypatch, 1)
+    assert one[0] == 0
+    assert _verify_all_in_shares(capsys, monkeypatch, 3) == one
+
+
+def test_verify_all_without_a_fork_checks_in_one_share(capsys, monkeypatch):
+    forks, real = [], os.fork
+
+    def fork():
+        if forks:
+            raise BlockingIOError("no room for another process")
+        forks.append(real())
+        return forks[-1]
+    monkeypatch.setattr(cli.os, "fork", fork)
+    one = _verify_all_in_shares(capsys, monkeypatch, 1)
+    assert one[0] == 0 and not forks
+    assert _verify_all_in_shares(capsys, monkeypatch, 3) == one
+    assert len(forks) == 1
+
+
+def test_verify_all_reaps_its_workers_on_an_interrupt(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(tree):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return True
+    monkeypatch.setattr(suites, "gram_check", interrupted)
+    monkeypatch.setattr(cli, "_share_count", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["verify-all", "--max-leaves", "5"])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def verdicts(out: str) -> dict:
