@@ -9,22 +9,20 @@ from the same tables.
 Every subcommand is a pure function of its arguments, one row of
 ``_COMMANDS``: fixed orderings and fixed float formatting (12 significant
 digits) make repeated runs byte-identical.  All but verify-all print one
-text block or one JSON line per case; verify-all prints one line per row
-of ``suites``, which only it imports, and checks the rows' cases in
-interleaved shares, one forked process per CPU, with the output of one
-process that checks them in order.  The --class names of ``search`` and
-the claims of its --check are rows of ``enumeration``'s class table; this
-module only words their errors.  Exit codes: 0 success/verified, 1
-violated/counterexample (verify-all then names each violated suite's
-first failing case on stderr), 2 usage error.
+text block or one JSON line per case.  verify-all prints one line per
+suite; it is ``suites._verify_all``, and only it imports ``suites``, which
+owns its interleaved shares: one forked process per CPU, with the output
+of one process that checks the cases in order.  The --class names of
+``search`` and the claims of its --check are rows of ``enumeration``'s
+class table; this module only words their errors.  Exit codes: 0
+success/verified, 1 violated/counterexample (verify-all then names each
+violated suite's first failing case on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import gc
 import io
-import itertools
-import marshal
 import os
 import sys
 from fractions import Fraction
@@ -269,126 +267,11 @@ def _search_text(rep) -> list[str]:
             f"argmax={serialize_newick(rep.argmax)}"]
 
 
-# verify-all deals its cases into one share per CPU it may run on, but into
-# no more than this many
-_MAX_SHARES = 4
-
-
-def _share_count() -> int:
-    """How many shares verify-all deals the cases of its suites into: one
-    per CPU this process may run on, at most _MAX_SHARES, and one where
-    os.fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_SHARES)
-
-
-def _send(out, event) -> None:
-    """Write event to out as one record: its marshal bytes after their
-    length."""
-    data = marshal.dumps(event)
-    out.write(len(data).to_bytes(4, "big") + data)
-    out.flush()
-
-
-def _receive(reader):
-    """The next event a worker sent on reader.  A worker that ended before
-    sending it reads as a raise before every case, so that its suite is
-    checked again in one share."""
-    head = reader.read(4)
-    size = int.from_bytes(head, "big")
-    data = reader.read(size)
-    if len(head) < 4 or len(data) < size:
-        return -1, True, ""
-    return marshal.loads(data)
-
-
-def _reap(workers: list) -> None:
-    """Stop and reap every (pid, reader) worker of workers, which ends empty."""
-    while workers:
-        import signal  # only a run with workers loads it
-
-        pid, reader = workers.pop()
-        reader.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _start_workers(workers: list, trees, max_leaves: int, shares: int) -> None:
-    """Fork a worker for each of shares 1 to shares - 1 and append its
-    (pid, reader) to workers.  A worker checks its share of every suite
-    over the corpus trees and sends the first event of each over a pipe;
-    it writes nothing else and ends in os._exit.  When a fork fails, the
-    workers started are reaped and workers ends empty."""
-    from . import suites
-
-    for share in range(1, shares):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            # no room for another process: check in one share
-            os.close(read_fd)
-            os.close(write_fd)
-            _reap(workers)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
-                    for _, cases, check in suites._suites(trees, max_leaves):
-                        _send(out, suites._first_event(cases, check, share,
-                                                       shares))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        workers.append((pid, open(read_fd, "rb")))
-
-
 def _cmd_verify_all(args) -> int:
-    """Print each suite's verdict, in order.  This process checks share 0
-    of every suite and reads the first event of each other share from its
-    worker; the earliest event decides.  A suite whose earliest event is a
-    raise is checked again here in one share, and so is every later one:
-    the raise then reaches main as it would without shares."""
     # only verify-all runs the suites, so no other command compiles them
     from . import suites
 
-    # a corpus over the cap is refused here, before any worker starts
-    trees = suites._corpus(args.max_leaves)
-    workers = []
-    sys.stdout.flush()  # no worker inherits output still to be written
-    try:
-        _start_workers(workers, trees, args.max_leaves, _share_count())
-        shares = len(workers) + 1
-        code = 0
-        for name, cases, check in suites._suites(trees, args.max_leaves):
-            if shares > 1:
-                cases, again = itertools.tee(cases)
-                events = [suites._first_event(cases, check, 0, shares),
-                          *(_receive(reader) for _, reader in workers)]
-                event = min((e for e in events if e is not None),
-                            default=None)
-                if event is not None and event[1]:
-                    _reap(workers)
-                    shares, cases = 1, again
-            if shares == 1:
-                event = suites._first_event(cases, check, 0, 1)
-            if event is not None:
-                code = 1
-                print(f"{name}: VIOLATED")
-                print(f"{name}: fails on {event[2]}", file=sys.stderr)
-            else:
-                print(f"{name}: VERIFIED")
-        return code
-    finally:
-        _reap(workers)
+    return suites._verify_all(args.max_leaves)
 
 
 def _type_error(message: str) -> Exception:
@@ -547,10 +430,8 @@ _COMMANDS = (
 )
 
 
-def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
-    """The parser for argv.  When argv starts with a command, only that
-    command's subparser is registered, as only it can run; otherwise all
-    are, for the top-level help and the missing or invalid command error."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the help texts and usage errors."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -564,8 +445,7 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
         description="Ancestral matrices of rooted trees: exact charpolys, "
                     "spectra, bounds, and theorem checkers.")
     subs = parser.add_subparsers(dest="command", required=True)
-    named = [row for row in _COMMANDS if argv and row[0] == argv[0]]
-    for name, help_text, flags, handler in named or _COMMANDS:
+    for name, help_text, flags, handler in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         _add_flags(sub, flags)
         sub.set_defaults(func=handler)
@@ -626,7 +506,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace | SimpleNamespace:
             args = _read_flags(row, argv[1:])
             if args is not None:
                 return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -438,7 +438,10 @@ def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
     256 classes last asked about.  Raises ClassTooLarge, which is not kept,
     uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when the
     size passes ``DEFAULT_CAP``."""
-    _, _, _, most_vertices, class_keys, _ = _class_row(kind)
+    _, arity, _, most_vertices, class_keys, _ = _class_row(kind)
+    if arity is not None and len(params) != arity:
+        raise InvalidParameter(f"a {kind} class takes {arity} param(s), "
+                               f"not {len(params)}")
     most = most_vertices(*params)
     if most > FAMILY_CAP:
         raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "

@@ -71,8 +71,9 @@ def _dense_solve(a, bound: float):
 def eigen_decompose(m) -> Spectrum:
     """Full symmetric eigendecomposition with a residual certificate, of a
     square array or of a matrix that holds one as its ``rows``.  An empty
-    input has the empty spectrum; a non-empty one of any other shape is
-    refused as an invalid parameter, before the solver runs."""
+    input has the empty spectrum; a non-empty one of any other shape, or
+    with a nan or infinite entry, is refused as an invalid parameter,
+    before the solver runs."""
     import numpy as np
 
     try:
@@ -85,6 +86,8 @@ def eigen_decompose(m) -> Spectrum:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameter(
             f"eigen_decompose needs a square matrix, not shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidParameter("eigen_decompose needs finite entries")
     bound = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a, "fro")))
     vals, vecs, residual = _dense_solve(a, bound)
     if not residual <= bound:

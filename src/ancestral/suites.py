@@ -12,17 +12,21 @@ trip.  ``_case_text`` names a failing case.  Only ``verify-all`` imports
 this module, so no other command compiles it.  The extremality suites check
 the claimed trees of ``search``, through ``enumeration.verify_claim``.
 
-Each case comes with its position, and ``verify-all`` deals the cases of
-every suite into interleaved shares by it, one process per share:
-``_first_event`` checks one share.  A corpus tree keeps its corpus position
-in every per-tree suite, so the one share that holds it derives its
-polynomial and bound report, and each share keeps memos only of its own
-trees.
+Each case comes with its position.  ``_verify_all``, the whole of
+``verify-all``, deals the cases of every suite into interleaved shares by
+it, one process per share, and merges them: each worker checks its share
+with ``_first_event`` and sends one ``marshal`` record per suite over a
+pipe.  A corpus tree keeps its corpus position in every per-tree suite, so
+the one share that holds it derives its polynomial and bound report, and
+each share keeps memos only of its own trees.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import sys
 from fractions import Fraction
 
 from . import enumeration
@@ -240,3 +244,110 @@ def _case_text(case) -> str:
     if isinstance(case, tuple):
         return " ".join(_case_text(part) for part in case)
     return str(case)
+
+
+_MAX_SHARES = 4  # the most shares verify-all deals its cases into
+
+
+def _share_count() -> int:
+    """How many shares verify-all deals the cases of its suites into: one
+    per CPU this process may run on, at most _MAX_SHARES, and one where
+    os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_SHARES)
+
+
+def _receive(reader):
+    """The next event a worker sent on reader, one marshal record.  A worker
+    that ended before or while sending it reads as a raise before every
+    case, so that its suite is checked again in one share."""
+    try:
+        return marshal.load(reader)
+    except EOFError:
+        return -1, True, ""
+
+
+def _reap(workers: list) -> None:
+    """Stop and reap every (pid, reader) worker of workers, which ends empty."""
+    while workers:
+        import signal  # only a run with workers loads it
+
+        pid, reader = workers.pop()
+        reader.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _start_workers(workers: list, trees, max_leaves: int, shares: int) -> None:
+    """Fork a worker for each of shares 1 to shares - 1 and append its
+    (pid, reader) to workers.  A worker checks its share of every suite
+    over the corpus trees and sends the first event of each over a pipe,
+    one marshal record each; it writes nothing else and ends in os._exit.
+    When a fork fails, the workers started are reaped and workers ends
+    empty."""
+    for share in range(1, shares):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            # no room for another process: check in one share
+            os.close(read_fd)
+            os.close(write_fd)
+            _reap(workers)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb", buffering=0) as out:
+                    for _, cases, check in _suites(trees, max_leaves):
+                        marshal.dump(_first_event(cases, check, share, shares),
+                                     out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        workers.append((pid, open(read_fd, "rb")))
+
+
+def _verify_all(max_leaves: int) -> int:
+    """Print each suite's verdict over the corpus of max_leaves, in order,
+    and return verify-all's exit code.  This process checks share 0 of
+    every suite and reads the first event of each other share from its
+    worker; the earliest event decides.  A suite whose earliest event is a
+    raise is checked again here in one share, and so is every later one:
+    the raise then reaches main as it would without shares."""
+    # a corpus over the cap is refused here, before any worker starts
+    trees = _corpus(max_leaves)
+    workers = []
+    sys.stdout.flush()  # no worker inherits output still to be written
+    try:
+        _start_workers(workers, trees, max_leaves, _share_count())
+        shares = len(workers) + 1
+        code = 0
+        for name, cases, check in _suites(trees, max_leaves):
+            if shares > 1:
+                cases = list(cases)  # read again if a share raises
+                events = [_first_event(cases, check, 0, shares),
+                          *(_receive(reader) for _, reader in workers)]
+                event = min((e for e in events if e is not None),
+                            default=None)
+                if event is not None and event[1]:
+                    _reap(workers)
+                    shares = 1
+            if shares == 1:
+                event = _first_event(cases, check, 0, 1)
+            if event is not None:
+                code = 1
+                print(f"{name}: VIOLATED")
+                print(f"{name}: fails on {event[2]}", file=sys.stderr)
+            else:
+                print(f"{name}: VERIFIED")
+        return code
+    finally:
+        _reap(workers)

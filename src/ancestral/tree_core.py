@@ -217,7 +217,8 @@ def _build_walk(parents: Sequence[Optional[int]]) -> RootedTree:
 
 
 def _check_vertex(tree: RootedTree, v: int) -> None:
-    if not isinstance(v, int) or v < 0 or v >= tree.n_vertices:
+    # a bool is an int but not a vertex, as build_tree refuses a bool parent
+    if type(v) is not int or not 0 <= v < tree.n_vertices:
         raise IndexOutOfRange(f"{v!r} is not a vertex of this tree")
 
 
@@ -227,8 +228,8 @@ def ancestral_level(tree: RootedTree, u: int, v: int) -> int:
     Symmetric, and ancestral_level(v, v) is the level of v itself.  This is
     the per-pair query, a parent walk with level alignment costing O(height);
     whole matrices are filled from the tree's preorder leaf ranges instead
-    (see ``ancestral_matrices.ancestral_matrix``), and tests use this
-    function as their oracle.
+    (see ``ancestral_matrices._fill``), and tests use this function as their
+    oracle.
     """
     _check_vertex(tree, u)
     _check_vertex(tree, v)

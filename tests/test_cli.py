@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import marshal
 import math
 import os
 import shlex
@@ -643,15 +644,11 @@ def _subparsers(parser):
     return action.choices
 
 
-def test_one_command_parser_gives_the_full_parsers_help(capsys):
+def test_main_prints_every_help_text(capsys):
     parser = cli.build_parser()
     full = _subparsers(parser)
     assert len(full) == len(cli._COMMANDS)
-    for name, sub in full.items():
-        alone = _subparsers(cli.build_parser([name, "--help"]))
-        assert list(alone) == [name]
-        assert alone[name].format_help() == sub.format_help(), name
-    # main prints each of them, and the top-level help, unchanged
+    # main prints each command's help, and the top-level help, unchanged
     helps = [([], parser.format_help()),
              *(([name], sub.format_help()) for name, sub in full.items())]
     assert len(helps) == 13
@@ -732,8 +729,7 @@ def _parse_outcome(parse, argv):
 @example([])
 def test_the_flag_table_reads_a_line_as_argparse_does(argv):
     table = _parse_outcome(cli.parse_args, argv)
-    oracle = _parse_outcome(lambda argv: cli.build_parser(argv).parse_args(argv),
-                            argv)
+    oracle = _parse_outcome(cli.build_parser().parse_args, argv)
     # equal namespaces hold the same func: functions compare by identity
     assert table == oracle
 
@@ -755,7 +751,7 @@ def test_verify_all_smoke(capsys):
 
 def test_verify_all_derives_each_per_tree_quantity_once(capsys, monkeypatch):
     # the counting wrappers below count in this process: check in one share
-    monkeypatch.setattr(cli, "_share_count", lambda: 1)
+    monkeypatch.setattr(suites, "_share_count", lambda: 1)
     calls = {"char_poly": 0, "_spectral_radius": 0}
 
     def counted(module, name):
@@ -781,7 +777,7 @@ def test_verify_all_derives_each_per_tree_quantity_once_in_two_shares(
         capsys, monkeypatch, tmp_path):
     # each process appends one line per call, so the counts add up across
     # the shares: a tree's memos are derived only in the share that holds it
-    monkeypatch.setattr(cli, "_share_count", lambda: 2)
+    monkeypatch.setattr(suites, "_share_count", lambda: 2)
 
     def counted(module, name):
         func = getattr(module, name)
@@ -808,7 +804,7 @@ def _verify_all_in_shares(capsys, monkeypatch, shares: int):
     """Exit code, stdout and stderr of verify-all --max-leaves 5 checked in
     the given number of shares; no worker outlives it."""
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_share_count", lambda: shares)
+        patch.setattr(suites, "_share_count", lambda: shares)
         outcome = run(capsys, "verify-all", "--max-leaves", "5")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -871,6 +867,28 @@ def test_verify_all_checks_again_the_suite_of_a_worker_that_ended(
     assert _verify_all_in_shares(capsys, monkeypatch, 3) == one
 
 
+def test_verify_all_checks_again_the_suite_of_a_torn_record(
+        capsys, monkeypatch):
+    # each worker fails a case, then writes the first half of its record
+    # and ends: the torn record reads as a worker that ended, so the suite
+    # is checked again here, in one share, where every case holds
+    parent = os.getpid()
+    real = suites.gram_check
+
+    def check(tree):
+        return os.getpid() == parent and real(tree)
+
+    def torn(event, out):
+        record = marshal.dumps(event)
+        out.write(record[:len(record) // 2])
+        os._exit(0)
+    monkeypatch.setattr(suites, "gram_check", check)
+    monkeypatch.setattr(suites.marshal, "dump", torn)
+    one = _verify_all_in_shares(capsys, monkeypatch, 1)
+    assert one[0] == 0
+    assert _verify_all_in_shares(capsys, monkeypatch, 3) == one
+
+
 def test_verify_all_without_a_fork_checks_in_one_share(capsys, monkeypatch):
     forks, real = [], os.fork
 
@@ -894,7 +912,7 @@ def test_verify_all_reaps_its_workers_on_an_interrupt(capsys, monkeypatch):
             raise KeyboardInterrupt
         return True
     monkeypatch.setattr(suites, "gram_check", interrupted)
-    monkeypatch.setattr(cli, "_share_count", lambda: 3)
+    monkeypatch.setattr(suites, "_share_count", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         cli.main(["verify-all", "--max-leaves", "5"])
     with pytest.raises(ChildProcessError):

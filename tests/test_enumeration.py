@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -576,6 +577,23 @@ def test_verify_claim_refuses_an_empty_class_and_an_unmade_claim():
         verify_claim(by_vertex_count(4), "broom")
     with pytest.raises(InvalidParameter, match="unknown tree class kind"):
         verify_claim(enumeration.TreeClass("bogus", (1,)), "broom")
+
+
+@pytest.mark.parametrize("kind, params, says", [
+    ("series-reduced", (1, 2), "1 param(s), not 2"),
+    ("by-vertex-count", (), "1 param(s), not 0"),
+    ("by-vertices-and-leaves", (7,), "2 param(s), not 1"),
+    ("dary-by-leaves", (2, 3, 4), "2 param(s), not 3"),
+])
+def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
+    cls = enumeration.TreeClass(kind, params)
+    for ask in (class_size, lambda c: next(enumerate_class(c))):
+        with pytest.raises(InvalidParameter,
+                           match=re.escape(f"a {kind} class takes {says}")):
+            ask(cls)
+    # the outdegree class takes any number of params
+    assert class_size(enumeration.TreeClass("by-outdegree-sequence",
+                                            (2, 0, 0))) == 1
 
 
 def test_random_tree_is_seeded_and_preorder():

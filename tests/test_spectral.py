@@ -73,6 +73,14 @@ def test_eigen_decompose_refuses_a_non_square_input(m, shape):
         eigen_decompose(m)
 
 
+@pytest.mark.parametrize("m", [[[math.nan]], [[math.inf, 0.0], [0.0, 1.0]]])
+def test_eigen_decompose_refuses_a_non_finite_entry(m):
+    # refused before the solver runs: no residual, and no numpy warning
+    # (an error under -W error) from a product with an infinite entry
+    with pytest.raises(InvalidParameter, match="needs finite entries"):
+        eigen_decompose(m)
+
+
 def test_eigen_decompose_solver_failure_is_no_convergence(monkeypatch):
     def fail(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -94,6 +94,18 @@ def test_ancestral_level_of_vertex_with_itself():
         ancestral_level(t, 0, 99)
 
 
+@pytest.mark.parametrize("vertex", [True, False])
+def test_a_bool_is_not_a_vertex(vertex):
+    # build_tree refuses a bool parent, and every vertex query a bool vertex
+    t = star(3)
+    with pytest.raises(IndexOutOfRange, match="not a vertex"):
+        subtree(t, vertex)
+    with pytest.raises(IndexOutOfRange, match="not a vertex"):
+        ancestral_level(t, vertex, 2)
+    with pytest.raises(IndexOutOfRange, match="not a vertex"):
+        ancestral_level(t, 2, vertex)
+
+
 def test_structural_stats_example():
     s = structural_stats(example_tree())
     assert s.L == 6
