@@ -431,17 +431,21 @@ class TreeClass(NamedTuple):
     params: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=256)
-def _counted(kind: str, params: tuple[int, ...]) -> tuple[tuple, int]:
+@functools.lru_cache(maxsize=256, typed=True)
+def _counted(kind: str, *params: int) -> tuple[tuple, int]:
     """The (kind, key) pairs whose pools, chained, are the class of this
     kind and params, and its size, without building any pool; kept for the
-    256 classes last asked about.  Raises ClassTooLarge, which is not kept,
-    uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when the
-    size passes ``DEFAULT_CAP``."""
+    256 classes last asked about, by each param's type too (True is no 1).
+    Raises ClassTooLarge, which is not kept, uncounted when a tree can pass
+    ``FAMILY_CAP`` vertices, and when the size passes ``DEFAULT_CAP``."""
     _, arity, _, most_vertices, class_keys, _ = _class_row(kind)
     if arity is not None and len(params) != arity:
         raise InvalidParameter(f"a {kind} class takes {arity} param(s), "
                                f"not {len(params)}")
+    for p in params:
+        if type(p) is not int:  # a bool is an int, but no count
+            raise InvalidParameter(f"a {kind} class takes int params, "
+                                   f"not {type(p).__name__}")
     most = most_vertices(*params)
     if most > FAMILY_CAP:
         raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "
@@ -566,7 +570,7 @@ def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
     Class order is ascending encoding order, except for "by-leaf-count":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
-    keys, _ = _counted(cls.kind, cls.params)
+    keys, _ = _counted(cls.kind, *cls.params)
     return itertools.chain.from_iterable(_walk(kind, key) for kind, key in keys)
 
 
@@ -581,7 +585,7 @@ def class_size(cls: TreeClass) -> int:
     """The number of trees in cls, counted by the Euler transform without
     enumerating them; raises ClassTooLarge when a tree can pass
     ``FAMILY_CAP`` vertices, or the count ``DEFAULT_CAP``."""
-    return _counted(cls.kind, cls.params)[1]
+    return _counted(cls.kind, *cls.params)[1]
 
 
 class ExtremalReport(NamedTuple):
@@ -616,7 +620,7 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     one-branch tree are those ``spectral_radius`` reads for the same branch
     of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
     """
-    keys, _ = _counted(cls.kind, cls.params)
+    keys, _ = _counted(cls.kind, *cls.params)
     w = TIE_WINDOW
     branches = _Branches()
     # each class key's kind, whether it holds the single vertex, and its

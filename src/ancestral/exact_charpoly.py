@@ -11,11 +11,10 @@ Two genuinely independent exact routes are kept side by side:
 
 Collapsing these into one would silently drop a built-in oracle, so both are
 public and the test suite compares them coefficient by coefficient.
-``_fold`` is the package's one children fold, which
-``path_collections.count_by_edge_states`` shares.  The
-determinant checks ``eval_det_shift`` and ``dary_determinant_check`` read
-their values off the primary route's polynomial, since
-det(pI + qC) = (-q)^L P(-p/q) for P = det(xI - C).
+``_fold``, the package's one children fold, is shared by
+``path_collections.count_by_edge_states`` and run at a single point by
+``eval_det_shift``, in O(V) integer products rather than the polynomial's
+O(L^2); ``dary_determinant_check`` reads its value there.
 """
 
 from __future__ import annotations
@@ -191,9 +190,11 @@ def gamma_coefficients(tree: RootedTree) -> list[int]:
 
 
 def eval_det_shift(tree: RootedTree, c: Fraction | int) -> Fraction:
-    """Exact det(cI + C(T)) for any rational c: (-1)^L P(-c) for the
-    characteristic polynomial P = det(xI - C(T)), evaluated in Fractions."""
-    return (-1) ** tree.n_leaves * char_poly(tree)(-Fraction(c))
+    """Exact det(cI + C(T)) = (-1)^L P(-c), c = p/q: ``_fold`` of char_poly's
+    (P, S) on one-term lists at x = -p/q, in integers as q^l P, q^(l-1) S."""
+    p, q = Fraction(c).as_integer_ratio()
+    value = _fold(tree, ([-p], [1]), lambda a, b: [a[0] - q * b[0]])[0]
+    return Fraction((-1) ** tree.n_leaves * value, q ** tree.n_leaves)
 
 
 class DaryCheck(NamedTuple):
@@ -209,18 +210,10 @@ def dary_determinant_check(tree: RootedTree, d: int) -> DaryCheck:
     """
     if d < 2:
         raise NotDary(tree.root)
-    int_count = 0
-    for v in range(tree.n_vertices):
-        k = len(tree.children[v])
-        if k == 0:
-            continue
-        if k != d:
+    for v, kids in enumerate(tree.children):
+        if kids and len(kids) != d:
             raise NotDary(v)
-        int_count += 1
-    # det(I + qC) = (-q)^L P(-1/q) = sum_k a_k (-q)^(L-k) for
-    # P = sum_k a_k x^k, in integers; here q = d - 1
-    coeffs = char_poly(tree).coeffs
-    n = len(coeffs) - 1
-    lhs = sum(a * (1 - d) ** (n - k) for k, a in enumerate(coeffs))
-    rhs = d ** (d * int_count)
+    lhs = (eval_det_shift(tree, Fraction(1, d - 1))
+           * (d - 1) ** tree.n_leaves).numerator
+    rhs = d ** (d * (tree.n_vertices - tree.n_leaves))
     return DaryCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)

@@ -72,8 +72,8 @@ def eigen_decompose(m) -> Spectrum:
     """Full symmetric eigendecomposition with a residual certificate, of a
     square array or of a matrix that holds one as its ``rows``.  An empty
     input has the empty spectrum; a non-empty one of any other shape, or
-    with a nan or infinite entry, is refused as an invalid parameter,
-    before the solver runs."""
+    whose ||A||_F^2 is no finite float, is refused as an invalid parameter,
+    before the solver runs, so no product of the solve overflows."""
     import numpy as np
 
     try:
@@ -86,9 +86,11 @@ def eigen_decompose(m) -> Spectrum:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidParameter(
             f"eigen_decompose needs a square matrix, not shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidParameter("eigen_decompose needs finite entries")
-    bound = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a, "fro")))
+    with np.errstate(over="ignore"):  # a nan, an inf or an overflow: refused
+        norm = float(np.linalg.norm(a, "fro"))
+    if not math.isfinite(norm):
+        raise InvalidParameter("eigen_decompose needs finite entries and norm")
+    bound = DEFAULT_TOL * max(1.0, norm)
     vals, vecs, residual = _dense_solve(a, bound)
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)

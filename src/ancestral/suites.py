@@ -77,9 +77,10 @@ def _collections_match(t: RootedTree, poly) -> bool:
 
 
 def _dary_determinants_hold(t: RootedTree) -> bool:
+    """At t's one internal outdegree d >= 2; the single vertex at d = 2, 3."""
     degs = {len(c) for c in t.children if c}
     return all(dary_determinant_check(t, d).equal
-               for d in (2, 3) if degs <= {d})
+               for d in (degs or {2, 3}) if len(degs) <= 1 and d >= 2)
 
 
 def _broom_holds(cls, report) -> bool:

@@ -19,7 +19,8 @@ from ancestral import (ExtremalReport, binary_caterpillar, broom,
                        by_vertices_and_leaves, caterpillar_charpoly,
                        parse_newick, serialize_newick, series_reduced, star,
                        star_plus_path)
-from ancestral import bounds_theorems, cli, spectral, suites
+from ancestral import (bounds_theorems, cli, exact_charpoly,
+                       path_collections, spectral, suites)
 from ancestral.errors import NoConvergence
 from ancestral.tree_core import DENSE_CAP
 from ancestral.tree_ops import OpKind, valid_specs
@@ -798,6 +799,61 @@ def test_verify_all_derives_each_per_tree_quantity_once_in_two_shares(
     corpus = len(suites._corpus(5))
     assert calls == {"char_poly": corpus + 5, "_spectral_radius": corpus - 1}
     assert all(len(set(pids)) == 2 for pids in logs.values())
+
+
+def test_dary_determinant_checks_each_dary_tree_at_its_d(monkeypatch):
+    checked = []
+    real = suites.dary_determinant_check
+
+    def counted(tree, d):
+        checked.append(d)
+        return real(tree, d)
+    monkeypatch.setattr(suites, "dary_determinant_check", counted)
+    rows = suites._suites(suites._corpus(9), 9)
+    cases, check = next((cases, check) for name, cases, check in rows
+                        if name == "dary-determinant")
+    assert all(check(t) for _, t in cases)
+    # 18 trees of the 9-leaf corpus whose internal vertices share one
+    # outdegree d >= 2, each at its d, and the single vertex at d = 2 and 3
+    assert len(checked) == 20
+    assert set(checked) == set(range(2, 10))
+
+
+def _fold_without_a_term(tree, leaf, factor):
+    """exact_charpoly._fold with one seeded fault: at a vertex with three
+    children, the second child's A B_c term is dropped from B."""
+    mul, add = exact_charpoly._poly_mul, exact_charpoly._poly_add
+    pair = {}
+    for v in reversed(tree.preorder):
+        kids = tree.children[v]
+        if not kids:
+            pair[v] = leaf
+            continue
+        a, b_acc = pair.pop(kids[0])
+        a_acc = factor(a, b_acc)
+        for i, c in enumerate(kids[1:], 1):
+            a, b = pair.pop(c)
+            f = factor(a, b)
+            if v != tree.root:
+                b_acc = mul(b_acc, f)
+                if (len(kids), i) != (3, 1):
+                    b_acc = add(b_acc, mul(a_acc, b))
+            a_acc = mul(a_acc, f)
+        pair[v] = a_acc, b_acc
+    return pair[tree.root][0]
+
+
+def test_verify_all_sees_a_fault_in_the_fold(capsys, monkeypatch):
+    # the d-ary values are read from the fold at a point, so the suite
+    # still checks the fold that the polynomial is built by
+    monkeypatch.setattr(exact_charpoly, "_fold", _fold_without_a_term)
+    monkeypatch.setattr(path_collections, "_fold", _fold_without_a_term)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "7")
+    assert code == 1
+    assert {name for name, verdict in verdicts(out).items()
+            if verdict == "VIOLATED"} == {"trace-identity", "dary-determinant"}
+    assert err == ("trace-identity: fails on ((,,));\n"
+                   "dary-determinant: fails on (,,(,,));\n")
 
 
 def _verify_all_in_shares(capsys, monkeypatch, shares: int):

@@ -596,6 +596,24 @@ def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
                                             (2, 0, 0))) == 1
 
 
+@pytest.mark.parametrize("kind, params, says", [
+    ("series-reduced", ("5",), "str"),
+    ("series-reduced", (5.0,), "float"),
+    ("series-reduced", (None,), "NoneType"),
+    ("series-reduced", (True,), "bool"),
+    ("by-outdegree-sequence", (2, "x", 0), "str"),
+])
+def test_a_class_with_a_param_of_the_wrong_type_is_refused(kind, params, says):
+    # an equal int class counted first is not read back for these params
+    assert class_size(series_reduced(1)) == 1
+    assert class_size(series_reduced(5)) == 12
+    cls = enumeration.TreeClass(kind, params)
+    for ask in (class_size, lambda c: next(enumerate_class(c))):
+        with pytest.raises(InvalidParameter, match=re.escape(
+                f"a {kind} class takes int params, not {says}")):
+            ask(cls)
+
+
 def test_random_tree_is_seeded_and_preorder():
     a = random_tree(12, seeded_rng(5)).parent_list()
     b = random_tree(12, seeded_rng(5)).parent_list()

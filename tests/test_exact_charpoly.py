@@ -132,6 +132,11 @@ def test_eval_det_shift():
     assert got == Fraction(11529, 64)
 
 
+def test_eval_det_shift_of_a_large_star_is_a_power():
+    # C(star) = I, so det(cI + C) = (c + 1)^L
+    assert eval_det_shift(star(2000), Fraction(1, 3)) == Fraction(4, 3) ** 2000
+
+
 def test_dary_determinant_check():
     check = dary_determinant_check(complete_dary(3, 2), 3)
     assert check.equal and check.lhs == 3 ** 12

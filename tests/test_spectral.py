@@ -73,10 +73,12 @@ def test_eigen_decompose_refuses_a_non_square_input(m, shape):
         eigen_decompose(m)
 
 
-@pytest.mark.parametrize("m", [[[math.nan]], [[math.inf, 0.0], [0.0, 1.0]]])
+@pytest.mark.parametrize("m", [[[math.nan]], [[math.inf, 0.0], [0.0, 1.0]],
+                               [[1e300, 1e300], [1e300, 1e300]]])
 def test_eigen_decompose_refuses_a_non_finite_entry(m):
     # refused before the solver runs: no residual, and no numpy warning
-    # (an error under -W error) from a product with an infinite entry
+    # (an error under -W error) from a product with an infinite entry, or
+    # from a sum of squares of finite entries that overflows
     with pytest.raises(InvalidParameter, match="needs finite entries"):
         eigen_decompose(m)
 
