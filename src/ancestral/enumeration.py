@@ -42,11 +42,14 @@ the branches of a key whose row bound reaches a threshold, from the same
 kind of call on one child key, its lead, and the forest of the rest.  The
 leads come from the step with no top (``_leads``), so only a lead whose key
 bound reaches the threshold has the splits of its rest walked.  Branches are
-solved in descending bound order only while a bound can still reach the
-maximum within the tie window, each as the one branch of a tree by
-``spectral_radius``, and only the trees that hold a branch within the window
-are built.  No matrix is built, and the result is that of solving every
-branch of every tree.  The tie window is the constant ``TIE_WINDOW``.
+taken in descending bound order only while a bound can still reach the
+maximum within the tie window.  Each is first bounded from its encoding by
+one Collatz-Wielandt step on its row sums (``_cw_below``), in integers, and
+skipped when that puts its rho below the best so far less the window;
+every other is solved as the one branch of a tree by ``spectral_radius``.
+Only the trees that hold a branch within the window are built.  No matrix
+is built, and the result is that of solving every branch of every tree.
+The tie window is the constant ``TIE_WINDOW``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import counting
 from .errors import ClassTooLarge, InvalidParameter
-from .spectral import spectral_radius
+from .spectral import _block_product, spectral_radius
 from .tree_core import (
     FAMILY_CAP,
     RootedTree,
@@ -87,10 +90,12 @@ def canonical_encoding(tree: RootedTree) -> Encoding:
     return enc[tree.root]
 
 
-def encoding_to_tree(enc: Encoding) -> RootedTree:
-    """The tree of an encoding, vertices numbered in preorder with children
-    in encoding order.  Built with an explicit stack, without recursion."""
+def _flatten(enc: Encoding) -> tuple[list[Optional[int]], list[int]]:
+    """The parent of each vertex of an encoding, numbered in preorder with
+    children in encoding order (None at the root), and the positions of its
+    leaves.  An explicit stack, without recursion."""
     parents: list[Optional[int]] = []
+    leaves: list[int] = []
     stack = [enc]
     above: list[Optional[int]] = [None]  # parent of each node on the stack
     while stack:
@@ -100,7 +105,15 @@ def encoding_to_tree(enc: Encoding) -> RootedTree:
         if node:
             stack.extend(node[::-1])
             above.extend([idx] * len(node))
-    return build_tree(parents)
+        else:
+            leaves.append(idx)
+    return parents, leaves
+
+
+def encoding_to_tree(enc: Encoding) -> RootedTree:
+    """The tree of an encoding, vertices numbered in preorder with children
+    in encoding order."""
+    return build_tree(_flatten(enc)[0])
 
 
 def _multiset_children(part: tuple, pool) -> Iterator[Encoding]:
@@ -431,21 +444,29 @@ class TreeClass(NamedTuple):
     params: tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=256, typed=True)
+def _class_count(cls: TreeClass) -> tuple[tuple, int]:
+    """``_counted`` of cls, once its kind, the number of its params and
+    their type are checked, so a param that is no int, even an unhashable
+    one, is refused before the cache looks it up."""
+    _, arity, *_ = _class_row(cls.kind)
+    if arity is not None and len(cls.params) != arity:
+        raise InvalidParameter(f"a {cls.kind} class takes {arity} param(s), "
+                               f"not {len(cls.params)}")
+    for p in cls.params:
+        if type(p) is not int:  # a bool is an int, but no count
+            raise InvalidParameter(f"a {cls.kind} class takes int params, "
+                                   f"not {type(p).__name__}")
+    return _counted(cls.kind, *cls.params)
+
+
+@functools.lru_cache(maxsize=256)
 def _counted(kind: str, *params: int) -> tuple[tuple, int]:
     """The (kind, key) pairs whose pools, chained, are the class of this
-    kind and params, and its size, without building any pool; kept for the
-    256 classes last asked about, by each param's type too (True is no 1).
-    Raises ClassTooLarge, which is not kept, uncounted when a tree can pass
-    ``FAMILY_CAP`` vertices, and when the size passes ``DEFAULT_CAP``."""
-    _, arity, _, most_vertices, class_keys, _ = _class_row(kind)
-    if arity is not None and len(params) != arity:
-        raise InvalidParameter(f"a {kind} class takes {arity} param(s), "
-                               f"not {len(params)}")
-    for p in params:
-        if type(p) is not int:  # a bool is an int, but no count
-            raise InvalidParameter(f"a {kind} class takes int params, "
-                                   f"not {type(p).__name__}")
+    kind and int params, and its size, without building any pool; kept for
+    the 256 classes last asked about.  Raises ClassTooLarge, which is not
+    kept, uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when
+    the size passes ``DEFAULT_CAP``."""
+    _, _, _, most_vertices, class_keys, _ = _class_row(kind)
     most = most_vertices(*params)
     if most > FAMILY_CAP:
         raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "
@@ -570,7 +591,7 @@ def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
     Class order is ascending encoding order, except for "by-leaf-count":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
-    keys, _ = _counted(cls.kind, *cls.params)
+    keys, _ = _class_count(cls)
     return itertools.chain.from_iterable(_walk(kind, key) for kind, key in keys)
 
 
@@ -585,7 +606,7 @@ def class_size(cls: TreeClass) -> int:
     """The number of trees in cls, counted by the Euler transform without
     enumerating them; raises ClassTooLarge when a tree can pass
     ``FAMILY_CAP`` vertices, or the count ``DEFAULT_CAP``."""
-    return _counted(cls.kind, *cls.params)[1]
+    return _class_count(cls)[1]
 
 
 class ExtremalReport(NamedTuple):
@@ -597,6 +618,25 @@ class ExtremalReport(NamedTuple):
     ties: tuple[RootedTree, ...] = ()
 
 
+def _cw_below(branch: Encoding, p: int, q: int) -> bool:
+    """Whether one Collatz-Wielandt step proves rho(C(B) + J) < p / q, for
+    q > 0 and the branch B of ``branch``, with no tree built.
+
+    M = C(B) + J has positive entries and its row sums r = M 1 are positive
+    integers, so rho(M) <= max_i (M r)_i / r_i (Horn and Johnson, Matrix
+    Analysis, 8.1), which is at most the row bound max_i r_i since
+    (M r)_i <= max r (M 1)_i.  So q (M r)_i < p r_i at every leaf i,
+    compared in integers, puts rho below p / q.  r and M r are two
+    ``_block_product`` passes over the flattened branch.  When all r_i are
+    one R, the bound is R, the very float ``spectral_radius`` gives; else
+    it lies strictly above rho, by far more than the float's rounding.
+    """
+    parents, leaves = _flatten(branch)
+    r = _block_product(parents, leaves, [1] * len(leaves))
+    return all(q * s < p * x
+               for s, x in zip(_block_product(parents, leaves, r), r))
+
+
 def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     """(rho, encoding) for every tree of cls within w = ``TIE_WINDOW`` of the
     class maximum, in class order; no other tree is built.
@@ -605,22 +645,26 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
     and 0 for the single vertex.  The branches are those of the class keys'
     leads, drawn best first by ``_Branches.above``.  The largest key bound
     among the leads is attained, so the first threshold, that bound, already
-    yields a branch.  Branches are solved by
-    ``spectral_radius`` of the tree whose root has the branch as its one
-    child, with its residual check on every branch solved numerically, in
-    descending row bound order until a bound falls below best - w, best the
-    largest rho solved so far.  Then the threshold drops to ceil(best - w),
-    the branches between the two thresholds are solved the same way, and so
-    on until the
-    threshold stops falling.  Every branch left unsolved has a row bound,
-    and so a rho, below best - w <= max - w.  A tree is therefore within
-    w of the maximum exactly when it holds a solved branch that is.  Those
-    trees are built from such a branch and the forest of its lead's rest,
-    and each is scored by its solved branches.  The branch's arrays in the
-    one-branch tree are those ``spectral_radius`` reads for the same branch
-    of ``encoding_to_tree(enc)``, so each rho is the very float it returns.
+    yields a branch.  Branches are taken in descending row bound order until
+    a bound falls below best - w, best the largest rho solved so far.  Once
+    there is a best, a branch whose one Collatz-Wielandt step on its row
+    sums is below best - w (``_cw_below``, exact, with no tree built) is
+    skipped: its rho is below best - w <= max - w, so it is neither the
+    maximum nor within w of it, and best stays as it is.  Every other branch
+    is solved by ``spectral_radius`` of the tree whose root has the branch
+    as its one child, with its residual check on every branch solved
+    numerically.  Then the threshold drops to ceil(best - w), the branches
+    between the two thresholds are taken the same way, and so on until the
+    threshold stops falling.  Every branch left unsolved has a rho below
+    best - w <= max - w, by its row bound or by the step.  A tree is
+    therefore within w of the maximum exactly when it holds a solved branch
+    that is.  Those trees are built from such a branch and the forest of its
+    lead's rest, and each is scored by its solved branches.  The branch's
+    arrays in the one-branch tree are those ``spectral_radius`` reads for
+    the same branch of ``encoding_to_tree(enc)``, so each rho is the very
+    float it returns.
     """
-    keys, _ = _counted(cls.kind, *cls.params)
+    keys, _ = _class_count(cls)
     w = TIE_WINDOW
     branches = _Branches()
     # each class key's kind, whether it holds the single vertex, and its
@@ -644,8 +688,12 @@ def _contenders(cls: TreeClass) -> list[tuple[float, Encoding]]:
                     fresh.append((bound, branch, slot))
         fresh.sort(key=itemgetter(0), reverse=True)
         for bound, branch, slot in fresh:
-            if bound < best - w:
+            cut = best - w
+            if bound < cut:
                 break
+            # cut > 0 once a branch is solved, as every rho is at least 1
+            if cut > 0 and _cw_below(branch, *cut.as_integer_ratio()):
+                continue
             rho_of[branch] = value = spectral_radius(
                 encoding_to_tree((branch,))).rho
             solved[slot].append(branch)
@@ -674,11 +722,13 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree) -> ExtremalReport:
     everything that does.  The reported argmax is deterministic:
     exact-float ties are broken by canonical encoding order.
 
-    The class is counted against ``DEFAULT_CAP`` first.  Then only the branches
-    whose row bound can reach the maximum within the window are generated
-    and solved, and only the trees within it are built (see
-    ``_contenders``), so the residual check of ``spectral_radius`` runs on
-    those branches alone, and of them on every branch solved numerically.
+    The class is counted against ``DEFAULT_CAP`` first.  Then only the
+    branches that can reach the maximum within the window, by their row
+    bound and by one Collatz-Wielandt step, are solved, and only the trees
+    within it are built (see ``_contenders``); the result is that of
+    solving every branch.  The residual check of ``spectral_radius`` runs
+    on the solved branches alone, and of them on every branch solved
+    numerically.
     """
     scored = _contenders(cls)
     if not scored:

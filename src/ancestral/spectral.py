@@ -275,6 +275,25 @@ def _largest_root(parent: Sequence[int], is_leaf: list[bool], n_leaves: int,
     return x, d
 
 
+def _block_product(parent: Sequence[int], leaves: Sequence[int],
+                   x: Sequence) -> list:
+    """(C(B) + J) x at the leaves of a branch B, with no matrix, from the
+    position in B's preorder of each vertex's parent (entry 0, B's root,
+    is never read) and of each leaf, in the order of x.  The entry at leaf
+    i is the sum, over the vertices u from B's root down to i, of the
+    x-mass of the leaves below u: one pass over the reversed preorder and
+    one over the preorder, in integers for an integer x.
+    """
+    s = [x[0] * 0] * len(parent)  # a zero of x's type: no int + float adds
+    for i, v in zip(leaves, x):
+        s[i] = v
+    for i in range(len(parent) - 1, 0, -1):
+        s[parent[i]] += s[i]
+    for i in range(1, len(parent)):
+        s[i] += s[parent[i]]
+    return [s[i] for i in leaves]
+
+
 def _branch_rho(tree: RootedTree, run: Sequence[int],
                 row: Sequence[int]) -> tuple[float, list[float]]:
     """Largest eigenvalue of C(B) + J for one branch B on the numeric route,
@@ -289,9 +308,9 @@ def _branch_rho(tree: RootedTree, run: Sequence[int],
     over the vertices below B's root on its path.
 
     The eigensolver contract is checked on (x, y) as ``eigen_decompose``
-    does, with (C(B) + J) y from one pass of subtree sums and one of prefix
-    sums, and ||C(B) + J||_F from ``_fro_sq`` over ``run``.  Raises
-    NoConvergence when the residual exceeds the bound.
+    does, with (C(B) + J) y from ``_block_product`` and ||C(B) + J||_F
+    from ``_fro_sq`` over ``run``.  Raises NoConvergence when the residual
+    exceeds the bound.
     """
     m = len(run)
     at = dict(zip(run, range(m)))
@@ -309,14 +328,8 @@ def _branch_rho(tree: RootedTree, run: Sequence[int],
     norm = math.sqrt(sum(q[i] * q[i] for i in leaves))
     y = [q[i] / norm for i in leaves]
 
-    s = [0.0] * m
-    for i, v in zip(leaves, y):
-        s[i] = v
-    for i in range(m - 1, 0, -1):
-        s[parent[i]] += s[i]
-    for i in range(1, m):
-        s[i] += s[parent[i]]
-    residual = math.sqrt(sum((s[i] - x * v) ** 2 for i, v in zip(leaves, y)))
+    my = _block_product(parent, leaves, y)
+    residual = math.sqrt(sum((s - x * v) ** 2 for s, v in zip(my, y)))
     bound = DEFAULT_TOL * max(1.0, math.sqrt(_fro_sq(tree, run)))
     if not residual <= bound:
         raise NoConvergence(residual=residual, bound=bound)

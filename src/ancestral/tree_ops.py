@@ -4,7 +4,7 @@ All three transforms return a new tree over the same vertex arena (star shift
 appends one vertex), so leaves keep their indices.  The result is in general
 not numbered in preorder, and a moved branch moves its leaves within
 leaf_order, so matrices before and after are compared entry by entry through
-``leaf_correspondence``, which pairs the positions of each leaf.
+the positions of each leaf, matched by its index.
 """
 
 from __future__ import annotations
@@ -127,14 +127,6 @@ def apply_op(tree: RootedTree, spec: OpSpec) -> RootedTree:
             raise InvalidPath("a star shift takes a path of exactly one vertex")
         return star_shift(tree, spec.path[0], spec.leaf)
     return leaf_swap(tree, spec)
-
-
-def leaf_correspondence(before: RootedTree, after: RootedTree) -> list[tuple[int, int]]:
-    """Positions of each shared leaf in the two leaf orders.  Vertex indices
-    are stable across the transforms, so the map is by identity."""
-    pos_after = {v: i for i, v in enumerate(after.leaf_order)}
-    return [(i, pos_after[v]) for i, v in enumerate(before.leaf_order)
-            if v in pos_after]
 
 
 def valid_specs(tree: RootedTree, kind: OpKind) -> list[OpSpec]:

@@ -98,6 +98,14 @@ def lca_level_oracle(tree: RootedTree, u: int, v: int) -> int:
     return depth - 1
 
 
+def leaf_correspondence(before: RootedTree, after: RootedTree) -> list[tuple[int, int]]:
+    """Positions of each shared leaf in the two leaf orders.  Vertex indices
+    are stable across the tree operations, so the map is by identity."""
+    pos_after = {v: i for i, v in enumerate(after.leaf_order)}
+    return [(i, pos_after[v]) for i, v in enumerate(before.leaf_order)
+            if v in pos_after]
+
+
 def bfs_distances(tree: RootedTree, source: int) -> list[int]:
     """Graph distances in the underlying undirected tree."""
     adj = [list(tree.children[v]) for v in range(tree.n_vertices)]

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,7 @@ from helpers import (
     BINARY_BY_LEAVES,
     ROOTED_TREE_COUNTS,
     binary_by_leaves_oracle,
+    corpus,
     rooted_tree_count_oracle,
     seeded_rng,
 )
@@ -419,6 +421,46 @@ def test_search_solves_few_branches(monkeypatch):
     assert 0 < 100 * len(solved) < len(branches)
 
 
+@pytest.mark.parametrize("cls, check, solves", [
+    (series_reduced(15), "binary-caterpillar", 6),
+    (by_outdegree_sequence((4, 3, 3, 2, 2, 2, 1, 1, 1)), "greedy", 1),
+    (series_reduced(10), "binary-caterpillar", 2),
+], ids=lambda arg: getattr(arg, "kind", None))
+def test_search_solves_the_branches_one_step_cannot_bound(monkeypatch, cls,
+                                                          check, solves):
+    # a branch whose one Collatz-Wielandt step on its row sums falls below
+    # best - w is neither built nor solved: 495, 187 and 19 branches reach
+    # best - w by their row bound alone.  The claimed tree's solve comes on
+    # top.
+    solved = []
+    solve = enumeration.spectral_radius
+
+    def counting_solve(tree):
+        solved.append(tree)
+        return solve(tree)
+
+    monkeypatch.setattr(enumeration, "spectral_radius", counting_solve)
+    assert verify_claim(cls, check).holds
+    assert len(solved) == solves + 1
+
+
+def test_one_step_bound_is_compared_exactly():
+    # for every branch below the root of a tree of at most 10 vertices,
+    # the step's bound b = max (M r)_i / r_i is a threshold the branch
+    # does not fall below, the next rational up is one it does, and rho
+    # is at most b
+    for t in corpus(10):
+        for branch in canonical_encoding(t):
+            parents, leaves = enumeration._flatten(branch)
+            r = enumeration._block_product(parents, leaves, [1] * len(leaves))
+            mr = enumeration._block_product(parents, leaves, r)
+            b = max(Fraction(s, x) for s, x in zip(mr, r))
+            p, q = b.numerator, b.denominator
+            assert not enumeration._cw_below(branch, p, q)
+            assert enumeration._cw_below(branch, 2 * p + 1, 2 * q)
+            assert spectral_radius(encoding_to_tree((branch,))).rho <= b
+
+
 def test_search_walks_the_splits_of_few_leads(monkeypatch):
     # every part the pairs step completes, with the caches cleared: a walk
     # of every part of the nine keys the search meets ends 414 of them
@@ -602,6 +644,8 @@ def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
     ("series-reduced", (None,), "NoneType"),
     ("series-reduced", (True,), "bool"),
     ("by-outdegree-sequence", (2, "x", 0), "str"),
+    # unhashable: refused before the count's cache looks it up
+    ("series-reduced", ([5],), "list"),
 ])
 def test_a_class_with_a_param_of_the_wrong_type_is_refused(kind, params, says):
     # an equal int class counted first is not read back for these params

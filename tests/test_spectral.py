@@ -10,11 +10,13 @@ from ancestral import (
     bound_report,
     broom,
     build_tree,
+    by_vertex_count,
     by_vertices_and_leaves,
     complete_dary,
     eigen_decompose,
     eigenvalue_one_certificate,
     eigenvalues,
+    enumerate_class,
     parse_newick,
     path_incidence_matrix,
     random_tree,
@@ -28,7 +30,7 @@ from ancestral import (
 )
 from ancestral import ancestral_matrices, spectral
 from ancestral.errors import InvalidParameter, NoConvergence, SingleVertexTree
-from ancestral.tree_core import preorder_run
+from ancestral.tree_core import ancestral_level, preorder_run
 
 from helpers import (
     EXAMPLE_EIGENVALUES,
@@ -386,6 +388,32 @@ def test_branch_rho_never_exceeds_the_row_bound():
         assert max(row[v] for v in one_branch.leaf_order) == max(rows)
         assert value <= max(rows)
         assert (value == max(rows)) == (min(rows) == max(rows))
+
+
+def test_block_product_is_c_of_the_branch_plus_j_times_x():
+    # every root branch of every tree of at most 10 vertices and of random
+    # trees: M 1 and M r, for M = C(B) + J and its row sums r, against M
+    # filled from ancestral_level, and one Collatz-Wielandt step on r
+    # brackets rho(M)
+    trees = [t for n in range(2, 11) for t in enumerate_class(by_vertex_count(n))]
+    trees += _random_trees(66, 16, 80)
+    for t in trees:
+        for c in t.children[t.root]:
+            run, _ = preorder_run(t, c)
+            at = {v: i for i, v in enumerate(run)}
+            parent = [-1] + [at[t.parent[v]] for v in run[1:]]
+            leaves = [i for i, v in enumerate(run) if not t.children[v]]
+            m = np.array([[ancestral_level(t, run[i], run[j]) for j in leaves]
+                          for i in leaves])
+            r = spectral._block_product(parent, leaves, [1] * len(leaves))
+            assert r == m.sum(axis=1).tolist()
+            mr = spectral._block_product(parent, leaves, r)
+            assert mr == (m @ np.array(r)).tolist()
+            assert all(type(x) is int for x in r + mr)
+            top = np.linalg.eigvalsh(m)[-1]
+            ratios = [s / x for s, x in zip(mr, r)]
+            slack = 1e-12 * top
+            assert min(ratios) - slack <= top <= max(ratios) + slack
 
 
 def test_rho_of_deep_trees():

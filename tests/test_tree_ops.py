@@ -26,9 +26,7 @@ from ancestral.errors import (
     W1IsLeaf,
     W2NotLeaf,
 )
-from ancestral.tree_ops import leaf_correspondence
-
-from helpers import corpus, example_tree, seeded_rng
+from helpers import corpus, example_tree, leaf_correspondence, seeded_rng
 
 
 def test_branch_shift_moves_subtree_down():
