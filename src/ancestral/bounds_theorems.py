@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import NotALeaf, SingleVertexTree
 from .spectral import _spectral_radius
-from .tree_core import RootedTree, leaf_counts, row_sums
+from .tree_core import RootedTree, _is_vertex, leaf_counts, row_sums
 
 BOUND_TOL = 1e-7
 EQUALITY_WINDOW = 1e-6
@@ -41,7 +41,7 @@ def total_ancestral_depth(tree: RootedTree, v: int) -> int:
     """Row sum of v's row of the ancestral matrix: sum over leaves w of the
     ancestral level of v and w, i.e. the sum of k_e over the edges on v's
     root path."""
-    if v < 0 or v >= tree.n_vertices or tree.children[v]:
+    if not _is_vertex(tree, v) or tree.children[v]:
         raise NotALeaf(f"{v} is not a leaf")
     return row_sums(tree)[v]
 

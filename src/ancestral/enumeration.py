@@ -24,13 +24,14 @@ once, and is refused at the first sub-key whose count passes
 comes out in the order a filter over the sorted vertex-count pools would
 give.
 
-One table, ``_CLASSES``, keyed by ``--class`` name, holds each kind of
-class: its constructor, its vertex bound, its keys and the paper's
-extremality claims about it, the tree claimed to have the largest rho: the
-broom for n vertices and l leaves, the greedy caterpillar for an outdegree
-sequence and so for d-ary trees, and the binary caterpillar among
-series-reduced trees.  ``verify_claim`` checks one, for ``search`` and
-``verify-all`` alike.
+One table, ``_CLASSES``, keyed by ``--class`` name, the ``TreeClass``
+kind, holds each kind of class: its constructor, its vertex bound, its keys
+and the paper's extremality claims about it, the tree claimed to have the
+largest rho: the broom for n vertices and l leaves, the greedy caterpillar
+for an outdegree sequence and so for d-ary trees, and the binary
+caterpillar among series-reduced trees.  ``verify_claim`` checks one, for
+``search`` and ``verify-all`` alike.  Errors name a class by the spec that
+``search --class`` reads (``_class_spec``).
 
 The extremality search reads the spectral radius off the block structure:
 C(T) is the direct sum of the blocks C(B_i) + J over the branches B_i below
@@ -304,13 +305,20 @@ def _forests(kind: str, rem) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
+def _bound(kind: str, key) -> tuple[int, int]:
+    """``_KINDS[kind].bound(key)``, derived once per key and kept for every
+    search: ``_leads`` and ``_Branches.above`` both read it."""
+    return _KINDS[kind].bound(key)
+
+
+@functools.lru_cache(maxsize=None)
 def _leads(kind: str, key) -> tuple:
     """(lead, its key bound, rest) for each child key a root of ``key``
     can hold and the remainder after it, from the step with no top.  Each
     part of ``_parts``, with each distinct child in it as the lead, is one
     lead plus one split of its rest, and no split is walked to find them."""
     rule = _KINDS[kind]
-    return tuple((lead, rule.bound(lead)[0], rest) for rem in rule.roots(key)
+    return tuple((lead, _bound(kind, lead)[0], rest) for rem in rule.roots(key)
                  if rem is not None for lead, rest in rule.step(rem, None))
 
 
@@ -398,7 +406,7 @@ class _Branches:
         """
         if theta <= 1:
             return _walk(kind, key)
-        if _KINDS[kind].bound(key)[0] < theta:
+        if _bound(kind, key)[0] < theta:
             return ()
         memo = self._above
         stack = [(key, theta)]
@@ -407,7 +415,7 @@ class _Branches:
             if (kind, top, at) in memo:
                 stack.pop()
                 continue
-            below = at - _KINDS[kind].bound(top)[1]
+            below = at - _bound(kind, top)[1]
             if below <= 1:
                 found = _walk(kind, top)
             else:
@@ -431,24 +439,33 @@ class _Branches:
 class TreeClass(NamedTuple):
     """A finite family of rooted trees, given up to isomorphism.
 
-    kind is one of "by-vertex-count", "by-leaf-count",
-    "by-vertices-and-leaves", "by-outdegree-sequence", "series-reduced",
-    "dary-by-leaves".  ``params`` carries the kind-specific integers; for
-    "by-leaf-count" a max_vertices bound is mandatory because the class is
-    otherwise infinite (chains of outdegree-1 vertices preserve the leaf
-    count).  A "dary-by-leaves" class (d, n) is generated as the
-    outdegree class of d taken (n - 1) / (d - 1) times and n zeros.
+    kind is its ``--class`` name, "vertices", "leaves", "vertices-leaves",
+    "outdegrees" (the nonzero ones), "series-reduced" or "dary", and
+    ``params`` its integers, as ``search --class kind:p1,p2,...`` reads
+    them.  A "leaves" class needs a max_vertices bound, as it is otherwise
+    infinite (chains of outdegree-1 vertices preserve the leaf count).  A
+    "dary" class (d, n) is generated as the outdegree class of d taken
+    (n - 1) / (d - 1) times and n zeros.
     """
 
     kind: str
     params: tuple[int, ...]
 
 
+def _class_spec(kind: str, params: tuple) -> str:
+    """A class as the ``--class`` spec that ``search`` reads, cut past 8
+    params to the first 8 and their count, so a line stays short."""
+    more = f",… {len(params)} params" if len(params) > 8 else ""
+    return f"{kind}:{','.join(map(str, params[:8]))}{more}"
+
+
 def _class_count(cls: TreeClass) -> tuple[tuple, int]:
     """``_counted`` of cls, once its kind, the number of its params and
     their type are checked, so a param that is no int, even an unhashable
     one, is refused before the cache looks it up."""
-    _, arity, *_ = _class_row(cls.kind)
+    if cls.kind not in _CLASSES:
+        raise InvalidParameter(f"unknown tree class kind: {cls.kind}")
+    arity = _CLASSES[cls.kind][1]
     if arity is not None and len(cls.params) != arity:
         raise InvalidParameter(f"a {cls.kind} class takes {arity} param(s), "
                                f"not {len(cls.params)}")
@@ -466,48 +483,43 @@ def _counted(kind: str, *params: int) -> tuple[tuple, int]:
     the 256 classes last asked about.  Raises ClassTooLarge, which is not
     kept, uncounted when a tree can pass ``FAMILY_CAP`` vertices, and when
     the size passes ``DEFAULT_CAP``."""
-    _, _, _, most_vertices, class_keys, _ = _class_row(kind)
+    _, _, most_vertices, class_keys, _ = _CLASSES[kind]
     most = most_vertices(*params)
     if most > FAMILY_CAP:
-        raise ClassTooLarge(f"{kind} class: trees of up to {most} vertices, "
-                            f"past the cap {FAMILY_CAP}")
+        raise ClassTooLarge(f"class {_class_spec(kind, params)} has trees of "
+                            f"up to {most} vertices, past the cap {FAMILY_CAP}")
     keys = tuple(class_keys(*params))
     size = 0
     for pool_kind, key in keys:
         size += _KINDS[pool_kind].count(key, DEFAULT_CAP)
         if size > DEFAULT_CAP:
-            # name a long class by its first params, so the line stays short
-            shown = (f"{params}" if len(params) <= 8 else
-                     f"({', '.join(map(str, params[:8]))}, … {len(params)} params)")
-            raise ClassTooLarge(f"{kind}{shown} exceeds cap {DEFAULT_CAP}")
+            raise ClassTooLarge(f"{_class_spec(kind, params)} exceeds cap "
+                                f"{DEFAULT_CAP}")
     return keys, size
 
 
 def by_vertex_count(n: int) -> TreeClass:
-    return TreeClass("by-vertex-count", (n,))
+    return TreeClass("vertices", (n,))
 
 
 def by_leaf_count(n: int, max_vertices: int) -> TreeClass:
-    return TreeClass("by-leaf-count", (n, max_vertices))
+    return TreeClass("leaves", (n, max_vertices))
 
 
 def by_vertices_and_leaves(n_vertices: int, n_leaves: int) -> TreeClass:
-    return TreeClass("by-vertices-and-leaves", (n_vertices, n_leaves))
+    return TreeClass("vertices-leaves", (n_vertices, n_leaves))
 
 
 def by_outdegree_sequence(seq: Iterable[int]) -> TreeClass:
     """Trees whose multiset of outdegrees matches ``seq``.
 
-    Zeros (leaves) may be omitted; the vertex count 1 + sum(seq) pins how
-    many there must be.
+    Zeros (leaves) may be omitted, and are dropped from the params: the
+    vertex count 1 + sum(seq) pins how many there must be.
     """
-    nonzero = sorted((s for s in seq if s != 0), reverse=True)
+    nonzero = tuple(sorted((s for s in seq if s != 0), reverse=True))
     if any(s < 0 for s in nonzero):
         raise InvalidParameter("outdegrees must be non-negative")
-    # 1 + sum(s - 1) >= 1 leaves, as every s is at least 1
-    n_leaves = 1 + sum(nonzero) - len(nonzero)
-    full = tuple(nonzero) + (0,) * n_leaves
-    return TreeClass("by-outdegree-sequence", full)
+    return TreeClass("outdegrees", nonzero)
 
 
 def series_reduced(n_leaves: int) -> TreeClass:
@@ -520,7 +532,7 @@ def dary_by_leaves(d: int, n_leaves: int) -> TreeClass:
     times, empty unless d - 1 divides n_leaves - 1."""
     if d < 2:
         raise InvalidParameter("d must be at least 2")
-    return TreeClass("dary-by-leaves", (d, n_leaves))
+    return TreeClass("dary", (d, n_leaves))
 
 
 def _greedy(outdegrees) -> RootedTree:
@@ -530,45 +542,47 @@ def _greedy(outdegrees) -> RootedTree:
             else build_tree([None]))
 
 
-# Each --class name, one row per kind of class: its constructor and how
-# many integers it takes (None: any number, as one list), which
-# ``tree_core.parse_spec`` reads; its TreeClass kind; the most vertices a
-# tree of the class can have; the (kind, key) pairs whose pools, chained,
-# are the class; and, for each --check that searches it, the tree the paper
-# claims has the largest rho.  All but the constructor read the class
-# params, the claims only those of a class that is not empty.  The rows
-# that some --check searches come first, in the order search names them.
+# Each TreeClass kind, which is its --class name, one row per kind: its
+# constructor and how many integers it takes (None: any number, as one
+# list), which ``tree_core.parse_spec`` reads; the most vertices a tree of
+# the class can have; the (kind, key) pairs whose pools, chained, are the
+# class; and, for each --check that searches it, the tree the paper claims
+# has the largest rho.  All but the constructor read the class params, the
+# claims only those of a class that is not empty.  The rows that some
+# --check searches come first, in the order search names them.
 _CLASSES = {
+    # the nonzero outdegrees of 1 + their sum vertices, and zeros for the rest
     "outdegrees": (
-        by_outdegree_sequence, None, "by-outdegree-sequence",
-        lambda *degrees: len(degrees),
-        lambda *degrees: [("outdegrees", tuple(sorted(degrees, reverse=True)))],
+        by_outdegree_sequence, None,
+        lambda *degrees: 1 + sum(degrees),
+        lambda *degrees: [("outdegrees", tuple(sorted(degrees, reverse=True))
+                           + (0,) * (1 + sum(degrees) - len(degrees)))],
         {"greedy": lambda *degrees: _greedy(degrees)}),
     # the outdegree class of d taken (n - 1) / (d - 1) times, and n zeros
     "dary": (
-        dary_by_leaves, 2, "dary-by-leaves",
+        dary_by_leaves, 2,
         lambda d, n: n + (n - 1) // (d - 1),
         lambda d, n: [("outdegrees", (d,) * ((n - 1) // (d - 1)) + (0,) * n)]
         if n > 0 and (n - 1) % (d - 1) == 0 else [],
         {"greedy": lambda d, n: _greedy([d] * ((n - 1) // (d - 1)))}),
     "vertices-leaves": (
-        by_vertices_and_leaves, 2, "by-vertices-and-leaves",
+        by_vertices_and_leaves, 2,
         lambda n, leaves: n,
         lambda n, leaves: [("pairs", (n, leaves))],
         # the class of one vertex holds only the single vertex
         {"broom": lambda n, leaves: broom(n - leaves - 1, leaves) if n > 1
          else build_tree([None])}),
     "series-reduced": (
-        series_reduced, 1, "series-reduced",
+        series_reduced, 1,
         lambda n: 2 * n - 1,  # at most n - 1 inner vertices
         lambda n: [("reduced", n)],
         {"binary-caterpillar": binary_caterpillar}),
     "vertices": (
-        by_vertex_count, 1, "by-vertex-count",
+        by_vertex_count, 1,
         lambda n: n,
         lambda n: [("vertices", n)], {}),
     "leaves": (
-        by_leaf_count, 2, "by-leaf-count",
+        by_leaf_count, 2,
         lambda leaves, max_vertices: max_vertices,
         lambda leaves, max_vertices: [
             ("pairs", (size, leaves)) for size in range(1, max_vertices + 1)],
@@ -576,19 +590,11 @@ _CLASSES = {
 }
 
 
-def _class_row(kind: str) -> tuple:
-    """The ``_CLASSES`` row of a TreeClass kind."""
-    for row in _CLASSES.values():
-        if row[2] == kind:
-            return row
-    raise InvalidParameter(f"unknown tree class kind: {kind}")
-
-
 def _class_encodings(cls: TreeClass) -> Iterator[Encoding]:
     """The encodings of cls in class order.  The class is counted first, so
     ClassTooLarge comes before any pool is built.
 
-    Class order is ascending encoding order, except for "by-leaf-count":
+    Class order is ascending encoding order, except for "leaves":
     that class comes out one vertex count at a time, smallest first, each
     count ascending, and so is not sorted as a whole."""
     keys, _ = _class_count(cls)
@@ -732,7 +738,7 @@ def verify_extremal(cls: TreeClass, claimed_max: RootedTree) -> ExtremalReport:
     """
     scored = _contenders(cls)
     if not scored:
-        raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
+        raise InvalidParameter(f"class {_class_spec(*cls)} is empty")
     rho_max = max(rho for rho, _ in scored)
     # deterministic argmax: encoding-smallest among exact-float ties
     best_enc = min(enc for rho, enc in scored if rho == rho_max)
@@ -753,11 +759,12 @@ def verify_claim(cls: TreeClass, check: str) -> ExtremalReport:
     ``check``, one of the claims of cls's ``_CLASSES`` row, names for its
     params.  The class is counted first, as the params of an empty class
     may admit no claimed tree: it is refused as empty."""
-    claims = _class_row(cls.kind)[-1]
+    _, size = _class_count(cls)
+    claims = _CLASSES[cls.kind][-1]
     if check not in claims:
         raise InvalidParameter(f"no {check} claim about {cls.kind} classes")
-    if class_size(cls) == 0:
-        raise InvalidParameter(f"class {cls.kind}{cls.params} is empty")
+    if size == 0:
+        raise InvalidParameter(f"class {_class_spec(*cls)} is empty")
     return verify_extremal(cls, claims[check](*cls.params))
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 from .errors import BudgetExceeded, NotALeaf
 from .exact_charpoly import _fold, _poly_add
-from .tree_core import RootedTree
+from .tree_core import RootedTree, _is_vertex
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -38,7 +38,7 @@ class CollectionCount(NamedTuple):
 def upward_paths(tree: RootedTree, v: int) -> int:
     """Number of upward paths from a leaf at level l, namely l + 1 (the
     trivial path included)."""
-    if v < 0 or v >= tree.n_vertices or tree.children[v]:
+    if not _is_vertex(tree, v) or tree.children[v]:
         raise NotALeaf(f"{v} is not a leaf")
     return tree.level[v] + 1
 

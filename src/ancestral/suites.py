@@ -70,6 +70,11 @@ def _per_tree_memo(compute):
 
 
 def _collections_match(t: RootedTree, poly) -> bool:
+    """The collection-coefficients suite: the edge-state counts of t are the
+    gamma of its polynomial.  Both sides run ``exact_charpoly._fold``, with
+    their own leaf states and child factors, so this suite checks those
+    and not the fold: a fault in the fold itself leaves it VERIFIED, and
+    turns trace-identity and dary-determinant VIOLATED instead."""
     result = count_by_edge_states(t)
     sign = 1 if t.n_leaves % 2 == 0 else -1
     return (list(result.counts) == poly.gamma()
@@ -229,12 +234,12 @@ def _first_event(cases, check, share: int, shares: int):
 
 
 def _case_text(case) -> str:
-    """How stderr names a case: Newick for a tree, kind(params) for a class,
-    the transform flags of an operation, and otherwise the value itself."""
+    """How stderr names a case: Newick for a tree, the --class spec of a
+    class, an operation's transform flags, and otherwise the value itself."""
     if isinstance(case, RootedTree):
         return serialize_newick(case)
     if isinstance(case, enumeration.TreeClass):
-        return f"{case.kind}{case.params}"
+        return enumeration._class_spec(*case)
     if isinstance(case, OpSpec):
         flags = (("--op", case.kind.value),
                  ("--path", ",".join(str(v) for v in case.path)),

@@ -216,9 +216,13 @@ def _build_walk(parents: Sequence[Optional[int]]) -> RootedTree:
     )
 
 
-def _check_vertex(tree: RootedTree, v: int) -> None:
+def _is_vertex(tree: RootedTree, v) -> bool:
     # a bool is an int but not a vertex, as build_tree refuses a bool parent
-    if type(v) is not int or not 0 <= v < tree.n_vertices:
+    return type(v) is int and 0 <= v < tree.n_vertices
+
+
+def _check_vertex(tree: RootedTree, v: int) -> None:
+    if not _is_vertex(tree, v):
         raise IndexOutOfRange(f"{v!r} is not a vertex of this tree")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     W1IsLeaf,
     W2NotLeaf,
 )
-from .tree_core import RootedTree, build_tree
+from .tree_core import RootedTree, _is_vertex, build_tree
 
 
 class OpKind(Enum):
@@ -42,7 +42,7 @@ def _check_path(tree: RootedTree, path: Sequence[int]) -> None:
     if len(path) < 2:
         raise InvalidPath("need at least two path vertices")
     for v in path:
-        if v < 0 or v >= tree.n_vertices:
+        if not _is_vertex(tree, v):
             raise InvalidPath(f"{v} is not a vertex")
     for a, b in zip(path, path[1:]):
         if tree.parent[b] != a:
@@ -51,7 +51,7 @@ def _check_path(tree: RootedTree, path: Sequence[int]) -> None:
 
 def _is_child(tree: RootedTree, v: Optional[int], p: int) -> bool:
     """Whether v is a vertex index whose parent is p."""
-    return v is not None and 0 <= v < tree.n_vertices and tree.parent[v] == p
+    return _is_vertex(tree, v) and tree.parent[v] == p
 
 
 def branch_shift(tree: RootedTree, spec: OpSpec) -> RootedTree:
@@ -76,14 +76,14 @@ def branch_shift(tree: RootedTree, spec: OpSpec) -> RootedTree:
 def star_shift(tree: RootedTree, v1: int, u: int) -> RootedTree:
     """Insert a new vertex below v1 and move every leaf child of v1 except u
     under it.  Leaf count is preserved; the internal count grows by one."""
-    if v1 < 0 or v1 >= tree.n_vertices:
+    if not _is_vertex(tree, v1):
         raise NotAChild(f"{v1} is not a vertex")
     kids = tree.children[v1]
     if len(kids) < 2:
         raise TooFewChildren(f"{v1} has fewer than two children")
     if any(not tree.is_leaf(c) for c in kids):
         raise NotAllChildrenLeaves(f"{v1} has a non-leaf child")
-    if u not in kids:
+    if not _is_vertex(tree, u) or u not in kids:
         raise NotAChild(f"{u} is not a child of {v1}")
     parents = tree.parent_list()
     v2 = len(parents)

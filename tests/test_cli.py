@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ancestral
-from ancestral import (ExtremalReport, binary_caterpillar, broom,
+from ancestral import (ExtremalReport, binary_caterpillar, broom, build_tree,
                        by_vertices_and_leaves, caterpillar_charpoly,
                        parse_newick, serialize_newick, series_reduced, star,
                        star_plus_path)
@@ -445,9 +445,9 @@ def test_bad_spec_names_the_spec(capsys, command, spec, why):
 
 
 @pytest.mark.parametrize("klass, check, named", [
-    ("vertices-leaves:3,5", "broom", "by-vertices-and-leaves(3, 5)"),
-    ("series-reduced:0", "binary-caterpillar", "series-reduced(0,)"),
-    ("dary:3,8", "greedy", "dary-by-leaves(3, 8)"),
+    ("vertices-leaves:3,5", "broom", "vertices-leaves:3,5"),
+    ("series-reduced:0", "binary-caterpillar", "series-reduced:0"),
+    ("dary:3,8", "greedy", "dary:3,8"),
 ], ids=["vertices-leaves", "series-reduced", "dary"])
 def test_search_names_an_empty_class(capsys, klass, check, named):
     # no claimed tree exists for these parameters; the class is named first
@@ -460,8 +460,7 @@ def test_search_of_an_oversized_class_exits_2(capsys):
                          "--check", "broom")
     assert code == 2
     assert out == ""
-    assert err == ("error: by-vertices-and-leaves(26, 13) exceeds cap "
-                   "1000000\n")
+    assert err == "error: vertices-leaves:26,13 exceeds cap 1000000\n"
 
 
 def test_refusal_of_a_class_with_many_params_is_one_short_line(capsys):
@@ -469,8 +468,8 @@ def test_refusal_of_a_class_with_many_params_is_one_short_line(capsys):
                          "outdegrees:" + ",".join(map(str, range(20, 0, -1))),
                          "--check", "greedy")
     assert (code, out) == (2, "")
-    assert err == ("error: by-outdegree-sequence(20, 19, 18, 17, 16, 15, 14, "
-                   "13, … 211 params) exceeds cap 1000000\n")
+    assert err == ("error: outdegrees:20,19,18,17,16,15,14,13,… 20 params "
+                   "exceeds cap 1000000\n")
     assert len(err.encode()) < 120
 
 
@@ -494,6 +493,25 @@ def test_search_counts_each_class_key_once(capsys, monkeypatch, klass, check,
     code, out, err = run(capsys, "search", "--class", klass, "--check", check)
     assert (code, err) == (0, "") and out.startswith("VERIFIED rho_max=")
     assert counted == keys
+
+
+def test_search_derives_each_key_bound_once(capsys, monkeypatch):
+    # _leads and _Branches.above read one cached bound per key; an earlier
+    # test may have filled both caches already
+    cli.enumeration._bound.cache_clear()
+    cli.enumeration._leads.cache_clear()
+    asked = []
+    row = cli.enumeration._KINDS["outdegrees"]
+
+    def bound(key, exact=row.bound):
+        asked.append(key)
+        return exact(key)
+    monkeypatch.setitem(cli.enumeration._KINDS, "outdegrees",
+                        row._replace(bound=bound))
+    code, out, err = run(capsys, "search", "--class", "outdegrees:3,3,2,2,2,1,1",
+                         "--check", "greedy")
+    assert (code, out, err) == (0, "VERIFIED rho_max=33.701338839\n", "")
+    assert len(asked) == len(set(asked)) == 35
 
 
 def test_search_checks_residuals_only_of_the_branches_it_solves(monkeypatch):
@@ -856,6 +874,20 @@ def test_verify_all_sees_a_fault_in_the_fold(capsys, monkeypatch):
                    "dary-determinant: fails on (,,(,,));\n")
 
 
+def test_verify_all_sees_a_wrong_leaf_state_in_the_collection_counts(
+        capsys, monkeypatch):
+    # a leaf whose edge may carry no path, ([1], [1]) in place of
+    # ([1], [0, 1]), in the fold of the collection counts alone
+    fold = path_collections._fold
+    monkeypatch.setattr(path_collections, "_fold",
+                        lambda tree, leaf, factor: fold(tree, ([1], [1]), factor))
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "5")
+    assert code == 1
+    assert [name for name, verdict in verdicts(out).items()
+            if verdict == "VIOLATED"] == ["collection-coefficients"]
+    assert err == "collection-coefficients: fails on ();\n"
+
+
 def _verify_all_in_shares(capsys, monkeypatch, shares: int):
     """Exit code, stdout and stderr of verify-all --max-leaves 5 checked in
     the given number of shares; no worker outlives it."""
@@ -1016,22 +1048,42 @@ def test_verify_all_names_the_failing_class(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
     assert code == 1
     assert verdicts(out)["series-reduced-extremality"] == "VIOLATED"
-    assert err == "series-reduced-extremality: fails on series-reduced(3,)\n"
+    assert err == "series-reduced-extremality: fails on series-reduced:3\n"
 
 
-def test_search_and_verify_all_check_one_claim(capsys, monkeypatch):
-    # a tree of n vertices and l leaves that is not extremal, in place of
-    # the broom: both commands read it from the one class table
-    claims = cli.enumeration._CLASSES["vertices-leaves"][-1]
-    monkeypatch.setitem(claims, "broom",
-                        lambda n, leaves: star_plus_path(leaves - 1, n - leaves))
-    code, out, _ = run(capsys, "search", "--class", "vertices-leaves:7,3",
-                       "--check", "broom")
-    assert code == 1 and out.startswith("COUNTEREXAMPLE ")
-    code, out, err = run(capsys, "verify-all", "--max-leaves", "4")
+def _descending_caterpillar(*outdegrees):
+    """The greedy caterpillar with its outdegrees descending from the root,
+    a tree of the same outdegree class."""
+    parents, spine = [None], 0
+    for d in sorted(outdegrees, reverse=True):
+        parents.extend([spine] * d)
+        spine = len(parents) - 1
+    return build_tree(parents)
+
+
+# a claimed tree of the class that is not extremal, and the first class of
+# verify-all --max-leaves 5 on which it fails
+@pytest.mark.parametrize("row, check, mutant, suite, spec", [
+    ("outdegrees", "greedy", _descending_caterpillar, "greedy-extremality",
+     "outdegrees:2,1"),
+    ("vertices-leaves", "broom",
+     lambda n, leaves: star_plus_path(leaves - 1, n - leaves),
+     "broom-extremality", "vertices-leaves:4,2"),
+    ("series-reduced", "binary-caterpillar", star,
+     "series-reduced-extremality", "series-reduced:3"),
+], ids=["greedy", "broom", "series-reduced"])
+def test_search_and_verify_all_check_one_claim(capsys, monkeypatch, row, check,
+                                               mutant, suite, spec):
+    # both commands read the claim from the one class table, and verify-all
+    # names the failing class by the spec that search reads
+    monkeypatch.setitem(cli.enumeration._CLASSES[row][-1], check, mutant)
+    code, out, err = run(capsys, "verify-all", "--max-leaves", "5")
     assert code == 1
-    assert verdicts(out)["broom-extremality"] == "VIOLATED"
-    assert err == "broom-extremality: fails on by-vertices-and-leaves(4, 2)\n"
+    assert [name for name, verdict in verdicts(out).items()
+            if verdict == "VIOLATED"] == [suite]
+    assert err == f"{suite}: fails on {spec}\n"
+    code, out, _ = run(capsys, "search", "--class", spec, "--check", check)
+    assert code == 1 and out.startswith("COUNTEREXAMPLE ")
 
 
 def test_verify_all_names_a_failing_operation_as_transform_flags(
@@ -1055,7 +1107,7 @@ def test_verify_all_counts_an_oversized_corpus_before_building_it(capsys):
     code, out, err = run(capsys, "verify-all", "--max-leaves", "17")
     assert code == 2
     assert out == ""
-    assert err == "error: by-vertex-count(18,) exceeds cap 1000000\n"
+    assert err == "error: vertices:18 exceeds cap 1000000\n"
     assert 17 not in cli.enumeration._MEMO.get("vertices", {})
 
 
@@ -1069,7 +1121,7 @@ def test_verify_all_counts_the_series_reduced_class_before_building(
     code, out, err = run(capsys, "verify-all", "--max-leaves", "16")
     assert code == 2
     assert out == ""
-    assert err == "error: series-reduced(16,) exceeds cap 1000000\n"
+    assert err == "error: series-reduced:16 exceeds cap 1000000\n"
 
 
 @pytest.mark.parametrize("value", ["0", "1", "-3", "two"])

@@ -151,7 +151,9 @@ def test_direct_generators_match_filtered_vertex_classes():
             assert list(enumeration._class_encodings(cls)) == want, (n, leaves)
         by_degrees = {}
         for enc in every:
-            by_degrees.setdefault(_outdegrees_of(enc), []).append(enc)
+            # a class's params are its nonzero outdegrees
+            nonzero = tuple(d for d in _outdegrees_of(enc) if d)
+            by_degrees.setdefault(nonzero, []).append(enc)
         covered = 0
         for part in enumeration.outdegree_sequences(n):
             cls = by_outdegree_sequence(part)
@@ -590,12 +592,12 @@ def test_class_cap():
 def test_equal_classes_are_counted_once(monkeypatch):
     calls = []
     for name in ("series-reduced", "vertices"):
-        # the row's fifth entry gives the class keys of its params
+        # the row's fourth entry gives the class keys of its params
         row = enumeration._CLASSES[name]
-        keys = row[4]
+        keys = row[3]
         monkeypatch.setitem(enumeration._CLASSES, name, (
-            *row[:4], lambda *params, keys=keys:
-            calls.append(params) or keys(*params), *row[5:]))
+            *row[:3], lambda *params, keys=keys:
+            calls.append(params) or keys(*params), *row[4:]))
     enumeration._counted.cache_clear()
     first, second = series_reduced(6), series_reduced(6)
     assert first == second and first is not second
@@ -623,9 +625,9 @@ def test_verify_claim_refuses_an_empty_class_and_an_unmade_claim():
 
 @pytest.mark.parametrize("kind, params, says", [
     ("series-reduced", (1, 2), "1 param(s), not 2"),
-    ("by-vertex-count", (), "1 param(s), not 0"),
-    ("by-vertices-and-leaves", (7,), "2 param(s), not 1"),
-    ("dary-by-leaves", (2, 3, 4), "2 param(s), not 3"),
+    ("vertices", (), "1 param(s), not 0"),
+    ("vertices-leaves", (7,), "2 param(s), not 1"),
+    ("dary", (2, 3, 4), "2 param(s), not 3"),
 ])
 def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
     cls = enumeration.TreeClass(kind, params)
@@ -634,7 +636,7 @@ def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
                            match=re.escape(f"a {kind} class takes {says}")):
             ask(cls)
     # the outdegree class takes any number of params
-    assert class_size(enumeration.TreeClass("by-outdegree-sequence",
+    assert class_size(enumeration.TreeClass("outdegrees",
                                             (2, 0, 0))) == 1
 
 
@@ -643,7 +645,7 @@ def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
     ("series-reduced", (5.0,), "float"),
     ("series-reduced", (None,), "NoneType"),
     ("series-reduced", (True,), "bool"),
-    ("by-outdegree-sequence", (2, "x", 0), "str"),
+    ("outdegrees", (2, "x", 0), "str"),
     # unhashable: refused before the count's cache looks it up
     ("series-reduced", ([5],), "list"),
 ])

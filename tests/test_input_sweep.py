@@ -38,8 +38,8 @@ def _past_cap(spec: str, size: int) -> str:
             f"past the cap 1000000\n")
 
 
-def _class_past_cap(kind: str, size: int) -> str:
-    return (f"error: {kind} class: trees of up to {size} vertices, "
+def _class_past_cap(spec: str, size: int) -> str:
+    return (f"error: class {spec} has trees of up to {size} vertices, "
             f"past the cap 1000000\n")
 
 
@@ -113,19 +113,20 @@ ROWS = [
     (["gen", "--gen", "frobnicate:3"], 2, 5,
      "error: family spec 'frobnicate:3': unknown name 'frobnicate'\n"),
     (["search", "--class", "vertices-leaves:1000,500", "--check", "broom"],
-     2, 10, "error: by-vertices-and-leaves(1000, 500) exceeds cap 1000000\n"),
+     2, 10, "error: vertices-leaves:1000,500 exceeds cap 1000000\n"),
     # classes, even of one tree, whose trees pass the family cap are
     # refused before they are counted
     (["search", "--class", "outdegrees:3000000", "--check", "greedy"], 2, 5,
-     _class_past_cap("by-outdegree-sequence", 3000001)),
+     _class_past_cap("outdegrees:3000000", 3000001)),
     (["search", "--class", "outdegrees:1000000", "--check", "greedy"], 2, 5,
-     _class_past_cap("by-outdegree-sequence", 1000001)),
+     _class_past_cap("outdegrees:1000000", 1000001)),
     (["search", "--class", "vertices-leaves:3000000,2999999", "--check",
-      "broom"], 2, 5, _class_past_cap("by-vertices-and-leaves", 3000000)),
+      "broom"], 2, 5,
+     _class_past_cap("vertices-leaves:3000000,2999999", 3000000)),
     (["search", "--class", "vertices-leaves:3000000,1", "--check", "broom"],
-     2, 5, _class_past_cap("by-vertices-and-leaves", 3000000)),
+     2, 5, _class_past_cap("vertices-leaves:3000000,1", 3000000)),
     (["search", "--class", "series-reduced:500001", "--check",
-      "binary-caterpillar"], 2, 5, _class_past_cap("series-reduced", 1000001)),
+      "binary-caterpillar"], 2, 5, _class_past_cap("series-reduced:500001", 1000001)),
 ]
 
 

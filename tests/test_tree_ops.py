@@ -8,11 +8,14 @@ from ancestral import (
     ancestral_matrix,
     apply_op,
     branch_shift,
+    build_tree,
     leaf_swap,
     rho,
     spectral_radius,
     star,
     star_shift,
+    total_ancestral_depth,
+    upward_paths,
     valid_specs,
     witness_leaves,
 )
@@ -20,6 +23,7 @@ from ancestral.errors import (
     BranchOnPath,
     InvalidPath,
     NotAChild,
+    NotALeaf,
     NotAllChildrenLeaves,
     TooFewChildren,
     VkIsLeaf,
@@ -161,3 +165,27 @@ def test_apply_op_dispatch():
 def test_star_shift_path_is_one_vertex(path):
     with pytest.raises(InvalidPath):
         apply_op(star(3), OpSpec(OpKind.STAR_SHIFT, path, leaf=1))
+
+
+# vertex 1 is a leaf, and 2 and 5 are cherries
+_CHERRIES = build_tree([None, 0, 0, 2, 2, 0, 5, 5])
+
+
+@pytest.mark.parametrize("vertex", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call, error", [
+    (lambda v: upward_paths(star(3), v), NotALeaf),
+    (lambda v: total_ancestral_depth(star(3), v), NotALeaf),
+    (lambda v: star_shift(star(3), v, 2), NotAChild),
+    (lambda v: star_shift(star(3), 0, v), NotAChild),
+    (lambda v: apply_op(_CHERRIES, OpSpec(OpKind.BRANCH_SHIFT, (0, v), 1)),
+     InvalidPath),
+    (lambda v: apply_op(_CHERRIES, OpSpec(OpKind.BRANCH_SHIFT, (0, 2), v)),
+     InvalidPath),
+    (lambda v: apply_op(_CHERRIES, OpSpec(OpKind.LEAF_SWAP, (0, 2), 5, v)),
+     InvalidPath),
+], ids=["upward-paths", "total-ancestral-depth", "star-shift-vertex",
+        "star-shift-leaf", "op-path", "op-branch-root", "op-leaf"])
+def test_a_vertex_that_is_no_int_is_refused(call, error, vertex):
+    # neither 2.0 nor True is a vertex, though 2.0 == 2 and True == 1
+    with pytest.raises(error):
+        call(vertex)
