@@ -425,7 +425,10 @@ def test_search_solves_few_branches(monkeypatch):
 
 @pytest.mark.parametrize("cls, check, solves", [
     (series_reduced(15), "binary-caterpillar", 6),
-    (by_outdegree_sequence((4, 3, 3, 2, 2, 2, 1, 1, 1)), "greedy", 1),
+    # case ids describe a class in words, as they did before the classes
+    # took their --class names, so each case keeps its name
+    pytest.param(by_outdegree_sequence((4, 3, 3, 2, 2, 2, 1, 1, 1)), "greedy",
+                 1, id="by-outdegree-sequence-greedy-1"),
     (series_reduced(10), "binary-caterpillar", 2),
 ], ids=lambda arg: getattr(arg, "kind", None))
 def test_search_solves_the_branches_one_step_cannot_bound(monkeypatch, cls,
@@ -530,7 +533,7 @@ def test_search_builds_no_pool_of_the_class(monkeypatch):
     by_vertices_and_leaves(10, 5),
     by_outdegree_sequence((2, 2, 2, 1, 1)),
     series_reduced(7),
-], ids=lambda cls: cls.kind)
+], ids=["by-vertices-and-leaves", "by-outdegree-sequence", "series-reduced"])
 def test_memoised_rho_is_the_spectral_radius(cls, monkeypatch):
     solved = []
     solve = enumeration.spectral_radius
@@ -625,9 +628,12 @@ def test_verify_claim_refuses_an_empty_class_and_an_unmade_claim():
 
 @pytest.mark.parametrize("kind, params, says", [
     ("series-reduced", (1, 2), "1 param(s), not 2"),
-    ("vertices", (), "1 param(s), not 0"),
-    ("vertices-leaves", (7,), "2 param(s), not 1"),
-    ("dary", (2, 3, 4), "2 param(s), not 3"),
+    pytest.param("vertices", (), "1 param(s), not 0",
+                 id="by-vertex-count-params1-1 param(s), not 0"),
+    pytest.param("vertices-leaves", (7,), "2 param(s), not 1",
+                 id="by-vertices-and-leaves-params2-2 param(s), not 1"),
+    pytest.param("dary", (2, 3, 4), "2 param(s), not 3",
+                 id="dary-by-leaves-params3-2 param(s), not 3"),
 ])
 def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
     cls = enumeration.TreeClass(kind, params)
@@ -645,7 +651,8 @@ def test_a_class_with_the_wrong_number_of_params_is_refused(kind, params, says):
     ("series-reduced", (5.0,), "float"),
     ("series-reduced", (None,), "NoneType"),
     ("series-reduced", (True,), "bool"),
-    ("outdegrees", (2, "x", 0), "str"),
+    pytest.param("outdegrees", (2, "x", 0), "str",
+                 id="by-outdegree-sequence-params4-str"),
     # unhashable: refused before the count's cache looks it up
     ("series-reduced", ([5],), "list"),
 ])
